@@ -225,7 +225,8 @@ def _run_dirichlet_compat(cfg, out_dir, threads):
     t = resolve_tableau(cfg["tableau"])
     h_list = _resolve_h_list(cfg)
     rep_c, rep_i = harness.dirichlet_compatibility_study(
-        h_list, T=float(cfg["T"]), n=int(cfg["n"]), t=t, fp_tol=float(cfg["fp_tol"])
+        h_list, T=float(cfg["T"]), n=int(cfg["n"]), t=t, fp_tol=float(cfg["fp_tol"]),
+        workers=threads,
     )
     rep_c.write_csv(out_dir / "dirichlet_compatible.csv")
     rep_i.write_csv(out_dir / "dirichlet_incompatible.csv")
@@ -261,7 +262,8 @@ def _run_tangent_check(cfg, out_dir, threads):
     rel_err = base_norm(fd - v1) / max(base_norm(v1), 1e-300)
 
     report = harness.tangent_convergence_study(
-        problem, t, u0, v0, float(cfg["T"]), _resolve_h_list(cfg), fp_tol=float(cfg["fp_tol"])
+        problem, t, u0, v0, float(cfg["T"]), _resolve_h_list(cfg), fp_tol=float(cfg["fp_tol"]),
+        workers=threads,
     )
     report.write_csv(out_dir / "tangent_convergence.csv")
     ok_fd = rel_err <= 1e-5

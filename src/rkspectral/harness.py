@@ -4,12 +4,16 @@ probes, and the Dirichlet boundary-compatibility comparison.
 
 Error measurement convention: all study errors are final-time base-norm
 (rung-0) distances against a self-validated fine reference computed
-with a higher-order method of the same family.  The reference recipe is
-two extra stages and a step 16 times below the finest study step; its
-h -> h/2 self-consistency gap must stay three orders of magnitude below
-the smallest error it is used to resolve, floored at the roundoff a
-double-precision run of that length can accumulate (50x the stage
-tolerance).
+with a higher-order method of the same family (two extra stages).  The
+ladder levels run first; the reference then walks rungs of halving
+step, starting with a coarse run at the finest study step and a fine
+run at half of it, each failing rung's fine run becoming the next
+rung's coarse run.  The first rung whose h -> h/2 self-consistency gap
+sits three orders of magnitude below the smallest error it is used to
+resolve, floored at the roundoff a double-precision run of that length
+can accumulate (50x the stage tolerance), supplies the reference: its
+fine run.  The walk gives up after the rung whose fine step is 32
+times below the finest study step.
 """
 
 from __future__ import annotations
@@ -42,22 +46,34 @@ _REFERENCE_MARGIN = 1e-3
 # Roundoff accumulated over the fine reference run bounds how small its
 # self-consistency gap can get; the margin check is floored there.
 _REFERENCE_FLOOR_FACTOR = 50.0
+# The reference walk's last rung has coarse step h_min/16 (fine h_min/32).
+_MAX_REFERENCE_RUNGS = 5
 _MAX_STAGES = 8
 
 
 @dataclass(frozen=True)
 class ReferenceInfo:
-    """Descriptor of a fine reference run and its self-consistency gap."""
+    """Descriptor of a fine reference run and how it passed its gate.
+
+    ``h_ref`` and ``discrepancy`` belong to the accepted rung (its coarse
+    step and its h -> h/2 gap), ``required`` is the gate that gap had to
+    meet (None when none was enforced), and ``rungs`` lists the
+    (h_ref, discrepancy) of every rung tried, in order.
+    """
 
     tableau: str
     h_ref: float
     discrepancy: float
+    required: float | None = None
+    rungs: tuple[tuple[float, float], ...] = ()
 
     def as_dict(self) -> dict:
         return {
             "tableau": self.tableau,
             "h_ref": self.h_ref,
             "discrepancy": self.discrepancy,
+            "required": self.required,
+            "rungs": [{"h_ref": h, "discrepancy": d} for h, d in self.rungs],
         }
 
 
@@ -144,9 +160,11 @@ def reference_solution(
     """Fine-step stand-in for the exact flow at time T.
 
     Integrates with the ``s_ref``-stage Gauss-Legendre method at step
-    ``h_ref`` and again at ``h_ref / 2``; the base-norm gap between the
-    two runs is recorded and, when ``validate_tol`` is given, enforced.
-    Returns the finer of the two runs.
+    ``h_ref`` (default ``T / 1024``) and again at ``h_ref / 2``; the
+    base-norm gap between the two runs is recorded and, when
+    ``validate_tol`` is given, enforced.  Returns the finer of the two
+    runs.  Order studies do not use this default: they walk rungs
+    starting at their finest study step (see ``convergence_study``).
     """
     if T < 0:
         raise ValueError("final time must be nonnegative")
@@ -160,7 +178,9 @@ def reference_solution(
         p, t_ref, u0, SolverConfig(h=h_ref / 2, fp_tol=fp_tol), _steps_for(T, h_ref / 2)
     )
     discrepancy = base_norm(fine - coarse)
-    info = ReferenceInfo(f"gl:{s_ref}", h_ref, discrepancy)
+    info = ReferenceInfo(
+        f"gl:{s_ref}", h_ref, discrepancy, validate_tol, ((h_ref, discrepancy),)
+    )
     if validate_tol is not None and discrepancy > validate_tol:
         raise UnreliableReferenceError(discrepancy, validate_tol)
     return fine, info
@@ -173,12 +193,6 @@ def _check_fp_tol(fp_tol, h_min, p_order):
             f"fp_tol={fp_tol:g} too loose for an order-{p_order} study with "
             f"min step {h_min:g}; need <= {bound:g}"
         )
-
-
-def _validate_reference(discrepancy, min_error, fp_tol):
-    required = max(_REFERENCE_MARGIN * min_error, _REFERENCE_FLOOR_FACTOR * fp_tol)
-    if discrepancy > required:
-        raise UnreliableReferenceError(discrepancy, required)
 
 
 def _fit_order(h_list, errors, flagged):
@@ -195,6 +209,77 @@ def _fit_order(h_list, errors, flagged):
     return float(slope)
 
 
+def _state_distance(a, b):
+    return base_norm(a - b)
+
+
+def _order_study(
+    p, t, x0, T, h_list, fp_tol, s_ref, h_ref, workers, integrate_fn, distance, name
+) -> ConvergenceReport:
+    """Order study of one flow: ``integrate_fn(p, t, x0, cfg, steps)``
+    returns the final value and per-step statistics, ``distance``
+    compares two final values."""
+    h_list = [float(h) for h in h_list]
+    if any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise ValueError("h_list must be strictly decreasing")
+    for h in h_list:
+        _steps_for(T, h)
+    _check_fp_tol(fp_tol, min(h_list), t.p)
+
+    def run(tab, h, tol):
+        return integrate_fn(p, tab, x0, SolverConfig(h=h, fp_tol=tol), _steps_for(T, h))
+
+    def run_level(h):
+        final, history = run(t, h, fp_tol)
+        return final, _summarize(history)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_level, h_list))
+    else:
+        results = [run_level(h) for h in h_list]
+    finals = [r[0] for r in results]
+    stats = [r[1] for r in results]
+
+    if s_ref is None:
+        s_ref = min(t.s + 2, _MAX_STAGES)
+    t_ref = gauss_legendre(s_ref)
+    ref_tol = min(fp_tol, FP_TOL_FLOOR)
+    if h_ref is None:
+        h_coarse, max_rungs = min(h_list), _MAX_REFERENCE_RUNGS
+    else:
+        h_coarse, max_rungs = float(h_ref), 1
+    coarse, _ = run(t_ref, h_coarse, ref_tol)
+    rungs = []
+    while True:
+        fine, _ = run(t_ref, h_coarse / 2, ref_tol)
+        discrepancy = distance(fine, coarse)
+        rungs.append((h_coarse, discrepancy))
+        errors = [distance(final, fine) for final in finals]
+        required = max(_REFERENCE_MARGIN * min(errors), _REFERENCE_FLOOR_FACTOR * fp_tol)
+        if discrepancy <= required:
+            break
+        if len(rungs) == max_rungs:
+            raise UnreliableReferenceError(discrepancy, required)
+        coarse, h_coarse = fine, h_coarse / 2
+
+    flagged = [e <= _CONTAMINATION_FACTOR * fp_tol for e in errors]
+    fitted = _fit_order(h_list, errors, flagged)
+    reference = ReferenceInfo(f"gl:{s_ref}", h_coarse, discrepancy, required, tuple(rungs))
+    return ConvergenceReport(
+        problem=name,
+        tableau=t.label,
+        T=T,
+        h_list=h_list,
+        errors=errors,
+        fitted_order=fitted,
+        stats=stats,
+        reference=reference.as_dict(),
+        flagged=flagged,
+        fp_tol=fp_tol,
+    )
+
+
 def convergence_study(
     p: ProblemSpec,
     t: ButcherTableau,
@@ -208,54 +293,22 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Measure final-time errors against a fine reference and fit the order.
 
-    The reference is validated after the fact: its self-consistency gap
-    must be at most 1e-3 times the smallest measured error (floored at
-    50x the stage tolerance, the double-precision accumulation scale).
-    Levels whose error is within 100x the stage tolerance are flagged
-    and excluded from the fit.
+    The ladder levels run first (on ``workers`` threads).  The reference
+    uses ``s_ref`` stages (default two more than the study's) and walks
+    rungs: the first pairs a coarse run at the finest study step with a
+    fine run at half of it, and each failing rung's fine run becomes the
+    next rung's coarse run.  A rung passes when its self-consistency gap
+    is at most 1e-3 times the smallest error measured against its fine
+    run (floored at 50x the stage tolerance, the double-precision
+    accumulation scale); the first passing fine run is the reference.
+    If the rung with coarse step h_min/16 fails too, the walk raises
+    ``UnreliableReferenceError``.  An explicit ``h_ref`` tries the single
+    rung (h_ref, h_ref/2).  Levels whose error is within 100x the stage
+    tolerance are flagged and excluded from the fit.
     """
-    h_list = [float(h) for h in h_list]
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must be strictly decreasing")
-    for h in h_list:
-        _steps_for(T, h)
-    _check_fp_tol(fp_tol, min(h_list), t.p)
-
-    if s_ref is None:
-        s_ref = min(t.s + 2, _MAX_STAGES)
-    if h_ref is None:
-        h_ref = min(h_list) / 16
-    ref_state, ref_info = reference_solution(
-        p, u0, T, s_ref=s_ref, h_ref=h_ref, fp_tol=min(fp_tol, FP_TOL_FLOOR)
-    )
-
-    def run_level(h):
-        final, stats = integrate(p, t, u0, SolverConfig(h=h, fp_tol=fp_tol), _steps_for(T, h))
-        return base_norm(final - ref_state), _summarize(stats)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_level, h_list))
-    else:
-        results = [run_level(h) for h in h_list]
-    errors = [r[0] for r in results]
-    stats = [r[1] for r in results]
-
-    _validate_reference(ref_info.discrepancy, min(errors), fp_tol)
-
-    flagged = [e <= _CONTAMINATION_FACTOR * fp_tol for e in errors]
-    fitted = _fit_order(h_list, errors, flagged)
-    return ConvergenceReport(
-        problem=p.name,
-        tableau=t.label,
-        T=T,
-        h_list=h_list,
-        errors=errors,
-        fitted_order=fitted,
-        stats=stats,
-        reference=ref_info.as_dict(),
-        flagged=flagged,
-        fp_tol=fp_tol,
+    return _order_study(
+        p, t, u0, T, h_list, fp_tol, s_ref, h_ref, workers,
+        integrate, _state_distance, p.name,
     )
 
 
@@ -485,6 +538,7 @@ def dirichlet_compatibility_study(
     fp_tol: float = FP_TOL_FLOOR,
     s_ref: int | None = None,
     h_ref: float | None = None,
+    workers: int = 1,
 ) -> tuple[ConvergenceReport, ConvergenceReport]:
     """Order study of the boundary-compatible vs incompatible cubic wave.
 
@@ -501,11 +555,12 @@ def dirichlet_compatibility_study(
     incompatible = get_problem("wave-dirichlet-incompatible", n)
     u0 = wave_band_state(compatible.grid, u_amps=(0.4, 0.2, 0.1), v_amps=(0.2, -0.1, 0.05))
     report_c = convergence_study(
-        compatible, t, u0, T, h_list, fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref
+        compatible, t, u0, T, h_list, fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref,
+        workers=workers,
     )
     report_i = convergence_study(
         incompatible, t, State(incompatible.grid, u0.coeffs.copy()), T, h_list,
-        fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref,
+        fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref, workers=workers,
     )
     return report_c, report_i
 
@@ -517,8 +572,8 @@ def _pair_distance(a, b):
     return math.sqrt(base_norm(a[0] - b[0]) ** 2 + base_norm(a[1] - b[1]) ** 2)
 
 
-def _integrate_tangent(p, t, u0, v0, cfg, steps):
-    u, v = u0, v0
+def _integrate_tangent(p, t, pair, cfg, steps):
+    u, v = pair
     history = []
     for _ in range(steps):
         u, v, stats = tangent_step(p, t, u, v, cfg)
@@ -534,48 +589,17 @@ def tangent_convergence_study(
     T: float,
     h_list,
     fp_tol: float = FP_TOL_FLOOR,
+    workers: int = 1,
 ) -> ConvergenceReport:
     """Order study of the extended (primal, tangent) system.
 
     Errors are joint base-norm distances of the pair at final time
-    against a fine same-family tangent reference.
+    against a fine same-family tangent reference, found as in
+    ``convergence_study``.
     """
-    h_list = [float(h) for h in h_list]
-    for h in h_list:
-        _steps_for(T, h)
-    _check_fp_tol(fp_tol, min(h_list), t.p)
-    s_ref = min(t.s + 2, _MAX_STAGES)
-    h_ref = min(h_list) / 16
-    t_ref = gauss_legendre(s_ref)
-    ref_coarse, _ = _integrate_tangent(
-        p, t_ref, u0, v0, SolverConfig(h=h_ref, fp_tol=fp_tol), _steps_for(T, h_ref)
-    )
-    ref_fine, _ = _integrate_tangent(
-        p, t_ref, u0, v0, SolverConfig(h=h_ref / 2, fp_tol=fp_tol), _steps_for(T, h_ref / 2)
-    )
-    discrepancy = _pair_distance(ref_fine, ref_coarse)
-
-    errors, stats = [], []
-    for h in h_list:
-        pair, history = _integrate_tangent(
-            p, t, u0, v0, SolverConfig(h=h, fp_tol=fp_tol), _steps_for(T, h)
-        )
-        errors.append(_pair_distance(pair, ref_fine))
-        stats.append(_summarize(history))
-    _validate_reference(discrepancy, min(errors), fp_tol)
-    flagged = [e <= _CONTAMINATION_FACTOR * fp_tol for e in errors]
-    fitted = _fit_order(h_list, errors, flagged)
-    return ConvergenceReport(
-        problem=f"{p.name}+tangent",
-        tableau=t.label,
-        T=T,
-        h_list=h_list,
-        errors=errors,
-        fitted_order=fitted,
-        stats=stats,
-        reference=ReferenceInfo(f"gl:{s_ref}", h_ref, discrepancy).as_dict(),
-        flagged=flagged,
-        fp_tol=fp_tol,
+    return _order_study(
+        p, t, (u0, v0), T, h_list, fp_tol, None, None, workers,
+        _integrate_tangent, _pair_distance, f"{p.name}+tangent",
     )
 
 

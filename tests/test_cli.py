@@ -122,3 +122,20 @@ def test_main_entry_list_problems(capsys, tmp_path):
     cfg = write_config(tmp_path, {"experiment": "stability"})
     assert main(["run", str(cfg), "--list-problems"]) == 0
     assert "wave-neumann" in capsys.readouterr().out
+
+
+def test_tangent_check_threads_do_not_change_csv(tmp_path, capsys):
+    payload = {
+        "experiment": "tangent-check",
+        "n": 16,
+        "T": 0.25,
+        "h_max": 0.025,
+        "levels": 3,
+    }
+    cfg = write_config(tmp_path, payload)
+    out1, out2 = tmp_path / "one", tmp_path / "two"
+    assert main(["run", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["run", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
+    csv1 = (out1 / "tangent_convergence.csv").read_bytes()
+    csv2 = (out2 / "tangent_convergence.csv").read_bytes()
+    assert csv1 == csv2

@@ -19,6 +19,7 @@ from rkspectral.harness import (
     wave_band_state,
 )
 from rkspectral.problems import ProblemSpec, get_problem, make_nonlinearity
+from rkspectral.stepper import SolverConfig, integrate
 from rkspectral.spectral import (
     State,
     apply_A,
@@ -124,6 +125,68 @@ class TestConvergenceStudy:
         parallel = convergence_study(p, MIDPOINT, u0, 0.25, dyadic_h_list(0.025, 3),
                                      fp_tol=1e-13, workers=3)
         assert serial.errors == parallel.errors
+
+
+class TestReferenceWalk:
+    T = 0.1
+    H_LIST = [0.025, 0.0125]
+
+    def study(self, s, **kwargs):
+        p = get_problem("nls-cubic-periodic", 16)
+        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        return convergence_study(p, gauss_legendre(s), u0, self.T, self.H_LIST,
+                                 fp_tol=1e-13, **kwargs)
+
+    def test_smooth_study_stops_after_one_rung(self, small_report):
+        ref = small_report.reference
+        assert ref["h_ref"] == min(small_report.h_list)
+        assert ref["rungs"] == [{"h_ref": ref["h_ref"], "discrepancy": ref["discrepancy"]}]
+        assert ref["discrepancy"] <= ref["required"]
+        assert ref["required"] == max(1e-3 * min(small_report.errors), 50 * 1e-13)
+
+    def test_explicit_h_ref_reproduces_single_rung_recipe(self):
+        p = get_problem("nls-cubic-periodic", 32)
+        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        h_list = dyadic_h_list(0.025, 3)
+        h_ref = min(h_list) / 16
+        report = convergence_study(p, MIDPOINT, u0, 0.25, h_list, fp_tol=1e-13, h_ref=h_ref)
+        ref, info = reference_solution(p, u0, 0.25, s_ref=3, h_ref=h_ref, fp_tol=1e-13)
+        expected = [
+            base_norm(integrate(p, MIDPOINT, u0, SolverConfig(h=h, fp_tol=1e-13),
+                                round(0.25 / h))[0] - ref)
+            for h in h_list
+        ]
+        assert report.errors == expected
+        assert report.reference["h_ref"] == h_ref
+        assert report.reference["discrepancy"] == info.discrepancy
+        assert len(report.reference["rungs"]) == 1
+
+    def test_failing_rungs_chain_into_finer_ones(self):
+        # a same-order reference needs several halvings to clear the gate
+        report = self.study(2, s_ref=2)
+        rungs = report.reference["rungs"]
+        assert len(rungs) > 1
+        assert [r["h_ref"] for r in rungs] == [min(self.H_LIST) / 2**j for j in range(len(rungs))]
+        assert all(r["discrepancy"] > report.reference["required"] for r in rungs[:-1])
+        assert rungs[-1]["discrepancy"] <= report.reference["required"]
+        # the walk's reference is the accepted rung's fine run
+        single = self.study(2, s_ref=2, h_ref=rungs[-1]["h_ref"])
+        assert single.errors == report.errors
+
+    def test_unreachable_gate_raises_with_last_gap(self):
+        # a second-order reference cannot resolve fourth-order errors
+        with pytest.raises(UnreliableReferenceError) as info:
+            self.study(2, s_ref=1)
+        assert info.value.discrepancy > info.value.required >= 50 * 1e-13
+        # the gap and margin reported are those of the last rung, h_min/16
+        with pytest.raises(UnreliableReferenceError) as last:
+            self.study(2, s_ref=1, h_ref=min(self.H_LIST) / 16)
+        assert (info.value.discrepancy, info.value.required) == (
+            last.value.discrepancy, last.value.required)
+
+    def test_explicit_h_ref_does_not_walk(self):
+        with pytest.raises(UnreliableReferenceError):
+            self.study(2, s_ref=2, h_ref=min(self.H_LIST))
 
 
 class TestConservedQuantities:
@@ -232,6 +295,27 @@ class TestTangentStudy:
         )
         assert report.fitted_order == pytest.approx(2.0, abs=0.15)
         assert report.problem.endswith("+tangent")
+
+    @staticmethod
+    def pair():
+        p = get_problem("nls-cubic-periodic", 32)
+        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        v0 = random_band_state(p.grid, np.random.default_rng(3))
+        return p, u0, v0
+
+    def test_non_decreasing_ladder_rejected(self):
+        p, u0, v0 = self.pair()
+        with pytest.raises(ValueError, match="decreasing"):
+            tangent_convergence_study(p, MIDPOINT, u0, v0, 0.5, [0.01, 0.02], fp_tol=1e-13)
+
+    def test_parallel_workers_reproduce_serial_errors(self):
+        p, u0, v0 = self.pair()
+        serial = tangent_convergence_study(p, MIDPOINT, u0, v0, 0.25, dyadic_h_list(0.025, 3),
+                                           fp_tol=1e-13)
+        parallel = tangent_convergence_study(p, MIDPOINT, u0, v0, 0.25,
+                                             dyadic_h_list(0.025, 3), fp_tol=1e-13, workers=3)
+        assert serial.errors == parallel.errors
+        assert serial.reference == parallel.reference
 
 
 class TestInitialData:
