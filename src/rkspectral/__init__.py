@@ -30,7 +30,6 @@ from .problems import (
     WaveNonlinearity,
     dirichlet_boundary_defect,
     evaluate_B,
-    evaluate_B_tangent,
     get_problem,
     list_problems,
     make_nonlinearity,
@@ -46,7 +45,6 @@ from .spectral import (
     base_norm,
     clear_matrix_cache,
     hermitian_symmetry_defect,
-    inverse_transform,
     schrodinger_grid,
     sobolev_norm,
     solve_stage_resolvent,

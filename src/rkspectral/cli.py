@@ -322,6 +322,8 @@ _RUNNERS = {
 
 
 def run_config(config_path, out_dir=None, threads=1, debug_checks=False) -> int:
+    if threads < 1:
+        return _fail(f"--threads must be at least 1, got {threads}")
     path = Path(config_path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))

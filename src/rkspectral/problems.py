@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,11 @@ class ProblemSpec:
         if not self.name:
             object.__setattr__(self, "name", f"{self.kind}-{self.nonlinearity.name}")
 
+    @cached_property
+    def _aliased_modes(self) -> np.ndarray:
+        """Complement of ``dealias_mask(grid)``, computed once per problem."""
+        return ~dealias_mask(self.grid)
+
     def with_grid(self, grid: SpectralGrid) -> "ProblemSpec":
         return ProblemSpec(
             self.kind, grid, self.nonlinearity, self.dealias, self.scale_bound, self.name
@@ -158,7 +164,7 @@ def evaluate_B_array(p: ProblemSpec, coeffs: np.ndarray) -> np.ndarray:
         modal = -1j * grid.transform_array(p.nonlinearity.gradient(phys))
         out[..., 0, :] = modal
     if p.dealias:
-        out[..., ~dealias_mask(grid)] = 0.0
+        out[..., p._aliased_modes] = 0.0
     return out
 
 
@@ -183,12 +189,8 @@ def evaluate_B_tangent_array(p: ProblemSpec, u_coeffs, v_coeffs) -> np.ndarray:
             p.nonlinearity.gradient_tangent(u_phys, v_phys)
         )
     if p.dealias:
-        out[..., ~dealias_mask(grid)] = 0.0
+        out[..., p._aliased_modes] = 0.0
     return out
-
-
-def evaluate_B_tangent(p: ProblemSpec, u: State, v: State) -> State:
-    return State(p.grid, evaluate_B_tangent_array(p, u.coeffs, v.coeffs))
 
 
 def dirichlet_boundary_defect(p: ProblemSpec) -> float:

@@ -19,7 +19,9 @@ from __future__ import annotations
 import csv
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct, dst
@@ -67,16 +69,17 @@ class SpectralGrid:
     def length(self) -> float:
         return 2 * math.pi if self.bc == "periodic" else math.pi
 
-    @property
+    @cached_property
     def modes(self) -> np.ndarray:
-        """Integer mode numbers, in transform storage order."""
+        """Integer mode numbers, in transform storage order (read-only)."""
         if self.bc == "periodic":
             k = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
             k[self.n // 2] = self.n // 2  # label Nyquist +n/2; symbols are even in k
-            return k
-        if self.bc == "dirichlet":
-            return np.arange(1, self.n + 1, dtype=np.int64)
-        return np.arange(self.n, dtype=np.int64)
+        elif self.bc == "dirichlet":
+            k = np.arange(1, self.n + 1, dtype=np.int64)
+        else:
+            k = np.arange(self.n, dtype=np.int64)
+        return _read_only(k)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -87,15 +90,18 @@ class SpectralGrid:
             return math.pi * np.arange(1, self.n + 1) / (self.n + 1)
         return math.pi * np.arange(self.n) / (self.n - 1)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Per-mode Parseval weights of the continuum L2 norm."""
-        if self.bc == "periodic":
-            return np.full(self.n, 2 * math.pi)
-        w = np.full(self.n, math.pi / 2)
+        """Per-mode Parseval weights of the continuum L2 norm (read-only)."""
+        w = np.full(self.n, 2 * math.pi if self.bc == "periodic" else math.pi / 2)
         if self.bc == "neumann":
             w[0] = math.pi
-        return w
+        return _read_only(w)
+
+    @cached_property
+    def _h1_factor(self) -> np.ndarray:
+        """``k^2 + 1`` per mode: the H1 factor of the wave base norm."""
+        return _read_only(self.modes.astype(float) ** 2 + 1.0)
 
     def fingerprint(self) -> bytes:
         return f"{self.equation}|{self.bc}|{self.n}".encode()
@@ -144,12 +150,21 @@ class SpectralGrid:
         return State(self, np.zeros((self.components, self.n), dtype=complex))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _complex_dst1(vals):
-    return dst(vals.real, type=1, axis=-1) + 1j * dst(vals.imag, type=1, axis=-1)
+    """DST-I of complex data as one real call on the stacked (real, imag)
+    rows; each row comes out bit for bit as its own transform would."""
+    parts = dst(np.stack([vals.real, vals.imag]), type=1, axis=-1)
+    return parts[0] + 1j * parts[1]
 
 
 def _complex_dct1(vals):
-    return dct(vals.real, type=1, axis=-1) + 1j * dct(vals.imag, type=1, axis=-1)
+    parts = dct(np.stack([vals.real, vals.imag]), type=1, axis=-1)
+    return parts[0] + 1j * parts[1]
 
 
 def schrodinger_grid(n: int, bc: str = "periodic") -> SpectralGrid:
@@ -248,10 +263,6 @@ def inverse_transform_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarra
     return _complex_dct1(half)
 
 
-def inverse_transform(u: State) -> np.ndarray:
-    return u.to_physical()
-
-
 def transform(grid: SpectralGrid, values) -> State:
     return grid.transform(values)
 
@@ -321,12 +332,17 @@ def apply_exp_tA(u: State, t: float) -> State:
 
 def base_norm_sq(u: State) -> float:
     """Squared base-space norm: discrete L2, or H1 x L2 for the wave system."""
-    w = u.grid.weights
-    if u.grid.components == 1:
-        return float(np.sum(w * np.abs(u.coeffs[0]) ** 2))
-    k2 = u.grid.modes.astype(float) ** 2
-    return float(
-        np.sum(w * ((k2 + 1.0) * np.abs(u.coeffs[0]) ** 2 + np.abs(u.coeffs[1]) ** 2))
+    return float(_base_norm_sq_rows(u.grid, u.coeffs))
+
+
+def _base_norm_sq_rows(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """``base_norm_sq`` of every state in a (..., components, n) array."""
+    w = grid.weights
+    if grid.components == 1:
+        return np.sum(w * np.abs(coeffs[..., 0, :]) ** 2, axis=-1)
+    return np.sum(
+        w * (grid._h1_factor * np.abs(coeffs[..., 0, :]) ** 2 + np.abs(coeffs[..., 1, :]) ** 2),
+        axis=-1,
     )
 
 
@@ -366,7 +382,9 @@ def hermitian_symmetry_defect(u: State) -> float:
 
 # -- stage resolvent and update map -------------------------------------------
 
-_MATRIX_CACHE: dict = {}
+# LRU bound; the largest working set of one run is 20 keys (smoothness, q=4).
+_MATRIX_CACHE_SIZE = 32
+_MATRIX_CACHE: OrderedDict = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 
@@ -404,20 +422,22 @@ def _build_step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
 def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid, use_cache: bool = True):
     """Cached access to the per-mode step matrices.
 
-    The cache key is (tableau coefficients, exact h bits, grid identity);
+    The cache key is (tableau coefficients, exact h bits, grid identity)
+    and holds the ``_MATRIX_CACHE_SIZE`` most recently used keys;
     cached and uncached paths run identical operations, so their results
     agree bit for bit.
     """
     if not use_cache:
         return _build_step_matrices(t, h, grid)
     key = (t.fingerprint(), np.float64(h).tobytes(), grid.fingerprint())
-    hit = _MATRIX_CACHE.get(key)
-    if hit is None:
-        hit = _build_step_matrices(t, h, grid)
-        with _CACHE_LOCK:
-            _MATRIX_CACHE.setdefault(key, hit)
-        hit = _MATRIX_CACHE[key]
-    return hit
+    with _CACHE_LOCK:
+        if key in _MATRIX_CACHE:
+            _MATRIX_CACHE.move_to_end(key)
+        else:
+            _MATRIX_CACHE[key] = _build_step_matrices(t, h, grid)
+            if len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
+                _MATRIX_CACHE.popitem(last=False)
+        return _MATRIX_CACHE[key]
 
 
 def solve_stage_resolvent(
@@ -427,15 +447,19 @@ def solve_stage_resolvent(
     if h < 0:
         raise ValueError("step size must be nonnegative")
     stage_inv, _ = step_matrices(t, h, rhs.grid, use_cache)
-    return StageSet(rhs.grid, _apply_stage_operator(stage_inv, rhs.data))
+    return StageSet(rhs.grid, _apply_stage_inv(stage_inv, rhs.data))
 
 
-def _apply_stage_operator(op, data):
-    """Apply a per-mode (s*c, s*c) operator to stage data (s, c, n)."""
-    s, c, n = data.shape
-    vec = data.reshape(s * c, n).T  # (n, s*c)
-    out = np.einsum("kpq,kq->kp", op, vec)
-    return np.ascontiguousarray(out.T.reshape(s, c, n))
+def _apply_stage_inv(stage_inv: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Apply per-mode (s*c, s*c) blocks to stage data (..., s, c, n)."""
+    vec = data.reshape(data.shape[:-3] + (-1, data.shape[-1])).swapaxes(-1, -2)
+    out = np.einsum("kpq,...kq->...kp", stage_inv, vec)
+    return np.ascontiguousarray(out.swapaxes(-1, -2).reshape(data.shape))
+
+
+def _apply_update(update: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Apply per-mode (c, c) update blocks to states (..., c, n)."""
+    return np.ascontiguousarray(np.einsum("kpq,...qk->...pk", update, coeffs))
 
 
 def apply_S_hA(u: State, t: ButcherTableau, h: float, use_cache: bool = True) -> State:
@@ -443,5 +467,4 @@ def apply_S_hA(u: State, t: ButcherTableau, h: float, use_cache: bool = True) ->
     if h < 0:
         raise ValueError("step size must be nonnegative")
     _, update = step_matrices(t, h, u.grid, use_cache)
-    out = np.einsum("kpq,qk->pk", update, u.coeffs)
-    return State(u.grid, np.ascontiguousarray(out))
+    return State(u.grid, _apply_update(update, u.coeffs))

@@ -29,8 +29,10 @@ from .problems import ProblemSpec, evaluate_B_array, evaluate_B_tangent_array
 from .spectral import (
     StageSet,
     State,
+    _apply_stage_inv,
+    _apply_update,
+    _base_norm_sq_rows,
     apply_A,
-    apply_S_hA,
     base_norm,
     step_matrices,
 )
@@ -70,37 +72,24 @@ class StepStats:
 
 
 def _stage_residual(grid, delta):
-    """Max base norm over stages of a stage-data difference."""
-    return max(base_norm(State(grid, delta[j])) for j in range(delta.shape[0]))
+    """Max base norm over stages (and any leading axes) of a stage-data difference."""
+    return math.sqrt(float(np.max(_base_norm_sq_rows(grid, delta))))
 
 
-def _a_weighted(a, stack):
-    return np.einsum("ij,j...->i...", a, stack)
+def _solve_stages(stage_inv, a, h, grid, base, B, cfg):
+    """Plain iteration ``W = stage_inv (1 base + h a B(W))`` on stage arrays.
 
-
-def fixed_point_stages(
-    p: ProblemSpec, t: ButcherTableau, u: State, cfg: SolverConfig
-) -> tuple[StageSet, StepStats]:
-    """Solve the stage equations by fixed-point iteration.
-
-    Starts from the linear-part solution (one resolvent solve, exact for
-    B = 0) and iterates until the base-norm update falls below
-    ``cfg.fp_tol``.  A step size of 0 is accepted here as a degenerate
-    probe and returns the trivial stages after one iteration.
+    ``base`` holds states (..., c, n); the stages W have shape
+    (..., s, c, n) and ``B`` maps them to their nonlinearity.  The
+    residual is the largest base-norm update over all stages.
     """
-    if u.grid != p.grid:
-        raise ValueError("state lives on a different grid than the problem")
-    h = cfg.h
-    s, c, n = t.s, p.grid.components, p.grid.n
-    stage_inv, _ = step_matrices(t, h, p.grid)
-    broadcast_u = np.broadcast_to(u.coeffs, (s, c, n))
-
-    w = _apply_stage_inv(stage_inv, broadcast_u)
+    s = a.shape[0]
+    base = np.broadcast_to(base[..., None, :, :], base.shape[:-2] + (s,) + base.shape[-2:])
+    w = _apply_stage_inv(stage_inv, base)
     residuals = []
     for iteration in range(1, cfg.fp_max_iters + 1):
-        rhs = broadcast_u + h * _a_weighted(t.a, evaluate_B_array(p, w))
-        w_new = _apply_stage_inv(stage_inv, rhs)
-        residual = _stage_residual(p.grid, w_new - w)
+        w_new = _apply_stage_inv(stage_inv, base + h * np.einsum("ij,...jcn->...icn", a, B(w)))
+        residual = _stage_residual(grid, w_new - w)
         if not math.isfinite(residual):
             raise NumericalBlowupError(
                 f"non-finite stage residual at iteration {iteration} (h={h:g})"
@@ -108,16 +97,10 @@ def fixed_point_stages(
         residuals.append(residual)
         w = w_new
         if residual <= cfg.fp_tol:
-            stats = StepStats(iteration, residual, _contraction(residuals))
-            if stats.contraction_estimate > cfg.contraction_warn:
-                warnings.warn(
-                    f"fixed-point contraction {stats.contraction_estimate:.3f} near 1; "
-                    f"step size {h:g} is close to the convergence limit",
-                    stacklevel=2,
-                )
-            return StageSet(p.grid, w), stats
-    stats = StepStats(cfg.fp_max_iters, residuals[-1], _contraction(residuals))
-    raise ConvergenceFailureError(stats)
+            return w, StepStats(iteration, residual, _contraction(residuals))
+    raise ConvergenceFailureError(
+        StepStats(cfg.fp_max_iters, residuals[-1], _contraction(residuals))
+    )
 
 
 def _contraction(residuals):
@@ -126,11 +109,38 @@ def _contraction(residuals):
     return residuals[1] / residuals[0]
 
 
-def _apply_stage_inv(stage_inv, data):
-    s, c, n = data.shape
-    vec = data.reshape(s * c, n).T
-    out = np.einsum("kpq,kq->kp", stage_inv, vec)
-    return np.ascontiguousarray(out.T.reshape(s, c, n))
+def _update(matrices, b, h, base, bw):
+    """Resolvent-form update ``S(hA) base + h b^T stage_inv B(W)``."""
+    stage_inv, update = matrices
+    z = _apply_stage_inv(stage_inv, bw)
+    return _apply_update(update, base) + h * np.einsum("j,...jcn->...cn", b, z)
+
+
+def fixed_point_stages(
+    p: ProblemSpec, t: ButcherTableau, u: State, cfg: SolverConfig, matrices=None
+) -> tuple[StageSet, StepStats]:
+    """Solve the stage equations by fixed-point iteration.
+
+    Starts from the linear-part solution (one resolvent solve, exact for
+    B = 0) and iterates until the base-norm update falls below
+    ``cfg.fp_tol``.  A step size of 0 is accepted here as a degenerate
+    probe and returns the trivial stages after one iteration.
+    ``matrices``, when given, is ``step_matrices(t, cfg.h, p.grid)``
+    already fetched by the caller.
+    """
+    if u.grid != p.grid:
+        raise ValueError("state lives on a different grid than the problem")
+    stage_inv, _ = matrices if matrices is not None else step_matrices(t, cfg.h, p.grid)
+    w, stats = _solve_stages(
+        stage_inv, t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg
+    )
+    if stats.contraction_estimate > cfg.contraction_warn:
+        warnings.warn(
+            f"fixed-point contraction {stats.contraction_estimate:.3f} near 1; "
+            f"step size {cfg.h:g} is close to the convergence limit",
+            stacklevel=2,
+        )
+    return StageSet(p.grid, w), stats
 
 
 def step(
@@ -139,25 +149,18 @@ def step(
     """Advance one step of size cfg.h."""
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
-    stages, stats = fixed_point_stages(p, t, u, cfg)
-    u_new = _update_from_stages(p, t, u, stages, cfg.h)
+    matrices = step_matrices(t, cfg.h, p.grid)
+    stages, stats = fixed_point_stages(p, t, u, cfg, matrices)
+    bw = evaluate_B_array(p, stages.data)
+    u_new = State(p.grid, _update(matrices, t.b, cfg.h, u.coeffs, bw))
     if cfg.debug_checks:
-        _check_direct_form(p, t, u, stages, u_new, cfg)
+        _check_direct_form(p, t, u, stages, bw, u_new, cfg)
     return u_new, stats
 
 
-def _update_from_stages(p, t, u, stages, h):
-    stage_inv, _ = step_matrices(t, h, p.grid)
-    bw = evaluate_B_array(p, stages.data)
-    z = _apply_stage_inv(stage_inv, bw)
-    correction = h * np.einsum("j,jcn->cn", t.b, z)
-    return apply_S_hA(u, t, h) + State(p.grid, correction)
-
-
-def _check_direct_form(p, t, u, stages, u_new, cfg):
+def _check_direct_form(p, t, u, stages, bw, u_new, cfg):
     """Cross-evaluate u + h b^T (A W + B(W)) against the resolvent form."""
     aw = np.stack([apply_A(stages.stage(j)).coeffs for j in range(t.s)])
-    bw = evaluate_B_array(p, stages.data)
     direct = u.coeffs + cfg.h * np.einsum("j,jcn->cn", t.b, aw + bw)
     gap = base_norm(State(p.grid, direct) - u_new)
     if gap > 10 * cfg.fp_tol:
@@ -196,49 +199,20 @@ def tangent_step(
 ) -> tuple[State, State, StepStats]:
     """One step of the extended (primal, tangent) system.
 
-    The linear part acts blockwise, so the stage resolvent applies to
-    the primal and tangent stage families separately; only the coupled
+    The linear part acts blockwise, so the pair runs through the shared
+    stage solver as a batch of two stage families; only the coupled
     nonlinearity (B(U), DB(U) V) ties them together in the iteration.
     """
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
     if v.grid != u.grid or u.grid != p.grid:
         raise ValueError("primal and tangent states must share the problem grid")
-    h = cfg.h
-    s, c, n = t.s, p.grid.components, p.grid.n
-    stage_inv, _ = step_matrices(t, h, p.grid)
-    bu = np.broadcast_to(u.coeffs, (s, c, n))
-    bv = np.broadcast_to(v.coeffs, (s, c, n))
+    matrices = step_matrices(t, cfg.h, p.grid)
 
-    wu = _apply_stage_inv(stage_inv, bu)
-    wv = _apply_stage_inv(stage_inv, bv)
-    residuals = []
-    for iteration in range(1, cfg.fp_max_iters + 1):
-        fu = evaluate_B_array(p, wu)
-        fv = evaluate_B_tangent_array(p, wu, wv)
-        wu_new = _apply_stage_inv(stage_inv, bu + h * _a_weighted(t.a, fu))
-        wv_new = _apply_stage_inv(stage_inv, bv + h * _a_weighted(t.a, fv))
-        residual = max(
-            _stage_residual(p.grid, wu_new - wu), _stage_residual(p.grid, wv_new - wv)
-        )
-        if not math.isfinite(residual):
-            raise NumericalBlowupError(
-                f"non-finite tangent stage residual at iteration {iteration} (h={h:g})"
-            )
-        residuals.append(residual)
-        wu, wv = wu_new, wv_new
-        if residual <= cfg.fp_tol:
-            break
-    else:
-        raise ConvergenceFailureError(
-            StepStats(cfg.fp_max_iters, residuals[-1], _contraction(residuals))
-        )
+    def pair_B(w):
+        return np.stack([evaluate_B_array(p, w[0]), evaluate_B_tangent_array(p, w[0], w[1])])
 
-    stats = StepStats(len(residuals), residuals[-1], _contraction(residuals))
-    fu = evaluate_B_array(p, wu)
-    fv = evaluate_B_tangent_array(p, wu, wv)
-    zu = _apply_stage_inv(stage_inv, fu)
-    zv = _apply_stage_inv(stage_inv, fv)
-    u_new = apply_S_hA(u, t, h) + State(p.grid, h * np.einsum("j,jcn->cn", t.b, zu))
-    v_new = apply_S_hA(v, t, h) + State(p.grid, h * np.einsum("j,jcn->cn", t.b, zv))
-    return u_new, v_new, stats
+    base = np.stack([u.coeffs, v.coeffs])
+    w, stats = _solve_stages(matrices[0], t.a, cfg.h, p.grid, base, pair_B, cfg)
+    u_new, v_new = _update(matrices, t.b, cfg.h, base, pair_B(w))
+    return State(p.grid, u_new), State(p.grid, v_new), stats

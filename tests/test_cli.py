@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rkspectral.cli import main, run_config
 from rkspectral.tableau import gauss_legendre
 
@@ -139,3 +141,12 @@ def test_tangent_check_threads_do_not_change_csv(tmp_path, capsys):
     csv1 = (out1 / "tangent_convergence.csv").read_bytes()
     csv2 = (out2 / "tangent_convergence.csv").read_bytes()
     assert csv1 == csv2
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, {"experiment": "stability", "tableau": "gl:2"})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()

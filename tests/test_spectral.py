@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dct, dst
 
+from rkspectral import spectral
 from rkspectral.spectral import (
     SpectralGrid,
     StageSet,
@@ -82,6 +84,32 @@ class TestTransforms:
         assert set(schrodinger_grid(8).modes) == {-3, -2, -1, 0, 1, 2, 3, 4}
         assert set(wave_grid(5, "dirichlet").modes) == {1, 2, 3, 4, 5}
         assert set(wave_grid(5, "neumann").modes) == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize(
+        "bc, stacked, transform",
+        [("dirichlet", spectral._complex_dst1, dst), ("neumann", spectral._complex_dct1, dct)],
+    )
+    def test_stacked_real_transform_matches_two_calls(self, n, bc, stacked, transform):
+        # one call on the stacked (real, imag) rows gives each row's own transform
+        rng = np.random.default_rng(n)
+        grid = wave_grid(n, bc)
+        vals = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        vals[1].imag = 0.0  # a real field among complex ones
+        two_calls = transform(vals.real, type=1, axis=-1) + 1j * transform(
+            vals.imag, type=1, axis=-1
+        )
+        assert stacked(vals).tobytes() == two_calls.tobytes()
+        for coeffs in (grid.transform_array(vals), inverse_transform_array(grid, vals)):
+            assert coeffs.shape == vals.shape and coeffs.dtype == complex
+
+    def test_modes_and_weights_are_cached_read_only(self):
+        grid = wave_grid(16, "neumann")
+        assert grid.modes is grid.modes and grid.weights is grid.weights
+        with pytest.raises(ValueError):
+            grid.modes[0] = 5
+        with pytest.raises(ValueError):
+            grid.weights[0] = 1.0
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -209,6 +237,21 @@ class TestStageResolvent:
         uncached = solve_stage_resolvent(rhs, t, 0.05, use_cache=False)
         assert np.array_equal(cached_first.data, uncached.data)
         assert np.array_equal(cached_again.data, uncached.data)
+
+
+    def test_cache_is_bounded_and_rebuilds_evicted_keys_bitwise(self):
+        clear_matrix_cache()
+        grid = wave_grid(16)
+        t = gauss_legendre(2)
+        first = step_matrices(t, 0.01, grid)
+        for i in range(40):
+            step_matrices(t, 0.02 + 1e-3 * i, grid)
+            assert len(spectral._MATRIX_CACHE) <= spectral._MATRIX_CACHE_SIZE
+        again = step_matrices(t, 0.01, grid)
+        assert again is not first  # evicted, then rebuilt
+        for before, after in zip(first, again):
+            assert before.tobytes() == after.tobytes()
+        clear_matrix_cache()
 
 
 class TestUpdateMap:

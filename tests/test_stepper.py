@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from rkspectral.errors import ConvergenceFailureError, NumericalBlowupError
-from rkspectral.problems import get_problem
+from rkspectral.harness import nls_two_mode_state, wave_band_state
+from rkspectral.problems import evaluate_B_array, evaluate_B_tangent_array, get_problem
 from rkspectral.spectral import (
     StageSet,
     State,
     apply_exp_tA,
     apply_S_hA,
     base_norm,
+    schrodinger_grid,
     solve_stage_resolvent,
+    wave_grid,
 )
 from rkspectral.stepper import (
     SolverConfig,
+    _stage_residual,
     fixed_point_stages,
     integrate,
     step,
@@ -34,6 +38,88 @@ def mode_state(grid, component, assignments):
 
 def two_mode(grid, a1=0.5, a2=0.25):
     return mode_state(grid, 0, {1: a1, 2: a2})
+
+
+def reference_step(p, t, states, cfg, B):
+    """One step of each state family iterated on its own from public pieces.
+
+    ``B`` maps the list of stage arrays to the list of their
+    nonlinearities; the residual is the largest stage base norm of all
+    families, as in the primal and tangent steps.
+    """
+    h, s = cfg.h, t.s
+    lifted = [np.broadcast_to(x.coeffs, (s,) + x.coeffs.shape) for x in states]
+
+    def resolve(data):
+        return solve_stage_resolvent(StageSet(p.grid, data), t, h).data
+
+    w = [resolve(x) for x in lifted]
+    residuals = []
+    while not residuals or residuals[-1] > cfg.fp_tol:
+        forcing = B(w)
+        w_new = [resolve(x + h * np.einsum("ij,jcn->icn", t.a, f)) for x, f in zip(lifted, forcing)]
+        residuals.append(
+            max(base_norm(State(p.grid, a[j] - b[j])) for a, b in zip(w_new, w) for j in range(s))
+        )
+        w = w_new
+    new = [
+        apply_S_hA(x, t, h) + State(p.grid, h * np.einsum("j,jcn->cn", t.b, resolve(f)))
+        for x, f in zip(states, B(w))
+    ]
+    return new, residuals
+
+
+REFERENCE_CASES = [
+    ("wave-dirichlet-compatible", 256, wave_band_state),
+    ("nls-cubic-periodic", 64, nls_two_mode_state),
+]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name, n, initial", REFERENCE_CASES)
+    def test_step_is_bitwise_reference(self, name, n, initial):
+        p = get_problem(name, n)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        u = initial(p.grid)
+        for _ in range(3):
+            (expected,), residuals = reference_step(
+                p, GL2, [u], cfg, lambda w: [evaluate_B_array(p, w[0])]
+            )
+            u, stats = step(p, GL2, u, cfg)
+            assert u.coeffs.tobytes() == expected.coeffs.tobytes()
+            assert stats.iterations == len(residuals)
+            assert stats.final_residual == residuals[-1]
+            assert stats.contraction_estimate == residuals[1] / residuals[0]
+
+    @pytest.mark.parametrize("name, n, initial", REFERENCE_CASES)
+    def test_tangent_step_is_bitwise_reference(self, name, n, initial):
+        p = get_problem(name, n)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        u = initial(p.grid)
+        v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
+
+        def pair_B(w):
+            return [evaluate_B_array(p, w[0]), evaluate_B_tangent_array(p, w[0], w[1])]
+
+        for _ in range(3):
+            (u_ref, v_ref), residuals = reference_step(p, GL2, [u, v], cfg, pair_B)
+            u, v, stats = tangent_step(p, GL2, u, v, cfg)
+            assert u.coeffs.tobytes() == u_ref.coeffs.tobytes()
+            assert v.coeffs.tobytes() == v_ref.coeffs.tobytes()
+            assert stats.iterations == len(residuals)
+            assert stats.final_residual == residuals[-1]
+
+    @pytest.mark.parametrize("grid", [schrodinger_grid(32), wave_grid(32, "dirichlet")])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_stage_residual_is_max_base_norm(self, grid, s):
+        rng = np.random.default_rng(s)
+        shape = (2, s, grid.components, grid.n)
+        delta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = max(base_norm(State(grid, delta[b, j])) for b in range(2) for j in range(s))
+        assert _stage_residual(grid, delta) == expected
+        assert _stage_residual(grid, delta[1]) == max(
+            base_norm(State(grid, delta[1, j])) for j in range(s)
+        )
 
 
 class TestFixedPointStages:
@@ -94,6 +180,16 @@ class TestFixedPointStages:
             fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.5, fp_tol=1e-15, fp_max_iters=3))
         assert err.value.stats.iterations == 3
         assert err.value.stats.final_residual > 0
+
+    def test_near_one_contraction_warns_at_caller(self):
+        p = get_problem("nls-cubic-periodic", 32)
+        u = two_mode(p.grid, 2.0, 1.0)
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        with pytest.warns(UserWarning, match="near 1") as record:
+            _, stats = fixed_point_stages(p, MIDPOINT, u, cfg)
+        assert stats.contraction_estimate > cfg.contraction_warn
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_detected(self):
