@@ -48,7 +48,6 @@ from .spectral import (
     schrodinger_grid,
     sobolev_norm,
     solve_stage_resolvent,
-    transform,
     wave_grid,
 )
 from .stepper import (

@@ -36,6 +36,10 @@ EXPERIMENTS = (
     "tangent-check",
 )
 
+# The experiments that read each run flag; elsewhere the flag is an error.
+_THREADED = ("convergence", "dirichlet-compat", "tangent-check")
+_DEBUG_CHECKED = ("conservation",)
+
 _ORDER_WINDOW = 0.3
 
 
@@ -338,6 +342,16 @@ def run_config(config_path, out_dir=None, threads=1, debug_checks=False) -> int:
 
     cfg = _materialize(raw, _DEFAULTS[experiment])
     cfg["debug_checks"] = bool(debug_checks or cfg.get("debug_checks", False))
+    if threads > 1 and experiment not in _THREADED:
+        return _fail(
+            f"--threads {threads} does not apply to the {experiment} experiment; "
+            f"only {', '.join(_THREADED)} use threads"
+        )
+    if cfg["debug_checks"] and experiment not in _DEBUG_CHECKED:
+        return _fail(
+            f"--debug-checks (config key debug_checks) does not apply to the {experiment} "
+            f"experiment; only {', '.join(_DEBUG_CHECKED)} reads it"
+        )
     target = Path(out_dir) if out_dir else Path(cfg.get("out", "."))
     target.mkdir(parents=True, exist_ok=True)
 

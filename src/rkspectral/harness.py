@@ -413,19 +413,21 @@ def stability_growth(t: ButcherTableau, grid: SpectralGrid, h: float, n_steps: i
     if n_steps == 0:
         return 1.0
     _, update = step_matrices(t, h, grid)
+    first, _ = grid._distinct_symbols  # one mode per distinct symbol
+    update = update[first]
     if grid.components == 1:
         moduli = np.abs(update[:, 0, 0])
         return float(np.max(moduli**n_steps))
-    k = grid.modes.astype(float)
+    k = grid.modes[first].astype(float)
     weights = np.sqrt(k**2 + 1.0)
-    powers = np.linalg.matrix_power(update, n_steps)
-    scale = np.zeros_like(powers)
-    scale[:, 0, 0] = weights
-    scale[:, 1, 1] = 1.0
-    inv_scale = np.zeros_like(powers)
-    inv_scale[:, 0, 0] = 1.0 / weights
-    inv_scale[:, 1, 1] = 1.0
-    weighted = scale @ powers @ inv_scale
+    inv_weights = 1.0 / weights
+    powers = np.linalg.matrix_power(update.real, n_steps)
+    # D P D^-1 with D = diag(weights, 1), as the products a matmul forms.
+    weighted = np.empty(powers.shape, dtype=complex)
+    weighted[:, 0, 0] = (weights * powers[:, 0, 0]) * inv_weights
+    weighted[:, 0, 1] = weights * powers[:, 0, 1]
+    weighted[:, 1, 0] = powers[:, 1, 0] * inv_weights
+    weighted[:, 1, 1] = powers[:, 1, 1]
     norms = np.linalg.norm(weighted, ord=2, axis=(1, 2))
     return float(np.max(norms))
 

@@ -99,6 +99,17 @@ class SpectralGrid:
         return _read_only(w)
 
     @cached_property
+    def _distinct_symbols(self) -> tuple[np.ndarray, np.ndarray]:
+        """First storage index of each distinct ``k^2``, ascending, and per
+        mode the position of its representative.  Symbols are even in k,
+        so on a periodic grid mode -k (stored after k = 0, ..., n/2) shares
+        the block of k: n/2 + 1 distinct symbols.  Other grids have n.
+        """
+        if self.bc != "periodic":
+            return (_read_only(np.arange(self.n)),) * 2
+        return _read_only(np.arange(self.n // 2 + 1)), _read_only(np.abs(self.modes))
+
+    @cached_property
     def _h1_factor(self) -> np.ndarray:
         """``k^2 + 1`` per mode: the H1 factor of the wave base norm."""
         return _read_only(self.modes.astype(float) ** 2 + 1.0)
@@ -107,11 +118,12 @@ class SpectralGrid:
         return f"{self.equation}|{self.bc}|{self.n}".encode()
 
     def symbol_blocks(self) -> np.ndarray:
-        """Per-mode symbol of the linear operator: (n, c, c) complex."""
+        """Per-mode symbol of the linear operator: (n, c, c), complex for
+        the Schrodinger equation and real for the wave system."""
         k = self.modes.astype(float)
         if self.equation == "schrodinger":
             return (-1j * k**2).reshape(self.n, 1, 1)
-        blocks = np.zeros((self.n, 2, 2), dtype=complex)
+        blocks = np.zeros((self.n, 2, 2))
         blocks[:, 0, 1] = 1.0
         blocks[:, 1, 0] = -(k**2)
         return blocks
@@ -263,10 +275,6 @@ def inverse_transform_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarra
     return _complex_dct1(half)
 
 
-def transform(grid: SpectralGrid, values) -> State:
-    return grid.transform(values)
-
-
 @dataclass(frozen=True)
 class StageSet:
     """The s stage vectors of one implicit step, on a common grid.
@@ -396,27 +404,33 @@ def clear_matrix_cache():
 def _build_step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     """Per-mode inverse stage blocks and update matrices.
 
-    Returns (stage_inv, update) with shapes (n, s*c, s*c) and (n, c, c):
-    stage_inv realizes ``(I - h a (x) A_k)^{-1}`` and update realizes
-    ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
+    Returns (stage_inv, update) with shapes (n, s*c, s*c) and (n, c, c),
+    both complex: stage_inv realizes ``(I - h a (x) A_k)^{-1}`` and update
+    realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.  Both are
+    built once per distinct symbol and gathered back to storage order.
+    The wave system's real blocks keep the arithmetic real except for the
+    inversion, which runs in complex so that every bit matches the fully
+    complex construction (a real LU rounds differently).
     """
-    blocks = grid.symbol_blocks()
-    n, c = grid.n, grid.components
+    first, inverse = grid._distinct_symbols
+    blocks = grid.symbol_blocks()[first]
+    n, c = len(first), grid.components
     s = t.s
-    kron = np.einsum("ij,kpq->kipjq", t.a, blocks).reshape(n, s * c, s * c)
-    m = np.eye(s * c, dtype=complex)[None, :, :] - h * kron
+    kron = (t.a[None, :, None, :, None] * blocks[:, None, :, None, :]).reshape(n, s * c, s * c)
+    m = (np.eye(s * c)[None, :, :] - h * kron).astype(complex, copy=False)
     try:
         stage_inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
         dets = np.abs(np.linalg.det(m))
-        mode = int(grid.modes[int(np.argmin(dets))])
+        mode = int(grid.modes[first[int(np.argmin(dets))]])
         raise SingularResolventError(mode) from None
 
-    ones_block = np.tile(np.eye(c, dtype=complex), (s, 1))  # 1 (x) I_c
-    e = stage_inv @ ones_block  # (n, s*c, c)
+    work = stage_inv if np.iscomplexobj(blocks) else stage_inv.real
+    ones_block = np.tile(np.eye(c), (s, 1))  # 1 (x) I_c
+    e = work @ ones_block  # (n, s*c, c)
     bsum = np.einsum("j,kjpq->kpq", t.b, e.reshape(n, s, c, c))
-    update = np.eye(c, dtype=complex)[None, :, :] + h * (blocks @ bsum)
-    return stage_inv, update
+    update = (np.eye(c)[None, :, :] + h * (blocks @ bsum)).astype(complex, copy=False)
+    return stage_inv[inverse], update[inverse]
 
 
 def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid, use_cache: bool = True):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +154,58 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 2
     assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["conservation", "stability", "smoothness"])
+def test_threads_on_serial_experiment_rejected(tmp_path, capsys, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"--threads 2 does not apply to the {experiment} experiment" in err
+    assert not out.exists()
+
+
+NOT_DEBUG_CHECKED = ["convergence", "stability", "smoothness", "dirichlet-compat",
+                     "tangent-check"]
+
+
+@pytest.mark.parametrize("experiment", NOT_DEBUG_CHECKED)
+def test_debug_checks_flag_on_other_experiment_rejected(tmp_path, capsys, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--debug-checks"]) == 2
+    err = capsys.readouterr().err
+    assert f"--debug-checks (config key debug_checks) does not apply to the {experiment}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", NOT_DEBUG_CHECKED)
+def test_debug_checks_key_on_other_experiment_rejected(tmp_path, capsys, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment, "debug_checks": True})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    assert "does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_debug_checks_run_on_conservation(tmp_path, capsys):
+    payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 20}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--debug-checks"]) == 0
+    summary = json.loads((out / "conservation_summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["debug_checks"] is True
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = write_config(tmp_path, {"experiment": "stability", "n": 16, "h_values": [0.1]})
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rkspectral", "run", str(cfg), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("stability: max |amplification - 1|")
+    assert (tmp_path / "out" / "stability.csv").exists()

@@ -26,6 +26,7 @@ from rkspectral.spectral import (
     apply_exp_tA,
     base_norm,
     schrodinger_grid,
+    step_matrices,
     wave_grid,
 )
 from rkspectral.tableau import gauss_legendre
@@ -244,6 +245,29 @@ class TestStabilityGrowth:
         a1000 = stability_growth(MIDPOINT, grid, h, 1000)
         assert a100 == pytest.approx(math.hypot(100 * h, 1), rel=0.2)
         assert a1000 / a100 == pytest.approx(10.0, rel=0.15)
+
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+    def test_wave_growth_matches_weighted_matmul_formula(self, bc):
+        # reference: D P^n D^-1 over every mode, as zero-padded complex matmuls
+        for n in (16, 256, 1024):
+            grid = wave_grid(n - (bc != "periodic"), bc)
+            k = grid.modes.astype(float)
+            weights = np.sqrt(k**2 + 1.0)
+            for s in (1, 2, 3, 6):
+                t = gauss_legendre(s)
+                for h in (1e-3, 0.37, 1.0, 2.5):  # a real SVD differs at s=2, h=1
+                    _, update = step_matrices(t, h, grid)
+                    for n_steps in (1, 10):
+                        powers = np.linalg.matrix_power(update, n_steps)
+                        scale = np.zeros_like(powers)
+                        scale[:, 0, 0] = weights
+                        scale[:, 1, 1] = 1.0
+                        inv_scale = np.zeros_like(powers)
+                        inv_scale[:, 0, 0] = 1.0 / weights
+                        inv_scale[:, 1, 1] = 1.0
+                        norms = np.linalg.norm(scale @ powers @ inv_scale, ord=2, axis=(1, 2))
+                        expected = float(np.max(norms))
+                        assert stability_growth(t, grid, h, n_steps) == expected, (n, s, h)
 
     def test_wave_nonzero_modes_stay_bounded(self):
         grid = wave_grid(64, "dirichlet")  # no zero mode on this grid

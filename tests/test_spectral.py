@@ -5,6 +5,7 @@ import pytest
 from scipy.fft import dct, dst
 
 from rkspectral import spectral
+from rkspectral.errors import SingularResolventError
 from rkspectral.spectral import (
     SpectralGrid,
     StageSet,
@@ -22,7 +23,7 @@ from rkspectral.spectral import (
     step_matrices,
     wave_grid,
 )
-from rkspectral.tableau import gauss_legendre
+from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 
 def mode_state(grid, assignments):
@@ -252,6 +253,75 @@ class TestStageResolvent:
         for before, after in zip(first, again):
             assert before.tobytes() == after.tobytes()
         clear_matrix_cache()
+
+
+def complex_step_matrices(t, h, grid):
+    """The fully complex construction over every mode, kept as the
+    reference that the distinct-symbol build must reproduce bit for bit."""
+    k = grid.modes.astype(float)
+    if grid.equation == "schrodinger":
+        blocks = (-1j * k**2).reshape(grid.n, 1, 1)
+    else:
+        blocks = np.zeros((grid.n, 2, 2), dtype=complex)
+        blocks[:, 0, 1] = 1.0
+        blocks[:, 1, 0] = -(k**2)
+    n, c, s = grid.n, grid.components, t.s
+    kron = np.einsum("ij,kpq->kipjq", t.a, blocks).reshape(n, s * c, s * c)
+    stage_inv = np.linalg.inv(np.eye(s * c, dtype=complex)[None, :, :] - h * kron)
+    ones_block = np.tile(np.eye(c, dtype=complex), (s, 1))
+    bsum = np.einsum("j,kjpq->kpq", t.b, (stage_inv @ ones_block).reshape(n, s, c, c))
+    update = np.eye(c, dtype=complex)[None, :, :] + h * (blocks @ bsum)
+    return stage_inv, update
+
+
+ALL_GRID_KINDS = [(eq, bc) for eq in ("schrodinger", "wave")
+                  for bc in ("periodic", "dirichlet", "neumann")]
+
+
+class TestDistinctSymbolBuild:
+    @pytest.mark.parametrize("equation, bc", ALL_GRID_KINDS)
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_index_maps_back_to_every_mode_once(self, equation, bc, n):
+        grid = SpectralGrid(equation, bc, n - (bc != "periodic"))
+        first, inverse = grid._distinct_symbols
+        k2 = grid.modes**2
+        assert len(first) == (grid.n // 2 + 1 if bc == "periodic" else grid.n)
+        assert np.all(np.diff(first) > 0)  # storage order
+        assert np.array_equal(inverse[first], np.arange(len(first)))
+        assert np.array_equal(k2[first][inverse], k2)
+        assert len(np.unique(k2[first])) == len(first)
+        assert not first.flags.writeable and not inverse.flags.writeable
+
+    @pytest.mark.parametrize("equation, bc", ALL_GRID_KINDS)
+    def test_matches_complex_construction_bitwise(self, equation, bc):
+        for n in (16, 256, 1024):
+            grid = SpectralGrid(equation, bc, n - (bc != "periodic"))
+            for s in range(1, 7):
+                t = gauss_legendre(s)
+                for h in (1e-3, 0.37, 2.5):
+                    built = step_matrices(t, h, grid, use_cache=False)
+                    for got, want in zip(built, complex_step_matrices(t, h, grid)):
+                        assert got.dtype == want.dtype == complex
+                        assert got.shape == want.shape
+                        # bytes compare the signs of zero parts too
+                        assert got.tobytes() == want.tobytes(), (n, s, h)
+
+    def test_wave_symbol_blocks_are_real(self):
+        assert wave_grid(16).symbol_blocks().dtype == np.float64
+        assert schrodinger_grid(16).symbol_blocks().dtype == complex
+
+    @pytest.mark.parametrize(
+        "n, bc, h, mode",
+        [(8, "periodic", 1.0, 1), (8, "periodic", 0.25, 2), (16, "periodic", 1 / 9, 3),
+         (8, "dirichlet", 0.25, 2)],
+    )
+    def test_singular_resolvent_names_storage_mode(self, n, bc, h, mode):
+        # a = [[0, -1], [1, 0]] has eigenvalues +-i, so the block of mode k
+        # is singular exactly when h k^2 = 1; +k and -k both qualify.
+        t = ButcherTableau(2, [[0, -1], [1, 0]], [0.5, 0.5], [-1, 1], 1)
+        with pytest.raises(SingularResolventError) as info:
+            step_matrices(t, h, schrodinger_grid(n, bc), use_cache=False)
+        assert info.value.where == mode
 
 
 class TestUpdateMap:
