@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import math
 import sys
@@ -41,6 +42,17 @@ _THREADED = ("convergence", "dirichlet-compat", "tangent-check")
 _DEBUG_CHECKED = ("conservation",)
 
 _ORDER_WINDOW = 0.3
+
+# Config keys each experiment reads beside its defaults.
+_COMMON_KEYS = ("experiment", "out", "debug_checks")
+_EXTRA_KEYS = {
+    "convergence": ("h_list", "nonlinearity", "dealias"),
+    "conservation": ("nonlinearity", "dealias"),
+    "stability": (),
+    "smoothness": ("nonlinearity", "dealias"),
+    "dirichlet-compat": ("h_list",),
+    "tangent-check": ("h_list", "nonlinearity", "dealias"),
+}
 
 
 def _fail(message: str) -> int:
@@ -339,6 +351,13 @@ def run_config(config_path, out_dir=None, threads=1, debug_checks=False) -> int:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         return _fail(f"unknown experiment {experiment!r}; choose one of {list(EXPERIMENTS)}")
+
+    valid = sorted({*_DEFAULTS[experiment], *_COMMON_KEYS, *_EXTRA_KEYS[experiment]})
+    for key in raw:
+        if key not in valid:
+            close = difflib.get_close_matches(key, valid, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else f"; valid keys: {valid}"
+            return _fail(f"unknown config key {key!r} for the {experiment} experiment{hint}")
 
     cfg = _materialize(raw, _DEFAULTS[experiment])
     cfg["debug_checks"] = bool(debug_checks or cfg.get("debug_checks", False))

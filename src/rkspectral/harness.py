@@ -31,9 +31,9 @@ from .problems import ProblemSpec, get_problem
 from .spectral import (
     SpectralGrid,
     State,
+    _build_symbol_matrices,
     base_norm,
     inverse_transform_array,
-    step_matrices,
 )
 from .stepper import SolverConfig, integrate, step, tangent_step
 from .tableau import ButcherTableau, gauss_legendre
@@ -412,9 +412,9 @@ def stability_growth(t: ButcherTableau, grid: SpectralGrid, h: float, n_steps: i
         raise ValueError("step count must be nonnegative")
     if n_steps == 0:
         return 1.0
-    _, update = step_matrices(t, h, grid)
-    first, _ = grid._distinct_symbols  # one mode per distinct symbol
-    update = update[first]
+    # One update per distinct symbol; the stage inverses are not kept.
+    _, update = _build_symbol_matrices(t, h, grid)
+    first = grid._distinct_symbols[0]
     if grid.components == 1:
         moduli = np.abs(update[:, 0, 0])
         return float(np.max(moduli**n_steps))

@@ -150,22 +150,25 @@ def _guard_domain(p: ProblemSpec, phys: np.ndarray):
         raise DomainEscapeError(max_abs, p.scale_bound)
 
 
-def evaluate_B_array(p: ProblemSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Batched nonlinearity: coeffs (..., components, n) -> same shape."""
-    grid = p.grid
-    phys = inverse_transform_array(grid, coeffs[..., 0, :])
-    _guard_domain(p, phys)
-    out = np.zeros_like(coeffs)
+def _modal_B(p: ProblemSpec, values: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Transform pointwise nonlinearity values (..., n) into B's component
+    of an array shaped like ``like`` (..., components, n), dealiased."""
+    out = np.zeros_like(like)
     if p.kind == "wave":
-        fvals = p.nonlinearity.value(phys)
-        modal = -grid.transform_array(fvals)
-        out[..., 1, :] = modal
+        out[..., 1, :] = -p.grid.transform_array(values)
     else:
-        modal = -1j * grid.transform_array(p.nonlinearity.gradient(phys))
-        out[..., 0, :] = modal
+        out[..., 0, :] = -1j * p.grid.transform_array(values)
     if p.dealias:
         out[..., p._aliased_modes] = 0.0
     return out
+
+
+def evaluate_B_array(p: ProblemSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Batched nonlinearity: coeffs (..., components, n) -> same shape."""
+    phys = inverse_transform_array(p.grid, coeffs[..., 0, :])
+    _guard_domain(p, phys)
+    f = p.nonlinearity
+    return _modal_B(p, f.value(phys) if p.kind == "wave" else f.gradient(phys), coeffs)
 
 
 def evaluate_B(p: ProblemSpec, u: State) -> State:
@@ -175,22 +178,26 @@ def evaluate_B(p: ProblemSpec, u: State) -> State:
     return State(p.grid, evaluate_B_array(p, u.coeffs))
 
 
+def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
+    """(B(u), DB(u) v) for ``pair = (u, v)`` stacked on a leading axis.
+
+    ``pair`` has shape (2, ..., components, n).  Both halves share one
+    inverse and one forward transform; batched rows transform exactly as
+    single rows, so each half equals its own evaluation bit for bit.
+    """
+    u_phys, v_phys = inverse_transform_array(p.grid, pair[..., 0, :])
+    _guard_domain(p, u_phys)
+    f = p.nonlinearity
+    if p.kind == "wave":
+        values = [f.value(u_phys), f.derivative(u_phys) * v_phys]
+    else:
+        values = [f.gradient(u_phys), f.gradient_tangent(u_phys, v_phys)]
+    return _modal_B(p, np.stack(values), pair)
+
+
 def evaluate_B_tangent_array(p: ProblemSpec, u_coeffs, v_coeffs) -> np.ndarray:
     """Batched directional derivative DB(u) v, evaluated pointwise."""
-    grid = p.grid
-    u_phys = inverse_transform_array(grid, u_coeffs[..., 0, :])
-    v_phys = inverse_transform_array(grid, v_coeffs[..., 0, :])
-    _guard_domain(p, u_phys)
-    out = np.zeros_like(v_coeffs)
-    if p.kind == "wave":
-        out[..., 1, :] = -grid.transform_array(p.nonlinearity.derivative(u_phys) * v_phys)
-    else:
-        out[..., 0, :] = -1j * grid.transform_array(
-            p.nonlinearity.gradient_tangent(u_phys, v_phys)
-        )
-    if p.dealias:
-        out[..., p._aliased_modes] = 0.0
-    return out
+    return evaluate_B_pair_array(p, np.stack([u_coeffs, v_coeffs]))[1]
 
 
 def dirichlet_boundary_defect(p: ProblemSpec) -> float:

@@ -401,18 +401,18 @@ def clear_matrix_cache():
         _MATRIX_CACHE.clear()
 
 
-def _build_step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
-    """Per-mode inverse stage blocks and update matrices.
+def _build_symbol_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
+    """Inverse stage blocks and update matrices per distinct symbol.
 
-    Returns (stage_inv, update) with shapes (n, s*c, s*c) and (n, c, c),
-    both complex: stage_inv realizes ``(I - h a (x) A_k)^{-1}`` and update
-    realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.  Both are
-    built once per distinct symbol and gathered back to storage order.
+    Returns (stage_inv, update) with shapes (m, s*c, s*c) and (m, c, c),
+    both complex, for the m representatives ``grid._distinct_symbols[0]``
+    in that order: stage_inv realizes ``(I - h a (x) A_k)^{-1}`` and
+    update realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
     The wave system's real blocks keep the arithmetic real except for the
     inversion, which runs in complex so that every bit matches the fully
     complex construction (a real LU rounds differently).
     """
-    first, inverse = grid._distinct_symbols
+    first = grid._distinct_symbols[0]
     blocks = grid.symbol_blocks()[first]
     n, c = len(first), grid.components
     s = t.s
@@ -430,6 +430,14 @@ def _build_step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     e = work @ ones_block  # (n, s*c, c)
     bsum = np.einsum("j,kjpq->kpq", t.b, e.reshape(n, s, c, c))
     update = (np.eye(c)[None, :, :] + h * (blocks @ bsum)).astype(complex, copy=False)
+    return stage_inv, update
+
+
+def _build_step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
+    """Per-mode (stage_inv, update), shapes (n, s*c, s*c) and (n, c, c):
+    the per-symbol matrices gathered back to storage order."""
+    stage_inv, update = _build_symbol_matrices(t, h, grid)
+    inverse = grid._distinct_symbols[1]
     return stage_inv[inverse], update[inverse]
 
 

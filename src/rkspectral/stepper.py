@@ -7,13 +7,19 @@ Stages solve the fixed-point equation
 by plain iteration started from the B = 0 solution; the update is then
 evaluated in resolvent form,
 
-    u' = S(hA) u + h b^T (I - h a (x) A)^{-1} B(W),
+    u' = S(hA) u + h b^T (I - h a (x) A)^{-1} B(W_prev),
 
-which stays well defined for arbitrarily stiff spectral symbols.  The
-iteration contracts when h times the local Lipschitz constant of B
-(times the stage-matrix norm) is below one; the recorded contraction
-estimate is the empirical face of that product and scales linearly
-in h.
+which stays well defined for arbitrarily stiff spectral symbols.  It
+reuses the B(W_prev) that the final iteration evaluated to produce the
+returned stages W, so no further nonlinearity evaluation is needed.
+Because W = (I - h a (x) A)^{-1} (1 u + h a B(W_prev)) holds exactly,
+this equals the form u' = u + (b^T a^{-1} (x) I)(W - 1 u) of Hairer &
+Wanner (Solving ODEs II, section IV.8): W are exact Runge-Kutta stages
+for the right-hand side A W + B(W_prev), whose mismatch with A W + B(W)
+is of the size of the final fixed-point update.  The iteration
+contracts when h times the local Lipschitz constant of B (times the
+stage-matrix norm) is below one; the recorded contraction estimate is
+the empirical face of that product and scales linearly in h.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailureError, NumericalBlowupError
-from .problems import ProblemSpec, evaluate_B_array, evaluate_B_tangent_array
+from .problems import ProblemSpec, evaluate_B_array, evaluate_B_pair_array
 from .spectral import (
     StageSet,
     State,
@@ -81,14 +87,19 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg):
 
     ``base`` holds states (..., c, n); the stages W have shape
     (..., s, c, n) and ``B`` maps them to their nonlinearity.  The
-    residual is the largest base-norm update over all stages.
+    residual is the largest base-norm update over all stages.  Returns
+    the stages, the B evaluated by the final iteration (at the iterate
+    before the returned stages) and the statistics; a contraction
+    estimate above ``cfg.contraction_warn`` warns at the caller of the
+    public function that called this one.
     """
     s = a.shape[0]
     base = np.broadcast_to(base[..., None, :, :], base.shape[:-2] + (s,) + base.shape[-2:])
     w = _apply_stage_inv(stage_inv, base)
     residuals = []
     for iteration in range(1, cfg.fp_max_iters + 1):
-        w_new = _apply_stage_inv(stage_inv, base + h * np.einsum("ij,...jcn->...icn", a, B(w)))
+        forcing = B(w)
+        w_new = _apply_stage_inv(stage_inv, base + h * np.einsum("ij,...jcn->...icn", a, forcing))
         residual = _stage_residual(grid, w_new - w)
         if not math.isfinite(residual):
             raise NumericalBlowupError(
@@ -97,7 +108,14 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg):
         residuals.append(residual)
         w = w_new
         if residual <= cfg.fp_tol:
-            return w, StepStats(iteration, residual, _contraction(residuals))
+            stats = StepStats(iteration, residual, _contraction(residuals))
+            if stats.contraction_estimate > cfg.contraction_warn:
+                warnings.warn(
+                    f"fixed-point contraction {stats.contraction_estimate:.3f} near 1; "
+                    f"step size {h:g} is close to the convergence limit",
+                    stacklevel=3,
+                )
+            return w, forcing, stats
     raise ConvergenceFailureError(
         StepStats(cfg.fp_max_iters, residuals[-1], _contraction(residuals))
     )
@@ -109,11 +127,17 @@ def _contraction(residuals):
     return residuals[1] / residuals[0]
 
 
-def _update(matrices, b, h, base, bw):
-    """Resolvent-form update ``S(hA) base + h b^T stage_inv B(W)``."""
+def _update(matrices, b, h, base, forcing):
+    """Resolvent-form update ``S(hA) base + h b^T stage_inv forcing``, where
+    ``forcing`` is the final iteration's B, as returned by ``_solve_stages``."""
     stage_inv, update = matrices
-    z = _apply_stage_inv(stage_inv, bw)
+    z = _apply_stage_inv(stage_inv, forcing)
     return _apply_update(update, base) + h * np.einsum("j,...jcn->...cn", b, z)
+
+
+def _check_grid(p, u):
+    if u.grid != p.grid:
+        raise ValueError("state lives on a different grid than the problem")
 
 
 def fixed_point_stages(
@@ -128,40 +152,39 @@ def fixed_point_stages(
     ``matrices``, when given, is ``step_matrices(t, cfg.h, p.grid)``
     already fetched by the caller.
     """
-    if u.grid != p.grid:
-        raise ValueError("state lives on a different grid than the problem")
+    _check_grid(p, u)
     stage_inv, _ = matrices if matrices is not None else step_matrices(t, cfg.h, p.grid)
-    w, stats = _solve_stages(
+    w, _, stats = _solve_stages(
         stage_inv, t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg
     )
-    if stats.contraction_estimate > cfg.contraction_warn:
-        warnings.warn(
-            f"fixed-point contraction {stats.contraction_estimate:.3f} near 1; "
-            f"step size {cfg.h:g} is close to the convergence limit",
-            stacklevel=2,
-        )
     return StageSet(p.grid, w), stats
 
 
 def step(
     p: ProblemSpec, t: ButcherTableau, u: State, cfg: SolverConfig
 ) -> tuple[State, StepStats]:
-    """Advance one step of size cfg.h."""
+    """Advance one step of size cfg.h.
+
+    The update reuses the final stage iteration's B, so a step makes
+    exactly ``stats.iterations`` evaluations of B.
+    """
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
+    _check_grid(p, u)
     matrices = step_matrices(t, cfg.h, p.grid)
-    stages, stats = fixed_point_stages(p, t, u, cfg, matrices)
-    bw = evaluate_B_array(p, stages.data)
-    u_new = State(p.grid, _update(matrices, t.b, cfg.h, u.coeffs, bw))
+    w, forcing, stats = _solve_stages(
+        matrices[0], t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg
+    )
+    u_new = State(p.grid, _update(matrices, t.b, cfg.h, u.coeffs, forcing))
     if cfg.debug_checks:
-        _check_direct_form(p, t, u, stages, bw, u_new, cfg)
+        _check_direct_form(p, t, u, StageSet(p.grid, w), forcing, u_new, cfg)
     return u_new, stats
 
 
-def _check_direct_form(p, t, u, stages, bw, u_new, cfg):
-    """Cross-evaluate u + h b^T (A W + B(W)) against the resolvent form."""
+def _check_direct_form(p, t, u, stages, forcing, u_new, cfg):
+    """Cross-evaluate u + h b^T (A W + forcing) against the resolvent form."""
     aw = np.stack([apply_A(stages.stage(j)).coeffs for j in range(t.s)])
-    direct = u.coeffs + cfg.h * np.einsum("j,jcn->cn", t.b, aw + bw)
+    direct = u.coeffs + cfg.h * np.einsum("j,jcn->cn", t.b, aw + forcing)
     gap = base_norm(State(p.grid, direct) - u_new)
     if gap > 10 * cfg.fp_tol:
         raise RuntimeError(
@@ -201,18 +224,17 @@ def tangent_step(
 
     The linear part acts blockwise, so the pair runs through the shared
     stage solver as a batch of two stage families; only the coupled
-    nonlinearity (B(U), DB(U) V) ties them together in the iteration.
+    nonlinearity (B(U), DB(U) V), evaluated with one transform pass for
+    both families, ties them together in the iteration.
     """
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
     if v.grid != u.grid or u.grid != p.grid:
         raise ValueError("primal and tangent states must share the problem grid")
     matrices = step_matrices(t, cfg.h, p.grid)
-
-    def pair_B(w):
-        return np.stack([evaluate_B_array(p, w[0]), evaluate_B_tangent_array(p, w[0], w[1])])
-
     base = np.stack([u.coeffs, v.coeffs])
-    w, stats = _solve_stages(matrices[0], t.a, cfg.h, p.grid, base, pair_B, cfg)
-    u_new, v_new = _update(matrices, t.b, cfg.h, base, pair_B(w))
+    _, forcing, stats = _solve_stages(
+        matrices[0], t.a, cfg.h, p.grid, base, lambda w: evaluate_B_pair_array(p, w), cfg
+    )
+    u_new, v_new = _update(matrices, t.b, cfg.h, base, forcing)
     return State(p.grid, u_new), State(p.grid, v_new), stats

@@ -30,6 +30,34 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line" in err
 
 
+def test_unknown_key_names_closest_valid_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "convergence", "h_mx": 0.01})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'h_mx' for the convergence experiment" in err
+    assert "did you mean 'h_max'?" in err
+    assert not out.exists()
+
+
+def test_key_of_another_experiment_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "convergence", "h_values": [0.1]})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'h_values' for the convergence experiment" in err
+    assert "'h_max'" in err  # the valid keys are listed
+    assert not out.exists()
+
+
+def test_keys_read_beside_the_defaults_accepted(tmp_path, capsys):
+    payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
+               "nonlinearity": "cubic", "dealias": True, "debug_checks": False,
+               "out": str(tmp_path / "ignored")}
+    cfg = write_config(tmp_path, payload)
+    assert run_config(cfg, tmp_path / "out") == 0
+
+
 def test_missing_file_rejected(tmp_path, capsys):
     assert run_config(tmp_path / "nope.json", tmp_path / "out") == 2
 

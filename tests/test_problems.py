@@ -10,13 +10,14 @@ from rkspectral.problems import (
     dirichlet_boundary_defect,
     evaluate_B,
     evaluate_B_array,
+    evaluate_B_pair_array,
     evaluate_B_tangent_array,
     get_problem,
     list_problems,
     make_nonlinearity,
     standard_problems,
 )
-from rkspectral.spectral import State, schrodinger_grid, wave_grid
+from rkspectral.spectral import State, inverse_transform_array, schrodinger_grid, wave_grid
 
 
 def mode_state(grid, component, assignments):
@@ -106,6 +107,51 @@ class TestTangentLinearization:
         v = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
         scaled = evaluate_B_tangent_array(p, u, 3.5 * v)
         assert np.allclose(scaled, 3.5 * evaluate_B_tangent_array(p, u, v), atol=1e-13)
+
+
+def two_pass_tangent(p, u, v):
+    """DB(u) v with separate inverse transforms of u and v."""
+    u_phys = inverse_transform_array(p.grid, u[..., 0, :])
+    v_phys = inverse_transform_array(p.grid, v[..., 0, :])
+    out = np.zeros_like(v)
+    if p.kind == "wave":
+        out[..., 1, :] = -p.grid.transform_array(p.nonlinearity.derivative(u_phys) * v_phys)
+    else:
+        out[..., 0, :] = -1j * p.grid.transform_array(
+            p.nonlinearity.gradient_tangent(u_phys, v_phys)
+        )
+    if p.dealias:
+        out[..., ~dealias_mask(p.grid)] = 0.0
+    return out
+
+
+class TestPairEvaluation:
+    @pytest.mark.parametrize("kind", ["nls", "wave"])
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_equals_separate_evaluations_bitwise(self, kind, bc, s, dealias):
+        grid = schrodinger_grid(32, bc) if kind == "nls" else wave_grid(32, bc)
+        p = ProblemSpec(kind, grid, make_nonlinearity(kind, "cubic"), dealias=dealias)
+        rng = np.random.default_rng(s)
+        shape = (2, s, grid.components, grid.n)
+        pair = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        u, v = pair
+        tangent = evaluate_B_tangent_array(p, u, v)
+        expected = np.stack([evaluate_B_array(p, u), tangent])
+        assert evaluate_B_pair_array(p, pair).tobytes() == expected.tobytes()
+        assert tangent.tobytes() == two_pass_tangent(p, u, v).tobytes()
+
+    def test_domain_guard_reads_the_primal_half(self):
+        p = ProblemSpec(
+            "nls", schrodinger_grid(16), make_nonlinearity("nls", "cubic"), scale_bound=1.0
+        )
+        pair = np.zeros((2, 1, 1, 16), dtype=complex)
+        pair[1, 0, 0, 1] = 10.0  # a large direction is not a domain escape
+        evaluate_B_pair_array(p, pair)
+        pair[0, 0, 0, 1] = 10.0
+        with pytest.raises(DomainEscapeError):
+            evaluate_B_pair_array(p, pair)
 
 
 class TestCatalogue:

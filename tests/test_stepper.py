@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rkspectral import stepper
 from rkspectral.errors import ConvergenceFailureError, NumericalBlowupError
 from rkspectral.harness import nls_two_mode_state, wave_band_state
 from rkspectral.problems import evaluate_B_array, evaluate_B_tangent_array, get_problem
@@ -45,7 +46,9 @@ def reference_step(p, t, states, cfg, B):
 
     ``B`` maps the list of stage arrays to the list of their
     nonlinearities; the residual is the largest stage base norm of all
-    families, as in the primal and tangent steps.
+    families, as in the primal and tangent steps.  The update reuses the
+    final iteration's ``forcing``, the B evaluated to produce the final
+    stages.
     """
     h, s = cfg.h, t.s
     lifted = [np.broadcast_to(x.coeffs, (s,) + x.coeffs.shape) for x in states]
@@ -64,7 +67,7 @@ def reference_step(p, t, states, cfg, B):
         w = w_new
     new = [
         apply_S_hA(x, t, h) + State(p.grid, h * np.einsum("j,jcn->cn", t.b, resolve(f)))
-        for x, f in zip(states, B(w))
+        for x, f in zip(states, forcing)
     ]
     return new, residuals
 
@@ -72,6 +75,14 @@ def reference_step(p, t, states, cfg, B):
 REFERENCE_CASES = [
     ("wave-dirichlet-compatible", 256, wave_band_state),
     ("nls-cubic-periodic", 64, nls_two_mode_state),
+]
+
+
+UPDATE_FORM_CASES = [
+    ("nls-cubic-periodic", nls_two_mode_state),
+    ("wave-dirichlet-compatible", wave_band_state),
+    ("wave-cubic-periodic", wave_band_state),
+    ("wave-neumann", wave_band_state),
 ]
 
 
@@ -191,6 +202,27 @@ class TestFixedPointStages:
         assert len(record) == 1
         assert record[0].filename == __file__
 
+    def test_step_near_one_contraction_warns_once_at_caller(self):
+        p = get_problem("nls-cubic-periodic", 32)
+        u = two_mode(p.grid, 2.0, 1.0)
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        with pytest.warns(UserWarning, match="near 1") as record:
+            _, stats = step(p, MIDPOINT, u, cfg)
+        assert stats.contraction_estimate > cfg.contraction_warn
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_tangent_step_near_one_contraction_warns_once_at_caller(self):
+        p = get_problem("nls-cubic-periodic", 32)
+        u = two_mode(p.grid, 2.0, 1.0)
+        v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        with pytest.warns(UserWarning, match="near 1") as record:
+            _, _, stats = tangent_step(p, MIDPOINT, u, v, cfg)
+        assert stats.contraction_estimate > cfg.contraction_warn
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_detected(self):
         p = get_problem("wave-cubic-periodic", 16)
@@ -235,6 +267,37 @@ class TestStep:
         for _ in range(5):
             u = p.grid.transform(0.3 * (rng.standard_normal(32) + 1j * rng.standard_normal(32)))
             step(p, MIDPOINT, u, cfg)  # raises if the two forms disagree
+
+    @pytest.mark.parametrize("name, initial", UPDATE_FORM_CASES)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    def test_update_is_hairer_wanner_form(self, name, initial, s):
+        # u' = u + (b^T a^-1 (x) I)(W - 1u) with W the returned stages.  The
+        # loose tolerance keeps W far from the fixed point, so an update
+        # from B(W) instead of the final iteration's B would miss by 1e-12
+        # or more; the identity itself holds to rounding at any tolerance.
+        p = get_problem(name, 32)
+        t = gauss_legendre(s)
+        u = initial(p.grid)
+        cfg = SolverConfig(h=0.05, fp_tol=1e-6)
+        stages, _ = fixed_point_stages(p, t, u, cfg)
+        out, _ = step(p, t, u, cfg)
+        weights = t.b @ np.linalg.inv(t.a)
+        expected = u.coeffs + np.einsum("j,jcn->cn", weights, stages.data - u.coeffs)
+        assert base_norm(State(p.grid, expected) - out) <= 1e-14 * base_norm(out)
+
+    @pytest.mark.parametrize("name, initial", UPDATE_FORM_CASES)
+    def test_one_B_evaluation_per_iteration(self, name, initial, monkeypatch):
+        p = get_problem(name, 32)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate_B_array(*args)
+
+        monkeypatch.setattr(stepper, "evaluate_B_array", counted)
+        _, stats = step(p, GL2, initial(p.grid), SolverConfig(h=0.01, fp_tol=1e-13))
+        assert stats.iterations > 1
+        assert len(calls) == stats.iterations
 
     def test_midpoint_preserves_discrete_mass_per_step(self):
         p = get_problem("nls-cubic-periodic", 32)
