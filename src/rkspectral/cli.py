@@ -1,6 +1,6 @@
 """Batch experiment front end.
 
-Usage:  rkspectral run <config.json> [--out DIR] [--threads N] [--debug-checks]
+Usage:  rkspectral run <config.json> [--out DIR] [--debug-checks]
 
 The config selects one experiment and its parameters; every run writes
 a CSV of the measured quantities plus a JSON summary echoing the fully
@@ -28,31 +28,13 @@ from .spectral import State, base_norm, schrodinger_grid, wave_grid
 from .stepper import SolverConfig, integrate, step, tangent_step
 from .tableau import resolve_tableau
 
-EXPERIMENTS = (
-    "convergence",
-    "conservation",
-    "stability",
-    "smoothness",
-    "dirichlet-compat",
-    "tangent-check",
-)
-
-# The experiments that read each run flag; elsewhere the flag is an error.
-_THREADED = ("convergence", "dirichlet-compat", "tangent-check")
+# The experiments that read --debug-checks; elsewhere the flag is an error.
 _DEBUG_CHECKED = ("conservation",)
 
 _ORDER_WINDOW = 0.3
 
-# Config keys each experiment reads beside its defaults.
+# Config keys every experiment reads beside its defaults and extra keys.
 _COMMON_KEYS = ("experiment", "out", "debug_checks")
-_EXTRA_KEYS = {
-    "convergence": ("h_list", "nonlinearity", "dealias"),
-    "conservation": ("nonlinearity", "dealias"),
-    "stability": (),
-    "smoothness": ("nonlinearity", "dealias"),
-    "dirichlet-compat": ("h_list",),
-    "tangent-check": ("h_list", "nonlinearity", "dealias"),
-}
 
 
 def _fail(message: str) -> int:
@@ -103,12 +85,6 @@ def _initial_state(problem, cfg) -> State:
     return harness.wave_band_state(problem.grid)
 
 
-def _materialize(cfg_in: dict, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    cfg.update(cfg_in)
-    return cfg
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -124,22 +100,20 @@ def _report_order_verdict(report, declared_p):
     )
 
 
-def _run_convergence(cfg, out_dir, threads):
+def _run_convergence(cfg, out_dir):
     problem = _resolve_problem(cfg)
     t = resolve_tableau(cfg["tableau"])
     h_list = _resolve_h_list(cfg)
     u0 = _initial_state(problem, cfg)
     report = harness.convergence_study(
-        problem, t, u0, float(cfg["T"]), h_list, fp_tol=float(cfg["fp_tol"]), workers=threads
+        problem, t, u0, float(cfg["T"]), h_list, fp_tol=float(cfg["fp_tol"])
     )
     report.write_csv(out_dir / "convergence.csv")
     ok, verdict = _report_order_verdict(report, t.p)
-    summary = {"config": cfg, "result": report.summary_dict(), "pass": ok}
-    harness.write_summary_json(out_dir / "convergence_summary.json", summary)
-    return ok, verdict
+    return report.summary_dict(), ok, verdict
 
 
-def _run_conservation(cfg, out_dir, threads):
+def _run_conservation(cfg, out_dir):
     problem = _resolve_problem(cfg)
     t = resolve_tableau(cfg["tableau"])
     u0 = _initial_state(problem, cfg)
@@ -176,17 +150,12 @@ def _run_conservation(cfg, out_dir, threads):
             f"energy deviation final={final:.2e} early_max={early:.2e} "
             f"{'PASS (no drift)' if ok else 'FAIL'}"
         )
-    summary = {
-        "config": cfg,
-        "result": {"mass_drift_rel": mass_drift, "energy_dev_final": final,
-                   "energy_dev_early_max": early},
-        "pass": ok,
-    }
-    harness.write_summary_json(out_dir / "conservation_summary.json", summary)
-    return ok, verdict
+    result = {"mass_drift_rel": mass_drift, "energy_dev_final": final,
+              "energy_dev_early_max": early}
+    return result, ok, verdict
 
 
-def _run_stability(cfg, out_dir, threads):
+def _run_stability(cfg, out_dir):
     t = resolve_tableau(cfg["tableau"])
     if cfg["grid"] == "schrodinger":
         grid = schrodinger_grid(cfg["n"])
@@ -208,12 +177,10 @@ def _run_stability(cfg, out_dir, threads):
     else:
         ok = True
         verdict = f"max amplification deviation {worst:.2e} (wave secular growth expected)"
-    summary = {"config": cfg, "result": {"max_deviation": worst}, "pass": ok}
-    harness.write_summary_json(out_dir / "stability_summary.json", summary)
-    return ok, verdict
+    return {"max_deviation": worst}, ok, verdict
 
 
-def _run_smoothness(cfg, out_dir, threads):
+def _run_smoothness(cfg, out_dir):
     problem = _resolve_problem(cfg)
     t = resolve_tableau(cfg["tableau"])
     u0 = _initial_state(problem, cfg)
@@ -231,18 +198,14 @@ def _run_smoothness(cfg, out_dir, threads):
         f"q={cfg['q']} difference norms {'bounded' if growth < 2 else 'growing'} "
         f"(last/first = {growth:.3g})"
     )
-    summary = {"config": cfg, "result": {"values": [v for _, v in results],
-                                         "growth_ratio": growth}, "pass": True}
-    harness.write_summary_json(out_dir / "smoothness_summary.json", summary)
-    return True, verdict
+    return {"values": [v for _, v in results], "growth_ratio": growth}, True, verdict
 
 
-def _run_dirichlet_compat(cfg, out_dir, threads):
+def _run_dirichlet_compat(cfg, out_dir):
     t = resolve_tableau(cfg["tableau"])
     h_list = _resolve_h_list(cfg)
     rep_c, rep_i = harness.dirichlet_compatibility_study(
-        h_list, T=float(cfg["T"]), n=int(cfg["n"]), t=t, fp_tol=float(cfg["fp_tol"]),
-        workers=threads,
+        h_list, T=float(cfg["T"]), n=int(cfg["n"]), t=t, fp_tol=float(cfg["fp_tol"])
     )
     rep_c.write_csv(out_dir / "dirichlet_compatible.csv")
     rep_i.write_csv(out_dir / "dirichlet_incompatible.csv")
@@ -253,16 +216,11 @@ def _run_dirichlet_compat(cfg, out_dir, threads):
         f"compatible order {rep_c.fitted_order:.3f}, incompatible order "
         f"{rep_i.fitted_order:.3f} {'PASS' if ok else 'FAIL'}"
     )
-    summary = {
-        "config": cfg,
-        "result": {"compatible": rep_c.summary_dict(), "incompatible": rep_i.summary_dict()},
-        "pass": ok,
-    }
-    harness.write_summary_json(out_dir / "dirichlet_compat_summary.json", summary)
-    return ok, verdict
+    result = {"compatible": rep_c.summary_dict(), "incompatible": rep_i.summary_dict()}
+    return result, ok, verdict
 
 
-def _run_tangent_check(cfg, out_dir, threads):
+def _run_tangent_check(cfg, out_dir):
     problem = _resolve_problem(cfg)
     t = resolve_tableau(cfg["tableau"])
     u0 = _initial_state(problem, cfg)
@@ -278,8 +236,7 @@ def _run_tangent_check(cfg, out_dir, threads):
     rel_err = base_norm(fd - v1) / max(base_norm(v1), 1e-300)
 
     report = harness.tangent_convergence_study(
-        problem, t, u0, v0, float(cfg["T"]), _resolve_h_list(cfg), fp_tol=float(cfg["fp_tol"]),
-        workers=threads,
+        problem, t, u0, v0, float(cfg["T"]), _resolve_h_list(cfg), fp_tol=float(cfg["fp_tol"])
     )
     report.write_csv(out_dir / "tangent_convergence.csv")
     ok_fd = rel_err <= 1e-5
@@ -289,57 +246,55 @@ def _run_tangent_check(cfg, out_dir, threads):
         f"tangent vs central differences rel err {rel_err:.2e} "
         f"({'PASS' if ok_fd else 'FAIL'}); extended-system {order_verdict}"
     )
-    summary = {
-        "config": cfg,
-        "result": {"fd_rel_err": rel_err, "study": report.summary_dict()},
-        "pass": ok,
-    }
-    harness.write_summary_json(out_dir / "tangent_check_summary.json", summary)
-    return ok, verdict
+    return {"fd_rel_err": rel_err, "study": report.summary_dict()}, ok, verdict
 
 
-_DEFAULTS = {
-    "convergence": {
-        "problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "T": 0.5,
-        "h_max": 0.02, "levels": 5, "fp_tol": 1e-13, "seed": 0,
-        "initial_data": "standard",
-    },
-    "conservation": {
-        "problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "h": 5e-3,
-        "steps": 2000, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard",
-    },
-    "stability": {
-        "tableau": "gl:1", "grid": "schrodinger", "n": 256,
-        "h_values": [1e-3, 1e-2, 1e-1, 1.0], "n_steps": 10, "seed": 0,
-    },
-    "smoothness": {
-        "problem": "nls-linear-periodic", "tableau": "gl:2", "n": 64, "h": 0.05,
-        "q": 2, "levels": 4, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard",
-    },
-    "dirichlet-compat": {
-        "tableau": "gl:1", "n": 256, "T": 0.4, "h_max": 0.08, "levels": 5,
-        "fp_tol": 1e-13, "seed": 0,
-    },
-    "tangent-check": {
-        "problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 32, "T": 0.5,
-        "h": 0.01, "eps": 1e-5, "h_max": 0.02, "levels": 5, "fp_tol": 1e-13,
-        "seed": 0, "initial_data": "standard",
-    },
+# Per experiment: its defaults, the config keys it reads beside them, and
+# its runner ``run(cfg, out_dir) -> (result, ok, verdict)``, which writes
+# the experiment's CSVs.
+_EXPERIMENT_TABLE = {
+    "convergence": (
+        {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "T": 0.5,
+         "h_max": 0.02, "levels": 5, "fp_tol": 1e-13, "seed": 0,
+         "initial_data": "standard"},
+        ("h_list", "nonlinearity", "dealias"),
+        _run_convergence,
+    ),
+    "conservation": (
+        {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "h": 5e-3,
+         "steps": 2000, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard"},
+        ("nonlinearity", "dealias"),
+        _run_conservation,
+    ),
+    "stability": (
+        {"tableau": "gl:1", "grid": "schrodinger", "n": 256,
+         "h_values": [1e-3, 1e-2, 1e-1, 1.0], "n_steps": 10, "seed": 0},
+        (),
+        _run_stability,
+    ),
+    "smoothness": (
+        {"problem": "nls-linear-periodic", "tableau": "gl:2", "n": 64, "h": 0.05,
+         "q": 2, "levels": 4, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard"},
+        ("nonlinearity", "dealias"),
+        _run_smoothness,
+    ),
+    "dirichlet-compat": (
+        {"tableau": "gl:1", "n": 256, "T": 0.4, "h_max": 0.08, "levels": 5,
+         "fp_tol": 1e-13, "seed": 0},
+        ("h_list",),
+        _run_dirichlet_compat,
+    ),
+    "tangent-check": (
+        {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 32, "T": 0.5,
+         "h": 0.01, "eps": 1e-5, "h_max": 0.02, "levels": 5, "fp_tol": 1e-13,
+         "seed": 0, "initial_data": "standard"},
+        ("h_list", "nonlinearity", "dealias"),
+        _run_tangent_check,
+    ),
 }
 
-_RUNNERS = {
-    "convergence": _run_convergence,
-    "conservation": _run_conservation,
-    "stability": _run_stability,
-    "smoothness": _run_smoothness,
-    "dirichlet-compat": _run_dirichlet_compat,
-    "tangent-check": _run_tangent_check,
-}
 
-
-def run_config(config_path, out_dir=None, threads=1, debug_checks=False) -> int:
-    if threads < 1:
-        return _fail(f"--threads must be at least 1, got {threads}")
+def run_config(config_path, out_dir=None, debug_checks=False) -> int:
     path = Path(config_path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -347,25 +302,31 @@ def run_config(config_path, out_dir=None, threads=1, debug_checks=False) -> int:
         return _fail(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         return _fail(f"config {path} is not valid JSON (line {exc.lineno}, col {exc.colno})")
+    if not isinstance(raw, dict):
+        return _fail(f"config {path} must be a JSON object, got {type(raw).__name__}")
 
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        return _fail(f"unknown experiment {experiment!r}; choose one of {list(EXPERIMENTS)}")
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENT_TABLE:
+        return _fail(
+            f"unknown experiment {experiment!r}; choose one of {list(_EXPERIMENT_TABLE)}"
+        )
+    defaults, extra_keys, runner = _EXPERIMENT_TABLE[experiment]
 
-    valid = sorted({*_DEFAULTS[experiment], *_COMMON_KEYS, *_EXTRA_KEYS[experiment]})
-    for key in raw:
+    valid = sorted({*defaults, *_COMMON_KEYS, *extra_keys})
+    for key, value in raw.items():
         if key not in valid:
             close = difflib.get_close_matches(key, valid, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else f"; valid keys: {valid}"
             return _fail(f"unknown config key {key!r} for the {experiment} experiment{hint}")
+        # A value must have its default's JSON type, an int standing in for
+        # a float; keys without a default are not checked.
+        want = type(defaults.get(key, value))
+        if type(value) not in ((float, int) if want is float else (want,)):
+            return _fail(f"config key {key!r} must be {want.__name__}, "
+                         f"got {type(value).__name__} {value!r}")
 
-    cfg = _materialize(raw, _DEFAULTS[experiment])
+    cfg = {**defaults, **raw}
     cfg["debug_checks"] = bool(debug_checks or cfg.get("debug_checks", False))
-    if threads > 1 and experiment not in _THREADED:
-        return _fail(
-            f"--threads {threads} does not apply to the {experiment} experiment; "
-            f"only {', '.join(_THREADED)} use threads"
-        )
     if cfg["debug_checks"] and experiment not in _DEBUG_CHECKED:
         return _fail(
             f"--debug-checks (config key debug_checks) does not apply to the {experiment} "
@@ -375,7 +336,11 @@ def run_config(config_path, out_dir=None, threads=1, debug_checks=False) -> int:
     target.mkdir(parents=True, exist_ok=True)
 
     try:
-        ok, verdict = _RUNNERS[experiment](cfg, target, threads)
+        result, ok, verdict = runner(cfg, target)
+        harness.write_summary_json(
+            target / f"{experiment.replace('-', '_')}_summary.json",
+            {"config": cfg, "result": result, "pass": ok},
+        )
     except KeyError as exc:
         return _fail(f"{exc.args[0]}")
     except (ValueError, OSError) as exc:
@@ -395,7 +360,6 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="execute an experiment config")
     run_parser.add_argument("config", help="path to a JSON experiment config")
     run_parser.add_argument("--out", default=None, help="output directory for artifacts")
-    run_parser.add_argument("--threads", type=int, default=1, help="parallel study workers")
     run_parser.add_argument(
         "--debug-checks", action="store_true",
         help="enable per-step cross-validation of the update forms",
@@ -408,7 +372,7 @@ def main(argv=None) -> int:
         if args.list_problems:
             print("\n".join(list_problems()))
             return 0
-        return run_config(args.config, args.out, args.threads, args.debug_checks)
+        return run_config(args.config, args.out, args.debug_checks)
     return 2
 
 

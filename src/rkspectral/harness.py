@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,7 +213,7 @@ def _state_distance(a, b):
 
 
 def _order_study(
-    p, t, x0, T, h_list, fp_tol, s_ref, h_ref, workers, integrate_fn, distance, name
+    p, t, x0, T, h_list, fp_tol, s_ref, h_ref, integrate_fn, distance, name
 ) -> ConvergenceReport:
     """Order study of one flow: ``integrate_fn(p, t, x0, cfg, steps)``
     returns the final value and per-step statistics, ``distance``
@@ -229,17 +228,11 @@ def _order_study(
     def run(tab, h, tol):
         return integrate_fn(p, tab, x0, SolverConfig(h=h, fp_tol=tol), _steps_for(T, h))
 
-    def run_level(h):
+    finals, stats = [], []
+    for h in h_list:
         final, history = run(t, h, fp_tol)
-        return final, _summarize(history)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_level, h_list))
-    else:
-        results = [run_level(h) for h in h_list]
-    finals = [r[0] for r in results]
-    stats = [r[1] for r in results]
+        finals.append(final)
+        stats.append(_summarize(history))
 
     if s_ref is None:
         s_ref = min(t.s + 2, _MAX_STAGES)
@@ -289,15 +282,13 @@ def convergence_study(
     fp_tol: float = FP_TOL_FLOOR,
     s_ref: int | None = None,
     h_ref: float | None = None,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Measure final-time errors against a fine reference and fit the order.
 
-    The ladder levels run first (on ``workers`` threads).  The reference
-    uses ``s_ref`` stages (default two more than the study's) and walks
-    rungs: the first pairs a coarse run at the finest study step with a
-    fine run at half of it, and each failing rung's fine run becomes the
-    next rung's coarse run.  A rung passes when its self-consistency gap
+    The ladder levels run first.  The reference uses ``s_ref`` stages
+    (default two more than the study's) and walks rungs: the first pairs
+    a coarse run at the finest study step with a fine run at half of it,
+    and each failing rung's fine run becomes the next rung's coarse run.  A rung passes when its self-consistency gap
     is at most 1e-3 times the smallest error measured against its fine
     run (floored at 50x the stage tolerance, the double-precision
     accumulation scale); the first passing fine run is the reference.
@@ -307,8 +298,7 @@ def convergence_study(
     tolerance are flagged and excluded from the fit.
     """
     return _order_study(
-        p, t, u0, T, h_list, fp_tol, s_ref, h_ref, workers,
-        integrate, _state_distance, p.name,
+        p, t, u0, T, h_list, fp_tol, s_ref, h_ref, integrate, _state_distance, p.name,
     )
 
 
@@ -540,7 +530,6 @@ def dirichlet_compatibility_study(
     fp_tol: float = FP_TOL_FLOOR,
     s_ref: int | None = None,
     h_ref: float | None = None,
-    workers: int = 1,
 ) -> tuple[ConvergenceReport, ConvergenceReport]:
     """Order study of the boundary-compatible vs incompatible cubic wave.
 
@@ -557,12 +546,11 @@ def dirichlet_compatibility_study(
     incompatible = get_problem("wave-dirichlet-incompatible", n)
     u0 = wave_band_state(compatible.grid, u_amps=(0.4, 0.2, 0.1), v_amps=(0.2, -0.1, 0.05))
     report_c = convergence_study(
-        compatible, t, u0, T, h_list, fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref,
-        workers=workers,
+        compatible, t, u0, T, h_list, fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref
     )
     report_i = convergence_study(
         incompatible, t, State(incompatible.grid, u0.coeffs.copy()), T, h_list,
-        fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref, workers=workers,
+        fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref,
     )
     return report_c, report_i
 
@@ -591,7 +579,6 @@ def tangent_convergence_study(
     T: float,
     h_list,
     fp_tol: float = FP_TOL_FLOOR,
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Order study of the extended (primal, tangent) system.
 
@@ -600,7 +587,7 @@ def tangent_convergence_study(
     ``convergence_study``.
     """
     return _order_study(
-        p, t, (u0, v0), T, h_list, fp_tol, None, None, workers,
+        p, t, (u0, v0), T, h_list, fp_tol, None, None,
         _integrate_tangent, _pair_distance, f"{p.name}+tangent",
     )
 

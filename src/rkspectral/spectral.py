@@ -441,16 +441,14 @@ def _build_step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     return stage_inv[inverse], update[inverse]
 
 
-def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid, use_cache: bool = True):
+def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     """Cached access to the per-mode step matrices.
 
     The cache key is (tableau coefficients, exact h bits, grid identity)
-    and holds the ``_MATRIX_CACHE_SIZE`` most recently used keys;
-    cached and uncached paths run identical operations, so their results
-    agree bit for bit.
+    and holds the ``_MATRIX_CACHE_SIZE`` most recently used keys; a key
+    evicted and requested again is rebuilt by the same operations, so the
+    rebuilt matrices agree with the first build bit for bit.
     """
-    if not use_cache:
-        return _build_step_matrices(t, h, grid)
     key = (t.fingerprint(), np.float64(h).tobytes(), grid.fingerprint())
     with _CACHE_LOCK:
         if key in _MATRIX_CACHE:
@@ -462,13 +460,11 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid, use_cache: bo
         return _MATRIX_CACHE[key]
 
 
-def solve_stage_resolvent(
-    rhs: StageSet, t: ButcherTableau, h: float, use_cache: bool = True
-) -> StageSet:
+def solve_stage_resolvent(rhs: StageSet, t: ButcherTableau, h: float) -> StageSet:
     """Solve ``(I - h a (x) A) W = rhs`` mode by mode."""
     if h < 0:
         raise ValueError("step size must be nonnegative")
-    stage_inv, _ = step_matrices(t, h, rhs.grid, use_cache)
+    stage_inv, _ = step_matrices(t, h, rhs.grid)
     return StageSet(rhs.grid, _apply_stage_inv(stage_inv, rhs.data))
 
 
@@ -484,9 +480,9 @@ def _apply_update(update: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum("kpq,...qk->...pk", update, coeffs))
 
 
-def apply_S_hA(u: State, t: ButcherTableau, h: float, use_cache: bool = True) -> State:
+def apply_S_hA(u: State, t: ButcherTableau, h: float) -> State:
     """Apply the update map ``S(hA)`` of the method to a state."""
     if h < 0:
         raise ValueError("step size must be nonnegative")
-    _, update = step_matrices(t, h, u.grid, use_cache)
+    _, update = step_matrices(t, h, u.grid)
     return State(u.grid, _apply_update(update, u.coeffs))

@@ -44,6 +44,9 @@ from .spectral import (
 )
 from .tableau import ButcherTableau
 
+# A contraction estimate above this warns that h is near the iteration's limit.
+_CONTRACTION_WARN = 0.9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -58,7 +61,6 @@ class SolverConfig:
     h: float
     fp_tol: float = 1e-12
     fp_max_iters: int = 200
-    contraction_warn: float = 0.9
     debug_checks: bool = False
 
     def __post_init__(self):
@@ -82,7 +84,7 @@ def _stage_residual(grid, delta):
     return math.sqrt(float(np.max(_base_norm_sq_rows(grid, delta))))
 
 
-def _solve_stages(stage_inv, a, h, grid, base, B, cfg):
+def _solve_stages(stage_inv, a, h, grid, base, B, cfg, stacklevel=3):
     """Plain iteration ``W = stage_inv (1 base + h a B(W))`` on stage arrays.
 
     ``base`` holds states (..., c, n); the stages W have shape
@@ -90,8 +92,8 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg):
     residual is the largest base-norm update over all stages.  Returns
     the stages, the B evaluated by the final iteration (at the iterate
     before the returned stages) and the statistics; a contraction
-    estimate above ``cfg.contraction_warn`` warns at the caller of the
-    public function that called this one.
+    estimate above ``_CONTRACTION_WARN`` warns ``stacklevel`` frames up,
+    at the caller of the public function that called this one.
     """
     s = a.shape[0]
     base = np.broadcast_to(base[..., None, :, :], base.shape[:-2] + (s,) + base.shape[-2:])
@@ -109,11 +111,11 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg):
         w = w_new
         if residual <= cfg.fp_tol:
             stats = StepStats(iteration, residual, _contraction(residuals))
-            if stats.contraction_estimate > cfg.contraction_warn:
+            if stats.contraction_estimate > _CONTRACTION_WARN:
                 warnings.warn(
                     f"fixed-point contraction {stats.contraction_estimate:.3f} near 1; "
                     f"step size {h:g} is close to the convergence limit",
-                    stacklevel=3,
+                    stacklevel=stacklevel,
                 )
             return w, forcing, stats
     raise ConvergenceFailureError(
@@ -141,7 +143,7 @@ def _check_grid(p, u):
 
 
 def fixed_point_stages(
-    p: ProblemSpec, t: ButcherTableau, u: State, cfg: SolverConfig, matrices=None
+    p: ProblemSpec, t: ButcherTableau, u: State, cfg: SolverConfig
 ) -> tuple[StageSet, StepStats]:
     """Solve the stage equations by fixed-point iteration.
 
@@ -149,11 +151,9 @@ def fixed_point_stages(
     B = 0) and iterates until the base-norm update falls below
     ``cfg.fp_tol``.  A step size of 0 is accepted here as a degenerate
     probe and returns the trivial stages after one iteration.
-    ``matrices``, when given, is ``step_matrices(t, cfg.h, p.grid)``
-    already fetched by the caller.
     """
     _check_grid(p, u)
-    stage_inv, _ = matrices if matrices is not None else step_matrices(t, cfg.h, p.grid)
+    stage_inv, _ = step_matrices(t, cfg.h, p.grid)
     w, _, stats = _solve_stages(
         stage_inv, t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg
     )
@@ -168,12 +168,19 @@ def step(
     The update reuses the final stage iteration's B, so a step makes
     exactly ``stats.iterations`` evaluations of B.
     """
+    return _step(p, t, u, cfg)
+
+
+def _step(p, t, u, cfg):
+    """The body of ``step``, shared with ``integrate`` so that a near-1
+    contraction warns at the caller of either."""
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
     _check_grid(p, u)
     matrices = step_matrices(t, cfg.h, p.grid)
     w, forcing, stats = _solve_stages(
-        matrices[0], t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg
+        matrices[0], t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg,
+        stacklevel=4,
     )
     u_new = State(p.grid, _update(matrices, t.b, cfg.h, u.coeffs, forcing))
     if cfg.debug_checks:
@@ -210,7 +217,7 @@ def integrate(
     u = u0
     history = []
     for index in range(steps):
-        u, stats = step(p, t, u, cfg)
+        u, stats = _step(p, t, u, cfg)
         history.append(stats)
         if observer is not None:
             observer(index, u, stats)

@@ -16,8 +16,9 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
-def test_unknown_experiment_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"experiment": "frobnicate"})
+@pytest.mark.parametrize("experiment", ["frobnicate", ["convergence"]])
+def test_unknown_experiment_rejected(tmp_path, capsys, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment})
     assert run_config(cfg, tmp_path / "out") == 2
     assert "unknown experiment" in capsys.readouterr().err
 
@@ -28,6 +29,15 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert run_config(path, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "line" in err
+
+
+def test_config_that_is_not_an_object_rejected(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text('["convergence"]', encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_config(path, out) == 2
+    assert "must be a JSON object, got list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_key_names_closest_valid_key(tmp_path, capsys):
@@ -158,40 +168,62 @@ def test_main_entry_list_problems(capsys, tmp_path):
     assert "wave-neumann" in capsys.readouterr().out
 
 
-def test_tangent_check_threads_do_not_change_csv(tmp_path, capsys):
-    payload = {
-        "experiment": "tangent-check",
-        "n": 16,
-        "T": 0.25,
-        "h_max": 0.025,
-        "levels": 3,
-    }
+def test_threads_flag_is_an_argparse_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "stability"})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [({"experiment": "convergence", "n": "abc"}, "n"),
+     ({"experiment": "stability", "h_values": 0.1}, "h_values"),
+     ({"experiment": "stability", "n_steps": True}, "n_steps")],
+)
+def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
-    out1, out2 = tmp_path / "one", tmp_path / "two"
-    assert main(["run", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["run", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
-    csv1 = (out1 / "tangent_convergence.csv").read_bytes()
-    csv2 = (out2 / "tangent_convergence.csv").read_bytes()
-    assert csv1 == csv2
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_rejected(tmp_path, capsys, threads):
-    cfg = write_config(tmp_path, {"experiment": "stability", "tableau": "gl:2"})
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 2
-    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert run_config(cfg, out) == 2
+    assert f"config key {key!r} must be" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment", ["conservation", "stability", "smoothness"])
-def test_threads_on_serial_experiment_rejected(tmp_path, capsys, experiment):
-    cfg = write_config(tmp_path, {"experiment": experiment})
+def test_int_accepted_for_float_default(tmp_path, capsys):
+    payload = {"experiment": "convergence", "n": 16, "T": 1, "h_max": 0.05, "levels": 3}
+    cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--threads", "2"]) == 2
-    err = capsys.readouterr().err
-    assert f"--threads 2 does not apply to the {experiment} experiment" in err
-    assert not out.exists()
+    assert run_config(cfg, out) == 0
+    summary = json.loads((out / "convergence_summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["T"] == 1
+
+
+SMALL_CONFIGS = {
+    "convergence": {"n": 32, "T": 0.25, "h_max": 0.025, "levels": 3},
+    "conservation": {"n": 16, "h": 0.01, "steps": 20},
+    "stability": {"n": 16, "h_values": [0.1]},
+    "smoothness": {"n": 32, "levels": 3},
+    "dirichlet-compat": {"n": 64, "T": 0.2, "h_max": 0.05, "levels": 3},
+    "tangent-check": {"n": 16, "T": 0.25, "h_max": 0.025, "levels": 3},
+}
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_CONFIGS))
+def test_every_experiment_writes_one_summary_agreeing_with_exit_code(
+    tmp_path, capsys, experiment
+):
+    cfg = write_config(tmp_path, {"experiment": experiment, **SMALL_CONFIGS[experiment]})
+    out = tmp_path / "out"
+    code = run_config(cfg, out)
+    assert code in (0, 1)
+    name = f"{experiment.replace('-', '_')}_summary.json"
+    assert [p.name for p in out.glob("*_summary.json")] == [name]
+    summary = json.loads((out / name).read_text(encoding="utf-8"))
+    assert sorted(summary) == ["config", "pass", "result"]
+    assert summary["pass"] is (code == 0)
+    assert summary["config"]["experiment"] == experiment
 
 
 NOT_DEBUG_CHECKED = ["convergence", "stability", "smoothness", "dirichlet-compat",

@@ -120,15 +120,6 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="fp_tol"):
             convergence_study(p, MIDPOINT, u0, 0.5, dyadic_h_list(0.02, 3), fp_tol=1e-4)
 
-    def test_parallel_workers_reproduce_serial_errors(self):
-        p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
-        serial = convergence_study(p, MIDPOINT, u0, 0.25, dyadic_h_list(0.025, 3),
-                                   fp_tol=1e-13)
-        parallel = convergence_study(p, MIDPOINT, u0, 0.25, dyadic_h_list(0.025, 3),
-                                     fp_tol=1e-13, workers=3)
-        assert serial.errors == parallel.errors
-
 
 class TestReferenceWalk:
     T = 0.1
@@ -339,15 +330,6 @@ class TestTangentStudy:
         p, u0, v0 = self.pair()
         with pytest.raises(ValueError, match="decreasing"):
             tangent_convergence_study(p, MIDPOINT, u0, v0, 0.5, [0.01, 0.02], fp_tol=1e-13)
-
-    def test_parallel_workers_reproduce_serial_errors(self):
-        p, u0, v0 = self.pair()
-        serial = tangent_convergence_study(p, MIDPOINT, u0, v0, 0.25, dyadic_h_list(0.025, 3),
-                                           fp_tol=1e-13)
-        parallel = tangent_convergence_study(p, MIDPOINT, u0, v0, 0.25,
-                                             dyadic_h_list(0.025, 3), fp_tol=1e-13, workers=3)
-        assert serial.errors == parallel.errors
-        assert serial.reference == parallel.reference
 
 
 class TestInitialData:

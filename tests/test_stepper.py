@@ -198,7 +198,7 @@ class TestFixedPointStages:
         cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
         with pytest.warns(UserWarning, match="near 1") as record:
             _, stats = fixed_point_stages(p, MIDPOINT, u, cfg)
-        assert stats.contraction_estimate > cfg.contraction_warn
+        assert stats.contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
         assert record[0].filename == __file__
 
@@ -208,7 +208,17 @@ class TestFixedPointStages:
         cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
         with pytest.warns(UserWarning, match="near 1") as record:
             _, stats = step(p, MIDPOINT, u, cfg)
-        assert stats.contraction_estimate > cfg.contraction_warn
+        assert stats.contraction_estimate > stepper._CONTRACTION_WARN
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    def test_integrate_near_one_contraction_warns_at_caller(self):
+        p = get_problem("nls-cubic-periodic", 32)
+        u = two_mode(p.grid, 2.0, 1.0)
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        with pytest.warns(UserWarning, match="near 1") as record:
+            _, history = integrate(p, MIDPOINT, u, cfg, 1)
+        assert history[0].contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
         assert record[0].filename == __file__
 
@@ -219,7 +229,7 @@ class TestFixedPointStages:
         cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
         with pytest.warns(UserWarning, match="near 1") as record:
             _, _, stats = tangent_step(p, MIDPOINT, u, v, cfg)
-        assert stats.contraction_estimate > cfg.contraction_warn
+        assert stats.contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
         assert record[0].filename == __file__
 
