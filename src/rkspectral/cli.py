@@ -36,6 +36,15 @@ _ORDER_WINDOW = 0.3
 # Config keys every experiment reads beside its defaults and extra keys.
 _COMMON_KEYS = ("experiment", "out", "debug_checks")
 
+# The experiments that fit an order to a ladder of step sizes.
+_ORDER_STUDIES = ("convergence", "dirichlet-compat", "tangent-check")
+
+# Numeric config keys that must be finite and positive.
+_POSITIVE_KEYS = ("h", "h_max", "T", "fp_tol", "eps")
+
+# The stability experiment's grid kinds.
+_GRIDS = {"schrodinger": schrodinger_grid, "wave": wave_grid}
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -62,11 +71,58 @@ def _resolve_problem(cfg) -> ProblemSpec:
     return problem
 
 
+def _check_ranges(experiment, cfg):
+    """Raise ValueError (or KeyError, for an unknown name) naming the first
+    config key whose value is out of range; resolves the tableau and the
+    problem or grid on the way, so a run that passes does no work in vain."""
+    for key in _POSITIVE_KEYS:
+        if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] > 0):
+            raise ValueError(f"config key {key!r} must be positive, got {cfg[key]!r}")
+    minima = {"n": 1, "steps": 1, "n_steps": 0, "q": 0,
+              "levels": 2 if experiment in _ORDER_STUDIES else 1}
+    for key, low in minima.items():
+        if key in cfg and cfg[key] < low:
+            raise ValueError(f"config key {key!r} must be at least {low}, got {cfg[key]!r}")
+    if cfg.get("q", 0) > 4:
+        raise ValueError(f"config key 'q' must be at most 4, got {cfg['q']!r}")
+    for h in cfg.get("h_values", ()):
+        if isinstance(h, bool) or not isinstance(h, (int, float)) or not 0 <= h < math.inf:
+            raise ValueError(f"config key 'h_values' must hold nonnegative numbers, got {h!r}")
+    if cfg.get("initial_data", "standard") not in ("standard", "random", "rough"):
+        raise ValueError(f"config key 'initial_data' must be standard, random or rough, "
+                         f"got {cfg['initial_data']!r}")
+    try:
+        t = resolve_tableau(cfg["tableau"])
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"config key 'tableau': {exc}") from exc
+    if experiment in _ORDER_STUDIES:
+        hs = _resolve_h_list(cfg)
+        if len(hs) < 2 or not all(0 < h < math.inf for h in hs):
+            raise ValueError(f"config key 'h_list' must hold at least two positive steps, "
+                             f"got {cfg['h_list']!r}")
+        # The study's own checks: T/h integer at every level, fp_tol tight enough.
+        for h in hs:
+            harness._steps_for(cfg["T"], h)
+        harness._check_fp_tol(cfg["fp_tol"], min(hs), t.p)
+    if experiment == "stability" and cfg["grid"] not in _GRIDS:
+        raise ValueError(f"config key 'grid' must be one of {list(_GRIDS)}, "
+                         f"got {cfg['grid']!r}")
+    try:
+        if experiment == "stability":
+            _GRIDS[cfg["grid"]](cfg["n"])
+        else:
+            get_problem(cfg.get("problem", "wave-dirichlet-compatible"), cfg["n"])
+    except ValueError as exc:
+        raise ValueError(f"config key 'n': {exc}") from exc
+    if "problem" in cfg:
+        _resolve_problem(cfg)
+
+
 def _resolve_h_list(cfg) -> list[float]:
     if "h_list" in cfg:
         hs = [float(h) for h in cfg["h_list"]]
         if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("h_list must be strictly decreasing")
+            raise ValueError("config key 'h_list' must be strictly decreasing")
         return hs
     return harness.dyadic_h_list(float(cfg["h_max"]), int(cfg["levels"]))
 
@@ -157,12 +213,7 @@ def _run_conservation(cfg, out_dir):
 
 def _run_stability(cfg, out_dir):
     t = resolve_tableau(cfg["tableau"])
-    if cfg["grid"] == "schrodinger":
-        grid = schrodinger_grid(cfg["n"])
-    elif cfg["grid"] == "wave":
-        grid = wave_grid(cfg["n"])
-    else:
-        raise ValueError(f"unknown grid kind {cfg['grid']!r}")
+    grid = _GRIDS[cfg["grid"]](cfg["n"])
     n_steps = int(cfg["n_steps"])
     rows = []
     worst = 0.0
@@ -332,6 +383,12 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
             f"--debug-checks (config key debug_checks) does not apply to the {experiment} "
             f"experiment; only {', '.join(_DEBUG_CHECKED)} reads it"
         )
+    try:
+        _check_ranges(experiment, cfg)
+    except KeyError as exc:
+        return _fail(f"{exc.args[0]}")
+    except ValueError as exc:
+        return _fail(str(exc))
     target = Path(out_dir) if out_dir else Path(cfg.get("out", "."))
     target.mkdir(parents=True, exist_ok=True)
 

@@ -34,7 +34,7 @@ from .spectral import (
     base_norm,
     inverse_transform_array,
 )
-from .stepper import SolverConfig, integrate, step, tangent_step
+from .stepper import SolverConfig, _integrate_tangent, integrate, step
 from .tableau import ButcherTableau, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
@@ -82,7 +82,9 @@ class ConvergenceReport:
 
     ``flagged`` marks h levels whose error sits within a factor of 100
     of the solver tolerance; those are excluded from the least-squares
-    fit as tolerance-contaminated.
+    fit as tolerance-contaminated.  ``stage_iterations`` counts the
+    stage iterations (one B evaluation each) of the ladder levels and
+    of every reference run, coarse and fine.
     """
 
     problem: str
@@ -95,6 +97,7 @@ class ConvergenceReport:
     reference: dict
     flagged: list[bool]
     fp_tol: float
+    stage_iterations: dict
     extras: dict = field(default_factory=dict)
 
     def write_csv(self, path):
@@ -126,6 +129,7 @@ class ConvergenceReport:
             "flagged": list(self.flagged),
             "fp_tol": self.fp_tol,
             "reference": self.reference,
+            "stage_iterations": dict(self.stage_iterations),
             **self.extras,
         }
 
@@ -138,12 +142,17 @@ def _steps_for(T, h):
 
 
 def _summarize(stats) -> dict:
+    """Per-run solver statistics.  ``mean_contraction`` averages the
+    steps of two or more iterations only (0.0 when there are none): a
+    step that converges in one iteration has one residual, hence no
+    contraction ratio, and its recorded estimate of 0.0 is no estimate."""
+    ratios = [s.contraction_estimate for s in stats if s.iterations >= 2]
     return {
         "steps": len(stats),
         "mean_iterations": float(np.mean([s.iterations for s in stats])),
         "max_iterations": int(max(s.iterations for s in stats)),
         "max_residual": float(max(s.final_residual for s in stats)),
-        "mean_contraction": float(np.mean([s.contraction_estimate for s in stats])),
+        "mean_contraction": float(np.mean(ratios)) if ratios else 0.0,
     }
 
 
@@ -225,12 +234,18 @@ def _order_study(
         _steps_for(T, h)
     _check_fp_tol(fp_tol, min(h_list), t.p)
 
-    def run(tab, h, tol):
-        return integrate_fn(p, tab, x0, SolverConfig(h=h, fp_tol=tol), _steps_for(T, h))
+    iterations = {"ladder": 0, "reference": 0}
+
+    def run(tab, h, tol, phase):
+        final, history = integrate_fn(
+            p, tab, x0, SolverConfig(h=h, fp_tol=tol), _steps_for(T, h)
+        )
+        iterations[phase] += sum(s.iterations for s in history)
+        return final, history
 
     finals, stats = [], []
     for h in h_list:
-        final, history = run(t, h, fp_tol)
+        final, history = run(t, h, fp_tol, "ladder")
         finals.append(final)
         stats.append(_summarize(history))
 
@@ -242,10 +257,10 @@ def _order_study(
         h_coarse, max_rungs = min(h_list), _MAX_REFERENCE_RUNGS
     else:
         h_coarse, max_rungs = float(h_ref), 1
-    coarse, _ = run(t_ref, h_coarse, ref_tol)
+    coarse, _ = run(t_ref, h_coarse, ref_tol, "reference")
     rungs = []
     while True:
-        fine, _ = run(t_ref, h_coarse / 2, ref_tol)
+        fine, _ = run(t_ref, h_coarse / 2, ref_tol, "reference")
         discrepancy = distance(fine, coarse)
         rungs.append((h_coarse, discrepancy))
         errors = [distance(final, fine) for final in finals]
@@ -270,6 +285,7 @@ def _order_study(
         reference=reference.as_dict(),
         flagged=flagged,
         fp_tol=fp_tol,
+        stage_iterations=iterations,
     )
 
 
@@ -560,15 +576,6 @@ def dirichlet_compatibility_study(
 
 def _pair_distance(a, b):
     return math.sqrt(base_norm(a[0] - b[0]) ** 2 + base_norm(a[1] - b[1]) ** 2)
-
-
-def _integrate_tangent(p, t, pair, cfg, steps):
-    u, v = pair
-    history = []
-    for _ in range(steps):
-        u, v, stats = tangent_step(p, t, u, v, cfg)
-        history.append(stats)
-    return (u, v), history
 
 
 def tangent_convergence_study(

@@ -4,8 +4,19 @@ Stages solve the fixed-point equation
 
     W = (I - h a (x) A)^{-1} (1 u + h a B(W))
 
-by plain iteration started from the B = 0 solution; the update is then
-evaluated in resolvent form,
+by plain iteration.  A single step (``step``, ``tangent_step``,
+``fixed_point_stages``) and the first step of every run start from the
+B = 0 solution.  Each later step of a run (``integrate`` and the
+tangent flow of the order studies) starts from
+
+    W_0 = (I - h a (x) A)^{-1} (1 u + h a E F),
+
+where F is the previous step's final-iteration B and E[i, j] =
+l_j(1 + c_i) evaluates the Lagrange basis on the nodes c at the new
+step's nodes: the "starting values" of Hairer & Wanner (Solving ODEs
+II, section IV.8).  B is extrapolated, not W, so the stiff linear part
+still goes through the resolvent and highly oscillatory modes are never
+extrapolated.  The update is then evaluated in resolvent form,
 
     u' = S(hA) u + h b^T (I - h a (x) A)^{-1} B(W_prev),
 
@@ -84,20 +95,26 @@ def _stage_residual(grid, delta):
     return math.sqrt(float(np.max(_base_norm_sq_rows(grid, delta))))
 
 
-def _solve_stages(stage_inv, a, h, grid, base, B, cfg, stacklevel=3):
+def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted=None, stacklevel=3):
     """Plain iteration ``W = stage_inv (1 base + h a B(W))`` on stage arrays.
 
     ``base`` holds states (..., c, n); the stages W have shape
     (..., s, c, n) and ``B`` maps them to their nonlinearity.  The
-    residual is the largest base-norm update over all stages.  Returns
-    the stages, the B evaluated by the final iteration (at the iterate
-    before the returned stages) and the statistics; a contraction
-    estimate above ``_CONTRACTION_WARN`` warns ``stacklevel`` frames up,
-    at the caller of the public function that called this one.
+    iteration starts from ``stage_inv (1 base + h a predicted)``, where
+    ``predicted`` is a guess of B at the stages, or None for the B = 0
+    solution.  The residual is the largest base-norm update over all
+    stages.  Returns the stages, the B evaluated by the final iteration
+    (at the iterate before the returned stages) and the statistics; a
+    contraction estimate above ``_CONTRACTION_WARN`` warns ``stacklevel``
+    frames up, at the caller of the public function that called this one.
     """
     s = a.shape[0]
     base = np.broadcast_to(base[..., None, :, :], base.shape[:-2] + (s,) + base.shape[-2:])
-    w = _apply_stage_inv(stage_inv, base)
+    if predicted is not None:
+        base_start = base + h * np.einsum("ij,...jcn->...icn", a, predicted)
+    else:
+        base_start = base
+    w = _apply_stage_inv(stage_inv, base_start)
     residuals = []
     for iteration in range(1, cfg.fp_max_iters + 1):
         forcing = B(w)
@@ -147,10 +164,11 @@ def fixed_point_stages(
 ) -> tuple[StageSet, StepStats]:
     """Solve the stage equations by fixed-point iteration.
 
-    Starts from the linear-part solution (one resolvent solve, exact for
-    B = 0) and iterates until the base-norm update falls below
-    ``cfg.fp_tol``.  A step size of 0 is accepted here as a degenerate
-    probe and returns the trivial stages after one iteration.
+    Starts from the B = 0 solution (one resolvent solve, exact for
+    B = 0), never from a predicted B, and iterates until the base-norm
+    update falls below ``cfg.fp_tol``.  A step size of 0 is accepted
+    here as a degenerate probe and returns the trivial stages after one
+    iteration.
     """
     _check_grid(p, u)
     stage_inv, _ = step_matrices(t, cfg.h, p.grid)
@@ -160,32 +178,76 @@ def fixed_point_stages(
     return StageSet(p.grid, w), stats
 
 
+def _extrapolation_matrix(c):
+    """``E[i, j] = l_j(1 + c_i)``: the Lagrange basis on the nodes ``c``,
+    evaluated at the next step's nodes, or None when two nodes coincide
+    and the basis does not exist."""
+    s = len(c)
+    if len(set(c.tolist())) < s:
+        return None
+    x = 1.0 + c
+    e = np.ones((s, s))
+    for j in range(s):
+        for m in range(s):
+            if m != j:
+                e[:, j] *= (x - c[m]) / (c[j] - c[m])
+    return e
+
+
+def _steps(p, t, x, cfg, steps, B):
+    """Take ``steps`` steps of size ``cfg.h`` from the states ``x``
+    (..., c, n), yielding the new states, the stages, the final
+    iteration's B and the statistics after each.
+
+    The first step's iteration starts from the B = 0 solution, each
+    later one from the previous step's final B extrapolated to its
+    nodes.  A near-1 contraction warns at the caller of the public
+    function that runs this through ``_integrate`` or
+    ``_integrate_tangent``.
+    """
+    if cfg.h == 0:
+        raise ValueError("step requires a positive step size")
+    matrices = step_matrices(t, cfg.h, p.grid)
+    extrapolate = _extrapolation_matrix(t.c)
+    predicted = None
+    for _ in range(steps):
+        w, forcing, stats = _solve_stages(
+            matrices[0], t.a, cfg.h, p.grid, x, B, cfg, predicted, stacklevel=5
+        )
+        x = _update(matrices, t.b, cfg.h, x, forcing)
+        yield x, w, forcing, stats
+        if extrapolate is not None:
+            predicted = np.einsum("ij,...jcn->...icn", extrapolate, forcing)
+
+
 def step(
     p: ProblemSpec, t: ButcherTableau, u: State, cfg: SolverConfig
 ) -> tuple[State, StepStats]:
     """Advance one step of size cfg.h.
 
-    The update reuses the final stage iteration's B, so a step makes
-    exactly ``stats.iterations`` evaluations of B.
+    The stage iteration starts from the B = 0 solution.  The update
+    reuses the final stage iteration's B, so a step makes exactly
+    ``stats.iterations`` evaluations of B.
     """
-    return _step(p, t, u, cfg)
+    u_new, history = _integrate(p, t, u, cfg, 1, None)
+    return u_new, history[0]
 
 
-def _step(p, t, u, cfg):
-    """The body of ``step``, shared with ``integrate`` so that a near-1
+def _integrate(p, t, u, cfg, steps, observer):
+    """The body of ``step`` and ``integrate``, so that a near-1
     contraction warns at the caller of either."""
-    if cfg.h == 0:
-        raise ValueError("step requires a positive step size")
     _check_grid(p, u)
-    matrices = step_matrices(t, cfg.h, p.grid)
-    w, forcing, stats = _solve_stages(
-        matrices[0], t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg,
-        stacklevel=4,
-    )
-    u_new = State(p.grid, _update(matrices, t.b, cfg.h, u.coeffs, forcing))
-    if cfg.debug_checks:
-        _check_direct_form(p, t, u, StageSet(p.grid, w), forcing, u_new, cfg)
-    return u_new, stats
+    history = []
+    flow = _steps(p, t, u.coeffs, cfg, steps, lambda w: evaluate_B_array(p, w))
+    for index, (coeffs, stages, forcing, stats) in enumerate(flow):
+        u_new = State(p.grid, coeffs)
+        if cfg.debug_checks:
+            _check_direct_form(p, t, u, StageSet(p.grid, stages), forcing, u_new, cfg)
+        u = u_new
+        history.append(stats)
+        if observer is not None:
+            observer(index, u, stats)
+    return u, history
 
 
 def _check_direct_form(p, t, u, stages, forcing, u_new, cfg):
@@ -209,19 +271,14 @@ def integrate(
 ) -> tuple[State, list[StepStats]]:
     """Apply the step map ``steps`` times, reporting per-step statistics.
 
+    The first step is ``step``; each later step starts its stage
+    iteration from the previous step's B extrapolated to its nodes.
     The observer, when given, is called after each step with
     (step_index, state, stats) and must treat the state as read-only.
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    u = u0
-    history = []
-    for index in range(steps):
-        u, stats = _step(p, t, u, cfg)
-        history.append(stats)
-        if observer is not None:
-            observer(index, u, stats)
-    return u, history
+    return _integrate(p, t, u0, cfg, steps, observer)
 
 
 def tangent_step(
@@ -232,16 +289,23 @@ def tangent_step(
     The linear part acts blockwise, so the pair runs through the shared
     stage solver as a batch of two stage families; only the coupled
     nonlinearity (B(U), DB(U) V), evaluated with one transform pass for
-    both families, ties them together in the iteration.
+    both families, ties them together in the iteration.  The iteration
+    starts from the B = 0 solution.
     """
-    if cfg.h == 0:
-        raise ValueError("step requires a positive step size")
+    (u_new, v_new), history = _integrate_tangent(p, t, (u, v), cfg, 1)
+    return u_new, v_new, history[0]
+
+
+def _integrate_tangent(p, t, pair, cfg, steps):
+    """``steps`` steps of the (primal, tangent) pair, predicted as in
+    ``integrate``; returns the final pair and the per-step statistics."""
+    u, v = pair
     if v.grid != u.grid or u.grid != p.grid:
         raise ValueError("primal and tangent states must share the problem grid")
-    matrices = step_matrices(t, cfg.h, p.grid)
-    base = np.stack([u.coeffs, v.coeffs])
-    _, forcing, stats = _solve_stages(
-        matrices[0], t.a, cfg.h, p.grid, base, lambda w: evaluate_B_pair_array(p, w), cfg
+    history = []
+    flow = _steps(
+        p, t, np.stack([u.coeffs, v.coeffs]), cfg, steps, lambda w: evaluate_B_pair_array(p, w)
     )
-    u_new, v_new = _update(matrices, t.b, cfg.h, base, forcing)
-    return State(p.grid, u_new), State(p.grid, v_new), stats
+    for coeffs, _, _, stats in flow:
+        history.append(stats)
+    return (State(p.grid, coeffs[0]), State(p.grid, coeffs[1])), history

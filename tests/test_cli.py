@@ -191,6 +191,50 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [({"experiment": "stability", "n": -4}, "n"),
+     ({"experiment": "convergence", "levels": 1}, "levels"),
+     ({"experiment": "convergence", "tableau": "gl:9"}, "tableau"),
+     ({"experiment": "convergence", "h_max": -0.02}, "h_max"),
+     ({"experiment": "conservation", "h": 0}, "h"),
+     ({"experiment": "conservation", "steps": 0}, "steps"),
+     ({"experiment": "convergence", "n": 5}, "n"),
+     ({"experiment": "dirichlet-compat", "n": 0}, "n"),
+     ({"experiment": "tangent-check", "h_list": [0.02]}, "h_list"),
+     ({"experiment": "convergence", "h_list": [0.01, 0.02]}, "h_list"),
+     ({"experiment": "smoothness", "q": 5}, "q"),
+     ({"experiment": "smoothness", "levels": 0}, "levels"),
+     ({"experiment": "stability", "h_values": [0.1, -1.0]}, "h_values"),
+     ({"experiment": "stability", "grid": "heat"}, "grid"),
+     ({"experiment": "convergence", "initial_data": "smooth"}, "initial_data")],
+)
+def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, key):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err
+    if key == "h_max":
+        assert "h_list" not in err  # the dyadic ladder it implies is not blamed
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [({"experiment": "convergence", "T": 0.5, "h_max": 0.03}, "T/h must be a positive integer"),
+     ({"experiment": "tangent-check", "h_list": [0.025, 0.0125, 0.0075]},
+      "T/h must be a positive integer"),
+     ({"experiment": "convergence", "tableau": "gl:2", "fp_tol": 1e-6}, "fp_tol=1e-06 too loose")],
+)
+def test_order_study_checks_run_before_any_work(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_int_accepted_for_float_default(tmp_path, capsys):
     payload = {"experiment": "convergence", "n": 16, "T": 1, "h_max": 0.05, "levels": 3}
     cfg = write_config(tmp_path, payload)
@@ -224,6 +268,14 @@ def test_every_experiment_writes_one_summary_agreeing_with_exit_code(
     assert sorted(summary) == ["config", "pass", "result"]
     assert summary["pass"] is (code == 0)
     assert summary["config"]["experiment"] == experiment
+    studies = {"convergence": [summary["result"]],
+               "tangent-check": [summary["result"].get("study")],
+               "dirichlet-compat": [summary["result"].get("compatible"),
+                                    summary["result"].get("incompatible")]}
+    for study in studies.get(experiment, []):
+        counts = study["stage_iterations"]
+        assert sorted(counts) == ["ladder", "reference"]
+        assert all(type(c) is int and c > 0 for c in counts.values())
 
 
 NOT_DEBUG_CHECKED = ["convergence", "stability", "smoothness", "dirichlet-compat",

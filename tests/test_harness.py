@@ -7,6 +7,7 @@ import pytest
 from rkspectral import spectral
 from rkspectral.errors import UnreliableReferenceError
 from rkspectral.harness import (
+    _summarize,
     conserved_quantities,
     convergence_study,
     dyadic_h_list,
@@ -20,7 +21,7 @@ from rkspectral.harness import (
     wave_band_state,
 )
 from rkspectral.problems import ProblemSpec, get_problem, make_nonlinearity
-from rkspectral.stepper import SolverConfig, integrate
+from rkspectral.stepper import SolverConfig, StepStats, integrate
 from rkspectral.spectral import (
     State,
     apply_A,
@@ -102,6 +103,14 @@ class TestConvergenceStudy:
         assert summary["problem"] == "nls-cubic-periodic"
         assert len(summary["errors"]) == 4
 
+    def test_mean_contraction_skips_one_iteration_steps(self):
+        stats = [StepStats(1, 1e-14, 0.0), StepStats(3, 1e-14, 0.25),
+                 StepStats(2, 1e-14, 0.75), StepStats(1, 1e-14, 0.0)]
+        summary = _summarize(stats)
+        assert summary["mean_contraction"] == 0.5
+        assert summary["mean_iterations"] == 1.75
+        assert _summarize(stats[:1])["mean_contraction"] == 0.0
+
     def test_non_integer_step_count_rejected(self):
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
@@ -177,6 +186,24 @@ class TestReferenceWalk:
             self.study(2, s_ref=1, h_ref=min(self.H_LIST) / 16)
         assert (info.value.discrepancy, info.value.required) == (
             last.value.discrepancy, last.value.required)
+
+    def test_stage_iterations_count_ladder_and_every_reference_run(self):
+        report = self.study(2, s_ref=2)
+        p = get_problem("nls-cubic-periodic", 16)
+        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+
+        def iterations(h):
+            cfg = SolverConfig(h=h, fp_tol=1e-13)
+            _, history = integrate(p, gauss_legendre(2), u0, cfg, round(self.T / h))
+            return sum(s.iterations for s in history)
+
+        rungs = report.reference["rungs"]
+        assert len(rungs) > 1  # the coarse and fine runs of every rung count
+        reference_steps = [rungs[0]["h_ref"]] + [r["h_ref"] / 2 for r in rungs]
+        assert report.summary_dict()["stage_iterations"] == {
+            "ladder": sum(iterations(h) for h in self.H_LIST),
+            "reference": sum(iterations(h) for h in reference_steps),
+        }
 
     def test_explicit_h_ref_does_not_walk(self):
         with pytest.raises(UnreliableReferenceError):

@@ -23,7 +23,7 @@ from rkspectral.stepper import (
     step,
     tangent_step,
 )
-from rkspectral.tableau import gauss_legendre
+from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 MIDPOINT = gauss_legendre(1)
 GL2 = gauss_legendre(2)
@@ -362,6 +362,92 @@ class TestIntegrate:
         p = get_problem("nls-cubic-periodic", 16)
         with pytest.raises(ValueError):
             integrate(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01), 0)
+
+
+PREDICTOR_CASES = [
+    ("nls-cubic-periodic", 32, nls_two_mode_state),
+    ("wave-cubic-periodic", 32, wave_band_state),
+    ("wave-dirichlet-compatible", 64, wave_band_state),
+]
+
+
+class TestPredictedStart:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
+    def test_extrapolation_matrix_reproduces_polynomials(self, s):
+        # E maps the values of any polynomial of degree < s at the nodes c
+        # to its values at 1 + c; rounding grows with the size of E.
+        c = gauss_legendre(s).c
+        e = stepper._extrapolation_matrix(c)
+        for degree in range(s):
+            exact = (1 + c) ** degree
+            assert np.max(np.abs(e @ c**degree - exact)) <= 1e-10 * np.max(exact)
+
+    def test_extrapolation_matrix_needs_distinct_nodes(self):
+        assert stepper._extrapolation_matrix(np.array([0.5, 0.5])) is None
+
+    @pytest.mark.parametrize("name, n, initial", PREDICTOR_CASES)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_first_step_is_step_and_run_agrees_with_steps(self, name, n, initial, s):
+        p = get_problem(name, n)
+        t = gauss_legendre(s)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        u = initial(p.grid)
+        seen = []
+        final, history = integrate(p, t, u, cfg, 10, lambda i, x, st: seen.append(x))
+        first, first_stats = step(p, t, u, cfg)
+        assert seen[0].coeffs.tobytes() == first.coeffs.tobytes()
+        assert history[0] == first_stats
+        looped = u
+        for _ in range(10):
+            looped, _ = step(p, t, looped, cfg)
+        assert base_norm(final - looped) <= 1e-12
+
+    def test_predicted_start_saves_iterations(self):
+        p = get_problem("nls-cubic-periodic", 64)
+        u = nls_two_mode_state(p.grid)
+        cfg = SolverConfig(h=0.005, fp_tol=1e-13)
+        _, history = integrate(p, GL2, u, cfg, 100)
+        unpredicted = 0
+        for _ in range(100):
+            u, stats = step(p, GL2, u, cfg)
+            unpredicted += stats.iterations
+        predicted = sum(s.iterations for s in history)
+        assert predicted <= 0.7 * unpredicted
+
+    def test_repeated_nodes_run_unpredicted(self):
+        # two decoupled implicit-midpoint stages share the node 1/2
+        t = ButcherTableau(2, [[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], [0.5, 0.5], 2)
+        p = get_problem("nls-cubic-periodic", 16)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        u = two_mode(p.grid)
+        final, history = integrate(p, t, u, cfg, 5)
+        for expected in history:
+            u, stats = step(p, t, u, cfg)
+            assert stats == expected
+        assert final.coeffs.tobytes() == u.coeffs.tobytes()
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_tangent_flow_is_predicted_like_integrate(self, s):
+        p = get_problem("nls-cubic-periodic", 32)
+        t = gauss_legendre(s)
+        cfg = SolverConfig(h=0.005, fp_tol=1e-13)
+        u = nls_two_mode_state(p.grid)
+        v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
+        (u1, v1), history = stepper._integrate_tangent(p, t, (u, v), cfg, 1)
+        u_step, v_step, stats = tangent_step(p, t, u, v, cfg)
+        assert u1.coeffs.tobytes() == u_step.coeffs.tobytes()
+        assert v1.coeffs.tobytes() == v_step.coeffs.tobytes()
+        assert history == [stats]
+        (u_run, v_run), history = stepper._integrate_tangent(p, t, (u, v), cfg, 40)
+        primal, _ = integrate(p, t, u, cfg, 40)
+        unpredicted = 0
+        for _ in range(40):
+            u, v, stats = tangent_step(p, t, u, v, cfg)
+            unpredicted += stats.iterations
+        assert base_norm(u_run - u) <= 1e-12
+        assert base_norm(v_run - v) <= 1e-12
+        assert base_norm(u_run - primal) <= 1e-12
+        assert sum(st.iterations for st in history) < unpredicted
 
 
 class TestTangentStep:
