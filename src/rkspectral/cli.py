@@ -188,7 +188,7 @@ def _run_conservation(cfg, out_dir):
              repr(mass_drift), repr(energy_dev)]
         )
 
-    integrate(problem, t, u0, solver, steps, observer)
+    _, history = integrate(problem, t, u0, solver, steps, observer)
     _write_csv(
         out_dir / "conservation.csv",
         ["step", "time", "mass", "energy", "mass_drift_rel", "energy_dev"],
@@ -207,7 +207,9 @@ def _run_conservation(cfg, out_dir):
             f"{'PASS (no drift)' if ok else 'FAIL'}"
         )
     result = {"mass_drift_rel": mass_drift, "energy_dev_final": final,
-              "energy_dev_early_max": early}
+              "energy_dev_early_max": early,
+              "stage_iterations": sum(stats.iterations for stats in history),
+              "max_iterations": max(stats.iterations for stats in history)}
     return result, ok, verdict
 
 

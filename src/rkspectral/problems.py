@@ -257,9 +257,10 @@ def get_problem(name: str, n: int | None = None) -> ProblemSpec:
     factories = _catalogue()
     if name not in factories:
         raise KeyError(f"unknown problem {name!r}; available: {list_problems()}")
-    return factories[name](n or DEFAULT_GRID_SIZE)
+    return factories[name](DEFAULT_GRID_SIZE if n is None else n)
 
 
 def standard_problems(n: int | None = None) -> dict:
     """The full named catalogue with default grids."""
-    return {name: factory(n or DEFAULT_GRID_SIZE) for name, factory in _catalogue().items()}
+    n = DEFAULT_GRID_SIZE if n is None else n
+    return {name: factory(n) for name, factory in _catalogue().items()}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -393,12 +392,10 @@ def hermitian_symmetry_defect(u: State) -> float:
 # LRU bound; the largest working set of one run is 20 keys (smoothness, q=4).
 _MATRIX_CACHE_SIZE = 32
 _MATRIX_CACHE: OrderedDict = OrderedDict()
-_CACHE_LOCK = threading.Lock()
 
 
 def clear_matrix_cache():
-    with _CACHE_LOCK:
-        _MATRIX_CACHE.clear()
+    _MATRIX_CACHE.clear()
 
 
 def _build_symbol_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
@@ -450,14 +447,13 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     rebuilt matrices agree with the first build bit for bit.
     """
     key = (t.fingerprint(), np.float64(h).tobytes(), grid.fingerprint())
-    with _CACHE_LOCK:
-        if key in _MATRIX_CACHE:
-            _MATRIX_CACHE.move_to_end(key)
-        else:
-            _MATRIX_CACHE[key] = _build_step_matrices(t, h, grid)
-            if len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
-                _MATRIX_CACHE.popitem(last=False)
-        return _MATRIX_CACHE[key]
+    if key in _MATRIX_CACHE:
+        _MATRIX_CACHE.move_to_end(key)
+    else:
+        _MATRIX_CACHE[key] = _build_step_matrices(t, h, grid)
+        if len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
+            _MATRIX_CACHE.popitem(last=False)
+    return _MATRIX_CACHE[key]
 
 
 def solve_stage_resolvent(rhs: StageSet, t: ButcherTableau, h: float) -> StageSet:

@@ -9,14 +9,17 @@ by plain iteration.  A single step (``step``, ``tangent_step``,
 B = 0 solution.  Each later step of a run (``integrate`` and the
 tangent flow of the order studies) starts from
 
-    W_0 = (I - h a (x) A)^{-1} (1 u + h a E F),
+    W_0 = (I - h a (x) A)^{-1} (1 u + h a E [F_{n-K+1}; ...; F_n]),
 
-where F is the previous step's final-iteration B and E[i, j] =
-l_j(1 + c_i) evaluates the Lagrange basis on the nodes c at the new
-step's nodes: the "starting values" of Hairer & Wanner (Solving ODEs
-II, section IV.8).  B is extrapolated, not W, so the stiff linear part
-still goes through the resolvent and highly oscillatory modes are never
-extrapolated.  The update is then evaluated in resolvent form,
+where F_m is step m's final-iteration B, kept for the last
+K = ceil(P / s) steps with P = max(s, 5), and E[i, j] = l_j(1 + c_i)
+evaluates the Lagrange basis on the last P history node times
+(c - (K - 1), ..., c - 1, c) at the new step's nodes: the "starting
+values" of Hairer & Wanner (Solving ODEs II, section IV.8), continued
+across steps.  The first steps of a run use the min(P, j s) node times
+their j steps provide.  B is extrapolated, not W, so the stiff linear
+part still goes through the resolvent and highly oscillatory modes are
+never extrapolated.  The update is then evaluated in resolvent form,
 
     u' = S(hA) u + h b^T (I - h a (x) A)^{-1} B(W_prev),
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +61,13 @@ from .tableau import ButcherTableau
 
 # A contraction estimate above this warns that h is near the iteration's limit.
 _CONTRACTION_WARN = 0.9
+
+# The predictor extrapolates B through the last max(s, _PREDICTOR_POINTS)
+# history node times.  Over NLS, periodic and Dirichlet wave runs at
+# h = 0.02..0.00125, five points take 10-42% fewer stage iterations than
+# s points for s = 1..4, while s + 2 points take up to 36% more at s = 8,
+# where the longer extrapolation amplifies rounding.
+_PREDICTOR_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -178,19 +189,34 @@ def fixed_point_stages(
     return StageSet(p.grid, w), stats
 
 
-def _extrapolation_matrix(c):
-    """``E[i, j] = l_j(1 + c_i)``: the Lagrange basis on the nodes ``c``,
-    evaluated at the next step's nodes, or None when two nodes coincide
-    and the basis does not exist."""
+def _extrapolation_matrix(c, points):
+    """``E[i, j] = l_j(1 + c_i)``: the Lagrange basis on the last ``points``
+    history node times, evaluated at the next step's nodes.
+
+    The history of K = ceil(points / s) steps has the node times
+    tau = (c - (K - 1), ..., c - 1, c), oldest first, in units of h from
+    the start of the last step, and E has one column per node.  A node
+    older than the last ``points``, or coinciding with a newer one (as
+    the step boundary does for a tableau with nodes 0 and 1), gets a zero
+    column.  Returns None when two nodes of one step coincide.
+    """
     s = len(c)
     if len(set(c.tolist())) < s:
         return None
+    steps = -(-points // s)
+    tau = np.concatenate([c - k for k in range(steps - 1, -1, -1)])
+    nodes = []
+    for j in reversed(range(len(tau) - points, len(tau))):
+        if tau[j] not in tau[nodes]:
+            nodes.append(j)
+    nodes.sort()
     x = 1.0 + c
-    e = np.ones((s, s))
-    for j in range(s):
-        for m in range(s):
+    e = np.zeros((s, len(tau)))
+    for j in nodes:
+        e[:, j] = 1.0
+        for m in nodes:
             if m != j:
-                e[:, j] *= (x - c[m]) / (c[j] - c[m])
+                e[:, j] *= (x - tau[m]) / (tau[j] - tau[m])
     return e
 
 
@@ -199,25 +225,37 @@ def _steps(p, t, x, cfg, steps, B):
     (..., c, n), yielding the new states, the stages, the final
     iteration's B and the statistics after each.
 
-    The first step's iteration starts from the B = 0 solution, each
-    later one from the previous step's final B extrapolated to its
-    nodes.  A near-1 contraction warns at the caller of the public
-    function that runs this through ``_integrate`` or
-    ``_integrate_tangent``.
+    The first step's iteration starts from the B = 0 solution.  Each
+    later one starts from the final B of the last K steps, extrapolated
+    to its nodes through min(P, j s) node times after j steps, with one
+    extrapolation matrix built per run and point count.  A near-1
+    contraction warns at the caller of the public function that runs
+    this through ``_integrate`` or ``_integrate_tangent``.
     """
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
     matrices = step_matrices(t, cfg.h, p.grid)
-    extrapolate = _extrapolation_matrix(t.c)
-    predicted = None
+    points = max(t.s, _PREDICTOR_POINTS)
+    history = deque(maxlen=-(-points // t.s))
+    extrapolations = {}
     for _ in range(steps):
+        predicted = None
+        if history:
+            used = min(points, len(history) * t.s)
+            if used not in extrapolations:
+                extrapolations[used] = _extrapolation_matrix(t.c, used)
+            if extrapolations[used] is not None:
+                predicted = np.einsum(
+                    "ij,...jcn->...icn",
+                    extrapolations[used],
+                    np.concatenate(history, axis=-3),
+                )
         w, forcing, stats = _solve_stages(
             matrices[0], t.a, cfg.h, p.grid, x, B, cfg, predicted, stacklevel=5
         )
         x = _update(matrices, t.b, cfg.h, x, forcing)
+        history.append(forcing)
         yield x, w, forcing, stats
-        if extrapolate is not None:
-            predicted = np.einsum("ij,...jcn->...icn", extrapolate, forcing)
 
 
 def step(
@@ -272,7 +310,7 @@ def integrate(
     """Apply the step map ``steps`` times, reporting per-step statistics.
 
     The first step is ``step``; each later step starts its stage
-    iteration from the previous step's B extrapolated to its nodes.
+    iteration from the B of the last steps extrapolated to its nodes.
     The observer, when given, is called after each step with
     (step_index, state, stats) and must treat the state as read-only.
     """

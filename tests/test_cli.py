@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from rkspectral import cli
 from rkspectral.cli import main, run_config
+from rkspectral.stepper import integrate
 from rkspectral.tableau import gauss_legendre
 
 
@@ -308,6 +310,27 @@ def test_debug_checks_run_on_conservation(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out), "--debug-checks"]) == 0
     summary = json.loads((out / "conservation_summary.json").read_text(encoding="utf-8"))
     assert summary["config"]["debug_checks"] is True
+
+
+def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeypatch):
+    histories = []
+
+    def recording_integrate(*args):
+        final, history = integrate(*args)
+        histories.append(history)
+        return final, history
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 20}
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) == 0
+    result = json.loads((out / "conservation_summary.json").read_text(encoding="utf-8"))["result"]
+    [history] = histories
+    assert result["stage_iterations"] == sum(stats.iterations for stats in history)
+    assert result["max_iterations"] == max(stats.iterations for stats in history)
+    assert result["max_iterations"] < result["stage_iterations"]
+    header = (out / "conservation.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "step,time,mass,energy,mass_drift_rel,energy_dev"
 
 
 def test_python_dash_m_runs_from_a_checkout(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from rkspectral.errors import DomainEscapeError
 from rkspectral.problems import (
+    DEFAULT_GRID_SIZE,
     ProblemSpec,
     dealias_mask,
     dirichlet_boundary_defect,
@@ -186,6 +187,14 @@ class TestCatalogue:
         cat = standard_problems(32)
         assert set(cat) == set(list_problems())
         assert all(spec.grid.n == 32 for spec in cat.values())
+
+    def test_zero_grid_size_is_rejected_not_defaulted(self):
+        for name in list_problems():
+            with pytest.raises(ValueError):
+                get_problem(name, 0)
+        with pytest.raises(ValueError):
+            standard_problems(0)
+        assert get_problem("nls-cubic-periodic").grid.n == DEFAULT_GRID_SIZE
 
     def test_kind_grid_consistency_enforced(self):
         with pytest.raises(ValueError):

@@ -372,18 +372,52 @@ PREDICTOR_CASES = [
 
 
 class TestPredictedStart:
-    @pytest.mark.parametrize("s", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("s", range(1, 9))
     def test_extrapolation_matrix_reproduces_polynomials(self, s):
-        # E maps the values of any polynomial of degree < s at the nodes c
-        # to its values at 1 + c; rounding grows with the size of E.
+        # E maps the values of any polynomial of degree < P at the history
+        # node times tau of the last K steps to its values at 1 + c;
+        # rounding grows with the size of E.
         c = gauss_legendre(s).c
-        e = stepper._extrapolation_matrix(c)
-        for degree in range(s):
+        points = max(s, stepper._PREDICTOR_POINTS)
+        steps = -(-points // s)
+        tau = np.concatenate([c - k for k in range(steps - 1, -1, -1)])
+        e = stepper._extrapolation_matrix(c, points)
+        assert e.shape == (s, steps * s)
+        assert not e[:, : steps * s - points].any()
+        for degree in range(points):
             exact = (1 + c) ** degree
-            assert np.max(np.abs(e @ c**degree - exact)) <= 1e-10 * np.max(exact)
+            assert np.max(np.abs(e @ tau**degree - exact)) <= 1e-10 * np.max(exact)
 
     def test_extrapolation_matrix_needs_distinct_nodes(self):
-        assert stepper._extrapolation_matrix(np.array([0.5, 0.5])) is None
+        assert stepper._extrapolation_matrix(np.array([0.5, 0.5]), 2) is None
+
+    def test_extrapolation_matrix_drops_repeated_history_nodes(self):
+        # with nodes 0 and 1 the last five node times (-1, -1, 0, 0, 1)
+        # hold three distinct ones; the newer of each pair is kept
+        e = stepper._extrapolation_matrix(np.array([0.0, 1.0]), 5)
+        assert e.tolist() == [[0, 0, 0, 0, 0, 1], [0, 0, 1, 0, -3, 3]]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 8])
+    def test_warm_up_uses_the_points_of_the_steps_taken(self, s, monkeypatch):
+        built = []
+        extrapolation_matrix = stepper._extrapolation_matrix
+
+        def recording(c, points):
+            built.append(points)
+            return extrapolation_matrix(c, points)
+
+        monkeypatch.setattr(stepper, "_extrapolation_matrix", recording)
+        p = get_problem("nls-cubic-periodic", 16)
+        t = gauss_legendre(s)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        u = two_mode(p.grid)
+        points = max(s, stepper._PREDICTOR_POINTS)
+        steps = -(-points // s)
+        seen = []
+        integrate(p, t, u, cfg, steps + 3, lambda i, x, st: seen.append(x))
+        assert built == [min(points, j * s) for j in range(1, steps + 1)]
+        first, _ = step(p, t, u, cfg)
+        assert seen[0].coeffs.tobytes() == first.coeffs.tobytes()
 
     @pytest.mark.parametrize("name, n, initial", PREDICTOR_CASES)
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -413,6 +447,32 @@ class TestPredictedStart:
             unpredicted += stats.iterations
         predicted = sum(s.iterations for s in history)
         assert predicted <= 0.7 * unpredicted
+
+    def test_midpoint_nls_halves_iterations(self):
+        p = get_problem("nls-cubic-periodic", 64)
+        u = nls_two_mode_state(p.grid)
+        cfg = SolverConfig(h=0.005, fp_tol=1e-13)
+        _, history = integrate(p, MIDPOINT, u, cfg, 100)
+        unpredicted = 0
+        for _ in range(100):
+            u, stats = step(p, MIDPOINT, u, cfg)
+            unpredicted += stats.iterations
+        assert sum(s.iterations for s in history) <= 0.6 * unpredicted
+
+    def test_lobatto_nodes_zero_and_one_run_predicted(self):
+        # the 2-stage Lobatto IIIA nodes 0 and 1 visit each step boundary
+        # twice; the predictor drops the older copy of those node times
+        t = ButcherTableau(2, [[0.0, 0.0], [0.5, 0.5]], [0.5, 0.5], [0.0, 1.0], 2)
+        p = get_problem("nls-cubic-periodic", 64)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        u = nls_two_mode_state(p.grid)
+        final, history = integrate(p, t, u, cfg, 20)
+        unpredicted = 0
+        for _ in range(20):
+            u, stats = step(p, t, u, cfg)
+            unpredicted += stats.iterations
+        assert base_norm(final - u) <= 1e-12
+        assert sum(s.iterations for s in history) < unpredicted
 
     def test_repeated_nodes_run_unpredicted(self):
         # two decoupled implicit-midpoint stages share the node 1/2
