@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -331,6 +332,39 @@ def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeyp
     assert result["max_iterations"] < result["stage_iterations"]
     header = (out / "conservation.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "step,time,mass,energy,mass_drift_rel,energy_dev"
+
+
+@pytest.mark.parametrize(
+    "problem, steps",
+    [("nls-cubic-periodic", 20), ("wave-dirichlet-compatible", 25), ("wave-cubic-periodic", 7)],
+)
+def test_conservation_summary_explains_the_verdict(tmp_path, capsys, problem, steps):
+    payload = {"experiment": "conservation", "problem": problem, "n": 16, "h": 0.01,
+               "steps": steps}
+    out = tmp_path / "out"
+    code = run_config(write_config(tmp_path, payload), out)
+    summary = json.loads((out / "conservation_summary.json").read_text(encoding="utf-8"))
+    with open(out / "conservation.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert code == (0 if summary["pass"] else 1)  # a short wave run may read as drift
+    result = summary["result"]
+    devs = [float(row["energy_dev"]) for row in rows]
+    assert len(devs) == steps
+    tenths = [devs[j * steps // 10:(j + 1) * steps // 10] for j in range(10)]
+    assert result["energy_dev_tenths"] == [max(part) if part else None for part in tenths]
+    assert max(d for d in result["energy_dev_tenths"] if d is not None) == max(devs)
+    window = result["verdict_window"]
+    if problem.startswith("nls"):
+        # the mass verdict reads every step
+        assert window["steps"] == steps
+        assert result["mass_drift_rel"] == max(float(row["mass_drift_rel"]) for row in rows)
+    else:
+        # the wave's "mass" (the displacement's squared L2 norm) is not conserved
+        assert "mass_drift_rel" not in result
+        assert window["steps"] == max(1, steps // 10)
+        assert result["energy_dev_early_max"] == max(devs[: window["steps"]])
+    assert window["time"] == float(rows[window["steps"] - 1]["time"])
+    assert result["energy_dev_final"] == devs[-1]
 
 
 def test_python_dash_m_runs_from_a_checkout(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -97,12 +98,64 @@ class TestTransforms:
         grid = wave_grid(n, bc)
         vals = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         vals[1].imag = 0.0  # a real field among complex ones
+        sine = grid._sine_matrix
+        if sine is not None:
+            # a dense-DST-I grid (n = 256): its reference is two dense products
+            stacked = functools.partial(stacked, sine=sine)
+
+            def transform(x, type, axis):
+                return np.matvec(sine, x)
+
         two_calls = transform(vals.real, type=1, axis=-1) + 1j * transform(
             vals.imag, type=1, axis=-1
         )
         assert stacked(vals).tobytes() == two_calls.tobytes()
         for coeffs in (grid.transform_array(vals), inverse_transform_array(grid, vals)):
             assert coeffs.shape == vals.shape and coeffs.dtype == complex
+
+    @pytest.mark.parametrize("n", [64, 100, 192, 256])
+    def test_dense_dst1_matches_scipy(self, n):
+        grid = wave_grid(n, "dirichlet")
+        vals = np.random.default_rng(n).standard_normal((3, n))
+        expected = dst(vals, type=1, axis=-1)
+        dense = spectral._complex_dst1(vals, grid._sine_matrix)
+        assert np.max(np.abs(dense - expected)) <= 1e-14 * np.max(np.abs(expected))
+        coeffs = grid.transform_array(vals)
+        back = inverse_transform_array(grid, coeffs)
+        assert np.max(np.abs(back - vals)) <= 1e-13 * np.max(np.abs(vals))
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_dense_dst1_stacked_equals_separate_calls_bitwise(self, n):
+        # np.matvec computes each row on its own: batching never moves a bit
+        # (a BLAS product of r rows rounds differently as r changes)
+        sine = wave_grid(n, "dirichlet")._sine_matrix
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+        stacked = spectral._complex_dst1(vals, sine)
+        for rows in range(1, 9):
+            assert spectral._complex_dst1(vals[:rows], sine).tobytes() == (
+                stacked[:rows].tobytes()
+            )
+        for row in range(9):
+            assert spectral._complex_dst1(vals[row], sine).tobytes() == stacked[row].tobytes()
+        batched = spectral._complex_dst1(vals.reshape(3, 3, n), sine)
+        assert batched.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, dense",
+        [(64, True), (100, True), (192, True), (256, True),
+         (63, False), (125, False), (224, False), (255, False), (512, False)],
+    )
+    def test_dense_dst1_rule(self, n, dense):
+        assert spectral._dense_dst1(n) is dense
+        grid = wave_grid(n, "dirichlet")
+        assert (grid._sine_matrix is not None) is dense
+        assert schrodinger_grid(n, "neumann")._sine_matrix is None
+        if dense:
+            assert grid._sine_matrix is grid._sine_matrix
+            assert grid._sine_matrix.shape == (n, n)
+            with pytest.raises(ValueError):
+                grid._sine_matrix[0, 0] = 1.0
 
     def test_modes_and_weights_are_cached_read_only(self):
         grid = wave_grid(16, "neumann")
