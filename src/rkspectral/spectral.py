@@ -14,11 +14,11 @@ wave system the k = 0 block is nilpotent and generates the familiar
 secular (linear-in-time) drift; the exact formulas below cover it.
 
 Transforms: periodic grids use numpy's FFT, Neumann grids scipy's DCT-I.
-Dirichlet grids apply DST-I as a product with the grid's cached
-``2 sin(pi j k / (n+1))`` matrix when n <= 256 and n + 1 has a prime
-factor above 7 (where pocketfft's length-2(n+1) FFT is slow), and call
-scipy's DST-I otherwise.  Either way a complex transform is one real
-call on the stacked (real, imaginary) rows.
+Dirichlet grids with n <= 256 apply DST-I as a product with the grid's
+cached ``2 sin(pi j k / (n+1))`` matrix; larger ones call scipy's DST-I,
+whose length-2(n+1) FFT is slow when 2(n+1) has a large prime factor
+(n = 256: 2 x 257).  Either way a complex transform is one real call on
+the stacked (real, imaginary) rows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from .tableau import ButcherTableau
 
 DEFAULT_SCALE_CAP = 8
 
-# Largest Dirichlet grid whose DST-I may run as a dense matrix product.
+# Largest Dirichlet grid whose DST-I runs as a dense matrix product: the
+# benchmark's Dirichlet run (n = 256) is the only size measured end to
+# end, and the O(n^2) product loses to the FFT at n = 511 and 512.
 _DENSE_DST1_MAX_N = 256
 
 
@@ -126,13 +128,13 @@ class SpectralGrid:
     @cached_property
     def _sine_matrix(self) -> np.ndarray | None:
         """The DST-I matrix ``2 sin(pi j k / (n+1))``, j, k = 1..n, on a
-        Dirichlet grid that applies DST-I densely (see ``_dense_dst1``);
-        None elsewhere.  Read-only.  The angles are reduced exactly to
-        ``j k mod 2(n+1)`` and read from a table of the 2(n+1) sines; the
-        n x n products are int32 (they fit, since n <= 256), which keeps
-        the build's temporaries at half the matrix's size.
+        Dirichlet grid with n <= ``_DENSE_DST1_MAX_N``; None elsewhere.
+        Read-only.  The angles are reduced exactly to ``j k mod 2(n+1)``
+        and read from a table of the 2(n+1) sines; the n x n products are
+        int32 (they fit, since n <= 256), which keeps the build's
+        temporaries at half the matrix's size.
         """
-        if self.bc != "dirichlet" or not _dense_dst1(self.n):
+        if self.bc != "dirichlet" or self.n > _DENSE_DST1_MAX_N:
             return None
         period = 2 * (self.n + 1)
         table = 2 * np.sin(np.pi * np.arange(period) / (self.n + 1))
@@ -194,30 +196,26 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _dense_dst1(n: int) -> bool:
-    """Whether a DST-I on n points runs as a dense product: n <= 256 and
-    n + 1 has a prime factor above 7.  There scipy's DST-I takes a
-    length-2(n+1) FFT through pocketfft's slow Bluestein path, and the
-    O(n^2) product is faster (n = 256, two rows, 2-core x86_64: 23 us
-    against 61 us)."""
-    rest = n + 1
-    for p in (2, 3, 5, 7):
-        while rest % p == 0:
-            rest //= p
-    return n <= _DENSE_DST1_MAX_N and rest > 1
-
-
 def _complex_dst1(vals, sine=None):
     """DST-I of complex data as one real call on the stacked (real, imag)
     rows; each row comes out bit for bit as its own transform would.
 
-    ``sine`` is a grid's ``_sine_matrix``: when given, the transform is
-    ``np.matvec`` with it, which computes every row on its own (a BLAS
-    ``@`` rounds a row differently depending on how many rows come with
-    it); when None, scipy's DST-I.
+    ``sine`` is a grid's ``_sine_matrix``: when given, the transform is a
+    product with it, taken with each row as an (n, 1) column so that
+    numpy computes every row on its own with a BLAS matrix-vector call (a
+    product with the rows as one matrix rounds a row differently
+    depending on how many rows come with it); when None, scipy's DST-I.
+    The dense path's last bits come from the installed BLAS kernel, so
+    they can differ between CPUs, BLAS builds and thread settings.  It
+    is faster than scipy where 2(n+1) has a large prime factor (two rows,
+    2-core x86_64: n = 256 19 us against 62 us) and slower at some smooth
+    n (n = 255: 18 us against 14 us).
     """
     rows = np.stack([vals.real, vals.imag])
-    parts = dst(rows, type=1, axis=-1) if sine is None else np.matvec(sine, rows)
+    if sine is None:
+        parts = dst(rows, type=1, axis=-1)
+    else:
+        parts = np.matmul(sine, rows[..., None])[..., 0]
     return parts[0] + 1j * parts[1]
 
 

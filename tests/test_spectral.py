@@ -87,7 +87,7 @@ class TestTransforms:
         assert set(wave_grid(5, "dirichlet").modes) == {1, 2, 3, 4, 5}
         assert set(wave_grid(5, "neumann").modes) == {0, 1, 2, 3, 4}
 
-    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("n", [255, 256, 257])
     @pytest.mark.parametrize(
         "bc, stacked, transform",
         [("dirichlet", spectral._complex_dst1, dst), ("neumann", spectral._complex_dct1, dct)],
@@ -100,11 +100,11 @@ class TestTransforms:
         vals[1].imag = 0.0  # a real field among complex ones
         sine = grid._sine_matrix
         if sine is not None:
-            # a dense-DST-I grid (n = 256): its reference is two dense products
+            # a dense-DST-I grid (n <= 256): its reference is two dense products
             stacked = functools.partial(stacked, sine=sine)
 
             def transform(x, type, axis):
-                return np.matvec(sine, x)
+                return np.array([sine @ row for row in x])
 
         two_calls = transform(vals.real, type=1, axis=-1) + 1j * transform(
             vals.imag, type=1, axis=-1
@@ -113,7 +113,7 @@ class TestTransforms:
         for coeffs in (grid.transform_array(vals), inverse_transform_array(grid, vals)):
             assert coeffs.shape == vals.shape and coeffs.dtype == complex
 
-    @pytest.mark.parametrize("n", [64, 100, 192, 256])
+    @pytest.mark.parametrize("n", [64, 100, 192, 255, 256])
     def test_dense_dst1_matches_scipy(self, n):
         grid = wave_grid(n, "dirichlet")
         vals = np.random.default_rng(n).standard_normal((3, n))
@@ -126,8 +126,9 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_dense_dst1_stacked_equals_separate_calls_bitwise(self, n):
-        # np.matvec computes each row on its own: batching never moves a bit
-        # (a BLAS product of r rows rounds differently as r changes)
+        # each row is its own matrix-vector product: batching never moves a
+        # bit (a BLAS product of r rows as one matrix rounds differently as
+        # r changes)
         sine = wave_grid(n, "dirichlet")._sine_matrix
         rng = np.random.default_rng(n)
         vals = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
@@ -141,13 +142,8 @@ class TestTransforms:
         batched = spectral._complex_dst1(vals.reshape(3, 3, n), sine)
         assert batched.tobytes() == stacked.tobytes()
 
-    @pytest.mark.parametrize(
-        "n, dense",
-        [(64, True), (100, True), (192, True), (256, True),
-         (63, False), (125, False), (224, False), (255, False), (512, False)],
-    )
-    def test_dense_dst1_rule(self, n, dense):
-        assert spectral._dense_dst1(n) is dense
+    @pytest.mark.parametrize("n, dense", [(2, True), (255, True), (256, True), (257, False)])
+    def test_dense_dst1_size_cap(self, n, dense):
         grid = wave_grid(n, "dirichlet")
         assert (grid._sine_matrix is not None) is dense
         assert schrodinger_grid(n, "neumann")._sine_matrix is None
