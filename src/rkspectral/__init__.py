@@ -43,7 +43,6 @@ from .spectral import (
     apply_exp_tA,
     apply_S_hA,
     base_norm,
-    clear_matrix_cache,
     hermitian_symmetry_defect,
     schrodinger_grid,
     sobolev_norm,

@@ -134,8 +134,6 @@ def _initial_state(problem, cfg) -> State:
         return harness.random_band_state(problem.grid, rng)
     if kind == "rough":
         return harness.rough_decay_state(problem.grid)
-    if kind != "standard":
-        raise ValueError(f"unknown initial_data {kind!r} (standard, random, rough)")
     if problem.kind == "nls":
         return harness.nls_two_mode_state(problem.grid)
     return harness.wave_band_state(problem.grid)

@@ -304,10 +304,11 @@ def convergence_study(
     The ladder levels run first.  The reference uses ``s_ref`` stages
     (default two more than the study's) and walks rungs: the first pairs
     a coarse run at the finest study step with a fine run at half of it,
-    and each failing rung's fine run becomes the next rung's coarse run.  A rung passes when its self-consistency gap
-    is at most 1e-3 times the smallest error measured against its fine
-    run (floored at 50x the stage tolerance, the double-precision
-    accumulation scale); the first passing fine run is the reference.
+    and each failing rung's fine run becomes the next rung's coarse run.
+    A rung passes when its self-consistency gap is at most 1e-3 times the
+    smallest error measured against its fine run (floored at 50x the
+    stage tolerance, the double-precision accumulation scale); the first
+    passing fine run is the reference.
     If the rung with coarse step h_min/16 fails too, the walk raises
     ``UnreliableReferenceError``.  An explicit ``h_ref`` tries the single
     rung (h_ref, h_ref/2).  Levels whose error is within 100x the stage

@@ -128,11 +128,6 @@ class ProblemSpec:
         """Complement of ``dealias_mask(grid)``, computed once per problem."""
         return ~dealias_mask(self.grid)
 
-    def with_grid(self, grid: SpectralGrid) -> "ProblemSpec":
-        return ProblemSpec(
-            self.kind, grid, self.nonlinearity, self.dealias, self.scale_bound, self.name
-        )
-
 
 def dealias_mask(grid: SpectralGrid) -> np.ndarray:
     """Boolean mask of modes kept by the 2/3 rule (top third zeroed)."""
@@ -193,11 +188,6 @@ def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
     else:
         values = [f.gradient(u_phys), f.gradient_tangent(u_phys, v_phys)]
     return _modal_B(p, np.stack(values), pair)
-
-
-def evaluate_B_tangent_array(p: ProblemSpec, u_coeffs, v_coeffs) -> np.ndarray:
-    """Batched directional derivative DB(u) v, evaluated pointwise."""
-    return evaluate_B_pair_array(p, np.stack([u_coeffs, v_coeffs]))[1]
 
 
 def dirichlet_boundary_defect(p: ProblemSpec) -> float:

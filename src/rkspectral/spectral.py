@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -142,9 +141,6 @@ class SpectralGrid:
         angles = np.multiply.outer(k, k)
         angles %= period
         return _read_only(table[angles])
-
-    def fingerprint(self) -> bytes:
-        return f"{self.equation}|{self.bc}|{self.n}".encode()
 
     def symbol_blocks(self) -> np.ndarray:
         """Per-mode symbol of the linear operator: (n, c, c), complex for
@@ -435,14 +431,6 @@ def hermitian_symmetry_defect(u: State) -> float:
 
 # -- stage resolvent and update map -------------------------------------------
 
-# LRU bound; the largest working set of one run is 20 keys (smoothness, q=4).
-_MATRIX_CACHE_SIZE = 32
-_MATRIX_CACHE: OrderedDict = OrderedDict()
-
-
-def clear_matrix_cache():
-    _MATRIX_CACHE.clear()
-
 
 def _build_symbol_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     """Inverse stage blocks and update matrices per distinct symbol.
@@ -476,30 +464,18 @@ def _build_symbol_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     return stage_inv, update
 
 
-def _build_step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
-    """Per-mode (stage_inv, update), shapes (n, s*c, s*c) and (n, c, c):
-    the per-symbol matrices gathered back to storage order."""
+def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
+    """Per-mode stage resolvent and update matrices for step size h.
+
+    Returns (stage_inv, update), shapes (n, s*c, s*c) and (n, c, c): the
+    matrices of ``_build_symbol_matrices`` gathered back to storage
+    order.  Nothing is kept between calls: a run builds them once and
+    applies them at every step.  A repeated call performs the same
+    operations, so it returns fresh arrays with the same bits.
+    """
     stage_inv, update = _build_symbol_matrices(t, h, grid)
     inverse = grid._distinct_symbols[1]
     return stage_inv[inverse], update[inverse]
-
-
-def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
-    """Cached access to the per-mode step matrices.
-
-    The cache key is (tableau coefficients, exact h bits, grid identity)
-    and holds the ``_MATRIX_CACHE_SIZE`` most recently used keys; a key
-    evicted and requested again is rebuilt by the same operations, so the
-    rebuilt matrices agree with the first build bit for bit.
-    """
-    key = (t.fingerprint(), np.float64(h).tobytes(), grid.fingerprint())
-    if key in _MATRIX_CACHE:
-        _MATRIX_CACHE.move_to_end(key)
-    else:
-        _MATRIX_CACHE[key] = _build_step_matrices(t, h, grid)
-        if len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
-            _MATRIX_CACHE.popitem(last=False)
-    return _MATRIX_CACHE[key]
 
 
 def solve_stage_resolvent(rhs: StageSet, t: ButcherTableau, h: float) -> StageSet:

@@ -80,12 +80,6 @@ class ButcherTableau:
         b.setflags(write=False)
         c.setflags(write=False)
 
-    def fingerprint(self) -> bytes:
-        """Byte string identifying the coefficients, used as a cache key."""
-        return b"|".join(
-            [str(self.s).encode(), self.a.tobytes(), self.b.tobytes(), self.c.tobytes()]
-        )
-
     def to_json(self) -> str:
         return json.dumps(
             {

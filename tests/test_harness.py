@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from rkspectral import spectral
 from rkspectral.errors import UnreliableReferenceError
 from rkspectral.harness import (
     _summarize,
@@ -27,7 +26,6 @@ from rkspectral.spectral import (
     apply_A,
     apply_exp_tA,
     base_norm,
-    clear_matrix_cache,
     schrodinger_grid,
     step_matrices,
     wave_grid,
@@ -288,12 +286,6 @@ class TestStabilityGrowth:
                         norms = np.linalg.norm(scale @ powers @ inv_scale, ord=2, axis=(1, 2))
                         expected = float(np.max(norms))
                         assert stability_growth(t, grid, h, n_steps) == expected, (n, s, h)
-
-    @pytest.mark.parametrize("grid", [schrodinger_grid(64), wave_grid(64)])
-    def test_leaves_the_matrix_cache_alone(self, grid):
-        clear_matrix_cache()
-        stability_growth(gauss_legendre(3), grid, 0.37, 10)
-        assert len(spectral._MATRIX_CACHE) == 0
 
     def test_wave_nonzero_modes_stay_bounded(self):
         grid = wave_grid(64, "dirichlet")  # no zero mode on this grid

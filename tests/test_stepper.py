@@ -4,7 +4,7 @@ import pytest
 from rkspectral import stepper
 from rkspectral.errors import ConvergenceFailureError, NumericalBlowupError
 from rkspectral.harness import nls_two_mode_state, wave_band_state
-from rkspectral.problems import evaluate_B_array, evaluate_B_tangent_array, get_problem
+from rkspectral.problems import evaluate_B_array, evaluate_B_pair_array, get_problem
 from rkspectral.spectral import (
     StageSet,
     State,
@@ -110,7 +110,8 @@ class TestAgainstReference:
         v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
 
         def pair_B(w):
-            return [evaluate_B_array(p, w[0]), evaluate_B_tangent_array(p, w[0], w[1])]
+            tangent = evaluate_B_pair_array(p, np.stack([w[0], w[1]]))[1]
+            return [evaluate_B_array(p, w[0]), tangent]
 
         for _ in range(3):
             (u_ref, v_ref), residuals = reference_step(p, GL2, [u, v], cfg, pair_B)
@@ -362,6 +363,31 @@ class TestIntegrate:
         p = get_problem("nls-cubic-periodic", 16)
         with pytest.raises(ValueError):
             integrate(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01), 0)
+
+    @pytest.mark.parametrize("run", ["integrate", "tangent", "step"])
+    def test_builds_step_matrices_once_per_run(self, run, monkeypatch):
+        # Nothing caches the matrices: a build per step would cost a
+        # conservation run 2,000 builds instead of one.
+        p = get_problem("nls-cubic-periodic", 16)
+        u = two_mode(p.grid)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        build = stepper.step_matrices
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(stepper, "step_matrices", counted)
+        if run == "integrate":
+            _, history = integrate(p, GL2, u, cfg, 50)
+        elif run == "tangent":
+            v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
+            _, history = stepper._integrate_tangent(p, GL2, (u, v), cfg, 5)
+        else:
+            history = [step(p, GL2, u, cfg)[1]]
+        assert len(history) == {"integrate": 50, "tangent": 5, "step": 1}[run]
+        assert calls == [(GL2, cfg.h, p.grid)]
 
 
 PREDICTOR_CASES = [
