@@ -17,7 +17,6 @@ from .harness import (
     dyadic_h_list,
     nls_two_mode_state,
     random_band_state,
-    reference_solution,
     rough_decay_state,
     smoothness_probe,
     stability_growth,
@@ -28,31 +27,23 @@ from .problems import (
     NlsNonlinearity,
     ProblemSpec,
     WaveNonlinearity,
-    dirichlet_boundary_defect,
-    evaluate_B,
     get_problem,
     list_problems,
     make_nonlinearity,
-    standard_problems,
 )
 from .spectral import (
     SpectralGrid,
-    StageSet,
     State,
     apply_A,
     apply_exp_tA,
-    apply_S_hA,
     base_norm,
-    hermitian_symmetry_defect,
     schrodinger_grid,
     sobolev_norm,
-    solve_stage_resolvent,
     wave_grid,
 )
 from .stepper import (
     SolverConfig,
     StepStats,
-    fixed_point_stages,
     integrate,
     step,
     tangent_step,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import difflib
 import json
 import math
@@ -55,19 +56,13 @@ def _resolve_problem(cfg) -> ProblemSpec:
     """Catalogue lookup with optional nonlinearity/dealias overrides."""
     problem = get_problem(cfg["problem"], cfg["n"])
     if cfg.get("nonlinearity") is not None:
-        problem = ProblemSpec(
-            problem.kind,
-            problem.grid,
-            make_nonlinearity(problem.kind, cfg["nonlinearity"]),
-            problem.dealias,
-            problem.scale_bound,
+        problem = dataclasses.replace(
+            problem,
+            nonlinearity=make_nonlinearity(problem.kind, cfg["nonlinearity"]),
             name=f"{cfg['problem']}[{cfg['nonlinearity']}]",
         )
     if cfg.get("dealias") is not None:
-        problem = ProblemSpec(
-            problem.kind, problem.grid, problem.nonlinearity, bool(cfg["dealias"]),
-            problem.scale_bound, problem.name,
-        )
+        problem = dataclasses.replace(problem, dealias=bool(cfg["dealias"]))
     return problem
 
 
@@ -435,12 +430,10 @@ def main(argv=None) -> int:
         "--list-problems", action="store_true", help="print the problem catalogue and exit"
     )
     args = parser.parse_args(argv)
-    if args.command == "run":
-        if args.list_problems:
-            print("\n".join(list_problems()))
-            return 0
-        return run_config(args.config, args.out, args.debug_checks)
-    return 2
+    if args.list_problems:
+        print("\n".join(list_problems()))
+        return 0
+    return run_config(args.config, args.out, args.debug_checks)
 
 
 if __name__ == "__main__":

@@ -56,15 +56,15 @@ class ReferenceInfo:
 
     ``h_ref`` and ``discrepancy`` belong to the accepted rung (its coarse
     step and its h -> h/2 gap), ``required`` is the gate that gap had to
-    meet (None when none was enforced), and ``rungs`` lists the
-    (h_ref, discrepancy) of every rung tried, in order.
+    meet, and ``rungs`` lists the (h_ref, discrepancy) of every rung
+    tried, in order.
     """
 
     tableau: str
     h_ref: float
     discrepancy: float
-    required: float | None = None
-    rungs: tuple[tuple[float, float], ...] = ()
+    required: float
+    rungs: tuple[tuple[float, float], ...]
 
     def as_dict(self) -> dict:
         return {
@@ -154,44 +154,6 @@ def _summarize(stats) -> dict:
         "max_residual": float(max(s.final_residual for s in stats)),
         "mean_contraction": float(np.mean(ratios)) if ratios else 0.0,
     }
-
-
-def reference_solution(
-    p: ProblemSpec,
-    u0: State,
-    T: float,
-    s_ref: int = 4,
-    h_ref: float | None = None,
-    fp_tol: float = FP_TOL_FLOOR,
-    validate_tol: float | None = None,
-) -> tuple[State, ReferenceInfo]:
-    """Fine-step stand-in for the exact flow at time T.
-
-    Integrates with the ``s_ref``-stage Gauss-Legendre method at step
-    ``h_ref`` (default ``T / 1024``) and again at ``h_ref / 2``; the
-    base-norm gap between the two runs is recorded and, when
-    ``validate_tol`` is given, enforced.  Returns the finer of the two
-    runs.  Order studies do not use this default: they walk rungs
-    starting at their finest study step (see ``convergence_study``).
-    """
-    if T < 0:
-        raise ValueError("final time must be nonnegative")
-    if T == 0:
-        return u0, ReferenceInfo(f"gl:{s_ref}", 0.0, 0.0)
-    if h_ref is None:
-        h_ref = T / 1024
-    t_ref = gauss_legendre(s_ref)
-    coarse, _ = integrate(p, t_ref, u0, SolverConfig(h=h_ref, fp_tol=fp_tol), _steps_for(T, h_ref))
-    fine, _ = integrate(
-        p, t_ref, u0, SolverConfig(h=h_ref / 2, fp_tol=fp_tol), _steps_for(T, h_ref / 2)
-    )
-    discrepancy = base_norm(fine - coarse)
-    info = ReferenceInfo(
-        f"gl:{s_ref}", h_ref, discrepancy, validate_tol, ((h_ref, discrepancy),)
-    )
-    if validate_tol is not None and discrepancy > validate_tol:
-        raise UnreliableReferenceError(discrepancy, validate_tol)
-    return fine, info
 
 
 def _check_fp_tol(fp_tol, h_min, p_order):

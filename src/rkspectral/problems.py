@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainEscapeError
-from .spectral import SpectralGrid, State, inverse_transform_array, schrodinger_grid, wave_grid
+from .spectral import SpectralGrid, inverse_transform_array, schrodinger_grid, wave_grid
 
 DEFAULT_GRID_SIZE = 64
 
@@ -166,13 +166,6 @@ def evaluate_B_array(p: ProblemSpec, coeffs: np.ndarray) -> np.ndarray:
     return _modal_B(p, f.value(phys) if p.kind == "wave" else f.gradient(phys), coeffs)
 
 
-def evaluate_B(p: ProblemSpec, u: State) -> State:
-    """The semilinear right-hand side B at one state."""
-    if u.grid != p.grid:
-        raise ValueError("state lives on a different grid than the problem")
-    return State(p.grid, evaluate_B_array(p, u.coeffs))
-
-
 def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
     """(B(u), DB(u) v) for ``pair = (u, v)`` stacked on a leading axis.
 
@@ -188,18 +181,6 @@ def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
     else:
         values = [f.gradient(u_phys), f.gradient_tangent(u_phys, v_phys)]
     return _modal_B(p, np.stack(values), pair)
-
-
-def dirichlet_boundary_defect(p: ProblemSpec) -> float:
-    """Boundary value of f along sine-representable states.
-
-    The sine interpolant vanishes at the endpoints, so the defect is
-    |f(0)|; it is the constant term that leaks out of the sine-closed
-    subspace when the nonlinearity is incompatible.
-    """
-    if p.kind != "wave" or p.grid.bc != "dirichlet":
-        raise ValueError("boundary defect is defined for Dirichlet wave problems")
-    return abs(float(p.nonlinearity.value(0.0)))
 
 
 # -- catalogue -----------------------------------------------------------------
@@ -248,9 +229,3 @@ def get_problem(name: str, n: int | None = None) -> ProblemSpec:
     if name not in factories:
         raise KeyError(f"unknown problem {name!r}; available: {list_problems()}")
     return factories[name](DEFAULT_GRID_SIZE if n is None else n)
-
-
-def standard_problems(n: int | None = None) -> dict:
-    """The full named catalogue with default grids."""
-    n = DEFAULT_GRID_SIZE if n is None else n
-    return {name: factory(n) for name, factory in _catalogue().items()}

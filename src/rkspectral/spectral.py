@@ -23,7 +23,6 @@ the stacked (real, imaginary) rows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,10 +73,6 @@ class SpectralGrid:
     @property
     def components(self) -> int:
         return 2 if self.equation == "wave" else 1
-
-    @property
-    def length(self) -> float:
-        return 2 * math.pi if self.bc == "periodic" else math.pi
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -183,9 +178,6 @@ class SpectralGrid:
         coeffs[..., -1] /= 2
         return coeffs
 
-    def zero_state(self) -> "State":
-        return State(self, np.zeros((self.components, self.n), dtype=complex))
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -247,9 +239,6 @@ class State:
             )
         object.__setattr__(self, "coeffs", c)
 
-    def copy(self) -> "State":
-        return State(self.grid, self.coeffs.copy())
-
     def __add__(self, other: "State") -> "State":
         _check_same_grid(self, other)
         return State(self.grid, self.coeffs + other.coeffs)
@@ -262,42 +251,6 @@ class State:
         return State(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def to_physical(self) -> np.ndarray:
-        """Collocation values; shape (n,) for one component, else (2, n)."""
-        vals = inverse_transform_array(self.grid, self.coeffs)
-        return vals[0] if self.grid.components == 1 else vals
-
-    def to_csv(self, path):
-        """Dump coefficients as rows mode, re, im per component."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = ["mode"]
-            for comp in range(self.grid.components):
-                header += [f"re{comp}", f"im{comp}"]
-            writer.writerow(header)
-            for i, k in enumerate(self.grid.modes):
-                row = [int(k)]
-                for comp in range(self.grid.components):
-                    row += [
-                        repr(float(self.coeffs[comp, i].real)),
-                        repr(float(self.coeffs[comp, i].imag)),
-                    ]
-                writer.writerow(row)
-
-    @staticmethod
-    def from_csv(grid: SpectralGrid, path) -> "State":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))[1:]
-        if len(rows) != grid.n:
-            raise ValueError(f"expected {grid.n} coefficient rows, got {len(rows)}")
-        coeffs = np.zeros((grid.components, grid.n), dtype=complex)
-        for i, row in enumerate(rows):
-            if int(row[0]) != int(grid.modes[i]):
-                raise ValueError(f"mode mismatch at row {i}: {row[0]} vs {grid.modes[i]}")
-            for comp in range(grid.components):
-                coeffs[comp, i] = float(row[1 + 2 * comp]) + 1j * float(row[2 + 2 * comp])
-        return State(grid, coeffs)
 
 
 def _check_same_grid(u, v):
@@ -314,34 +267,6 @@ def inverse_transform_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarra
     half = coeffs.copy()
     half[..., 1:-1] /= 2
     return _complex_dct1(half)
-
-
-@dataclass(frozen=True)
-class StageSet:
-    """The s stage vectors of one implicit step, on a common grid.
-
-    ``data`` has shape (s, components, n).
-    """
-
-    grid: SpectralGrid
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=complex)
-        if d.ndim != 3 or d.shape[1:] != (self.grid.components, self.grid.n):
-            raise ValueError("stage data must have shape (s, components, n)")
-        object.__setattr__(self, "data", d)
-
-    @property
-    def s(self) -> int:
-        return self.data.shape[0]
-
-    def stage(self, j: int) -> State:
-        return State(self.grid, self.data[j])
-
-    @staticmethod
-    def broadcast(u: State, s: int) -> "StageSet":
-        return StageSet(u.grid, np.broadcast_to(u.coeffs, (s,) + u.coeffs.shape).copy())
 
 
 # -- linear operator actions ------------------------------------------------
@@ -417,18 +342,6 @@ def sobolev_norm(u: State, k: int, k_max: int = DEFAULT_SCALE_CAP) -> float:
     return math.sqrt(total)
 
 
-def hermitian_symmetry_defect(u: State) -> float:
-    """Max deviation from conj-symmetry of coefficients (periodic grids).
-
-    Real-valued physical fields have coefficients with c[-k] = conj(c[k]).
-    """
-    if u.grid.bc != "periodic":
-        raise ValueError("Hermitian symmetry is a periodic-grid notion")
-    c = u.coeffs
-    flipped = np.conj(np.roll(c[:, ::-1], 1, axis=-1))  # index of -k mod n
-    return float(np.max(np.abs(c - flipped)))
-
-
 # -- stage resolvent and update map -------------------------------------------
 
 
@@ -478,14 +391,6 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     return stage_inv[inverse], update[inverse]
 
 
-def solve_stage_resolvent(rhs: StageSet, t: ButcherTableau, h: float) -> StageSet:
-    """Solve ``(I - h a (x) A) W = rhs`` mode by mode."""
-    if h < 0:
-        raise ValueError("step size must be nonnegative")
-    stage_inv, _ = step_matrices(t, h, rhs.grid)
-    return StageSet(rhs.grid, _apply_stage_inv(stage_inv, rhs.data))
-
-
 def _apply_stage_inv(stage_inv: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Apply per-mode (s*c, s*c) blocks to stage data (..., s, c, n)."""
     vec = data.reshape(data.shape[:-3] + (-1, data.shape[-1])).swapaxes(-1, -2)
@@ -496,11 +401,3 @@ def _apply_stage_inv(stage_inv: np.ndarray, data: np.ndarray) -> np.ndarray:
 def _apply_update(update: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Apply per-mode (c, c) update blocks to states (..., c, n)."""
     return np.ascontiguousarray(np.einsum("kpq,...qk->...pk", update, coeffs))
-
-
-def apply_S_hA(u: State, t: ButcherTableau, h: float) -> State:
-    """Apply the update map ``S(hA)`` of the method to a state."""
-    if h < 0:
-        raise ValueError("step size must be nonnegative")
-    _, update = step_matrices(t, h, u.grid)
-    return State(u.grid, _apply_update(update, u.coeffs))

@@ -4,10 +4,10 @@ Stages solve the fixed-point equation
 
     W = (I - h a (x) A)^{-1} (1 u + h a B(W))
 
-by plain iteration.  A single step (``step``, ``tangent_step``,
-``fixed_point_stages``) and the first step of every run start from the
-B = 0 solution.  Each later step of a run (``integrate`` and the
-tangent flow of the order studies) starts from
+by plain iteration.  A single step (``step``, ``tangent_step``) and the
+first step of every run start from the B = 0 solution.  Each later step
+of a run (``integrate`` and the tangent flow of the order studies)
+starts from
 
     W_0 = (I - h a (x) A)^{-1} (1 u + h a E [F_{n-K+1}; ...; F_n]),
 
@@ -48,7 +48,6 @@ import numpy as np
 from .errors import ConvergenceFailureError, NumericalBlowupError
 from .problems import ProblemSpec, evaluate_B_array, evaluate_B_pair_array
 from .spectral import (
-    StageSet,
     State,
     _apply_stage_inv,
     _apply_update,
@@ -106,7 +105,7 @@ def _stage_residual(grid, delta):
     return math.sqrt(float(np.max(_base_norm_sq_rows(grid, delta))))
 
 
-def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted=None, stacklevel=3):
+def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
     """Plain iteration ``W = stage_inv (1 base + h a B(W))`` on stage arrays.
 
     ``base`` holds states (..., c, n); the stages W have shape
@@ -117,7 +116,8 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted=None, stackleve
     stages.  Returns the stages, the B evaluated by the final iteration
     (at the iterate before the returned stages) and the statistics; a
     contraction estimate above ``_CONTRACTION_WARN`` warns ``stacklevel``
-    frames up, at the caller of the public function that called this one.
+    frames up, which the caller sets to the frame of its own caller that
+    the warning should name.
     """
     s = a.shape[0]
     base = np.broadcast_to(base[..., None, :, :], base.shape[:-2] + (s,) + base.shape[-2:])
@@ -168,25 +168,6 @@ def _update(matrices, b, h, base, forcing):
 def _check_grid(p, u):
     if u.grid != p.grid:
         raise ValueError("state lives on a different grid than the problem")
-
-
-def fixed_point_stages(
-    p: ProblemSpec, t: ButcherTableau, u: State, cfg: SolverConfig
-) -> tuple[StageSet, StepStats]:
-    """Solve the stage equations by fixed-point iteration.
-
-    Starts from the B = 0 solution (one resolvent solve, exact for
-    B = 0), never from a predicted B, and iterates until the base-norm
-    update falls below ``cfg.fp_tol``.  A step size of 0 is accepted
-    here as a degenerate probe and returns the trivial stages after one
-    iteration.
-    """
-    _check_grid(p, u)
-    stage_inv, _ = step_matrices(t, cfg.h, p.grid)
-    w, _, stats = _solve_stages(
-        stage_inv, t.a, cfg.h, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg
-    )
-    return StageSet(p.grid, w), stats
 
 
 def _extrapolation_matrix(c, points):
@@ -280,7 +261,7 @@ def _integrate(p, t, u, cfg, steps, observer):
     for index, (coeffs, stages, forcing, stats) in enumerate(flow):
         u_new = State(p.grid, coeffs)
         if cfg.debug_checks:
-            _check_direct_form(p, t, u, StageSet(p.grid, stages), forcing, u_new, cfg)
+            _check_direct_form(p, t, u, stages, forcing, u_new, cfg)
         u = u_new
         history.append(stats)
         if observer is not None:
@@ -290,7 +271,7 @@ def _integrate(p, t, u, cfg, steps, observer):
 
 def _check_direct_form(p, t, u, stages, forcing, u_new, cfg):
     """Cross-evaluate u + h b^T (A W + forcing) against the resolvent form."""
-    aw = np.stack([apply_A(stages.stage(j)).coeffs for j in range(t.s)])
+    aw = np.stack([apply_A(State(p.grid, w)).coeffs for w in stages])
     direct = u.coeffs + cfg.h * np.einsum("j,jcn->cn", t.b, aw + forcing)
     gap = base_norm(State(p.grid, direct) - u_new)
     if gap > 10 * cfg.fp_tol:

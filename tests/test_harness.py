@@ -12,7 +12,6 @@ from rkspectral.harness import (
     dyadic_h_list,
     nls_two_mode_state,
     random_band_state,
-    reference_solution,
     rough_decay_state,
     smoothness_probe,
     stability_growth,
@@ -32,37 +31,21 @@ from rkspectral.spectral import (
 )
 from rkspectral.tableau import gauss_legendre
 
+from oracles import hermitian_symmetry_defect
+
 MIDPOINT = gauss_legendre(1)
 
 
 class TestReferenceSolution:
     def test_linear_reference_matches_exact_propagator(self):
+        # the gl:3 runs of a reference rung at h = T/64 and T/128
         p = get_problem("nls-linear-periodic", 32)
         u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
-        ref, info = reference_solution(p, u0, 0.5, s_ref=3, h_ref=0.5 / 64)
-        assert base_norm(ref - apply_exp_tA(u0, 0.5)) < 1e-11
-        assert info.discrepancy < 1e-11
-
-    def test_zero_time_returns_initial_state(self):
-        p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid)
-        ref, info = reference_solution(p, u0, 0.0)
-        assert base_norm(ref - u0) == 0.0
-        assert info.discrepancy == 0.0
-
-    def test_validation_tolerance_enforced(self):
-        p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid)
-        with pytest.raises(UnreliableReferenceError):
-            reference_solution(p, u0, 0.5, s_ref=1, h_ref=0.25, validate_tol=1e-16)
-
-    def test_halving_reference_step_self_consistency(self):
-        # the discrepancy recorded at h_ref dominates the one at h_ref/2
-        p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.4, 0.2))
-        _, coarse = reference_solution(p, u0, 0.5, s_ref=2, h_ref=0.5 / 32)
-        _, fine = reference_solution(p, u0, 0.5, s_ref=2, h_ref=0.5 / 64)
-        assert fine.discrepancy < coarse.discrepancy
+        exact = apply_exp_tA(u0, 0.5)
+        for steps in (64, 128):
+            cfg = SolverConfig(h=0.5 / steps, fp_tol=1e-13)
+            ref, _ = integrate(p, gauss_legendre(3), u0, cfg, steps)
+            assert base_norm(ref - exact) < 1e-11
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +134,10 @@ class TestReferenceWalk:
         h_list = dyadic_h_list(0.025, 3)
         h_ref = min(h_list) / 16
         report = convergence_study(p, MIDPOINT, u0, 0.25, h_list, fp_tol=1e-13, h_ref=h_ref)
-        ref, info = reference_solution(p, u0, 0.25, s_ref=3, h_ref=h_ref, fp_tol=1e-13)
+        coarse, ref = (
+            integrate(p, gauss_legendre(3), u0, SolverConfig(h=h, fp_tol=1e-13), round(0.25 / h))[0]
+            for h in (h_ref, h_ref / 2)
+        )
         expected = [
             base_norm(integrate(p, MIDPOINT, u0, SolverConfig(h=h, fp_tol=1e-13),
                                 round(0.25 / h))[0] - ref)
@@ -159,7 +145,7 @@ class TestReferenceWalk:
         ]
         assert report.errors == expected
         assert report.reference["h_ref"] == h_ref
-        assert report.reference["discrepancy"] == info.discrepancy
+        assert report.reference["discrepancy"] == base_norm(ref - coarse)
         assert len(report.reference["rungs"]) == 1
 
     def test_failing_rungs_chain_into_finer_ones(self):
@@ -353,8 +339,6 @@ class TestTangentStudy:
 
 class TestInitialData:
     def test_wave_band_state_is_real_field(self):
-        from rkspectral.spectral import hermitian_symmetry_defect
-
         state = wave_band_state(wave_grid(32))
         assert hermitian_symmetry_defect(state) == 0.0
 

@@ -1,0 +1,61 @@
+import inspect
+
+import rkspectral
+
+# The package's public surface.  A name added here is a deliberate
+# extension of the API; one that only tests need belongs in tests/oracles.py.
+PUBLIC_NAMES = [
+    "ButcherTableau",
+    "ConvergenceFailureError",
+    "ConvergenceReport",
+    "DomainEscapeError",
+    "NlsNonlinearity",
+    "NumericalBlowupError",
+    "ProblemSpec",
+    "ReferenceInfo",
+    "SingularResolventError",
+    "SolverConfig",
+    "SpectralGrid",
+    "StabilityReport",
+    "State",
+    "StepStats",
+    "UnreliableReferenceError",
+    "WaveNonlinearity",
+    "apply_A",
+    "apply_exp_tA",
+    "base_norm",
+    "check_a_stability",
+    "conserved_quantities",
+    "convergence_study",
+    "dirichlet_compatibility_study",
+    "dyadic_h_list",
+    "gauss_legendre",
+    "get_problem",
+    "integrate",
+    "list_problems",
+    "make_nonlinearity",
+    "nls_two_mode_state",
+    "quadrature_order",
+    "random_band_state",
+    "resolve_tableau",
+    "rough_decay_state",
+    "schrodinger_grid",
+    "smoothness_probe",
+    "sobolev_norm",
+    "stability_function",
+    "stability_growth",
+    "step",
+    "tangent_convergence_study",
+    "tangent_step",
+    "wave_band_state",
+    "wave_grid",
+]
+
+
+def test_public_surface_is_pinned():
+    # submodules become attributes when imported, so they are left out
+    names = sorted(
+        name for name, value in vars(rkspectral).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert names == PUBLIC_NAMES

@@ -8,16 +8,15 @@ from rkspectral.problems import (
     DEFAULT_GRID_SIZE,
     ProblemSpec,
     dealias_mask,
-    dirichlet_boundary_defect,
-    evaluate_B,
     evaluate_B_array,
     evaluate_B_pair_array,
     get_problem,
     list_problems,
     make_nonlinearity,
-    standard_problems,
 )
 from rkspectral.spectral import State, inverse_transform_array, schrodinger_grid, wave_grid
+
+from oracles import evaluate_B
 
 
 def mode_state(grid, component, assignments):
@@ -81,7 +80,7 @@ class TestEvaluateB:
         p = get_problem("nls-cubic-periodic", 16)
         u = mode_state(schrodinger_grid(32), 0, {0: 1.0})
         with pytest.raises(ValueError):
-            evaluate_B(p, u)
+            evaluate_B_array(p, u.coeffs)
 
 
 class TestTangentLinearization:
@@ -176,24 +175,19 @@ class TestCatalogue:
     def test_incompatible_case_has_nonzero_boundary_value(self):
         p = get_problem("wave-dirichlet-incompatible")
         assert p.nonlinearity.value(0.0) == pytest.approx(1.0)
-        assert dirichlet_boundary_defect(p) == pytest.approx(1.0)
-        assert dirichlet_boundary_defect(get_problem("wave-dirichlet-compatible")) == 0.0
+        assert get_problem("wave-dirichlet-compatible").nonlinearity.value(0.0) == 0.0
 
     def test_unknown_name_lists_catalogue(self):
         with pytest.raises(KeyError, match="nls-cubic-periodic"):
             get_problem("foo")
 
-    def test_standard_problems_builds_all(self):
-        cat = standard_problems(32)
-        assert set(cat) == set(list_problems())
-        assert all(spec.grid.n == 32 for spec in cat.values())
+    def test_catalogue_builds_all_at_given_size(self):
+        assert all(get_problem(name, 32).grid.n == 32 for name in list_problems())
 
     def test_zero_grid_size_is_rejected_not_defaulted(self):
         for name in list_problems():
             with pytest.raises(ValueError):
                 get_problem(name, 0)
-        with pytest.raises(ValueError):
-            standard_problems(0)
         assert get_problem("nls-cubic-periodic").grid.n == DEFAULT_GRID_SIZE
 
     def test_kind_grid_consistency_enforced(self):
@@ -220,7 +214,7 @@ class TestBoundaryPreservation:
         coeffs = np.zeros((2, 24), dtype=complex)
         coeffs[0, :5] = rng.standard_normal(5) * 0.4
         out = evaluate_B(p, State(p.grid, coeffs))
-        phys = np.real(out.to_physical()[1])
+        phys = np.real(inverse_transform_array(p.grid, out.coeffs)[1])
         again = p.grid.transform(np.vstack([np.zeros(24), phys]))
         assert np.max(np.abs(again.coeffs[1] - out.coeffs[1])) < 1e-13
 
