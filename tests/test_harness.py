@@ -47,6 +47,31 @@ class TestReferenceSolution:
             ref, _ = integrate(p, gauss_legendre(3), u0, cfg, steps)
             assert base_norm(ref - exact) < 1e-11
 
+    def test_validation_tolerance_enforced(self):
+        # an explicit single rung (h_ref, h_ref/2) whose gap misses the gate
+        p = get_problem("nls-cubic-periodic", 32)
+        u0 = nls_two_mode_state(p.grid)
+        with pytest.raises(UnreliableReferenceError) as info:
+            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.025], fp_tol=1e-13,
+                              s_ref=1, h_ref=0.25)
+        coarse, fine = (
+            integrate(p, MIDPOINT, u0, SolverConfig(h=h, fp_tol=1e-13), round(0.5 / h))[0]
+            for h in (0.25, 0.125)
+        )
+        assert info.value.discrepancy == base_norm(fine - coarse)
+        assert info.value.discrepancy > info.value.required
+
+    def test_halving_reference_step_self_consistency(self):
+        # the discrepancy recorded at h_ref dominates the one at h_ref/2
+        p = get_problem("nls-cubic-periodic", 32)
+        u0 = nls_two_mode_state(p.grid, amplitudes=(0.4, 0.2))
+        coarse, fine = (
+            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.025], fp_tol=1e-13,
+                              s_ref=2, h_ref=h_ref).reference
+            for h_ref in (0.5 / 32, 0.5 / 64)
+        )
+        assert fine["discrepancy"] < coarse["discrepancy"]
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -78,6 +103,19 @@ class TestConvergenceStudy:
         assert len(rows) == 1 + len(small_report.h_list)
         assert float(rows[1][2]) == small_report.errors[0]
 
+    def test_csv_roundtrip(self, small_report, tmp_path):
+        # every written value parses back to the report's float exactly
+        path = tmp_path / "report.csv"
+        small_report.write_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[0]) for r in rows] == small_report.h_list
+        assert [float(r[2]) for r in rows] == small_report.errors
+        assert [int(r[1]) for r in rows] == [st["steps"] for st in small_report.stats]
+        for r, st in zip(rows, small_report.stats):
+            assert [float(x) for x in r[3:]] == [
+                st["mean_iterations"], st["max_residual"], st["mean_contraction"]]
+
     def test_summary_dict_contents(self, small_report):
         summary = small_report.summary_dict()
         assert summary["fitted_order"] == small_report.fitted_order
@@ -97,6 +135,12 @@ class TestConvergenceStudy:
         u0 = nls_two_mode_state(p.grid)
         with pytest.raises(ValueError, match="integer"):
             convergence_study(p, MIDPOINT, u0, 0.5, [0.03, 0.015], fp_tol=1e-13)
+
+    def test_zero_time_rejected(self):
+        p = get_problem("nls-cubic-periodic", 32)
+        u0 = nls_two_mode_state(p.grid)
+        with pytest.raises(ValueError, match="positive integer"):
+            convergence_study(p, MIDPOINT, u0, 0.0, [0.05, 0.025], fp_tol=1e-13)
 
     def test_non_decreasing_ladder_rejected(self):
         p = get_problem("nls-cubic-periodic", 32)
