@@ -300,12 +300,8 @@ def _physical_quadrature(grid: SpectralGrid, values: np.ndarray) -> float:
     return float((vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1]) * dx)
 
 
-def conserved_quantities(p: ProblemSpec, u: State, debug: bool = False) -> dict:
-    """Mass and energy functionals of a state.
-
-    ``debug`` recomputes the quadratic energy terms by physical-space
-    quadrature and verifies agreement with the modal (Parseval) values.
-    """
+def conserved_quantities(p: ProblemSpec, u: State) -> dict:
+    """Mass and energy functionals of a state."""
     grid = p.grid
     w = grid.weights
     k = grid.modes.astype(float)
@@ -314,12 +310,7 @@ def conserved_quantities(p: ProblemSpec, u: State, debug: bool = False) -> dict:
         gradient_sq = float(np.sum(w * k**2 * np.abs(u.coeffs[0]) ** 2))
         phys = inverse_transform_array(grid, u.coeffs[0])
         potential = _physical_quadrature(grid, p.nonlinearity.potential(phys))
-        energy = gradient_sq + potential
-        if debug:
-            density = np.abs(phys) ** 2
-            mass_phys = _physical_quadrature(grid, density)
-            _debug_compare("mass", mass, mass_phys)
-        return {"mass": mass, "energy": energy}
+        return {"mass": mass, "energy": gradient_sq + potential}
 
     mass = float(np.sum(w * np.abs(u.coeffs[0]) ** 2))
     velocity_sq = float(np.sum(w * np.abs(u.coeffs[1]) ** 2))
@@ -327,43 +318,7 @@ def conserved_quantities(p: ProblemSpec, u: State, debug: bool = False) -> dict:
     phys_u = inverse_transform_array(grid, u.coeffs[0])
     potential = _physical_quadrature(grid, p.nonlinearity.antiderivative(np.real(phys_u)))
     energy = 0.5 * (velocity_sq + gradient_sq) + potential
-    if debug:
-        phys_v = inverse_transform_array(grid, u.coeffs[1])
-        velocity_phys = _physical_quadrature(grid, np.abs(phys_v) ** 2)
-        _debug_compare("velocity term", velocity_sq, velocity_phys)
-        _debug_compare("gradient term", gradient_sq, _gradient_quadrature(grid, u))
     return {"mass": mass, "energy": energy}
-
-
-def _debug_compare(label, spectral_value, physical_value):
-    scale = max(1.0, abs(spectral_value))
-    if abs(spectral_value - physical_value) > 1e-10 * scale:
-        raise RuntimeError(
-            f"{label}: spectral {spectral_value!r} vs quadrature {physical_value!r} disagree"
-        )
-
-
-def _gradient_quadrature(grid: SpectralGrid, u: State) -> float:
-    """Physical-space quadrature of the squared spatial derivative.
-
-    Debug-path cross-check of the modal value; the derivative is a trig
-    polynomial, so the matching trapezoid/rectangle rule is exact.  A
-    sine series differentiates into a cosine series, which does not
-    vanish at the endpoints, so the Dirichlet case integrates over the
-    endpoint-extended node set.
-    """
-    k = grid.modes.astype(float)
-    c = u.coeffs[0]
-    if grid.bc == "periodic":
-        vals = inverse_transform_array(grid, 1j * k * c)
-        return _physical_quadrature(grid, np.abs(vals) ** 2)
-    if grid.bc == "dirichlet":
-        x = np.concatenate([[0.0], grid.nodes, [math.pi]])
-        vals = np.abs((k * c) @ np.cos(np.outer(k, x))) ** 2
-        dx = math.pi / (grid.n + 1)
-        return float((vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1]) * dx)
-    vals = np.abs(-(k * c) @ np.sin(np.outer(k, grid.nodes))) ** 2
-    return _physical_quadrature(grid, vals)
 
 
 # -- linear stability growth ---------------------------------------------------

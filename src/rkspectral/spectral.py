@@ -13,12 +13,13 @@ k in {1, ..., n}; Neumann (cosine) k in {0, ..., n-1}.  For the periodic
 wave system the k = 0 block is nilpotent and generates the familiar
 secular (linear-in-time) drift; the exact formulas below cover it.
 
-Transforms: periodic grids use numpy's FFT, Neumann grids scipy's DCT-I.
-Dirichlet grids with n <= 256 apply DST-I as a product with the grid's
-cached ``2 sin(pi j k / (n+1))`` matrix; larger ones call scipy's DST-I,
-whose length-2(n+1) FFT is slow when 2(n+1) has a large prime factor
-(n = 256: 2 x 257).  Either way a complex transform is one real call on
-the stacked (real, imaginary) rows.
+Transforms all run on ``numpy.fft``.  Periodic grids use the complex FFT.
+Neumann grids take DCT-I as the real FFT of the length-2(n-1) even
+extension.  Dirichlet grids with n <= 256 apply DST-I as a product with
+the grid's cached ``2 sin(pi j k / (n+1))`` matrix; larger ones take the
+real FFT of the length-2(n+1) odd extension, which is slow when 2(n+1)
+has a large prime factor (n = 256: 2 x 257).  Either way a complex
+transform is one real call on the stacked (real, imaginary) rows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct, dst
 
 from .errors import SingularResolventError
 from .tableau import ButcherTableau
@@ -37,7 +37,9 @@ DEFAULT_SCALE_CAP = 8
 
 # Largest Dirichlet grid whose DST-I runs as a dense matrix product: the
 # benchmark's Dirichlet run (n = 256) is the only size measured end to
-# end, and the O(n^2) product loses to the FFT at n = 511 and 512.
+# end.  There numpy's length-514 real FFT takes the slow Bluestein path
+# (two rows: 86 us against 22 us for the product), and the O(n^2)
+# product loses to the FFT at n = 511 and 512.
 _DENSE_DST1_MAX_N = 256
 
 
@@ -192,24 +194,52 @@ def _complex_dst1(vals, sine=None):
     product with it, taken with each row as an (n, 1) column so that
     numpy computes every row on its own with a BLAS matrix-vector call (a
     product with the rows as one matrix rounds a row differently
-    depending on how many rows come with it); when None, scipy's DST-I.
+    depending on how many rows come with it); when None, the real FFT of
+    the odd extension ``[0, x, 0, -x reversed]`` of length 2(n+1), whose
+    negated imaginary parts 1..n are the transform (FFTW's RODFT00).
     The dense path's last bits come from the installed BLAS kernel, so
     they can differ between CPUs, BLAS builds and thread settings.  It
-    is faster than scipy where 2(n+1) has a large prime factor (two rows,
-    2-core x86_64: n = 256 19 us against 62 us) and slower at some smooth
-    n (n = 255: 18 us against 14 us).
+    is faster than the FFT where 2(n+1) has a large prime factor (two
+    rows, 2-core x86_64: n = 256 22 us against 86 us) and slower at some
+    smooth n.
     """
-    rows = np.stack([vals.real, vals.imag])
     if sine is None:
-        parts = dst(rows, type=1, axis=-1)
-    else:
-        parts = np.matmul(sine, rows[..., None])[..., 0]
-    return parts[0] + 1j * parts[1]
+        return _on_parts(_dst1, vals)
+    return _on_parts(lambda rows: np.matmul(sine, rows[..., None])[..., 0], vals)
 
 
 def _complex_dct1(vals):
-    parts = dct(np.stack([vals.real, vals.imag]), type=1, axis=-1)
-    return parts[0] + 1j * parts[1]
+    return _on_parts(_dct1, vals)
+
+
+def _on_parts(real_transform, vals):
+    """Apply ``real_transform`` to the stacked (real, imag) rows of
+    ``vals`` in one call and rejoin the two halves as complex data."""
+    parts = real_transform(np.stack([vals.real, vals.imag]))
+    out = np.empty(parts.shape[1:], dtype=complex)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
+
+
+def _dst1(rows):
+    """Unnormalized DST-I, ``2 sum_j x_j sin(pi (j+1)(k+1) / (n+1))``,
+    along the last axis of real rows."""
+    n = rows.shape[-1]
+    ext = np.zeros(rows.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1 : n + 1] = rows
+    ext[..., n + 2 :] = -rows[..., ::-1]
+    return -np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1]
+
+
+def _dct1(rows):
+    """Unnormalized DCT-I, ``x_0 + (-1)^k x_{n-1} + 2 sum_{0<j<n-1} x_j
+    cos(pi j k / (n-1))``, along the last axis of real rows: the real
+    FFT of the even extension ``[x, x[n-2:0:-1]]`` of length 2(n-1)
+    (FFTW's REDFT00)."""
+    n = rows.shape[-1]
+    ext = np.concatenate([rows, rows[..., n - 2 : 0 : -1]], axis=-1)
+    return np.fft.rfft(ext, axis=-1).real[..., :n]
 
 
 def schrodinger_grid(n: int, bc: str = "periodic") -> SpectralGrid:

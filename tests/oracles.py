@@ -5,10 +5,19 @@ private stage solver, so a test can check one piece of a step on its own.
 Stage data are arrays of shape (s, components, n).
 """
 
+import math
+
 import numpy as np
 
+from rkspectral.harness import _physical_quadrature, conserved_quantities
 from rkspectral.problems import evaluate_B_array
-from rkspectral.spectral import State, _apply_stage_inv, _apply_update, step_matrices
+from rkspectral.spectral import (
+    State,
+    _apply_stage_inv,
+    _apply_update,
+    inverse_transform_array,
+    step_matrices,
+)
 from rkspectral.stepper import _solve_stages
 
 
@@ -50,3 +59,55 @@ def hermitian_symmetry_defect(u):
     c = u.coeffs
     flipped = np.conj(np.roll(c[:, ::-1], 1, axis=-1))  # index of -k mod n
     return float(np.max(np.abs(c - flipped)))
+
+
+def checked_conserved_quantities(p, u):
+    """``conserved_quantities`` of a state, after recomputing its quadratic
+    terms (NLS mass; wave velocity and gradient terms) by physical-space
+    quadrature.  Raises RuntimeError where a quadrature and the modal
+    (Parseval) value differ by more than 1e-10 relative (floored at 1).
+    """
+    grid = p.grid
+    w = grid.weights
+    k = grid.modes.astype(float)
+    if p.kind == "nls":
+        mass = float(np.sum(w * np.abs(u.coeffs[0]) ** 2))
+        phys = inverse_transform_array(grid, u.coeffs[0])
+        _compare("mass", mass, _physical_quadrature(grid, np.abs(phys) ** 2))
+    else:
+        velocity_sq = float(np.sum(w * np.abs(u.coeffs[1]) ** 2))
+        gradient_sq = float(np.sum(w * k**2 * np.abs(u.coeffs[0]) ** 2))
+        phys_v = inverse_transform_array(grid, u.coeffs[1])
+        _compare("velocity term", velocity_sq, _physical_quadrature(grid, np.abs(phys_v) ** 2))
+        _compare("gradient term", gradient_sq, _gradient_quadrature(grid, u))
+    return conserved_quantities(p, u)
+
+
+def _compare(label, spectral_value, physical_value):
+    scale = max(1.0, abs(spectral_value))
+    if abs(spectral_value - physical_value) > 1e-10 * scale:
+        raise RuntimeError(
+            f"{label}: spectral {spectral_value!r} vs quadrature {physical_value!r} disagree"
+        )
+
+
+def _gradient_quadrature(grid, u):
+    """Physical-space quadrature of the squared spatial derivative.
+
+    The derivative is a trig polynomial, so the matching
+    trapezoid/rectangle rule is exact.  A sine series differentiates into
+    a cosine series, which does not vanish at the endpoints, so the
+    Dirichlet case integrates over the endpoint-extended node set.
+    """
+    k = grid.modes.astype(float)
+    c = u.coeffs[0]
+    if grid.bc == "periodic":
+        vals = inverse_transform_array(grid, 1j * k * c)
+        return _physical_quadrature(grid, np.abs(vals) ** 2)
+    if grid.bc == "dirichlet":
+        x = np.concatenate([[0.0], grid.nodes, [math.pi]])
+        vals = np.abs((k * c) @ np.cos(np.outer(k, x))) ** 2
+        dx = math.pi / (grid.n + 1)
+        return float((vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1]) * dx)
+    vals = np.abs(-(k * c) @ np.sin(np.outer(k, grid.nodes))) ** 2
+    return _physical_quadrature(grid, vals)

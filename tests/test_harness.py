@@ -31,7 +31,7 @@ from rkspectral.spectral import (
 )
 from rkspectral.tableau import gauss_legendre
 
-from oracles import hermitian_symmetry_defect
+from oracles import checked_conserved_quantities, hermitian_symmetry_defect
 
 MIDPOINT = gauss_legendre(1)
 
@@ -248,20 +248,20 @@ class TestConservedQuantities:
         p = get_problem("nls-cubic-periodic", 32)
         coeffs = np.zeros((1, 32), dtype=complex)
         coeffs[0, np.where(p.grid.modes == 1)[0][0]] = 0.3
-        q = conserved_quantities(p, State(p.grid, coeffs), debug=True)
+        q = checked_conserved_quantities(p, State(p.grid, coeffs))
         assert q["mass"] == pytest.approx(2 * math.pi * 0.09, abs=1e-12)
 
     def test_linear_dirichlet_energy_of_sine(self):
         p = ProblemSpec("wave", wave_grid(32, "dirichlet"), make_nonlinearity("wave", "zero"))
         u = p.grid.transform(np.vstack([np.sin(p.grid.nodes), np.zeros(32)]))
-        q = conserved_quantities(p, u, debug=True)
+        q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4, abs=1e-10)
 
     def test_cubic_dirichlet_energy_of_sine(self):
         # adds the quartic potential integral: int sin^4 / 4 = 3 pi / 32
         p = get_problem("wave-dirichlet-compatible", 32)
         u = p.grid.transform(np.vstack([np.sin(p.grid.nodes), np.zeros(32)]))
-        q = conserved_quantities(p, u, debug=True)
+        q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4 + 3 * math.pi / 32, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -271,7 +271,7 @@ class TestConservedQuantities:
         p = get_problem(name, 32)
         rng = np.random.default_rng(5)
         u = random_band_state(p.grid, rng, max_mode=5)
-        conserved_quantities(p, u, debug=True)  # raises on spectral/quadrature mismatch
+        checked_conserved_quantities(p, u)  # raises on spectral/quadrature mismatch
 
 
 class TestStabilityGrowth:

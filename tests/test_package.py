@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import rkspectral
 
@@ -59,3 +63,17 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = (
+        "import rkspectral.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    src = Path(rkspectral.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

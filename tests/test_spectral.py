@@ -103,9 +103,11 @@ class TestTransforms:
             def transform(x, type, axis):
                 return np.array([sine @ row for row in x])
 
-        two_calls = transform(vals.real, type=1, axis=-1) + 1j * transform(
-            vals.imag, type=1, axis=-1
-        )
+        # joined by assignment, as the package does: ``re + 1j * im`` can
+        # flip the sign of a zero
+        two_calls = np.empty(vals.shape, dtype=complex)
+        two_calls.real = transform(vals.real, type=1, axis=-1)
+        two_calls.imag = transform(vals.imag, type=1, axis=-1)
         assert stacked(vals).tobytes() == two_calls.tobytes()
         for coeffs in (grid.transform_array(vals), inverse_transform_array(grid, vals)):
             assert coeffs.shape == vals.shape and coeffs.dtype == complex
@@ -149,6 +151,34 @@ class TestTransforms:
             assert grid._sine_matrix.shape == (n, n)
             with pytest.raises(ValueError):
                 grid._sine_matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 255, 256, 257, 300, 511])
+    def test_transforms_match_their_definitions(self, n):
+        # the O(n^2) sums, on both sides of the dense DST-I cap; the angles
+        # are reduced exactly by their period so that the sums are accurate
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        j = np.arange(n)
+        sines = 2 * np.sin(np.pi * (np.outer(j + 1, j + 1) % (2 * n + 2)) / (n + 1))
+        cosines = 2 * np.cos(np.pi * (np.outer(j, j) % (2 * n - 2)) / (n - 1))
+        cosines[:, 0] /= 2
+        cosines[:, -1] /= 2
+        grid = wave_grid(n, "dirichlet")
+        for got, expected in [
+            (spectral._complex_dst1(vals, grid._sine_matrix), vals @ sines.T),
+            (spectral._complex_dct1(vals), vals @ cosines.T),
+        ]:
+            assert got.shape == vals.shape and got.dtype == complex
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_fft_transforms_match_scipy_bitwise(self):
+        # the real-FFT DST-I (Dirichlet n > 256) and DCT-I against scipy
+        rng = np.random.default_rng(12)
+        for n in [*range(2, 301), 511, 512, 1023, 1024]:
+            for shape in [(n,), (2, n), (4, 3, n)]:
+                rows = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(shape)
+                assert spectral._dst1(rows).tobytes() == dst(rows, type=1, axis=-1).tobytes()
+                assert spectral._dct1(rows).tobytes() == dct(rows, type=1, axis=-1).tobytes()
 
     def test_modes_and_weights_are_cached_read_only(self):
         grid = wave_grid(16, "neumann")
