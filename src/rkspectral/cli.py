@@ -1,12 +1,14 @@
 """Batch experiment front end.
 
 Usage:  rkspectral run <config.json> [--out DIR] [--debug-checks]
+        rkspectral run --list-problems
 
-The config selects one experiment and its parameters; every run writes
-a CSV of the measured quantities plus a JSON summary echoing the fully
-resolved configuration, so an artifact directory alone reproduces the
-run.  The process exits 0 when the experiment's verdict passes and
-nonzero on solver failure, bad configuration, or a missed target.
+The config selects one experiment and its parameters, resolved once into
+the inputs its runner takes; every run writes a CSV of the measured
+quantities plus a JSON summary echoing the fully resolved configuration,
+so an artifact directory alone reproduces the run.  The process exits 0
+when the experiment's verdict passes and nonzero on solver failure, bad
+configuration, or a missed target.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import harness
 from .errors import ConvergenceFailureError, NumericalBlowupError, UnreliableReferenceError
-from .problems import ProblemSpec, get_problem, list_problems, make_nonlinearity
+from .problems import get_problem, list_problems, make_nonlinearity
 from .spectral import State, base_norm, schrodinger_grid, wave_grid
 from .stepper import SolverConfig, integrate, step, tangent_step
 from .tableau import resolve_tableau
@@ -52,24 +54,11 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _resolve_problem(cfg) -> ProblemSpec:
-    """Catalogue lookup with optional nonlinearity/dealias overrides."""
-    problem = get_problem(cfg["problem"], cfg["n"])
-    if cfg.get("nonlinearity") is not None:
-        problem = dataclasses.replace(
-            problem,
-            nonlinearity=make_nonlinearity(problem.kind, cfg["nonlinearity"]),
-            name=f"{cfg['problem']}[{cfg['nonlinearity']}]",
-        )
-    if cfg.get("dealias") is not None:
-        problem = dataclasses.replace(problem, dealias=bool(cfg["dealias"]))
-    return problem
-
-
-def _check_ranges(experiment, cfg):
-    """Raise ValueError (or KeyError, for an unknown name) naming the first
-    config key whose value is out of range; resolves the tableau and the
-    problem or grid on the way, so a run that passes does no work in vain."""
+def _resolve(experiment, cfg) -> dict:
+    """The one place where config values become objects: the runner's inputs
+    ``t``, ``h_list`` (order studies), ``grid`` (stability), ``problem`` and
+    ``u0``.  Raise ValueError (or KeyError, for an unknown name) naming the
+    first config key whose value is out of range."""
     for key in _POSITIVE_KEYS:
         if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ValueError(f"config key {key!r} must be positive, got {cfg[key]!r}")
@@ -90,8 +79,14 @@ def _check_ranges(experiment, cfg):
         t = resolve_tableau(cfg["tableau"])
     except (ValueError, OSError) as exc:
         raise ValueError(f"config key 'tableau': {exc}") from exc
+    inputs = {"t": t}
     if experiment in _ORDER_STUDIES:
-        hs = _resolve_h_list(cfg)
+        if "h_list" in cfg:
+            hs = [float(h) for h in cfg["h_list"]]
+            if any(b >= a for a, b in zip(hs, hs[1:])):
+                raise ValueError("config key 'h_list' must be strictly decreasing")
+        else:
+            hs = harness.dyadic_h_list(float(cfg["h_max"]), int(cfg["levels"]))
         if len(hs) < 2 or not all(0 < h < math.inf for h in hs):
             raise ValueError(f"config key 'h_list' must hold at least two positive steps, "
                              f"got {cfg['h_list']!r}")
@@ -99,27 +94,30 @@ def _check_ranges(experiment, cfg):
         for h in hs:
             harness._steps_for(cfg["T"], h)
         harness._check_fp_tol(cfg["fp_tol"], min(hs), t.p)
+        inputs["h_list"] = hs
     if experiment == "stability" and cfg["grid"] not in _GRIDS:
         raise ValueError(f"config key 'grid' must be one of {list(_GRIDS)}, "
                          f"got {cfg['grid']!r}")
     try:
         if experiment == "stability":
-            _GRIDS[cfg["grid"]](cfg["n"])
+            inputs["grid"] = _GRIDS[cfg["grid"]](cfg["n"])
         else:
-            get_problem(cfg.get("problem", "wave-dirichlet-compatible"), cfg["n"])
+            problem = get_problem(cfg.get("problem", "wave-dirichlet-compatible"), cfg["n"])
     except ValueError as exc:
         raise ValueError(f"config key 'n': {exc}") from exc
     if "problem" in cfg:
-        _resolve_problem(cfg)
-
-
-def _resolve_h_list(cfg) -> list[float]:
-    if "h_list" in cfg:
-        hs = [float(h) for h in cfg["h_list"]]
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("config key 'h_list' must be strictly decreasing")
-        return hs
-    return harness.dyadic_h_list(float(cfg["h_max"]), int(cfg["levels"]))
+        if cfg.get("nonlinearity") is not None:
+            try:
+                nonlinearity = make_nonlinearity(problem.kind, cfg["nonlinearity"])
+            except ValueError as exc:
+                raise ValueError(f"config key 'nonlinearity': {exc}") from exc
+            problem = dataclasses.replace(problem, nonlinearity=nonlinearity,
+                                          name=f"{cfg['problem']}[{cfg['nonlinearity']}]")
+        if cfg.get("dealias") is not None:
+            problem = dataclasses.replace(problem, dealias=bool(cfg["dealias"]))
+        inputs["problem"] = problem
+        inputs["u0"] = _initial_state(problem, cfg)
+    return inputs
 
 
 def _initial_state(problem, cfg) -> State:
@@ -149,11 +147,7 @@ def _report_order_verdict(report, declared_p):
     )
 
 
-def _run_convergence(cfg, out_dir):
-    problem = _resolve_problem(cfg)
-    t = resolve_tableau(cfg["tableau"])
-    h_list = _resolve_h_list(cfg)
-    u0 = _initial_state(problem, cfg)
+def _run_convergence(cfg, out_dir, t, h_list, problem, u0):
     report = harness.convergence_study(
         problem, t, u0, float(cfg["T"]), h_list, fp_tol=float(cfg["fp_tol"])
     )
@@ -162,10 +156,7 @@ def _run_convergence(cfg, out_dir):
     return report.summary_dict(), ok, verdict
 
 
-def _run_conservation(cfg, out_dir):
-    problem = _resolve_problem(cfg)
-    t = resolve_tableau(cfg["tableau"])
-    u0 = _initial_state(problem, cfg)
+def _run_conservation(cfg, out_dir, t, problem, u0):
     h = float(cfg["h"])
     steps = int(cfg["steps"])
     solver = SolverConfig(h=h, fp_tol=float(cfg["fp_tol"]), debug_checks=cfg["debug_checks"])
@@ -176,10 +167,8 @@ def _run_conservation(cfg, out_dir):
         q = harness.conserved_quantities(problem, state)
         mass_drift = abs(q["mass"] - q0["mass"]) / max(abs(q0["mass"]), 1e-300)
         energy_dev = abs(q["energy"] - q0["energy"])
-        rows.append(
-            [index + 1, (index + 1) * h, repr(q["mass"]), repr(q["energy"]),
-             repr(mass_drift), repr(energy_dev)]
-        )
+        # csv writes a float as str(), which is its shortest round-trip repr.
+        rows.append([index + 1, (index + 1) * h, q["mass"], q["energy"], mass_drift, energy_dev])
 
     _, history = integrate(problem, t, u0, solver, steps, observer)
     _write_csv(
@@ -187,7 +176,7 @@ def _run_conservation(cfg, out_dir):
         ["step", "time", "mass", "energy", "mass_drift_rel", "energy_dev"],
         rows,
     )
-    energy_devs = [float(r[5]) for r in rows]
+    energy_devs = [r[5] for r in rows]
     early_steps = max(1, steps // 10)
     early = max(energy_devs[:early_steps])
     final = energy_devs[-1]
@@ -200,7 +189,7 @@ def _run_conservation(cfg, out_dir):
     if problem.kind == "nls":
         # Only NLS conserves "mass"; the wave system's is the displacement's
         # squared L2 norm, which the wave equation does not conserve.
-        mass_drift = max(float(r[4]) for r in rows)
+        mass_drift = max(r[4] for r in rows)
         ok = mass_drift <= 1e-9
         verdict = f"relative mass drift {mass_drift:.2e} {'PASS' if ok else 'FAIL'}"
         result["mass_drift_rel"] = mass_drift
@@ -212,13 +201,11 @@ def _run_conservation(cfg, out_dir):
             f"{'PASS (no drift)' if ok else 'FAIL'}"
         )
         window = early_steps  # the final deviation is held against these steps
-    result["verdict_window"] = {"steps": window, "time": rows[window - 1][1]}
+    result["verdict_window"] = {"steps": window, "time": window * h}
     return result, ok, verdict
 
 
-def _run_stability(cfg, out_dir):
-    t = resolve_tableau(cfg["tableau"])
-    grid = _GRIDS[cfg["grid"]](cfg["n"])
+def _run_stability(cfg, out_dir, t, grid):
     n_steps = int(cfg["n_steps"])
     rows = []
     worst = 0.0
@@ -236,10 +223,7 @@ def _run_stability(cfg, out_dir):
     return {"max_deviation": worst}, ok, verdict
 
 
-def _run_smoothness(cfg, out_dir):
-    problem = _resolve_problem(cfg)
-    t = resolve_tableau(cfg["tableau"])
-    u0 = _initial_state(problem, cfg)
+def _run_smoothness(cfg, out_dir, t, problem, u0):
     results = harness.smoothness_probe(
         problem, t, u0, float(cfg["h"]), int(cfg["q"]), levels=int(cfg["levels"]),
         fp_tol=float(cfg["fp_tol"]),
@@ -257,17 +241,13 @@ def _run_smoothness(cfg, out_dir):
     return {"values": [v for _, v in results], "growth_ratio": growth}, True, verdict
 
 
-def _run_dirichlet_compat(cfg, out_dir):
-    t = resolve_tableau(cfg["tableau"])
-    h_list = _resolve_h_list(cfg)
+def _run_dirichlet_compat(cfg, out_dir, t, h_list):
     rep_c, rep_i = harness.dirichlet_compatibility_study(
         h_list, T=float(cfg["T"]), n=int(cfg["n"]), t=t, fp_tol=float(cfg["fp_tol"])
     )
     rep_c.write_csv(out_dir / "dirichlet_compatible.csv")
     rep_i.write_csv(out_dir / "dirichlet_incompatible.csv")
-    ok_full = abs(rep_c.fitted_order - t.p) <= _ORDER_WINDOW
-    ok_reduced = rep_i.fitted_order <= t.p - 0.5
-    ok = ok_full and ok_reduced
+    ok = _report_order_verdict(rep_c, t.p)[0] and rep_i.fitted_order <= t.p - 0.5
     verdict = (
         f"compatible order {rep_c.fitted_order:.3f}, incompatible order "
         f"{rep_i.fitted_order:.3f} {'PASS' if ok else 'FAIL'}"
@@ -276,10 +256,7 @@ def _run_dirichlet_compat(cfg, out_dir):
     return result, ok, verdict
 
 
-def _run_tangent_check(cfg, out_dir):
-    problem = _resolve_problem(cfg)
-    t = resolve_tableau(cfg["tableau"])
-    u0 = _initial_state(problem, cfg)
+def _run_tangent_check(cfg, out_dir, t, h_list, problem, u0):
     rng = np.random.default_rng(int(cfg["seed"]))
     v0 = harness.random_band_state(problem.grid, rng)
     h = float(cfg["h"])
@@ -292,7 +269,7 @@ def _run_tangent_check(cfg, out_dir):
     rel_err = base_norm(fd - v1) / max(base_norm(v1), 1e-300)
 
     report = harness.tangent_convergence_study(
-        problem, t, u0, v0, float(cfg["T"]), _resolve_h_list(cfg), fp_tol=float(cfg["fp_tol"])
+        problem, t, u0, v0, float(cfg["T"]), h_list, fp_tol=float(cfg["fp_tol"])
     )
     report.write_csv(out_dir / "tangent_convergence.csv")
     ok_fd = rel_err <= 1e-5
@@ -306,8 +283,8 @@ def _run_tangent_check(cfg, out_dir):
 
 
 # Per experiment: its defaults, the config keys it reads beside them, and
-# its runner ``run(cfg, out_dir) -> (result, ok, verdict)``, which writes
-# the experiment's CSVs.
+# its runner ``run(cfg, out_dir, **inputs) -> (result, ok, verdict)``, which
+# takes the inputs ``_resolve`` built and writes the experiment's CSVs.
 _EXPERIMENT_TABLE = {
     "convergence": (
         {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "T": 0.5,
@@ -389,7 +366,7 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
             f"experiment; only {', '.join(_DEBUG_CHECKED)} reads it"
         )
     try:
-        _check_ranges(experiment, cfg)
+        inputs = _resolve(experiment, cfg)
     except KeyError as exc:
         return _fail(f"{exc.args[0]}")
     except ValueError as exc:
@@ -398,13 +375,11 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
     target.mkdir(parents=True, exist_ok=True)
 
     try:
-        result, ok, verdict = runner(cfg, target)
+        result, ok, verdict = runner(cfg, target, **inputs)
         harness.write_summary_json(
             target / f"{experiment.replace('-', '_')}_summary.json",
             {"config": cfg, "result": result, "pass": ok},
         )
-    except KeyError as exc:
-        return _fail(f"{exc.args[0]}")
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     except (ConvergenceFailureError, NumericalBlowupError, UnreliableReferenceError) as exc:
@@ -420,7 +395,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="execute an experiment config")
-    run_parser.add_argument("config", help="path to a JSON experiment config")
+    run_parser.add_argument("config", nargs="?", help="path to a JSON experiment config")
     run_parser.add_argument("--out", default=None, help="output directory for artifacts")
     run_parser.add_argument(
         "--debug-checks", action="store_true",
@@ -433,6 +408,8 @@ def main(argv=None) -> int:
     if args.list_problems:
         print("\n".join(list_problems()))
         return 0
+    if args.config is None:
+        run_parser.error("the following arguments are required: config")
     return run_config(args.config, args.out, args.debug_checks)
 
 

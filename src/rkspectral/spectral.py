@@ -354,15 +354,15 @@ def base_norm(u: State) -> float:
     return math.sqrt(base_norm_sq(u))
 
 
-def sobolev_norm(u: State, k: int, k_max: int = DEFAULT_SCALE_CAP) -> float:
+def sobolev_norm(u: State, k: int) -> float:
     """Scale norm of rung k: the graph norm of the k-th operator power.
 
     Uses the binomial closed form of the recursion
     ``|u|_{k}^2 = |Au|_{k-1}^2 + |u|_{k-1}^2``, i.e.
     ``sum_j C(k, j) |A^j u|_0^2``.
     """
-    if not 0 <= k <= k_max:
-        raise ValueError(f"scale index must satisfy 0 <= k <= {k_max}, got {k}")
+    if not 0 <= k <= DEFAULT_SCALE_CAP:
+        raise ValueError(f"scale index must satisfy 0 <= k <= {DEFAULT_SCALE_CAP}, got {k}")
     total = 0.0
     v = u
     for j in range(k + 1):

@@ -24,6 +24,9 @@ _ROW_SUM_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-12
 _EIG_BOUNDARY_TOL = 1e-10
 _RK1_TOL = 1e-12
+# Sample counts of the sampled A-stability check.
+_BOUNDARY_SAMPLES = 200
+_INTERIOR_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ class ButcherTableau:
             raise ValueError("inconsistent tableau shapes")
         if self.p < 1:
             raise ValueError("classical order must be positive")
+        if not all(np.isfinite(x).all() for x in (a, b, c)):
+            raise ValueError("tableau coefficients must be finite")
         row_defect = np.max(np.abs(a.sum(axis=1) - c))
         if row_defect > _ROW_SUM_TOL:
             raise ValueError(
@@ -95,17 +100,19 @@ class ButcherTableau:
     def from_json(text: str, label: str = "custom") -> "ButcherTableau":
         """Parse a tableau from a JSON document with keys s, a, b, c, p."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"tableau JSON must be an object, got {type(doc).__name__}")
         missing = [k for k in ("s", "a", "b", "c", "p") if k not in doc]
         if missing:
             raise ValueError(f"tableau JSON missing keys: {missing}")
-        return ButcherTableau(
-            s=int(doc["s"]),
-            a=np.asarray(doc["a"], dtype=float),
-            b=np.asarray(doc["b"], dtype=float),
-            c=np.asarray(doc["c"], dtype=float),
-            p=int(doc["p"]),
-            label=label,
-        )
+        fields = {}
+        for key in ("s", "a", "b", "c", "p"):
+            convert = int if key in ("s", "p") else lambda v: np.asarray(v, dtype=float)
+            try:
+                fields[key] = convert(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"tableau JSON key {key!r}: {exc}") from exc
+        return ButcherTableau(**fields, label=label)
 
 
 @dataclass(frozen=True)
@@ -235,9 +242,7 @@ def quadrature_order(t: ButcherTableau) -> int:
     return order
 
 
-def check_a_stability(
-    t: ButcherTableau, boundary_samples: int = 200, interior_samples: int = 64
-) -> StabilityReport:
+def check_a_stability(t: ButcherTableau) -> StabilityReport:
     """Sampled A-stability check of a tableau.
 
     Evaluates |S(z)| on a log-spaced sweep of the imaginary axis with
@@ -246,13 +251,10 @@ def check_a_stability(
     left half-plane except for an exact zero (tolerance band 1e-10).
     Failures are reported, never raised.
     """
-    if boundary_samples < 16 or interior_samples < 16:
-        raise ValueError("sample counts must be >= 16")
-
-    y = np.logspace(-3, 6, boundary_samples)
+    y = np.logspace(-3, 6, _BOUNDARY_SAMPLES)
     boundary = np.concatenate([1j * y, -1j * y])
 
-    m = max(4, int(np.sqrt(interior_samples)))
+    m = max(4, int(np.sqrt(_INTERIOR_SAMPLES)))
     re = -np.logspace(-3, 6, m)
     im_half = np.logspace(-3, 6, max(2, m // 2))
     im = np.concatenate([-im_half, [0.0], im_half])

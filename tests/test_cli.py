@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from rkspectral import cli
 from rkspectral.cli import main, run_config
 from rkspectral.stepper import integrate
-from rkspectral.tableau import gauss_legendre
+from rkspectral.tableau import gauss_legendre, resolve_tableau
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -171,6 +172,18 @@ def test_main_entry_list_problems(capsys, tmp_path):
     assert "wave-neumann" in capsys.readouterr().out
 
 
+def test_list_problems_needs_no_config_path(capsys):
+    assert main(["run", "--list-problems"]) == 0
+    assert "wave-neumann" in capsys.readouterr().out
+
+
+def test_run_without_config_path_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: config" in capsys.readouterr().err
+
+
 def test_threads_flag_is_an_argparse_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "stability"})
     out = tmp_path / "out"
@@ -210,7 +223,9 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "smoothness", "levels": 0}, "levels"),
      ({"experiment": "stability", "h_values": [0.1, -1.0]}, "h_values"),
      ({"experiment": "stability", "grid": "heat"}, "grid"),
-     ({"experiment": "convergence", "initial_data": "smooth"}, "initial_data")],
+     ({"experiment": "convergence", "initial_data": "smooth"}, "initial_data"),
+     ({"experiment": "conservation", "problem": "wave-cubic-periodic",
+       "nonlinearity": "cubic_plus_const:abc"}, "nonlinearity")],
 )
 def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
@@ -235,6 +250,20 @@ def test_order_study_checks_run_before_any_work(tmp_path, capsys, payload, messa
     out = tmp_path / "out"
     assert run_config(cfg, out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("s", None), ("a", {"x": 1})])
+def test_malformed_tableau_file_rejected_before_any_work(tmp_path, capsys, key, value):
+    doc = {"s": 1, "a": [[0.5]], "b": [1], "c": [0.5], "p": 2, key: value}
+    tableau_path = tmp_path / "t.json"
+    tableau_path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = write_config(tmp_path, {"experiment": "stability", "tableau": str(tableau_path)})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "config key 'tableau'" in err
+    assert f"tableau JSON key {key!r}" in err
     assert not out.exists()
 
 
@@ -279,6 +308,39 @@ def test_every_experiment_writes_one_summary_agreeing_with_exit_code(
         counts = study["stage_iterations"]
         assert sorted(counts) == ["ladder", "reference"]
         assert all(type(c) is int and c > 0 for c in counts.values())
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_CONFIGS))
+def test_each_run_resolves_the_tableau_once(tmp_path, capsys, monkeypatch, experiment):
+    calls = []
+
+    def counting_resolve_tableau(spec):
+        calls.append(spec)
+        return resolve_tableau(spec)
+
+    monkeypatch.setattr(cli, "resolve_tableau", counting_resolve_tableau)
+    cfg = write_config(tmp_path, {"experiment": experiment, **SMALL_CONFIGS[experiment]})
+    assert run_config(cfg, tmp_path / "out") in (0, 1)
+    assert calls == ["gl:1" if experiment != "smoothness" else "gl:2"]
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_CONFIGS))
+def test_each_run_reads_a_tableau_file_once(tmp_path, capsys, monkeypatch, experiment):
+    tableau_path = tmp_path / "tableau.json"
+    tableau_path.write_text(gauss_legendre(1).to_json(), encoding="utf-8")
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(tableau_path):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    payload = {"experiment": experiment, **SMALL_CONFIGS[experiment],
+               "tableau": str(tableau_path)}
+    assert run_config(write_config(tmp_path, payload), tmp_path / "out") in (0, 1)
+    assert len(opens) == 1
 
 
 NOT_DEBUG_CHECKED = ["convergence", "stability", "smoothness", "dirichlet-compat",

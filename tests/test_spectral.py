@@ -433,8 +433,6 @@ class TestScaleNorms:
         u = mode_state(schrodinger_grid(8), {1: 1.0})
         with pytest.raises(ValueError):
             sobolev_norm(u, 9)
-        with pytest.raises(ValueError):
-            sobolev_norm(u, 3, k_max=2)
 
 
 class TestStateHygiene:

@@ -142,10 +142,6 @@ class TestAStabilityCheck:
         report = check_a_stability(gauss_legendre(1))
         assert report.a_eigenvalues == pytest.approx([0.5])
 
-    def test_sample_count_preconditions(self):
-        with pytest.raises(ValueError):
-            check_a_stability(gauss_legendre(1), boundary_samples=8)
-
 
 class TestQuadratureOrder:
     def test_values(self):
@@ -186,6 +182,24 @@ class TestJsonInterface:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             ButcherTableau.from_json(json.dumps({"s": 1, "a": [[0.5]]}))
+
+    @pytest.mark.parametrize("doc", [[1, 2], "gl:1", 3, None])
+    def test_document_that_is_not_an_object_rejected(self, doc):
+        with pytest.raises(ValueError, match="must be an object"):
+            ButcherTableau.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value", [("s", None), ("a", {"x": 1}), ("c", "abc"), ("p", [2])]
+    )
+    def test_unconvertible_value_names_its_key(self, key, value):
+        doc = {"s": 1, "a": [[0.5]], "b": [1], "c": [0.5], "p": 2, key: value}
+        with pytest.raises(ValueError, match=f"tableau JSON key '{key}'"):
+            ButcherTableau.from_json(json.dumps(doc))
+
+    def test_null_coefficient_rejected(self):
+        doc = {"s": 1, "a": [[0.5]], "b": [None], "c": [0.5], "p": 2}
+        with pytest.raises(ValueError, match="finite"):
+            ButcherTableau.from_json(json.dumps(doc))
 
     def test_resolve_gl_spec(self):
         t = resolve_tableau("gl:2")
