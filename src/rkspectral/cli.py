@@ -39,6 +39,10 @@ _ORDER_WINDOW = 0.3
 # Config keys every experiment reads beside its defaults and extra keys.
 _COMMON_KEYS = ("experiment", "out", "debug_checks")
 
+# The JSON types of the config keys that have no default.
+_KEY_TYPES = {"experiment": str, "out": str, "debug_checks": bool, "h_list": list,
+              "nonlinearity": str, "dealias": bool}
+
 # The experiments that fit an order to a ladder of step sizes.
 _ORDER_STUDIES = ("convergence", "dirichlet-compat", "tangent-check")
 
@@ -52,6 +56,10 @@ _GRIDS = {"schrodinger": schrodinger_grid, "wave": wave_grid}
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _resolve(experiment, cfg) -> dict:
@@ -70,7 +78,7 @@ def _resolve(experiment, cfg) -> dict:
     if cfg.get("q", 0) > 4:
         raise ValueError(f"config key 'q' must be at most 4, got {cfg['q']!r}")
     for h in cfg.get("h_values", ()):
-        if isinstance(h, bool) or not isinstance(h, (int, float)) or not 0 <= h < math.inf:
+        if not (_is_number(h) and 0 <= h < math.inf):
             raise ValueError(f"config key 'h_values' must hold nonnegative numbers, got {h!r}")
     if cfg.get("initial_data", "standard") not in ("standard", "random", "rough"):
         raise ValueError(f"config key 'initial_data' must be standard, random or rough, "
@@ -82,6 +90,8 @@ def _resolve(experiment, cfg) -> dict:
     inputs = {"t": t}
     if experiment in _ORDER_STUDIES:
         if "h_list" in cfg:
+            if not all(_is_number(h) for h in cfg["h_list"]):
+                raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
             hs = [float(h) for h in cfg["h_list"]]
             if any(b >= a for a, b in zip(hs, hs[1:])):
                 raise ValueError("config key 'h_list' must be strictly decreasing")
@@ -106,15 +116,15 @@ def _resolve(experiment, cfg) -> dict:
     except ValueError as exc:
         raise ValueError(f"config key 'n': {exc}") from exc
     if "problem" in cfg:
-        if cfg.get("nonlinearity") is not None:
+        if "nonlinearity" in cfg:
             try:
                 nonlinearity = make_nonlinearity(problem.kind, cfg["nonlinearity"])
             except ValueError as exc:
                 raise ValueError(f"config key 'nonlinearity': {exc}") from exc
             problem = dataclasses.replace(problem, nonlinearity=nonlinearity,
                                           name=f"{cfg['problem']}[{cfg['nonlinearity']}]")
-        if cfg.get("dealias") is not None:
-            problem = dataclasses.replace(problem, dealias=bool(cfg["dealias"]))
+        if "dealias" in cfg:
+            problem = dataclasses.replace(problem, dealias=cfg["dealias"])
         inputs["problem"] = problem
         inputs["u0"] = _initial_state(problem, cfg)
     return inputs
@@ -208,19 +218,26 @@ def _run_conservation(cfg, out_dir, t, problem, u0):
 def _run_stability(cfg, out_dir, t, grid):
     n_steps = int(cfg["n_steps"])
     rows = []
-    worst = 0.0
+    worst, worst_h = 0.0, None
     for h in cfg["h_values"]:
         amp = harness.stability_growth(t, grid, float(h), n_steps)
-        worst = max(worst, abs(amp - 1.0))
+        deviation = abs(amp - 1.0)
+        if worst_h is None or deviation > worst:
+            worst_h = float(h)
+        worst = max(worst, deviation)
         rows.append([repr(float(h)), repr(amp)])
     _write_csv(out_dir / "stability.csv", ["h", "amplification"], rows)
+    # Each h goes through the public stability_growth, the call rkbench's
+    # tracer times; the mode is looked up once, at the h that sets the maximum.
+    argmax = None if worst_h is None else {
+        "h": worst_h, "mode": harness._stability_growth(t, grid, worst_h, n_steps)[1]}
     if cfg["grid"] == "schrodinger":
         ok = worst <= 1e-13
         verdict = f"max |amplification - 1| = {worst:.2e} {'PASS' if ok else 'FAIL'}"
     else:
         ok = True
         verdict = f"max amplification deviation {worst:.2e} (wave secular growth expected)"
-    return {"max_deviation": worst}, ok, verdict
+    return {"max_deviation": worst, "argmax": argmax}, ok, verdict
 
 
 def _run_smoothness(cfg, out_dir, t, problem, u0):
@@ -351,9 +368,9 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
             close = difflib.get_close_matches(key, valid, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else f"; valid keys: {valid}"
             return _fail(f"unknown config key {key!r} for the {experiment} experiment{hint}")
-        # A value must have its default's JSON type, an int standing in for
-        # a float; keys without a default are not checked.
-        want = type(defaults.get(key, value))
+        # A value must have its default's JSON type (or the one _KEY_TYPES
+        # gives a key without a default), an int standing in for a float.
+        want = type(defaults[key]) if key in defaults else _KEY_TYPES[key]
         if type(value) not in ((float, int) if want is float else (want,)):
             return _fail(f"config key {key!r} must be {want.__name__}, "
                          f"got {type(value).__name__} {value!r}")

@@ -25,17 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnreliableReferenceError
+from .errors import SingularResolventError, UnreliableReferenceError
 from .problems import ProblemSpec, get_problem
-from .spectral import (
-    SpectralGrid,
-    State,
-    _build_symbol_matrices,
-    base_norm,
-    inverse_transform_array,
-)
+from .spectral import SpectralGrid, State, base_norm, inverse_transform_array
 from .stepper import SolverConfig, _integrate_tangent, integrate, step
-from .tableau import ButcherTableau, gauss_legendre
+from .tableau import ButcherTableau, _stability_function_many, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
 # O(1) states cannot be driven meaningfully below this.
@@ -328,32 +322,72 @@ def stability_growth(t: ButcherTableau, grid: SpectralGrid, h: float, n_steps: i
     """Largest per-mode growth of n steps of the linear update map.
 
     For scalar symbols this is max_k |S(h lambda_k)|^n.  For 2x2 wave
-    blocks the n-th matrix power is measured in the mode's base-norm
-    weighting, which exposes the linear secular growth of the nilpotent
-    k = 0 block that a spectral-radius reading would hide.
+    blocks the n-th power is measured in the mode's base-norm weighting,
+    which exposes the linear secular growth of the nilpotent k = 0 block
+    that a spectral-radius reading would hide.
+    """
+    return _stability_growth(t, grid, h, n_steps)[0]
+
+
+def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
+    """``stability_growth`` and the mode that attains it, the first in
+    ``grid._distinct_symbols[0]`` order (k >= 0: on a periodic grid, -k
+    shares the block of k).
+
+    The update map acts on each mode through the stability function S at
+    the symbol's eigenvalues (Hairer & Wanner, Solving ODEs II, IV.3),
+    evaluated once per distinct symbol.  Schrodinger: |S(-i h k^2)|^n.
+    Wave, k != 0: M = [[0, 1], [-k^2, 0]] has eigenvalues +-ik and
+    (M/k)^2 = -I, so with S(ihk)^n = alpha + i beta (a real tableau gives
+    S(-ihk) its conjugate), S(hM)^n = alpha I + beta M/k, and in the
+    base-norm weighting D = diag(w, 1), w = sqrt(k^2 + 1),
+
+        D S(hM)^n D^-1 = [[alpha, w beta / k], [-k beta / w, alpha]].
+
+    Its singular values s1 >= s2 have s1 + s2 = sqrt(F^2 + 2 det) with
+    F^2 = 2 alpha^2 + (w beta / k)^2 + (k beta / w)^2, det = alpha^2 +
+    beta^2, and s1 - s2 = |beta| / (w k), taken in closed form because
+    F^2 - 2 det cancels.  Wave, k = 0: M is nilpotent, S(hM) = [[1, h
+    sum(b)], [0, 1]] exactly, and its n-th power is normed by a complex
+    SVD.  For h <= 1 that is bit for bit the norm of the n-th power of
+    ``step_matrices``' k = 0 update, the block that sets the maximum of a
+    periodic or Neumann wave grid.
     """
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
-    if n_steps == 0:
-        return 1.0
-    # One update per distinct symbol; the stage inverses are not kept.
-    _, update = _build_symbol_matrices(t, h, grid)
     first = grid._distinct_symbols[0]
-    if grid.components == 1:
-        moduli = np.abs(update[:, 0, 0])
-        return float(np.max(moduli**n_steps))
+    if n_steps == 0:
+        return 1.0, int(grid.modes[first[0]])
     k = grid.modes[first].astype(float)
-    weights = np.sqrt(k**2 + 1.0)
-    inv_weights = 1.0 / weights
-    powers = np.linalg.matrix_power(update.real, n_steps)
-    # D P D^-1 with D = diag(weights, 1), as the products a matmul forms.
-    weighted = np.empty(powers.shape, dtype=complex)
-    weighted[:, 0, 0] = (weights * powers[:, 0, 0]) * inv_weights
-    weighted[:, 0, 1] = weights * powers[:, 0, 1]
-    weighted[:, 1, 0] = powers[:, 1, 0] * inv_weights
-    weighted[:, 1, 1] = powers[:, 1, 1]
-    norms = np.linalg.norm(weighted, ord=2, axis=(1, 2))
-    return float(np.max(norms))
+    if grid.components == 1:
+        growth = np.abs(_symbol_stability(t, -1j * h * k**2, grid, first)) ** n_steps
+    else:
+        growth = np.empty(len(first))
+        nonzero = k != 0
+        kn = k[nonzero]
+        sigma = _symbol_stability(t, 1j * h * kn, grid, first[nonzero]) ** n_steps
+        alpha, beta = sigma.real, sigma.imag
+        w = np.sqrt(kn**2 + 1.0)
+        f2 = 2 * alpha**2 + (w * beta / kn) ** 2 + (kn * beta / w) ** 2
+        det = alpha**2 + beta**2
+        growth[nonzero] = 0.5 * (np.sqrt(f2 + 2 * det) + np.abs(beta) / (w * kn))
+        if not nonzero.all():
+            block = np.array([[1.0, h * t.b.sum()], [0.0, 1.0]])
+            power = np.linalg.matrix_power(block, n_steps).astype(complex)
+            growth[~nonzero] = np.linalg.norm(power, ord=2)
+    j = int(np.argmax(growth))
+    return float(growth[j]), int(grid.modes[first[j]])
+
+
+def _symbol_stability(t, z, grid, index):
+    """S(z) at the points z of the modes ``grid.modes[index]``; raises
+    SingularResolventError naming the first mode whose (I - z a) is
+    singular."""
+    sigma = _stability_function_many(t, z)
+    singular = np.isinf(sigma)
+    if singular.any():
+        raise SingularResolventError(int(grid.modes[index[int(np.argmax(singular))]]))
+    return sigma
 
 
 # -- smoothness probe ----------------------------------------------------------

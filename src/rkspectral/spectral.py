@@ -375,18 +375,22 @@ def sobolev_norm(u: State, k: int) -> float:
 # -- stage resolvent and update map -------------------------------------------
 
 
-def _build_symbol_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
-    """Inverse stage blocks and update matrices per distinct symbol.
+def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
+    """Per-mode stage resolvent and update matrices for step size h.
 
-    Returns (stage_inv, update) with shapes (m, s*c, s*c) and (m, c, c),
-    both complex, for the m representatives ``grid._distinct_symbols[0]``
-    in that order: stage_inv realizes ``(I - h a (x) A_k)^{-1}`` and
-    update realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
-    The wave system's real blocks keep the arithmetic real except for the
-    inversion, which runs in complex so that every bit matches the fully
-    complex construction (a real LU rounds differently).
+    Returns (stage_inv, update), shapes (n, s*c, s*c) and (n, c, c), both
+    complex, in storage order: stage_inv realizes ``(I - h a (x) A_k)^{-1}``
+    and update realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
+    Both are computed once per distinct symbol (the representatives
+    ``grid._distinct_symbols[0]``) and gathered back.  The wave system's
+    real blocks keep the arithmetic real except for the inversion, which
+    runs in complex so that every bit matches the fully complex
+    construction (a real LU rounds differently).  Nothing is kept between
+    calls: a run builds them once and applies them at every step.  A
+    repeated call performs the same operations, so it returns fresh
+    arrays with the same bits.
     """
-    first = grid._distinct_symbols[0]
+    first, inverse = grid._distinct_symbols
     blocks = grid.symbol_blocks()[first]
     n, c = len(first), grid.components
     s = t.s
@@ -404,20 +408,6 @@ def _build_symbol_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     e = work @ ones_block  # (n, s*c, c)
     bsum = np.einsum("j,kjpq->kpq", t.b, e.reshape(n, s, c, c))
     update = (np.eye(c)[None, :, :] + h * (blocks @ bsum)).astype(complex, copy=False)
-    return stage_inv, update
-
-
-def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
-    """Per-mode stage resolvent and update matrices for step size h.
-
-    Returns (stage_inv, update), shapes (n, s*c, s*c) and (n, c, c): the
-    matrices of ``_build_symbol_matrices`` gathered back to storage
-    order.  Nothing is kept between calls: a run builds them once and
-    applies them at every step.  A repeated call performs the same
-    operations, so it returns fresh arrays with the same bits.
-    """
-    stage_inv, update = _build_symbol_matrices(t, h, grid)
-    inverse = grid._distinct_symbols[1]
     return stage_inv[inverse], update[inverse]
 
 

@@ -48,6 +48,32 @@ def apply_S_hA(u, t, h):
     return State(u.grid, _apply_update(update, u.coeffs))
 
 
+def stability_growth(t, grid, h, n_steps):
+    """Largest per-mode growth of ``n_steps`` steps through the step
+    matrices: the n-th power of each distinct symbol's update matrix,
+    scalar for the Schrodinger equation and, for the wave system,
+    measured as a complex SVD in the base-norm weighting D P D^-1 with
+    D = diag(sqrt(k^2 + 1), 1)."""
+    if n_steps == 0:
+        return 1.0
+    first = grid._distinct_symbols[0]
+    _, update = step_matrices(t, h, grid)
+    update = update[first]
+    if grid.components == 1:
+        return float(np.max(np.abs(update[:, 0, 0]) ** n_steps))
+    k = grid.modes[first].astype(float)
+    weights = np.sqrt(k**2 + 1.0)
+    inv_weights = 1.0 / weights
+    powers = np.linalg.matrix_power(update.real, n_steps)
+    # D P D^-1 with D = diag(weights, 1), as the products a matmul forms.
+    weighted = np.empty(powers.shape, dtype=complex)
+    weighted[:, 0, 0] = (weights * powers[:, 0, 0]) * inv_weights
+    weighted[:, 0, 1] = weights * powers[:, 0, 1]
+    weighted[:, 1, 0] = powers[:, 1, 0] * inv_weights
+    weighted[:, 1, 1] = powers[:, 1, 1]
+    return float(np.max(np.linalg.norm(weighted, ord=2, axis=(1, 2))))
+
+
 def evaluate_B(p, u):
     """The semilinear right-hand side B at one state."""
     return State(p.grid, evaluate_B_array(p, u.coeffs))

@@ -96,6 +96,46 @@ def test_stability_run_passes(tmp_path, capsys):
     assert summary["config"]["n"] == 256  # defaults materialized
 
 
+def test_stability_summary_names_the_maximizing_point(tmp_path, capsys):
+    # the wave's k = 0 block grows like n h, so the largest h sets the maximum
+    cfg = write_config(tmp_path, {"experiment": "stability", "grid": "wave", "n": 16,
+                                  "h_values": [0.1, 0.5, 0.2]})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 0
+    result = json.loads((out / "stability_summary.json").read_text(encoding="utf-8"))["result"]
+    assert result["argmax"] == {"h": 0.5, "mode": 0}
+    rows = (out / "stability.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert result["max_deviation"] == max(float(row.split(",")[1]) - 1.0 for row in rows)
+
+
+def test_dealias_override_takes_a_json_bool(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def recording_integrate(p, *args):
+        seen.append(p.dealias)
+        return integrate(p, *args)
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    for value in (False, True):
+        payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
+                   "dealias": value}
+        assert run_config(write_config(tmp_path, payload), tmp_path / f"out{value}") == 0
+    assert seen == [False, True]
+
+
+@pytest.mark.parametrize("grid, h_values, mode", [("schrodinger", [0.5, 1.0], 1),
+                                                  ("wave", [0.1, 0.25], 4)])
+def test_singular_stage_block_exits_2(tmp_path, capsys, grid, h_values, mode):
+    # a = [[0, -1], [1, 0]]: singular where h k^2 = 1 (Schrodinger), h k = 1 (wave)
+    tableau_path = tmp_path / "t.json"
+    tableau_path.write_text(json.dumps({"s": 2, "a": [[0, -1], [1, 0]], "b": [0.5, 0.5],
+                                        "c": [-1, 1], "p": 1}), encoding="utf-8")
+    payload = {"experiment": "stability", "tableau": str(tableau_path), "grid": grid,
+               "n": 8, "h_values": h_values}
+    assert run_config(write_config(tmp_path, payload), tmp_path / "out") == 2
+    assert f"singular resolvent at {mode}" in capsys.readouterr().err
+
+
 def test_small_convergence_run_and_determinism(tmp_path, capsys):
     payload = {
         "experiment": "convergence",
@@ -197,7 +237,14 @@ def test_threads_flag_is_an_argparse_error(tmp_path, capsys):
     "payload, key",
     [({"experiment": "convergence", "n": "abc"}, "n"),
      ({"experiment": "stability", "h_values": 0.1}, "h_values"),
-     ({"experiment": "stability", "n_steps": True}, "n_steps")],
+     ({"experiment": "stability", "n_steps": True}, "n_steps"),
+     ({"experiment": "convergence", "h_list": 0.02}, "h_list"),
+     ({"experiment": "conservation", "problem": "wave-cubic-periodic", "nonlinearity": 5},
+      "nonlinearity"),
+     ({"experiment": "conservation", "dealias": "false"}, "dealias"),
+     ({"experiment": "conservation", "dealias": None}, "dealias"),
+     ({"experiment": "stability", "out": 3}, "out"),
+     ({"experiment": "stability", "debug_checks": "no"}, "debug_checks")],
 )
 def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
@@ -218,6 +265,8 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "convergence", "n": 5}, "n"),
      ({"experiment": "dirichlet-compat", "n": 0}, "n"),
      ({"experiment": "tangent-check", "h_list": [0.02]}, "h_list"),
+     ({"experiment": "convergence", "h_list": [0.02, None]}, "h_list"),
+     ({"experiment": "convergence", "h_list": [0.02, "x"]}, "h_list"),
      ({"experiment": "convergence", "h_list": [0.01, 0.02]}, "h_list"),
      ({"experiment": "smoothness", "q": 5}, "q"),
      ({"experiment": "smoothness", "levels": 0}, "levels"),

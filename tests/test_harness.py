@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from rkspectral.errors import UnreliableReferenceError
+from rkspectral.errors import SingularResolventError, UnreliableReferenceError
 from rkspectral.harness import (
+    _stability_growth,
     _summarize,
     conserved_quantities,
     convergence_study,
@@ -21,6 +22,7 @@ from rkspectral.harness import (
 from rkspectral.problems import ProblemSpec, get_problem, make_nonlinearity
 from rkspectral.stepper import SolverConfig, StepStats, integrate
 from rkspectral.spectral import (
+    SpectralGrid,
     State,
     apply_A,
     apply_exp_tA,
@@ -29,9 +31,10 @@ from rkspectral.spectral import (
     step_matrices,
     wave_grid,
 )
-from rkspectral.tableau import gauss_legendre
+from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import checked_conserved_quantities, hermitian_symmetry_defect
+from oracles import stability_growth as matrix_stability_growth
 
 MIDPOINT = gauss_legendre(1)
 
@@ -296,7 +299,11 @@ class TestStabilityGrowth:
 
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     def test_wave_growth_matches_weighted_matmul_formula(self, bc):
-        # reference: D P^n D^-1 over every mode, as zero-padded complex matmuls
+        # reference: D P^n D^-1 over every mode, as zero-padded complex
+        # matmuls.  The step-matrix oracle matches it bit for bit, and so
+        # does the closed form where the k = 0 block sets the maximum
+        # (periodic and Neumann grids); a Dirichlet grid has no k = 0 mode,
+        # so there the closed form holds it to 1e-12 relative.
         for n in (16, 256, 1024):
             grid = wave_grid(n - (bc != "periodic"), bc)
             k = grid.modes.astype(float)
@@ -315,7 +322,60 @@ class TestStabilityGrowth:
                         inv_scale[:, 1, 1] = 1.0
                         norms = np.linalg.norm(scale @ powers @ inv_scale, ord=2, axis=(1, 2))
                         expected = float(np.max(norms))
-                        assert stability_growth(t, grid, h, n_steps) == expected, (n, s, h)
+                        assert matrix_stability_growth(t, grid, h, n_steps) == expected
+                        got = stability_growth(t, grid, h, n_steps)
+                        if bc == "dirichlet":
+                            assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
+                        else:
+                            assert got == expected, (n, s, h)
+
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+    def test_closed_form_matches_step_matrix_oracle(self, equation, bc):
+        for n in (16, 256):
+            grid = SpectralGrid(equation, bc, n - (bc != "periodic"))
+            for s in range(1, 9):
+                t = gauss_legendre(s)
+                for h in (1e-3, 0.37, 1.0, 2.5):
+                    for n_steps in (1, 10):
+                        expected = matrix_stability_growth(t, grid, h, n_steps)
+                        got = stability_growth(t, grid, h, n_steps)
+                        assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
+
+    def test_h_scan_sweep_matches_step_matrix_oracle_bitwise(self):
+        # the benchmark's stability sweep: 400 log-spaced steps on [1e-4, 1]
+        grid = wave_grid(1024)
+        t = gauss_legendre(3)
+        step = 4.0 / 399
+        for i in range(400):
+            h = 10.0 ** min(max(-4.0 + i * step, -4.0), 0.0)
+            assert stability_growth(t, grid, h, 10) == matrix_stability_growth(t, grid, h, 10), h
+
+    def test_reports_the_mode_attaining_the_maximum(self):
+        # explicit Euler grows fastest in the highest mode, the midpoint
+        # rule's secular growth sits in k = 0, and with no steps every mode
+        # ties at 1, so the first representative is named.
+        euler = ButcherTableau(1, [[0.0]], [1.0], [0.0], 1)
+        assert _stability_growth(euler, wave_grid(16, "dirichlet"), 0.1, 10)[1] == 16
+        assert _stability_growth(euler, schrodinger_grid(16), 0.1, 10)[1] == 8
+        growth, mode = _stability_growth(MIDPOINT, wave_grid(64), 0.1, 100)
+        assert (growth, mode) == (stability_growth(MIDPOINT, wave_grid(64), 0.1, 100), 0)
+        assert _stability_growth(MIDPOINT, wave_grid(16, "dirichlet"), 0.1, 0) == (1.0, 1)
+
+    @pytest.mark.parametrize(
+        "equation, n, bc, h, mode",
+        [("schrodinger", 8, "periodic", 1.0, 1), ("schrodinger", 8, "periodic", 0.25, 2),
+         ("schrodinger", 16, "periodic", 1 / 9, 3), ("schrodinger", 8, "dirichlet", 0.25, 2),
+         ("wave", 8, "periodic", 1.0, 1), ("wave", 8, "periodic", 0.25, 4),
+         ("wave", 16, "neumann", 1 / 3, 3), ("wave", 8, "dirichlet", 1 / 3, 3)],
+    )
+    def test_singular_stage_block_names_storage_mode(self, equation, n, bc, h, mode):
+        # a = [[0, -1], [1, 0]] has eigenvalues +-i, so (I - z a) is singular
+        # at z = +-i: where h k^2 = 1 (Schrodinger) or h k = 1 (wave).
+        t = ButcherTableau(2, [[0, -1], [1, 0]], [0.5, 0.5], [-1, 1], 1)
+        with pytest.raises(SingularResolventError) as info:
+            stability_growth(t, SpectralGrid(equation, bc, n), h, 10)
+        assert info.value.where == mode
 
     def test_wave_nonzero_modes_stay_bounded(self):
         grid = wave_grid(64, "dirichlet")  # no zero mode on this grid
