@@ -24,9 +24,8 @@ from .harness import (
     wave_band_state,
 )
 from .problems import (
-    NlsNonlinearity,
+    Nonlinearity,
     ProblemSpec,
-    WaveNonlinearity,
     get_problem,
     list_problems,
     make_nonlinearity,

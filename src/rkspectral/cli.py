@@ -118,7 +118,7 @@ def _resolve(experiment, cfg) -> dict:
     if "problem" in cfg:
         if "nonlinearity" in cfg:
             try:
-                nonlinearity = make_nonlinearity(problem.kind, cfg["nonlinearity"])
+                nonlinearity = make_nonlinearity(problem.grid.equation, cfg["nonlinearity"])
             except ValueError as exc:
                 raise ValueError(f"config key 'nonlinearity': {exc}") from exc
             problem = dataclasses.replace(problem, nonlinearity=nonlinearity,
@@ -137,7 +137,7 @@ def _initial_state(problem, cfg) -> State:
         return harness.random_band_state(problem.grid, rng)
     if kind == "rough":
         return harness.rough_decay_state(problem.grid)
-    if problem.kind == "nls":
+    if problem.grid.equation == "schrodinger":
         return harness.nls_two_mode_state(problem.grid)
     return harness.wave_band_state(problem.grid)
 
@@ -196,7 +196,7 @@ def _run_conservation(cfg, out_dir, t, problem, u0):
               "energy_dev_tenths": [max(part) if part else None for part in tenths],
               "stage_iterations": sum(stats.iterations for stats in history),
               "max_iterations": max(stats.iterations for stats in history)}
-    if problem.kind == "nls":
+    if problem.grid.equation == "schrodinger":
         # Only NLS conserves "mass"; the wave system's is the displacement's
         # squared L2 norm, which the wave equation does not conserve.
         mass_drift = max(r[4] for r in rows)
@@ -389,6 +389,7 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     target = Path(out_dir) if out_dir else Path(cfg.get("out", "."))
+    created = [d for d in (target, *target.parents) if not d.exists()]
     target.mkdir(parents=True, exist_ok=True)
 
     try:
@@ -398,12 +399,19 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
             {"config": cfg, "result": result, "pass": ok},
         )
     except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        message = str(exc)
     except (ConvergenceFailureError, NumericalBlowupError, UnreliableReferenceError) as exc:
-        return _fail(f"solver failure: {exc}")
-
-    print(f"{experiment}: {verdict}")
-    return 0 if ok else 1
+        message = f"solver failure: {exc}"
+    else:
+        print(f"{experiment}: {verdict}")
+        return 0 if ok else 1
+    # A failed run leaves behind no directory it made, unless it wrote into it.
+    for directory in created:
+        try:
+            directory.rmdir()
+        except OSError:
+            break
+    return _fail(message)
 
 
 def main(argv=None) -> int:

@@ -4,13 +4,17 @@
 class SingularResolventError(ValueError):
     """Raised when (I - z*a) or a stage block (I - h*a (x) A_k) is singular.
 
-    Carries the offending argument: the complex point ``z`` for scalar
-    stability-function evaluation, or the mode index for per-mode solves.
+    Carries the offending argument ``where``: the complex point ``z`` for
+    scalar stability-function evaluation, or the mode index for per-mode
+    solves, whose message also names their step size ``h``.
     """
 
-    def __init__(self, where, message=None):
+    def __init__(self, where, h=None):
         self.where = where
-        super().__init__(message or f"singular resolvent at {where!r}")
+        super().__init__(
+            f"singular resolvent at {where!r}" if h is None
+            else f"singular stage block at mode {where} for h = {float(h)!r}"
+        )
 
 
 class ConvergenceFailureError(RuntimeError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class ConvergenceReport:
     flagged: list[bool]
     fp_tol: float
     stage_iterations: dict
-    extras: dict = field(default_factory=dict)
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -124,7 +123,6 @@ class ConvergenceReport:
             "fp_tol": self.fp_tol,
             "reference": self.reference,
             "stage_iterations": dict(self.stage_iterations),
-            **self.extras,
         }
 
 
@@ -299,19 +297,15 @@ def conserved_quantities(p: ProblemSpec, u: State) -> dict:
     grid = p.grid
     w = grid.weights
     k = grid.modes.astype(float)
-    if p.kind == "nls":
-        mass = float(np.sum(w * np.abs(u.coeffs[0]) ** 2))
-        gradient_sq = float(np.sum(w * k**2 * np.abs(u.coeffs[0]) ** 2))
-        phys = inverse_transform_array(grid, u.coeffs[0])
-        potential = _physical_quadrature(grid, p.nonlinearity.potential(phys))
-        return {"mass": mass, "energy": gradient_sq + potential}
-
     mass = float(np.sum(w * np.abs(u.coeffs[0]) ** 2))
-    velocity_sq = float(np.sum(w * np.abs(u.coeffs[1]) ** 2))
     gradient_sq = float(np.sum(w * k**2 * np.abs(u.coeffs[0]) ** 2))
-    phys_u = inverse_transform_array(grid, u.coeffs[0])
-    potential = _physical_quadrature(grid, p.nonlinearity.antiderivative(np.real(phys_u)))
-    energy = 0.5 * (velocity_sq + gradient_sq) + potential
+    phys = inverse_transform_array(grid, u.coeffs[0])
+    if grid.equation == "schrodinger":
+        energy = gradient_sq + _physical_quadrature(grid, p.nonlinearity.potential(phys))
+    else:
+        velocity_sq = float(np.sum(w * np.abs(u.coeffs[1]) ** 2))
+        potential = _physical_quadrature(grid, p.nonlinearity.potential(np.real(phys)))
+        energy = 0.5 * (velocity_sq + gradient_sq) + potential
     return {"mass": mass, "energy": energy}
 
 
@@ -360,12 +354,12 @@ def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
         return 1.0, int(grid.modes[first[0]])
     k = grid.modes[first].astype(float)
     if grid.components == 1:
-        growth = np.abs(_symbol_stability(t, -1j * h * k**2, grid, first)) ** n_steps
+        growth = np.abs(_symbol_stability(t, h, -1j * h * k**2, grid, first)) ** n_steps
     else:
         growth = np.empty(len(first))
         nonzero = k != 0
         kn = k[nonzero]
-        sigma = _symbol_stability(t, 1j * h * kn, grid, first[nonzero]) ** n_steps
+        sigma = _symbol_stability(t, h, 1j * h * kn, grid, first[nonzero]) ** n_steps
         alpha, beta = sigma.real, sigma.imag
         w = np.sqrt(kn**2 + 1.0)
         f2 = 2 * alpha**2 + (w * beta / kn) ** 2 + (kn * beta / w) ** 2
@@ -379,14 +373,15 @@ def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
     return float(growth[j]), int(grid.modes[first[j]])
 
 
-def _symbol_stability(t, z, grid, index):
-    """S(z) at the points z of the modes ``grid.modes[index]``; raises
-    SingularResolventError naming the first mode whose (I - z a) is
-    singular."""
+def _symbol_stability(t, h, z, grid, index):
+    """S(z) at the points z of the modes ``grid.modes[index]`` for step
+    size h; raises SingularResolventError naming the first mode whose
+    (I - z a) is singular, and h."""
     sigma = _stability_function_many(t, z)
     singular = np.isinf(sigma)
     if singular.any():
-        raise SingularResolventError(int(grid.modes[index[int(np.argmax(singular))]]))
+        mode = int(grid.modes[index[int(np.argmax(singular))]])
+        raise SingularResolventError(mode, h)
     return sigma
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainEscapeError
-from .spectral import SpectralGrid, inverse_transform_array, schrodinger_grid, wave_grid
+from .spectral import SpectralGrid, inverse_transform_array
 
 DEFAULT_GRID_SIZE = 64
 
@@ -27,70 +27,64 @@ DEFAULT_GRID_SIZE = 64
 
 
 @dataclass(frozen=True)
-class WaveNonlinearity:
-    """Real scalar nonlinearity f for the wave system, with derivative
-    and antiderivative (the latter normalized to F(0) = 0, used for the
-    energy functional)."""
+class Nonlinearity:
+    """The pointwise map f of B, its linearization and its potential.
 
-    name: str
-    value: callable
-    derivative: callable
-    antiderivative: callable
-
-
-@dataclass(frozen=True)
-class NlsNonlinearity:
-    """Complex nonlinearity data for the Schrodinger equation.
-
-    ``gradient`` is the Wirtinger derivative of the potential with
-    respect to conj(u); ``gradient_tangent`` is its linearization
-    applied to a direction, and ``potential`` the real potential density
-    used for the energy functional.
+    ``value(u)`` is f(u): for the wave system f of the displacement, for
+    the Schrodinger equation the Wirtinger derivative dV/d(conj u) of
+    the potential V.  ``tangent(u, v)`` is Df(u) v, the derivative
+    applied to a direction.  ``potential(u)`` is the energy density: the
+    antiderivative F of f with F(0) = 0 for the wave system, V for the
+    Schrodinger equation.
     """
 
     name: str
-    gradient: callable
-    gradient_tangent: callable
+    value: callable
+    tangent: callable
     potential: callable
 
 
-def _wave_cubic_plus_const(c: float) -> WaveNonlinearity:
-    return WaveNonlinearity(
+def _wave_cubic_plus_const(c: float) -> Nonlinearity:
+    return Nonlinearity(
         name=f"cubic_plus_const:{c:g}",
         value=lambda u: u**3 + c,
-        derivative=lambda u: 3 * u**2,
-        antiderivative=lambda u: u**4 / 4 + c * u,
+        tangent=lambda u, v: 3 * u**2 * v,
+        potential=lambda u: u**4 / 4 + c * u,
     )
 
 
-_WAVE_NONLINEARITIES = {
-    "zero": WaveNonlinearity("zero", lambda u: 0 * u, lambda u: 0 * u, lambda u: 0 * u),
-    "cubic": WaveNonlinearity("cubic", lambda u: u**3, lambda u: 3 * u**2, lambda u: u**4 / 4),
-    "quintic": WaveNonlinearity(
-        "quintic", lambda u: u**5, lambda u: 5 * u**4, lambda u: u**6 / 6
-    ),
+_NONLINEARITIES = {
+    "wave": {
+        "zero": Nonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * u * v, lambda u: 0 * u),
+        "cubic": Nonlinearity(
+            "cubic", lambda u: u**3, lambda u, v: 3 * u**2 * v, lambda u: u**4 / 4
+        ),
+        "quintic": Nonlinearity(
+            "quintic", lambda u: u**5, lambda u, v: 5 * u**4 * v, lambda u: u**6 / 6
+        ),
+    },
+    "schrodinger": {
+        "zero": Nonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * v, lambda u: 0 * abs(u)),
+        # V = |u|^4 / 2, the standard cubic case
+        "cubic": Nonlinearity(
+            "cubic",
+            value=lambda u: np.abs(u) ** 2 * u,
+            tangent=lambda u, v: 2 * np.abs(u) ** 2 * v + u**2 * np.conj(v),
+            potential=lambda u: np.abs(u) ** 4 / 2,
+        ),
+    },
 }
 
-_NLS_NONLINEARITIES = {
-    "zero": NlsNonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * v, lambda u: 0 * abs(u)),
-    # V = |u|^4 / 2, the standard cubic case
-    "cubic": NlsNonlinearity(
-        "cubic",
-        gradient=lambda u: np.abs(u) ** 2 * u,
-        gradient_tangent=lambda u, v: 2 * np.abs(u) ** 2 * v + u**2 * np.conj(v),
-        potential=lambda u: np.abs(u) ** 4 / 2,
-    ),
-}
 
-
-def make_nonlinearity(kind: str, spec: str):
-    """Resolve a nonlinearity by name, e.g. 'cubic' or 'cubic_plus_const:1.0'."""
-    table = _WAVE_NONLINEARITIES if kind == "wave" else _NLS_NONLINEARITIES
+def make_nonlinearity(equation: str, spec: str) -> Nonlinearity:
+    """Resolve a nonlinearity of a grid's ``equation`` ("wave" or
+    "schrodinger") by name, e.g. 'cubic' or 'cubic_plus_const:1.0'."""
+    table = _NONLINEARITIES[equation]
     if spec in table:
         return table[spec]
-    if kind == "wave" and spec.startswith("cubic_plus_const:"):
+    if equation == "wave" and spec.startswith("cubic_plus_const:"):
         return _wave_cubic_plus_const(float(spec.split(":", 1)[1]))
-    raise KeyError(f"unknown {kind} nonlinearity {spec!r}; known: {sorted(table)}")
+    raise KeyError(f"unknown {equation} nonlinearity {spec!r}; known: {sorted(table)}")
 
 
 # -- problem definition --------------------------------------------------------
@@ -98,30 +92,23 @@ def make_nonlinearity(kind: str, spec: str):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A semilinear evolution problem on a spectral grid.
+    """A semilinear evolution problem on a spectral grid; the grid's
+    ``equation`` says which one.
 
     ``scale_bound`` is the pointwise-magnitude radius on which the
     nonlinearity is trusted; evaluation outside it raises, making
     blow-up diagnosable instead of silent.
     """
 
-    kind: str
     grid: SpectralGrid
-    nonlinearity: object
+    nonlinearity: Nonlinearity
     dealias: bool = True
     scale_bound: float = math.inf
     name: str = field(default="")
 
     def __post_init__(self):
-        if self.kind not in ("wave", "nls"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        expected = "wave" if self.kind == "wave" else "schrodinger"
-        if self.grid.equation != expected:
-            raise ValueError(
-                f"{self.kind} problems need a {expected} grid, got {self.grid.equation}"
-            )
         if not self.name:
-            object.__setattr__(self, "name", f"{self.kind}-{self.nonlinearity.name}")
+            object.__setattr__(self, "name", f"{self.grid.equation}-{self.nonlinearity.name}")
 
     @cached_property
     def _aliased_modes(self) -> np.ndarray:
@@ -149,7 +136,7 @@ def _modal_B(p: ProblemSpec, values: np.ndarray, like: np.ndarray) -> np.ndarray
     """Transform pointwise nonlinearity values (..., n) into B's component
     of an array shaped like ``like`` (..., components, n), dealiased."""
     out = np.zeros_like(like)
-    if p.kind == "wave":
+    if p.grid.equation == "wave":
         out[..., 1, :] = -p.grid.transform_array(values)
     else:
         out[..., 0, :] = -1j * p.grid.transform_array(values)
@@ -162,8 +149,7 @@ def evaluate_B_array(p: ProblemSpec, coeffs: np.ndarray) -> np.ndarray:
     """Batched nonlinearity: coeffs (..., components, n) -> same shape."""
     phys = inverse_transform_array(p.grid, coeffs[..., 0, :])
     _guard_domain(p, phys)
-    f = p.nonlinearity
-    return _modal_B(p, f.value(phys) if p.kind == "wave" else f.gradient(phys), coeffs)
+    return _modal_B(p, p.nonlinearity.value(phys), coeffs)
 
 
 def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
@@ -176,56 +162,32 @@ def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
     u_phys, v_phys = inverse_transform_array(p.grid, pair[..., 0, :])
     _guard_domain(p, u_phys)
     f = p.nonlinearity
-    if p.kind == "wave":
-        values = [f.value(u_phys), f.derivative(u_phys) * v_phys]
-    else:
-        values = [f.gradient(u_phys), f.gradient_tangent(u_phys, v_phys)]
-    return _modal_B(p, np.stack(values), pair)
+    return _modal_B(p, np.stack([f.value(u_phys), f.tangent(u_phys, v_phys)]), pair)
 
 
 # -- catalogue -----------------------------------------------------------------
 
 
-def _catalogue() -> dict:
-    return {
-        "nls-cubic-periodic": lambda n: ProblemSpec(
-            "nls", schrodinger_grid(n), make_nonlinearity("nls", "cubic"),
-            name="nls-cubic-periodic",
-        ),
-        "nls-linear-periodic": lambda n: ProblemSpec(
-            "nls", schrodinger_grid(n), make_nonlinearity("nls", "zero"),
-            name="nls-linear-periodic",
-        ),
-        "wave-cubic-periodic": lambda n: ProblemSpec(
-            "wave", wave_grid(n), make_nonlinearity("wave", "cubic"),
-            name="wave-cubic-periodic",
-        ),
-        "wave-linear-periodic": lambda n: ProblemSpec(
-            "wave", wave_grid(n), make_nonlinearity("wave", "zero"),
-            name="wave-linear-periodic",
-        ),
-        "wave-dirichlet-compatible": lambda n: ProblemSpec(
-            "wave", wave_grid(n, "dirichlet"), make_nonlinearity("wave", "cubic"),
-            name="wave-dirichlet-compatible",
-        ),
-        "wave-dirichlet-incompatible": lambda n: ProblemSpec(
-            "wave", wave_grid(n, "dirichlet"), make_nonlinearity("wave", "cubic_plus_const:1.0"),
-            name="wave-dirichlet-incompatible",
-        ),
-        "wave-neumann": lambda n: ProblemSpec(
-            "wave", wave_grid(n, "neumann"), make_nonlinearity("wave", "cubic"),
-            name="wave-neumann",
-        ),
-    }
+# name -> (equation, boundary condition, nonlinearity)
+_CATALOGUE = {
+    "nls-cubic-periodic": ("schrodinger", "periodic", "cubic"),
+    "nls-linear-periodic": ("schrodinger", "periodic", "zero"),
+    "wave-cubic-periodic": ("wave", "periodic", "cubic"),
+    "wave-linear-periodic": ("wave", "periodic", "zero"),
+    "wave-dirichlet-compatible": ("wave", "dirichlet", "cubic"),
+    "wave-dirichlet-incompatible": ("wave", "dirichlet", "cubic_plus_const:1.0"),
+    "wave-neumann": ("wave", "neumann", "cubic"),
+}
 
 
 def list_problems() -> list:
-    return sorted(_catalogue())
+    return sorted(_CATALOGUE)
 
 
 def get_problem(name: str, n: int | None = None) -> ProblemSpec:
     """Look up a catalogue problem, optionally overriding the grid size."""
-    factories = _catalogue()
-    if name not in factories:
+    if name not in _CATALOGUE:
         raise KeyError(f"unknown problem {name!r}; available: {list_problems()}")
-    return factories[name](DEFAULT_GRID_SIZE if n is None else n)
+    equation, bc, nonlinearity = _CATALOGUE[name]
+    grid = SpectralGrid(equation, bc, DEFAULT_GRID_SIZE if n is None else n)
+    return ProblemSpec(grid, make_nonlinearity(equation, nonlinearity), name=name)

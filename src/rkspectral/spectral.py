@@ -401,7 +401,7 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     except np.linalg.LinAlgError:
         dets = np.abs(np.linalg.det(m))
         mode = int(grid.modes[first[int(np.argmin(dets))]])
-        raise SingularResolventError(mode) from None
+        raise SingularResolventError(mode, h) from None
 
     work = stage_inv if np.iscomplexobj(blocks) else stage_inv.real
     ones_block = np.tile(np.eye(c), (s, 1))  # 1 (x) I_c

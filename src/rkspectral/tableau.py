@@ -203,14 +203,12 @@ def gauss_legendre(s: int) -> ButcherTableau:
 
 
 def stability_function(t: ButcherTableau, z: complex) -> complex:
-    """Evaluate S(z) = 1 + z b^T (I - z a)^{-1} 1 by one s x s solve."""
+    """Evaluate S(z) = 1 + z b^T (I - z a)^{-1} 1 at one point."""
     z = complex(z)
-    m = np.eye(t.s, dtype=complex) - z * t.a
-    try:
-        x = np.linalg.solve(m, np.ones(t.s, dtype=complex))
-    except np.linalg.LinAlgError:
-        raise SingularResolventError(z) from None
-    return 1.0 + z * (t.b @ x)
+    value = _stability_function_many(t, [z])[0]
+    if np.isinf(value):
+        raise SingularResolventError(z)
+    return value
 
 
 def _stability_function_many(t, z):

@@ -96,7 +96,7 @@ def checked_conserved_quantities(p, u):
     grid = p.grid
     w = grid.weights
     k = grid.modes.astype(float)
-    if p.kind == "nls":
+    if p.grid.equation == "schrodinger":
         mass = float(np.sum(w * np.abs(u.coeffs[0]) ** 2))
         phys = inverse_transform_array(grid, u.coeffs[0])
         _compare("mass", mass, _physical_quadrature(grid, np.abs(phys) ** 2))

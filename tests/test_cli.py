@@ -123,17 +123,32 @@ def test_dealias_override_takes_a_json_bool(tmp_path, capsys, monkeypatch):
     assert seen == [False, True]
 
 
-@pytest.mark.parametrize("grid, h_values, mode", [("schrodinger", [0.5, 1.0], 1),
-                                                  ("wave", [0.1, 0.25], 4)])
-def test_singular_stage_block_exits_2(tmp_path, capsys, grid, h_values, mode):
+def write_singular_tableau(tmp_path):
     # a = [[0, -1], [1, 0]]: singular where h k^2 = 1 (Schrodinger), h k = 1 (wave)
-    tableau_path = tmp_path / "t.json"
-    tableau_path.write_text(json.dumps({"s": 2, "a": [[0, -1], [1, 0]], "b": [0.5, 0.5],
-                                        "c": [-1, 1], "p": 1}), encoding="utf-8")
-    payload = {"experiment": "stability", "tableau": str(tableau_path), "grid": grid,
-               "n": 8, "h_values": h_values}
-    assert run_config(write_config(tmp_path, payload), tmp_path / "out") == 2
-    assert f"singular resolvent at {mode}" in capsys.readouterr().err
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"s": 2, "a": [[0, -1], [1, 0]], "b": [0.5, 0.5],
+                                "c": [-1, 1], "p": 1}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("grid, h_values, mode, h", [("schrodinger", [0.5, 1.0], 1, 1.0),
+                                                     ("wave", [0.1, 0.25], 4, 0.25)])
+def test_singular_stage_block_exits_2(tmp_path, capsys, grid, h_values, mode, h):
+    payload = {"experiment": "stability", "tableau": write_singular_tableau(tmp_path),
+               "grid": grid, "n": 8, "h_values": h_values}
+    out = tmp_path / "out" / "run"
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    assert f"singular stage block at mode {mode} for h = {h!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_keeps_an_existing_out_dir(tmp_path, capsys):
+    payload = {"experiment": "stability", "tableau": write_singular_tableau(tmp_path),
+               "n": 8, "h_values": [1.0]}
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    assert out.is_dir()
 
 
 def test_small_convergence_run_and_determinism(tmp_path, capsys):

@@ -255,7 +255,7 @@ class TestConservedQuantities:
         assert q["mass"] == pytest.approx(2 * math.pi * 0.09, abs=1e-12)
 
     def test_linear_dirichlet_energy_of_sine(self):
-        p = ProblemSpec("wave", wave_grid(32, "dirichlet"), make_nonlinearity("wave", "zero"))
+        p = ProblemSpec(wave_grid(32, "dirichlet"), make_nonlinearity("wave", "zero"))
         u = p.grid.transform(np.vstack([np.sin(p.grid.nodes), np.zeros(32)]))
         q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4, abs=1e-10)

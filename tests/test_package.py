@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "ConvergenceFailureError",
     "ConvergenceReport",
     "DomainEscapeError",
-    "NlsNonlinearity",
+    "Nonlinearity",
     "NumericalBlowupError",
     "ProblemSpec",
     "ReferenceInfo",
@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "State",
     "StepStats",
     "UnreliableReferenceError",
-    "WaveNonlinearity",
     "apply_A",
     "apply_exp_tA",
     "base_norm",

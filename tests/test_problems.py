@@ -5,6 +5,7 @@ import pytest
 
 from rkspectral.errors import DomainEscapeError
 from rkspectral.problems import (
+    _NONLINEARITIES,
     DEFAULT_GRID_SIZE,
     ProblemSpec,
     dealias_mask,
@@ -14,7 +15,7 @@ from rkspectral.problems import (
     list_problems,
     make_nonlinearity,
 )
-from rkspectral.spectral import State, inverse_transform_array, schrodinger_grid, wave_grid
+from rkspectral.spectral import SpectralGrid, State, inverse_transform_array, schrodinger_grid
 
 from oracles import evaluate_B
 
@@ -69,7 +70,7 @@ class TestEvaluateB:
 
     def test_domain_escape_guard(self):
         p = ProblemSpec(
-            "nls", schrodinger_grid(16), make_nonlinearity("nls", "cubic"), scale_bound=0.5
+            schrodinger_grid(16), make_nonlinearity("schrodinger", "cubic"), scale_bound=0.5
         )
         u = mode_state(p.grid, 0, {0: 1.0})
         with pytest.raises(DomainEscapeError) as err:
@@ -114,25 +115,24 @@ def two_pass_tangent(p, u, v):
     u_phys = inverse_transform_array(p.grid, u[..., 0, :])
     v_phys = inverse_transform_array(p.grid, v[..., 0, :])
     out = np.zeros_like(v)
-    if p.kind == "wave":
-        out[..., 1, :] = -p.grid.transform_array(p.nonlinearity.derivative(u_phys) * v_phys)
+    modal = p.grid.transform_array(p.nonlinearity.tangent(u_phys, v_phys))
+    if p.grid.equation == "wave":
+        out[..., 1, :] = -modal
     else:
-        out[..., 0, :] = -1j * p.grid.transform_array(
-            p.nonlinearity.gradient_tangent(u_phys, v_phys)
-        )
+        out[..., 0, :] = -1j * modal
     if p.dealias:
         out[..., ~dealias_mask(p.grid)] = 0.0
     return out
 
 
 class TestPairEvaluation:
-    @pytest.mark.parametrize("kind", ["nls", "wave"])
+    @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     @pytest.mark.parametrize("s", [1, 3])
     @pytest.mark.parametrize("dealias", [True, False])
-    def test_equals_separate_evaluations_bitwise(self, kind, bc, s, dealias):
-        grid = schrodinger_grid(32, bc) if kind == "nls" else wave_grid(32, bc)
-        p = ProblemSpec(kind, grid, make_nonlinearity(kind, "cubic"), dealias=dealias)
+    def test_equals_separate_evaluations_bitwise(self, equation, bc, s, dealias):
+        grid = SpectralGrid(equation, bc, 32)
+        p = ProblemSpec(grid, make_nonlinearity(equation, "cubic"), dealias=dealias)
         rng = np.random.default_rng(s)
         shape = (2, s, grid.components, grid.n)
         pair = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -144,7 +144,7 @@ class TestPairEvaluation:
 
     def test_domain_guard_reads_the_primal_half(self):
         p = ProblemSpec(
-            "nls", schrodinger_grid(16), make_nonlinearity("nls", "cubic"), scale_bound=1.0
+            schrodinger_grid(16), make_nonlinearity("schrodinger", "cubic"), scale_bound=1.0
         )
         pair = np.zeros((2, 1, 1, 16), dtype=complex)
         pair[1, 0, 0, 1] = 10.0  # a large direction is not a domain escape
@@ -168,7 +168,7 @@ class TestCatalogue:
 
     def test_nls_cubic_periodic_shape(self):
         p = get_problem("nls-cubic-periodic")
-        assert p.kind == "nls"
+        assert p.grid.equation == "schrodinger"
         assert p.grid.bc == "periodic"
         assert p.grid.components == 1
 
@@ -190,19 +190,42 @@ class TestCatalogue:
                 get_problem(name, 0)
         assert get_problem("nls-cubic-periodic").grid.n == DEFAULT_GRID_SIZE
 
-    def test_kind_grid_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ProblemSpec("wave", schrodinger_grid(16), make_nonlinearity("wave", "cubic"))
-        with pytest.raises(ValueError):
-            ProblemSpec("nls", wave_grid(16), make_nonlinearity("nls", "cubic"))
-
     def test_nonlinearity_parsing(self):
         f = make_nonlinearity("wave", "cubic_plus_const:2.5")
         assert f.value(0.0) == pytest.approx(2.5)
         assert f.value(2.0) == pytest.approx(10.5)
-        assert f.derivative(2.0) == pytest.approx(12.0)
-        with pytest.raises(KeyError):
+        assert f.tangent(2.0, 1.0) == pytest.approx(12.0)
+        with pytest.raises(KeyError, match="unknown wave nonlinearity 'septic'"):
             make_nonlinearity("wave", "septic")
+        with pytest.raises(KeyError, match="unknown schrodinger nonlinearity 'quintic'"):
+            make_nonlinearity("schrodinger", "quintic")
+
+
+# Every tabled nonlinearity, plus the parsed family.
+ALL_NONLINEARITIES = [
+    (equation, name) for equation, table in _NONLINEARITIES.items() for name in table
+] + [("wave", "cubic_plus_const:0.5")]
+
+
+class TestNonlinearities:
+    @pytest.mark.parametrize("equation, name", ALL_NONLINEARITIES)
+    def test_tangent_and_potential_match_the_value(self, equation, name):
+        # tangent(u, v) is the derivative of value along v; the potential's
+        # derivative along v is f(u) v (wave) or 2 Re(conj(v) f(u)) (Schrodinger).
+        f = make_nonlinearity(equation, name)
+        rng = np.random.default_rng(6)
+        u, v = rng.uniform(-1, 1, (2, 64))
+        if equation == "schrodinger":
+            u, v = u + 1j * rng.uniform(-1, 1, 64), v + 1j * rng.uniform(-1, 1, 64)
+        eps = 1e-6
+        value_fd = (f.value(u + eps * v) - f.value(u - eps * v)) / (2 * eps)
+        np.testing.assert_allclose(f.tangent(u, v), value_fd, rtol=0, atol=1e-8)
+        potential_fd = (f.potential(u + eps * v) - f.potential(u - eps * v)) / (2 * eps)
+        if equation == "wave":
+            expected = f.value(u) * v
+        else:
+            expected = 2 * np.real(np.conj(v) * f.value(u))
+        np.testing.assert_allclose(potential_fd, expected, rtol=0, atol=1e-8)
 
 
 class TestBoundaryPreservation:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.fft import dct, dst
 
 from rkspectral import spectral
@@ -22,6 +24,13 @@ from rkspectral.spectral import (
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import apply_S_hA, hermitian_symmetry_defect, solve_stage_resolvent
+
+# A boundary condition and a grid size for it: periodic grids need even
+# n >= 4.  The Dirichlet sizes reach both sides of the dense DST-I cap.
+GRID_SIZES = st.one_of(
+    st.tuples(st.just("periodic"), st.integers(2, 150).map(lambda m: 2 * m)),
+    st.tuples(st.sampled_from(["dirichlet", "neumann"]), st.integers(2, 300)),
+)
 
 
 def mode_state(grid, assignments):
@@ -58,6 +67,21 @@ class TestTransforms:
         state = grid.transform(values)
         back = inverse_transform_array(grid, state.coeffs)
         assert np.max(np.abs(back - values)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(bc_n=GRID_SIZES, seed=st.integers(0, 2**32 - 1))
+    @example(bc_n=("dirichlet", spectral._DENSE_DST1_MAX_N), seed=0)
+    @example(bc_n=("dirichlet", spectral._DENSE_DST1_MAX_N + 1), seed=0)
+    def test_roundtrip_property(self, bc_n, seed):
+        bc, n = bc_n
+        grid = schrodinger_grid(n, bc)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        tol = 1e-13 * np.max(np.abs(values))
+        there_and_back = inverse_transform_array(grid, grid.transform_array(values))
+        assert np.max(np.abs(there_and_back - values)) <= tol
+        back_and_there = grid.transform_array(inverse_transform_array(grid, values))
+        assert np.max(np.abs(back_and_there - values)) <= tol
 
     def test_periodic_cosine_hits_two_modes(self):
         grid = schrodinger_grid(16)
