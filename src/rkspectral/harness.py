@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularResolventError, UnreliableReferenceError
+from .errors import UnreliableReferenceError
 from .problems import ProblemSpec, get_problem
-from .spectral import SpectralGrid, State, base_norm, inverse_transform_array
+from .spectral import SpectralGrid, State, _symbol_resolvents, base_norm, inverse_transform_array
 from .stepper import SolverConfig, _integrate_tangent, integrate, step
-from .tableau import ButcherTableau, _stability_function_many, gauss_legendre
+from .tableau import ButcherTableau, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
 # O(1) states cannot be driven meaningfully below this.
@@ -330,11 +330,11 @@ def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
 
     The update map acts on each mode through the stability function S at
     the symbol's eigenvalues (Hairer & Wanner, Solving ODEs II, IV.3),
-    evaluated once per distinct symbol.  Schrodinger: |S(-i h k^2)|^n.
-    Wave, k != 0: M = [[0, 1], [-k^2, 0]] has eigenvalues +-ik and
-    (M/k)^2 = -I, so with S(ihk)^n = alpha + i beta (a real tableau gives
-    S(-ihk) its conjugate), S(hM)^n = alpha I + beta M/k, and in the
-    base-norm weighting D = diag(w, 1), w = sqrt(k^2 + 1),
+    read once per distinct symbol (``spectral._symbol_resolvents``).
+    Schrodinger: |S(-i h k^2)|^n.  Wave, k != 0: M = [[0, 1], [-k^2, 0]]
+    has eigenvalues +-ik and (M/k)^2 = -I, so with S(ihk)^n = alpha + i
+    beta (a real tableau gives S(-ihk) its conjugate), S(hM)^n = alpha I +
+    beta M/k, and in the base-norm weighting D = diag(w, 1), w = sqrt(k^2 + 1),
 
         D S(hM)^n D^-1 = [[alpha, w beta / k], [-k beta / w, alpha]].
 
@@ -343,7 +343,7 @@ def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
     beta^2, and s1 - s2 = |beta| / (w k), taken in closed form because
     F^2 - 2 det cancels.  Wave, k = 0: M is nilpotent, S(hM) = [[1, h
     sum(b)], [0, 1]] exactly, and its n-th power is normed by a complex
-    SVD.  For h <= 1 that is bit for bit the norm of the n-th power of
+    SVD: for every h, bit for bit the norm of the n-th power of
     ``step_matrices``' k = 0 update, the block that sets the maximum of a
     periodic or Neumann wave grid.
     """
@@ -352,14 +352,14 @@ def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
     first = grid._distinct_symbols[0]
     if n_steps == 0:
         return 1.0, int(grid.modes[first[0]])
-    k = grid.modes[first].astype(float)
+    k, _, sigma = _symbol_resolvents(t, h, grid)
     if grid.components == 1:
-        growth = np.abs(_symbol_stability(t, h, -1j * h * k**2, grid, first)) ** n_steps
+        growth = np.abs(sigma) ** n_steps
     else:
         growth = np.empty(len(first))
         nonzero = k != 0
         kn = k[nonzero]
-        sigma = _symbol_stability(t, h, 1j * h * kn, grid, first[nonzero]) ** n_steps
+        sigma = sigma[nonzero] ** n_steps
         alpha, beta = sigma.real, sigma.imag
         w = np.sqrt(kn**2 + 1.0)
         f2 = 2 * alpha**2 + (w * beta / kn) ** 2 + (kn * beta / w) ** 2
@@ -371,18 +371,6 @@ def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
             growth[~nonzero] = np.linalg.norm(power, ord=2)
     j = int(np.argmax(growth))
     return float(growth[j]), int(grid.modes[first[j]])
-
-
-def _symbol_stability(t, h, z, grid, index):
-    """S(z) at the points z of the modes ``grid.modes[index]`` for step
-    size h; raises SingularResolventError naming the first mode whose
-    (I - z a) is singular, and h."""
-    sigma = _stability_function_many(t, z)
-    singular = np.isinf(sigma)
-    if singular.any():
-        mode = int(grid.modes[index[int(np.argmax(singular))]])
-        raise SingularResolventError(mode, h)
-    return sigma
 
 
 # -- smoothness probe ----------------------------------------------------------

@@ -3,10 +3,10 @@ linear part of the evolution.
 
 The linear operator acts diagonally (Schrodinger, scalar symbol
 ``-i k^2`` per mode) or block-diagonally (wave as a first-order system,
-2x2 block ``[[0, 1], [-k^2, 0]]`` per mode).  This makes the semigroup,
-the stage resolvent ``(I - h a (x) A)^{-1}`` and the update map
-``S(hA)`` exact small-matrix computations, so convergence studies see
-time-discretization error only.
+2x2 block ``M = [[0, 1], [-k^2, 0]]``, M^2 = -k^2 I).  The semigroup is
+exact, and a mode's stage resolvent ``(I - h a (x) A)^{-1}`` and update
+``S(hA)`` follow from one s x s inverse at an eigenvalue of its symbol,
+so convergence studies see time-discretization error only.
 
 Mode index sets: periodic k in {-n/2+1, ..., n/2}; Dirichlet (sine)
 k in {1, ..., n}; Neumann (cosine) k in {0, ..., n-1}.  For the periodic
@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularResolventError
-from .tableau import ButcherTableau
+from .tableau import ButcherTableau, _resolvent
 
 DEFAULT_SCALE_CAP = 8
 
@@ -381,34 +381,44 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     Returns (stage_inv, update), shapes (n, s*c, s*c) and (n, c, c), both
     complex, in storage order: stage_inv realizes ``(I - h a (x) A_k)^{-1}``
     and update realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
-    Both are computed once per distinct symbol (the representatives
-    ``grid._distinct_symbols[0]``) and gathered back.  The wave system's
-    real blocks keep the arithmetic real except for the inversion, which
-    runs in complex so that every bit matches the fully complex
-    construction (a real LU rounds differently).  Nothing is kept between
-    calls: a run builds them once and applies them at every step.  A
-    repeated call performs the same operations, so it returns fresh
-    arrays with the same bits.
+    Both are X and S of each distinct symbol (``_symbol_resolvents``), as
+    is (Schrodinger) or in real form (wave, ``_wave_form``), gathered back.
+    Nothing is kept: a repeated call returns fresh arrays, same bits.
     """
     first, inverse = grid._distinct_symbols
+    k, x, sigma = _symbol_resolvents(t, h, grid)
+    if grid.components == 1:
+        return x[inverse], sigma[:, None, None][inverse]
     blocks = grid.symbol_blocks()[first]
-    n, c = len(first), grid.components
-    s = t.s
-    kron = (t.a[None, :, None, :, None] * blocks[:, None, :, None, :]).reshape(n, s * c, s * c)
-    m = (np.eye(s * c)[None, :, :] - h * kron).astype(complex, copy=False)
-    try:
-        stage_inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        dets = np.abs(np.linalg.det(m))
-        mode = int(grid.modes[first[int(np.argmin(dets))]])
-        raise SingularResolventError(mode, h) from None
-
-    work = stage_inv if np.iscomplexobj(blocks) else stage_inv.real
-    ones_block = np.tile(np.eye(c), (s, 1))  # 1 (x) I_c
-    e = work @ ones_block  # (n, s*c, c)
-    bsum = np.einsum("j,kjpq->kpq", t.b, e.reshape(n, s, c, c))
-    update = (np.eye(c)[None, :, :] + h * (blocks @ bsum)).astype(complex, copy=False)
+    stage_inv = _wave_form(x, h * t.a, k, blocks)
+    update = _wave_form(sigma[:, None, None], h * t.b.sum(), k, blocks)
     return stage_inv[inverse], update[inverse]
+
+
+def _symbol_resolvents(t: ButcherTableau, h: float, grid: SpectralGrid):
+    """k, X = (I - h a lambda)^{-1} and S(h lambda) of each distinct symbol
+    at its eigenvalue lambda = -i k^2 (Schrodinger) or ik (wave, +-ik); a
+    SingularResolventError names the first singular mode, and h."""
+    first = grid._distinct_symbols[0]
+    k = grid.modes[first].astype(float)
+    x, sigma, singular = _resolvent(t, h, -1j * k**2 if grid.components == 1 else 1j * k)
+    if singular.any():
+        raise SingularResolventError(int(grid.modes[first[int(np.argmax(singular))]]), h)
+    return k, x, sigma
+
+
+def _wave_form(f, slope, k, blocks):
+    """f(hM), complex (n, 2r, 2r), for the wave blocks M = [[0, 1], [-k^2,
+    0]] from the (n, r, r) values f(ihk) of a real rational f.  M^2 = -k^2 I
+    gives f(hM) = Re f(ihk) (x) I + (Im f(ihk) / k) (x) M.  At k = 0, M is
+    nilpotent, f(0) = I and Im f(ihk) / k tends to ``slope`` (h a for X,
+    h sum(b) for S), which makes the blocks exact."""
+    zero = (k == 0)[:, None, None]
+    re = np.where(zero, np.eye(f.shape[1]), f.real)
+    im = np.where(zero, slope, f.imag / np.where(zero, 1.0, k[:, None, None]))
+    kron = re[:, :, None, :, None] * np.eye(2)[:, None, :]
+    kron = kron + im[:, :, None, :, None] * blocks[:, None, :, None, :]
+    return kron.reshape(len(k), 2 * f.shape[1], -1).astype(complex)
 
 
 def _apply_stage_inv(stage_inv: np.ndarray, data: np.ndarray) -> np.ndarray:

@@ -204,25 +204,27 @@ def gauss_legendre(s: int) -> ButcherTableau:
 
 def stability_function(t: ButcherTableau, z: complex) -> complex:
     """Evaluate S(z) = 1 + z b^T (I - z a)^{-1} 1 at one point."""
-    z = complex(z)
-    value = _stability_function_many(t, [z])[0]
-    if np.isinf(value):
-        raise SingularResolventError(z)
-    return value
+    _, value, singular = _resolvent(t, 1.0, np.array([complex(z)]))
+    if singular[0]:
+        raise SingularResolventError(complex(z))
+    return value[0]
 
 
-def _stability_function_many(t, z):
-    """Vectorized S(z) for an array of complex points; inf where singular."""
-    z = np.asarray(z, dtype=complex)
-    m = np.eye(t.s, dtype=complex) - z[..., None, None] * t.a
-    det = np.linalg.det(m)
-    singular = det == 0
-    m[singular] = np.eye(t.s)
-    rhs = np.broadcast_to(np.ones(t.s, dtype=complex)[:, None], m.shape[:-2] + (t.s, 1))
-    x = np.linalg.solve(m, np.ascontiguousarray(rhs))[..., 0]
-    out = 1.0 + z * (x @ t.b)
-    out[singular] = np.inf
-    return out
+def _resolvent(t, h, lam):
+    """The package's one stage resolvent: X = (I - h (a lam))^{-1}, S(h lam)
+    = 1 + h (lam b^T X 1) and the mask of singular (I - h a lam), at the
+    complex points ``lam`` (shape (m,)); a singular point reads lam = 0
+    (X = I), then S = inf."""
+    m = np.eye(t.s) - h * (t.a * lam[:, None, None])
+    try:
+        x = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(m) == 0
+        x, sigma, _ = _resolvent(t, h, np.where(singular, 0, lam))
+        sigma[singular] = np.inf
+        return x, sigma, singular
+    bsum = np.einsum("j,kjq->kq", t.b, x @ np.ones((t.s, 1)))[:, 0]
+    return x, 1.0 + h * (lam * bsum), np.zeros(len(lam), dtype=bool)
 
 
 def quadrature_order(t: ButcherTableau) -> int:
@@ -259,7 +261,7 @@ def check_a_stability(t: ButcherTableau) -> StabilityReport:
     interior = (re[:, None] + 1j * im[None, :]).ravel()
 
     samples = np.concatenate([boundary, interior])
-    values = np.abs(_stability_function_many(t, samples))
+    values = np.abs(_resolvent(t, 1.0, samples)[1])
     worst = int(np.argmax(values))
     rk1_ok = bool(values[worst] <= 1.0 + _RK1_TOL)
 

@@ -1,12 +1,15 @@
 """Reference computations the tests compare the package against.
 
-Each is a few lines over the package's per-mode step matrices and its
+Most are a few lines over the package's per-mode step matrices and its
 private stage solver, so a test can check one piece of a step on its own.
-Stage data are arrays of shape (s, components, n).
+Stage data are arrays of shape (s, components, n).  Two build the step
+matrices independently: by a complex LU of the (s c) x (s c) Kronecker
+block, and in 50-digit arithmetic.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from rkspectral.harness import _physical_quadrature, conserved_quantities
@@ -46,6 +49,60 @@ def apply_S_hA(u, t, h):
     """Apply the update map ``S(hA)`` of the method to a state."""
     _, update = step_matrices(t, h, u.grid)
     return State(u.grid, _apply_update(update, u.coeffs))
+
+
+def complex_step_matrices(t, h, grid):
+    """Every mode's stage inverse and update from one complex LU
+    inversion of its (s c) x (s c) block ``I - h a (x) A_k``, the
+    construction ``step_matrices`` used before it read both from the
+    s x s resolvent at the symbol's eigenvalue.  Schrodinger blocks match
+    it bit for bit; for the wave system this LU is the less accurate side.
+    """
+    k = grid.modes.astype(float)
+    if grid.equation == "schrodinger":
+        blocks = (-1j * k**2).reshape(grid.n, 1, 1)
+    else:
+        blocks = np.zeros((grid.n, 2, 2), dtype=complex)
+        blocks[:, 0, 1] = 1.0
+        blocks[:, 1, 0] = -(k**2)
+    n, c, s = grid.n, grid.components, t.s
+    kron = np.einsum("ij,kpq->kipjq", t.a, blocks).reshape(n, s * c, s * c)
+    stage_inv = np.linalg.inv(np.eye(s * c, dtype=complex)[None, :, :] - h * kron)
+    ones_block = np.tile(np.eye(c, dtype=complex), (s, 1))
+    bsum = np.einsum("j,kjpq->kpq", t.b, (stage_inv @ ones_block).reshape(n, s, c, c))
+    update = np.eye(c, dtype=complex)[None, :, :] + h * (blocks @ bsum)
+    return stage_inv, update
+
+
+def exact_wave_blocks(t, h, k, digits=50):
+    """The stage inverse (2s x 2s) and update (2 x 2) of the wave block
+    M = [[0, 1], [-k^2, 0]] for the binary tableau ``t`` and step h, as
+    mpmath matrices computed at ``digits`` significant digits."""
+    with mpmath.workdps(digits):
+        a = mpmath.matrix(t.a.tolist())
+        m = mpmath.matrix([[0, 1], [-mpmath.mpf(k) ** 2, 0]])
+        s = t.s
+        block = mpmath.eye(2 * s)
+        for i in range(s):
+            for j in range(s):
+                for p in range(2):
+                    for q in range(2):
+                        block[2 * i + p, 2 * j + q] -= h * a[i, j] * m[p, q]
+        stage_inv = mpmath.inverse(block)
+        # sum_j b_j (stage_inv (1 (x) I))_j, a 2 x 2 matrix
+        bsum = mpmath.zeros(2, 2)
+        for j in range(s):
+            for p in range(2):
+                for q in range(2):
+                    row = sum(stage_inv[2 * j + p, 2 * i + q] for i in range(s))
+                    bsum[p, q] += mpmath.mpf(t.b[j]) * row
+        return stage_inv, mpmath.eye(2) + h * (m * bsum)
+
+
+def block_relative_error(got, exact):
+    """max |got - exact| / max |exact| of one block, taken in mpmath."""
+    diff = max(abs(mpmath.mpc(complex(g)) - e) for g, e in zip(got.ravel(), exact))
+    return float(diff / max(abs(e) for e in exact))
 
 
 def stability_growth(t, grid, h, n_steps):

@@ -332,6 +332,9 @@ class TestStabilityGrowth:
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
     def test_closed_form_matches_step_matrix_oracle(self, equation, bc):
+        # Both read S from one resolvent: a Schrodinger update is S, and the
+        # wave k = 0 update, the maximum of a periodic or Neumann grid, is
+        # exact in both.  Dirichlet wave values agree to 8.4e-16.
         for n in (16, 256):
             grid = SpectralGrid(equation, bc, n - (bc != "periodic"))
             for s in range(1, 9):
@@ -340,7 +343,10 @@ class TestStabilityGrowth:
                     for n_steps in (1, 10):
                         expected = matrix_stability_growth(t, grid, h, n_steps)
                         got = stability_growth(t, grid, h, n_steps)
-                        assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
+                        if (equation, bc) == ("wave", "dirichlet"):
+                            assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
+                        else:
+                            assert got == expected, (n, s, h)
 
     def test_h_scan_sweep_matches_step_matrix_oracle_bitwise(self):
         # the benchmark's stability sweep: 400 log-spaced steps on [1e-4, 1]

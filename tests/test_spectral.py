@@ -23,7 +23,14 @@ from rkspectral.spectral import (
 )
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
-from oracles import apply_S_hA, hermitian_symmetry_defect, solve_stage_resolvent
+from oracles import (
+    apply_S_hA,
+    block_relative_error,
+    complex_step_matrices,
+    exact_wave_blocks,
+    hermitian_symmetry_defect,
+    solve_stage_resolvent,
+)
 
 # A boundary condition and a grid size for it: periodic grids need even
 # n >= 4.  The Dirichlet sizes reach both sides of the dense DST-I cap.
@@ -332,25 +339,6 @@ class TestStageResolvent:
             assert before.tobytes() == after.tobytes()
 
 
-def complex_step_matrices(t, h, grid):
-    """The fully complex construction over every mode, kept as the
-    reference that the distinct-symbol build must reproduce bit for bit."""
-    k = grid.modes.astype(float)
-    if grid.equation == "schrodinger":
-        blocks = (-1j * k**2).reshape(grid.n, 1, 1)
-    else:
-        blocks = np.zeros((grid.n, 2, 2), dtype=complex)
-        blocks[:, 0, 1] = 1.0
-        blocks[:, 1, 0] = -(k**2)
-    n, c, s = grid.n, grid.components, t.s
-    kron = np.einsum("ij,kpq->kipjq", t.a, blocks).reshape(n, s * c, s * c)
-    stage_inv = np.linalg.inv(np.eye(s * c, dtype=complex)[None, :, :] - h * kron)
-    ones_block = np.tile(np.eye(c, dtype=complex), (s, 1))
-    bsum = np.einsum("j,kjpq->kpq", t.b, (stage_inv @ ones_block).reshape(n, s, c, c))
-    update = np.eye(c, dtype=complex)[None, :, :] + h * (blocks @ bsum)
-    return stage_inv, update
-
-
 ALL_GRID_KINDS = [(eq, bc) for eq in ("schrodinger", "wave")
                   for bc in ("periodic", "dirichlet", "neumann")]
 
@@ -371,17 +359,61 @@ class TestDistinctSymbolBuild:
 
     @pytest.mark.parametrize("equation, bc", ALL_GRID_KINDS)
     def test_matches_complex_construction_bitwise(self, equation, bc):
+        # Schrodinger blocks are the LU construction's bits.  Wave blocks
+        # come in closed form from the s x s resolvent and differ from the
+        # LU's in the last bits, the LU being the less accurate side (see
+        # the 50-digit test); per block they stay within 1e-13 (stage
+        # inverse) and 5e-13 (update) relative; 4.0e-14 and 1.9e-13 seen.
         for n in (16, 256, 1024):
             grid = SpectralGrid(equation, bc, n - (bc != "periodic"))
             for s in range(1, 7):
                 t = gauss_legendre(s)
                 for h in (1e-3, 0.37, 2.5):
                     built = step_matrices(t, h, grid)
-                    for got, want in zip(built, complex_step_matrices(t, h, grid)):
+                    oracle = complex_step_matrices(t, h, grid)
+                    for got, want, bound in zip(built, oracle, (1e-13, 5e-13)):
                         assert got.dtype == want.dtype == complex
                         assert got.shape == want.shape
-                        # bytes compare the signs of zero parts too
-                        assert got.tobytes() == want.tobytes(), (n, s, h)
+                        if equation == "schrodinger":
+                            # bytes compare the signs of zero parts too
+                            assert got.tobytes() == want.tobytes(), (n, s, h)
+                        else:
+                            error = np.max(np.abs(got - want), axis=(1, 2))
+                            scale = np.max(np.abs(want), axis=(1, 2))
+                            assert np.all(error <= bound * scale), (n, s, h)
+
+    def test_wave_zero_mode_blocks_are_exact(self):
+        # At k = 0, M = [[0, 1], [0, 0]] is nilpotent, so the stage inverse
+        # is I + h a (x) M and the update I + h sum(b) M: no rounding but
+        # that of the products h a_ij and h sum(b).
+        grid = wave_grid(8)
+        zero = int(np.flatnonzero(grid.modes == 0)[0])
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for s in range(1, 9):
+            t = gauss_legendre(s)
+            for h in np.logspace(-4, 1, 2004):
+                stage_inv, update = step_matrices(t, h, grid)
+                exact_stage = np.eye(2 * s) + h * np.kron(t.a, nilpotent)
+                exact_update = np.array([[1.0, h * t.b.sum()], [0.0, 1.0]])
+                assert stage_inv[zero].tobytes() == exact_stage.astype(complex).tobytes(), (s, h)
+                assert update[zero].tobytes() == exact_update.astype(complex).tobytes(), (s, h)
+
+    @pytest.mark.parametrize("s", [2, 4, 8])
+    def test_wave_blocks_match_50_digit_construction(self, s):
+        # The same binary tableau in 50-digit arithmetic: every block lies
+        # within 5e-15 of it, relative to the block's largest entry (the
+        # LU construction reaches 1.9e-13 at s = 8).
+        t = gauss_legendre(s)
+        for bc in ("dirichlet", "periodic"):
+            grid = wave_grid(256, bc)
+            first = grid._distinct_symbols[0]
+            for h in (1e-3, 0.37, 2.5, 5.0):
+                stage_inv, update = step_matrices(t, h, grid)
+                for index in first[[0, 7, 100, -1]]:  # k = 0, 7, 100, 128 or 1, 8, 101, 256
+                    exact_stage, exact_update = exact_wave_blocks(t, h, int(grid.modes[index]))
+                    where = (bc, h, int(grid.modes[index]))
+                    assert block_relative_error(stage_inv[index], exact_stage) <= 5e-15, where
+                    assert block_relative_error(update[index], exact_update) <= 5e-15, where
 
     def test_wave_symbol_blocks_are_real(self):
         assert wave_grid(16).symbol_blocks().dtype == np.float64

@@ -1,7 +1,11 @@
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rkspectral.errors import SingularResolventError
 from rkspectral.tableau import (
@@ -125,6 +129,57 @@ class TestStabilityFunction:
             stability_function(gauss_legendre(1), 2.0)
 
 
+def pade_exp(s, z):
+    """The (s, s) diagonal Pade approximant P(z) / P(-z) of exp, the
+    stability function of the s-stage Gauss-Legendre method (Hairer &
+    Wanner, Solving ODEs II, IV.3-IV.5), with P_j = (2s-j)! s! / ((2s)! j!
+    (s-j)!), evaluated at 30 digits."""
+    with mpmath.workdps(30):
+        coeffs = [
+            mpmath.mpf(math.factorial(2 * s - j) * math.factorial(s))
+            / (math.factorial(2 * s) * math.factorial(j) * math.factorial(s - j))
+            for j in range(s + 1)
+        ]
+        z = mpmath.mpc(z)
+        return complex(mpmath.polyval(coeffs[::-1], z) / mpmath.polyval(coeffs[::-1], -z))
+
+
+def _into_disc(xy):
+    z = complex(*xy)
+    return z if abs(z) <= 10 else z * (10 / abs(z))
+
+
+# Points of the closed left half-plane with |z| <= 10.
+LEFT_HALF_DISC = st.tuples(st.floats(-10, 0), st.floats(-10, 10)).map(_into_disc)
+
+
+# gl:8's coefficients put |S(iy)| - 1 at 4.9e-12 near y = 7.75.
+GL8_UNIMODULAR_DEFECT = pytest.param(
+    8, marks=pytest.mark.xfail(strict=True, reason="gl:8 coefficients (ROADMAP item 5)")
+)
+
+
+class TestStabilityFunctionOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(z=LEFT_HALF_DISC)
+    @example(z=-10.0)
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_matches_diagonal_pade_approximant(self, s, z):
+        # Measured against max(1, |R|), which is 1 here since |R| <= 1: S
+        # has zeros in the left half-plane and |R(-10)| ~ e^-10, where the
+        # error relative to |R| itself says nothing.  Up to 4.9e-12 (s = 8).
+        expected = pade_exp(s, z)
+        got = stability_function(gauss_legendre(s), z)
+        assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(y=st.floats(-1e6, 1e6))
+    @example(y=7.75)
+    @pytest.mark.parametrize("s", [*range(1, 8), GL8_UNIMODULAR_DEFECT])
+    def test_unimodular_on_imaginary_axis_property(self, s, y):
+        assert abs(abs(stability_function(gauss_legendre(s), 1j * y)) - 1.0) <= 1e-12
+
+
 class TestAStabilityCheck:
     @pytest.mark.parametrize("s", range(1, 6))
     def test_gauss_legendre_passes(self, s):
@@ -137,6 +192,13 @@ class TestAStabilityCheck:
         assert not report.rk1_ok
         assert report.rk1_worst[1] > 1.0
         assert not report.a_invertible
+
+    def test_singular_sample_is_reported_not_raised(self):
+        # 1 - z a vanishes at the interior sample z = -1e-3
+        t = ButcherTableau(s=1, a=[[-1000.0]], b=[1.0], c=[-1000.0], p=1)
+        report = check_a_stability(t)
+        assert not report.rk1_ok
+        assert report.rk1_worst == (-0.001, math.inf)
 
     def test_midpoint_eigenvalues(self):
         report = check_a_stability(gauss_legendre(1))
