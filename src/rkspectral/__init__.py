@@ -10,7 +10,6 @@ from .errors import (
 )
 from .harness import (
     ConvergenceReport,
-    ReferenceInfo,
     conserved_quantities,
     convergence_study,
     dirichlet_compatibility_study,

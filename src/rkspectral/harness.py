@@ -44,32 +44,6 @@ _MAX_REFERENCE_RUNGS = 5
 _MAX_STAGES = 8
 
 
-@dataclass(frozen=True)
-class ReferenceInfo:
-    """Descriptor of a fine reference run and how it passed its gate.
-
-    ``h_ref`` and ``discrepancy`` belong to the accepted rung (its coarse
-    step and its h -> h/2 gap), ``required`` is the gate that gap had to
-    meet, and ``rungs`` lists the (h_ref, discrepancy) of every rung
-    tried, in order.
-    """
-
-    tableau: str
-    h_ref: float
-    discrepancy: float
-    required: float
-    rungs: tuple[tuple[float, float], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "tableau": self.tableau,
-            "h_ref": self.h_ref,
-            "discrepancy": self.discrepancy,
-            "required": self.required,
-            "rungs": [{"h_ref": h, "discrepancy": d} for h, d in self.rungs],
-        }
-
-
 @dataclass
 class ConvergenceReport:
     """Final-time errors of one order study and the fitted slope.
@@ -79,6 +53,12 @@ class ConvergenceReport:
     fit as tolerance-contaminated.  ``stage_iterations`` counts the
     stage iterations (one B evaluation each) of the ladder levels and
     of every reference run, coarse and fine.
+
+    ``reference`` describes the fine reference run and how it passed its
+    gate: its ``tableau``; ``h_ref`` and ``discrepancy``, the accepted
+    rung's coarse step and its h -> h/2 gap; ``required``, the gate that
+    gap had to meet; and ``rungs``, the ``{h_ref, discrepancy}`` of every
+    rung tried, in order.
     """
 
     problem: str
@@ -227,7 +207,6 @@ def _order_study(
 
     flagged = [e <= _CONTAMINATION_FACTOR * fp_tol for e in errors]
     fitted = _fit_order(h_list, errors, flagged)
-    reference = ReferenceInfo(f"gl:{s_ref}", h_coarse, discrepancy, required, tuple(rungs))
     return ConvergenceReport(
         problem=name,
         tableau=t.label,
@@ -236,7 +215,13 @@ def _order_study(
         errors=errors,
         fitted_order=fitted,
         stats=stats,
-        reference=reference.as_dict(),
+        reference={
+            "tableau": f"gl:{s_ref}",
+            "h_ref": h_coarse,
+            "discrepancy": discrepancy,
+            "required": required,
+            "rungs": [{"h_ref": h, "discrepancy": d} for h, d in rungs],
+        },
         flagged=flagged,
         fp_tol=fp_tol,
         stage_iterations=iterations,
@@ -479,8 +464,6 @@ def dirichlet_compatibility_study(
     n: int = 256,
     t: ButcherTableau | None = None,
     fp_tol: float = FP_TOL_FLOOR,
-    s_ref: int | None = None,
-    h_ref: float | None = None,
 ) -> tuple[ConvergenceReport, ConvergenceReport]:
     """Order study of the boundary-compatible vs incompatible cubic wave.
 
@@ -496,12 +479,9 @@ def dirichlet_compatibility_study(
     compatible = get_problem("wave-dirichlet-compatible", n)
     incompatible = get_problem("wave-dirichlet-incompatible", n)
     u0 = wave_band_state(compatible.grid, u_amps=(0.4, 0.2, 0.1), v_amps=(0.2, -0.1, 0.05))
-    report_c = convergence_study(
-        compatible, t, u0, T, h_list, fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref
-    )
+    report_c = convergence_study(compatible, t, u0, T, h_list, fp_tol=fp_tol)
     report_i = convergence_study(
-        incompatible, t, State(incompatible.grid, u0.coeffs.copy()), T, h_list,
-        fp_tol=fp_tol, s_ref=s_ref, h_ref=h_ref,
+        incompatible, t, State(incompatible.grid, u0.coeffs.copy()), T, h_list, fp_tol=fp_tol
     )
     return report_c, report_i
 

@@ -3,15 +3,20 @@ linear part of the evolution.
 
 The linear operator acts diagonally (Schrodinger, scalar symbol
 ``-i k^2`` per mode) or block-diagonally (wave as a first-order system,
-2x2 block ``M = [[0, 1], [-k^2, 0]]``, M^2 = -k^2 I).  The semigroup is
-exact, and a mode's stage resolvent ``(I - h a (x) A)^{-1}`` and update
-``S(hA)`` follow from one s x s inverse at an eigenvalue of its symbol,
-so convergence studies see time-discretization error only.
+2x2 block ``M = [[0, 1], [-k^2, 0]]`` with eigenvalues +-ik).  Every
+function of A the package applies -- A itself, the semigroup e^{tA}, and
+a step's stage resolvent ``(I - h a (x) A)^{-1}`` and update ``S(hA)`` --
+comes from one evaluator, ``_symbol_function``: f at one eigenvalue per
+distinct symbol, taken as is for a Schrodinger mode and, since M^2 =
+-k^2 I, as ``Re f (x) I + (Im f / k) (x) M`` for a wave mode.  The
+semigroup is exact and convergence studies see time-discretization
+error only.
 
 Mode index sets: periodic k in {-n/2+1, ..., n/2}; Dirichlet (sine)
 k in {1, ..., n}; Neumann (cosine) k in {0, ..., n-1}.  For the periodic
-wave system the k = 0 block is nilpotent and generates the familiar
-secular (linear-in-time) drift; the exact formulas below cover it.
+and Neumann wave systems the k = 0 block is nilpotent and generates the
+familiar secular (linear-in-time) drift; the evaluator covers it with
+f'(0) in place of Im f / k.
 
 Transforms all run on ``numpy.fft``.  Periodic grids use the complex FFT.
 Neumann grids take DCT-I as the real FFT of the length-2(n-1) even
@@ -25,6 +30,7 @@ transform is one real call on the stacked (real, imaginary) rows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,6 +72,10 @@ class SpectralGrid:
             raise ValueError(f"unknown equation kind {self.equation!r}")
         if self.bc not in ("periodic", "dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}") from None
         if self.bc == "periodic":
             if self.n < 4 or self.n % 2:
                 raise ValueError("periodic grids require even n >= 4")
@@ -138,17 +148,6 @@ class SpectralGrid:
         angles = np.multiply.outer(k, k)
         angles %= period
         return _read_only(table[angles])
-
-    def symbol_blocks(self) -> np.ndarray:
-        """Per-mode symbol of the linear operator: (n, c, c), complex for
-        the Schrodinger equation and real for the wave system."""
-        k = self.modes.astype(float)
-        if self.equation == "schrodinger":
-            return (-1j * k**2).reshape(self.n, 1, 1)
-        blocks = np.zeros((self.n, 2, 2))
-        blocks[:, 0, 1] = 1.0
-        blocks[:, 1, 0] = -(k**2)
-        return blocks
 
     # -- transforms -------------------------------------------------------
 
@@ -304,31 +303,15 @@ def inverse_transform_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarra
 
 def apply_A(u: State) -> State:
     """Apply the linear symbol mode by mode."""
-    k = u.grid.modes.astype(float)
-    if u.grid.components == 1:
-        return State(u.grid, (-1j * k**2) * u.coeffs)
-    out = np.empty_like(u.coeffs)
-    out[0] = u.coeffs[1]
-    out[1] = -(k**2) * u.coeffs[0]
-    return State(u.grid, out)
+    return State(u.grid, _apply_update(_generator(u.grid), u.coeffs))
 
 
 def apply_exp_tA(u: State, t: float) -> State:
     """Apply the exact propagator of the linear part for time t."""
     if not np.isfinite(t):
         raise ValueError("propagation time must be finite")
-    k = u.grid.modes.astype(float)
-    if u.grid.components == 1:
-        return State(u.grid, np.exp(-1j * k**2 * t) * u.coeffs)
-    zero = k == 0
-    safe_k = np.where(zero, 1.0, k)
-    cos_kt = np.cos(k * t)
-    sin_over_k = np.where(zero, t, np.sin(safe_k * t) / safe_k)
-    k_sin = np.where(zero, 0.0, safe_k * np.sin(safe_k * t))
-    out = np.empty_like(u.coeffs)
-    out[0] = cos_kt * u.coeffs[0] + sin_over_k * u.coeffs[1]
-    out[1] = -k_sin * u.coeffs[0] + cos_kt * u.coeffs[1]
-    return State(u.grid, out)
+    propagator = np.exp(t * _eigenvalues(u.grid)[1])[:, None, None]
+    return State(u.grid, _apply_update(_symbol_function(u.grid, propagator, t), u.coeffs))
 
 
 # -- norms -------------------------------------------------------------------
@@ -381,44 +364,65 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     Returns (stage_inv, update), shapes (n, s*c, s*c) and (n, c, c), both
     complex, in storage order: stage_inv realizes ``(I - h a (x) A_k)^{-1}``
     and update realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
-    Both are X and S of each distinct symbol (``_symbol_resolvents``), as
-    is (Schrodinger) or in real form (wave, ``_wave_form``), gathered back.
-    Nothing is kept: a repeated call returns fresh arrays, same bits.
+    They are ``_symbol_function`` of X = (I - h a lambda)^{-1} (slope h a)
+    and of S(h lambda) (slope h sum(b)), both read once per distinct
+    symbol from ``_symbol_resolvents``.  Nothing is kept: a repeated call
+    returns fresh arrays, same bits.
     """
-    first, inverse = grid._distinct_symbols
-    k, x, sigma = _symbol_resolvents(t, h, grid)
-    if grid.components == 1:
-        return x[inverse], sigma[:, None, None][inverse]
-    blocks = grid.symbol_blocks()[first]
-    stage_inv = _wave_form(x, h * t.a, k, blocks)
-    update = _wave_form(sigma[:, None, None], h * t.b.sum(), k, blocks)
-    return stage_inv[inverse], update[inverse]
+    _, x, sigma = _symbol_resolvents(t, h, grid)
+    return (
+        _symbol_function(grid, x, h * t.a),
+        _symbol_function(grid, sigma[:, None, None], h * t.b.sum()),
+    )
+
+
+def _eigenvalues(grid: SpectralGrid):
+    """k and the eigenvalue lambda of each distinct symbol, in
+    ``grid._distinct_symbols[0]`` order: -i k^2 (Schrodinger) or ik (wave,
+    whose block M has eigenvalues +-ik)."""
+    k = grid.modes[grid._distinct_symbols[0]].astype(float)
+    return k, -1j * k**2 if grid.components == 1 else 1j * k
 
 
 def _symbol_resolvents(t: ButcherTableau, h: float, grid: SpectralGrid):
     """k, X = (I - h a lambda)^{-1} and S(h lambda) of each distinct symbol
-    at its eigenvalue lambda = -i k^2 (Schrodinger) or ik (wave, +-ik); a
-    SingularResolventError names the first singular mode, and h."""
-    first = grid._distinct_symbols[0]
-    k = grid.modes[first].astype(float)
-    x, sigma, singular = _resolvent(t, h, -1j * k**2 if grid.components == 1 else 1j * k)
+    at its eigenvalue lambda (``_eigenvalues``); a SingularResolventError
+    names the first singular mode, and h."""
+    k, lam = _eigenvalues(grid)
+    x, sigma, singular = _resolvent(t, h, lam)
     if singular.any():
+        first = grid._distinct_symbols[0]
         raise SingularResolventError(int(grid.modes[first[int(np.argmax(singular))]]), h)
     return k, x, sigma
 
 
-def _wave_form(f, slope, k, blocks):
-    """f(hM), complex (n, 2r, 2r), for the wave blocks M = [[0, 1], [-k^2,
-    0]] from the (n, r, r) values f(ihk) of a real rational f.  M^2 = -k^2 I
-    gives f(hM) = Re f(ihk) (x) I + (Im f(ihk) / k) (x) M.  At k = 0, M is
-    nilpotent, f(0) = I and Im f(ihk) / k tends to ``slope`` (h a for X,
-    h sum(b) for S), which makes the blocks exact."""
+def _generator(grid: SpectralGrid) -> np.ndarray:
+    """Per-mode blocks of A itself: f(lambda) = lambda, slope 1."""
+    return _symbol_function(grid, _eigenvalues(grid)[1][:, None, None], 1.0)
+
+
+def _symbol_function(grid: SpectralGrid, f: np.ndarray, slope) -> np.ndarray:
+    """Per-mode blocks of f(A), complex (n, r c, r c) in storage order,
+    from the values f (m, r, r) of a real function f at each distinct
+    symbol's eigenvalue (``_eigenvalues``) and ``slope`` = f'(0).
+
+    Schrodinger: A acts on a mode by the scalar -i k^2, so f(A) is f
+    itself.  Wave: M = [[0, 1], [-k^2, 0]] has M^2 = -k^2 I, so f(M) =
+    Re f(ik) (x) I + (Im f(ik) / k) (x) M.  At k = 0, M is nilpotent,
+    Im f(ik) / k tends to f'(0) = ``slope``, and Re f is already f(0).
+    """
+    inverse = grid._distinct_symbols[1]
+    if grid.components == 1:
+        return f[inverse]
+    k = _eigenvalues(grid)[0]
+    blocks = np.zeros((len(k), 2, 2))
+    blocks[:, 0, 1] = 1.0
+    blocks[:, 1, 0] = -(k**2)
     zero = (k == 0)[:, None, None]
-    re = np.where(zero, np.eye(f.shape[1]), f.real)
     im = np.where(zero, slope, f.imag / np.where(zero, 1.0, k[:, None, None]))
-    kron = re[:, :, None, :, None] * np.eye(2)[:, None, :]
+    kron = f.real[:, :, None, :, None] * np.eye(2)[:, None, :]
     kron = kron + im[:, :, None, :, None] * blocks[:, None, :, None, :]
-    return kron.reshape(len(k), 2 * f.shape[1], -1).astype(complex)
+    return kron.reshape(len(k), 2 * f.shape[1], -1).astype(complex)[inverse]
 
 
 def _apply_stage_inv(stage_inv: np.ndarray, data: np.ndarray) -> np.ndarray:

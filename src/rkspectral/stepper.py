@@ -52,7 +52,7 @@ from .spectral import (
     _apply_stage_inv,
     _apply_update,
     _base_norm_sq_rows,
-    apply_A,
+    _generator,
     base_norm,
     step_matrices,
 )
@@ -271,7 +271,7 @@ def _integrate(p, t, u, cfg, steps, observer):
 
 def _check_direct_form(p, t, u, stages, forcing, u_new, cfg):
     """Cross-evaluate u + h b^T (A W + forcing) against the resolvent form."""
-    aw = np.stack([apply_A(State(p.grid, w)).coeffs for w in stages])
+    aw = _apply_update(_generator(p.grid), stages)
     direct = u.coeffs + cfg.h * np.einsum("j,jcn->cn", t.b, aw + forcing)
     gap = base_norm(State(p.grid, direct) - u_new)
     if gap > 10 * cfg.fp_tol:

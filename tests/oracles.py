@@ -4,7 +4,8 @@ Most are a few lines over the package's per-mode step matrices and its
 private stage solver, so a test can check one piece of a step on its own.
 Stage data are arrays of shape (s, components, n).  Two build the step
 matrices independently: by a complex LU of the (s c) x (s c) Kronecker
-block, and in 50-digit arithmetic.
+block, and in 50-digit arithmetic; the propagator blocks come in
+50 digits too.
 """
 
 import math
@@ -97,6 +98,21 @@ def exact_wave_blocks(t, h, k, digits=50):
                     row = sum(stage_inv[2 * j + p, 2 * i + q] for i in range(s))
                     bsum[p, q] += mpmath.mpf(t.b[j]) * row
         return stage_inv, mpmath.eye(2) + h * (m * bsum)
+
+
+def exact_propagator_block(equation, k, t, digits=50):
+    """The block of e^{tA} at mode k, as mpmath values (row major) computed
+    at ``digits`` significant digits from the binary t: e^{-i k^2 t}
+    (Schrodinger), [[cos kt, sin(kt) / k], [-k sin kt, cos kt]] (wave) and
+    its k = 0 limit [[1, t], [0, 1]]."""
+    with mpmath.workdps(digits):
+        k, t = mpmath.mpf(int(k)), mpmath.mpf(t)
+        if equation == "schrodinger":
+            return [mpmath.expj(-(k**2) * t)]
+        if k == 0:
+            return [mpmath.mpf(1), t, mpmath.mpf(0), mpmath.mpf(1)]
+        cos, sin = mpmath.cos(k * t), mpmath.sin(k * t)
+        return [cos, sin / k, -k * sin, cos]
 
 
 def block_relative_error(got, exact):

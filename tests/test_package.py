@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "Nonlinearity",
     "NumericalBlowupError",
     "ProblemSpec",
-    "ReferenceInfo",
     "SingularResolventError",
     "SolverConfig",
     "SpectralGrid",

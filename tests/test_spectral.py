@@ -27,6 +27,7 @@ from oracles import (
     apply_S_hA,
     block_relative_error,
     complex_step_matrices,
+    exact_propagator_block,
     exact_wave_blocks,
     hermitian_symmetry_defect,
     solve_stage_resolvent,
@@ -227,6 +228,17 @@ class TestTransforms:
         with pytest.raises(ValueError):
             SpectralGrid("wave", "absorbing", 8)
 
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8", None])
+    def test_non_integer_size_rejected(self, bc, n):
+        with pytest.raises(ValueError, match="grid size n must be an integer"):
+            SpectralGrid("wave", bc, n)
+
+    def test_numpy_integer_size_accepted(self):
+        grid = wave_grid(np.int64(8), "dirichlet")
+        assert grid.modes.tolist() == list(range(1, 9))
+        assert State(grid, np.ones((2, 8))).coeffs.shape == (2, 8)
+
 
 class TestOperatorAction:
     def test_schrodinger_single_mode(self):
@@ -286,6 +298,51 @@ class TestPropagator:
         lhs = apply_exp_tA(apply_exp_tA(u, 0.3), 0.45)
         rhs = apply_exp_tA(u, 0.75)
         assert base_norm(lhs - rhs) < 1e-12 * base_norm(u)
+
+
+def unit_blocks(grid, apply):
+    """Per-mode (c, c) blocks of a mode-by-mode linear map, read off by
+    applying it to unit data: column q is the image of 1 in component q."""
+    c = grid.components
+    units = [np.eye(c)[:, q, None] * np.ones(grid.n) for q in range(c)]
+    columns = [apply(State(grid, unit)).coeffs for unit in units]
+    return np.stack(columns, axis=-1).transpose(1, 0, 2)  # (n, c, c)
+
+
+# Every boundary condition of both equations; the periodic and Neumann
+# grids hold k = 0, whose wave block is nilpotent.
+LINEAR_PART_GRIDS = [
+    SpectralGrid(equation, bc, 256 if bc == "periodic" else 255)
+    for equation in ("schrodinger", "wave")
+    for bc in ("periodic", "dirichlet", "neumann")
+]
+
+
+class TestLinearPartClosedForm:
+    @pytest.mark.parametrize("grid", LINEAR_PART_GRIDS, ids=lambda g: f"{g.equation}-{g.bc}")
+    def test_apply_A_equals_explicit_blocks(self, grid):
+        k = grid.modes.astype(float)
+        if grid.equation == "schrodinger":
+            explicit = (-1j * k**2)[:, None, None]
+        else:
+            explicit = np.zeros((grid.n, 2, 2), dtype=complex)
+            explicit[:, 0, 1] = 1.0
+            explicit[:, 1, 0] = -(k**2)
+        assert np.array_equal(unit_blocks(grid, apply_A), explicit)
+
+    @pytest.mark.parametrize("grid", LINEAR_PART_GRIDS, ids=lambda g: f"{g.equation}-{g.bc}")
+    @pytest.mark.parametrize("t", [0.3, 2.5, -1.7, 1e-3])
+    def test_apply_exp_tA_matches_50_digit_closed_form(self, grid, t):
+        # Within 32 units of 2^-53 max(1, |lambda t|), relative to each
+        # block's largest entry: the rounding of the argument lambda t alone
+        # moves cos and sin by about 2^-53 |lambda t|.
+        blocks = unit_blocks(grid, lambda u: apply_exp_tA(u, t))
+        for index, k in enumerate(grid.modes):
+            modulus = int(k) ** 2 if grid.equation == "schrodinger" else abs(int(k))  # |lambda|
+            scale = max(1.0, abs(t) * modulus)
+            exact = exact_propagator_block(grid.equation, k, t)
+            error = block_relative_error(blocks[index], exact)
+            assert error <= 32 * 2.0**-53 * scale, (int(k), error / (2.0**-53 * scale))
 
 
 class TestStageResolvent:
@@ -414,10 +471,6 @@ class TestDistinctSymbolBuild:
                     where = (bc, h, int(grid.modes[index]))
                     assert block_relative_error(stage_inv[index], exact_stage) <= 5e-15, where
                     assert block_relative_error(update[index], exact_update) <= 5e-15, where
-
-    def test_wave_symbol_blocks_are_real(self):
-        assert wave_grid(16).symbol_blocks().dtype == np.float64
-        assert schrodinger_grid(16).symbol_blocks().dtype == complex
 
     @pytest.mark.parametrize(
         "n, bc, h, mode",

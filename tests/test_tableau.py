@@ -232,7 +232,40 @@ class TestTableauValidation:
             )
 
 
+@st.composite
+def valid_tableaus(draw):
+    """Tableaus the constructor accepts: c is the row sums of a, and the
+    last weight makes the weights sum to 1."""
+    s = draw(st.integers(1, 4))
+    entries = st.floats(-10, 10)
+    rows = draw(st.lists(st.lists(entries, min_size=s, max_size=s), min_size=s, max_size=s))
+    head = draw(st.lists(entries, min_size=s - 1, max_size=s - 1))
+    a = np.array(rows)
+    b = np.array([*head, 1.0 - math.fsum(head)])
+    return ButcherTableau(s, a, b, a.sum(axis=1), draw(st.integers(1, 2 * s)))
+
+
+def assert_json_roundtrip(t):
+    # field by field: dataclass == on array fields raises
+    again = ButcherTableau.from_json(t.to_json())
+    assert (again.s, again.p) == (t.s, t.p)
+    for name in ("a", "b", "c"):
+        got, want = getattr(again, name), getattr(t, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestJsonInterface:
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_gauss_legendre_roundtrip_is_bitwise(self, s):
+        assert_json_roundtrip(gauss_legendre(s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=valid_tableaus())
+    @example(t=ButcherTableau(2, [[-0.0, 0.5], [5e-324, 0.1]], [-0.0, 1.0], [0.5, 0.1], 3))
+    def test_roundtrip_property(self, t):
+        assert_json_roundtrip(t)
+
     def test_roundtrip(self):
         t = gauss_legendre(3)
         again = ButcherTableau.from_json(t.to_json())
