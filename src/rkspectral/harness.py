@@ -6,14 +6,15 @@ Error measurement convention: all study errors are final-time base-norm
 (rung-0) distances against a self-validated fine reference computed
 with a higher-order method of the same family (two extra stages).  The
 ladder levels run first; the reference then walks rungs of halving
-step, starting with a coarse run at the finest study step and a fine
-run at half of it, each failing rung's fine run becoming the next
-rung's coarse run.  The first rung whose h -> h/2 self-consistency gap
-sits three orders of magnitude below the smallest error it is used to
-resolve, floored at the roundoff a double-precision run of that length
-can accumulate (50x the stage tolerance), supplies the reference: its
-fine run.  The walk gives up after the rung whose fine step is 32
-times below the finest study step.
+step, starting with a coarse run at the ladder's first, coarsest step
+and a fine run at half of it, each failing rung's fine run becoming the
+next rung's coarse run.  The first rung whose h -> h/2 self-consistency
+gap sits three orders of magnitude below the smallest error it is used
+to resolve, floored at the roundoff a double-precision run of that
+length can accumulate (50x the stage tolerance), supplies the
+reference: its fine run.  The walk gives up after the first rung whose
+coarse step is at most 1/16 of the finest study step; on a dyadic
+ladder that is the rung (h_min/16, h_min/32).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +41,12 @@ _REFERENCE_MARGIN = 1e-3
 # Roundoff accumulated over the fine reference run bounds how small its
 # self-consistency gap can get; the margin check is floored there.
 _REFERENCE_FLOOR_FACTOR = 50.0
-# The reference walk's last rung has coarse step h_min/16 (fine h_min/32).
-_MAX_REFERENCE_RUNGS = 5
+# The reference walk starts at the ladder's coarsest step, which the
+# order fit already takes to be asymptotic, and halves from there.  Its
+# last rung is the first whose coarse step is at most h_min / 16: on a
+# dyadic ladder the rung (h_min/16, h_min/32).  T / h_list[0] is an
+# integer, so every rung's steps divide T.
+_LAST_RUNG_DIVISOR = 16
 _MAX_STAGES = 8
 
 
@@ -57,8 +63,10 @@ class ConvergenceReport:
     ``reference`` describes the fine reference run and how it passed its
     gate: its ``tableau``; ``h_ref`` and ``discrepancy``, the accepted
     rung's coarse step and its h -> h/2 gap; ``required``, the gate that
-    gap had to meet; and ``rungs``, the ``{h_ref, discrepancy}`` of every
-    rung tried, in order.
+    gap had to meet; and ``rungs``, the ``{h_ref, discrepancy, required}``
+    of every rung tried, in order, each ``required`` being the gate
+    recomputed against that rung's own fine run.  A walk from the ladder's
+    coarsest step reads ``rungs[j]["h_ref"] == h_list[0] / 2**j``.
     """
 
     problem: str
@@ -106,10 +114,12 @@ class ConvergenceReport:
         }
 
 
-def _steps_for(T, h):
-    m = round(T / h)
+def _steps_for(T, h, name="h"):
+    """Steps of size ``h`` in [0, T]; ``name`` labels ``h`` in the error."""
+    ratio = T / h if h > 0 else 0.0
+    m = round(ratio) if math.isfinite(ratio) else 0
     if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T/h must be a positive integer; T={T}, h={h}")
+        raise ValueError(f"T/{name} must be a positive integer; T={T}, {name}={h}")
     return m
 
 
@@ -167,6 +177,15 @@ def _order_study(
     for h in h_list:
         _steps_for(T, h)
     _check_fp_tol(fp_tol, min(h_list), t.p)
+    if s_ref is None:
+        s_ref = min(t.s + 2, _MAX_STAGES)
+    elif not (isinstance(s_ref, numbers.Integral) and 1 <= s_ref <= _MAX_STAGES):
+        raise ValueError(f"s_ref must be an integer in 1..{_MAX_STAGES}, got {s_ref!r}")
+    if h_ref is None:
+        h_coarse, h_last = h_list[0], min(h_list) / _LAST_RUNG_DIVISOR
+    else:
+        h_coarse = h_last = float(h_ref)
+        _steps_for(T, h_coarse, "h_ref")
 
     iterations = {"ladder": 0, "reference": 0}
 
@@ -183,25 +202,19 @@ def _order_study(
         finals.append(final)
         stats.append(_summarize(history))
 
-    if s_ref is None:
-        s_ref = min(t.s + 2, _MAX_STAGES)
     t_ref = gauss_legendre(s_ref)
     ref_tol = min(fp_tol, FP_TOL_FLOOR)
-    if h_ref is None:
-        h_coarse, max_rungs = min(h_list), _MAX_REFERENCE_RUNGS
-    else:
-        h_coarse, max_rungs = float(h_ref), 1
     coarse, _ = run(t_ref, h_coarse, ref_tol, "reference")
     rungs = []
     while True:
         fine, _ = run(t_ref, h_coarse / 2, ref_tol, "reference")
         discrepancy = distance(fine, coarse)
-        rungs.append((h_coarse, discrepancy))
         errors = [distance(final, fine) for final in finals]
         required = max(_REFERENCE_MARGIN * min(errors), _REFERENCE_FLOOR_FACTOR * fp_tol)
+        rungs.append({"h_ref": h_coarse, "discrepancy": discrepancy, "required": required})
         if discrepancy <= required:
             break
-        if len(rungs) == max_rungs:
+        if h_coarse <= h_last:
             raise UnreliableReferenceError(discrepancy, required)
         coarse, h_coarse = fine, h_coarse / 2
 
@@ -220,7 +233,7 @@ def _order_study(
             "h_ref": h_coarse,
             "discrepancy": discrepancy,
             "required": required,
-            "rungs": [{"h_ref": h, "discrepancy": d} for h, d in rungs],
+            "rungs": rungs,
         },
         flagged=flagged,
         fp_tol=fp_tol,
@@ -241,16 +254,18 @@ def convergence_study(
     """Measure final-time errors against a fine reference and fit the order.
 
     The ladder levels run first.  The reference uses ``s_ref`` stages
-    (default two more than the study's) and walks rungs: the first pairs
-    a coarse run at the finest study step with a fine run at half of it,
-    and each failing rung's fine run becomes the next rung's coarse run.
-    A rung passes when its self-consistency gap is at most 1e-3 times the
-    smallest error measured against its fine run (floored at 50x the
-    stage tolerance, the double-precision accumulation scale); the first
-    passing fine run is the reference.
-    If the rung with coarse step h_min/16 fails too, the walk raises
-    ``UnreliableReferenceError``.  An explicit ``h_ref`` tries the single
-    rung (h_ref, h_ref/2).  Levels whose error is within 100x the stage
+    (default two more than the study's, at most 8) and walks rungs: the
+    first pairs a coarse run at the ladder's first, coarsest step
+    ``h_list[0]`` with a fine run at half of it, and each failing rung's
+    fine run becomes the next rung's coarse run.  A rung passes when its
+    self-consistency gap is at most 1e-3 times the smallest error
+    measured against its fine run (floored at 50x the stage tolerance,
+    the double-precision accumulation scale); the first passing fine run
+    is the reference.  If the first rung whose coarse step is at most
+    h_min/16 fails too, the walk raises ``UnreliableReferenceError``.  An
+    explicit ``h_ref`` (positive, with T/h_ref an integer) tries the
+    single rung (h_ref, h_ref/2).  ``s_ref`` and ``h_ref`` are checked
+    before any run.  Levels whose error is within 100x the stage
     tolerance are flagged and excluded from the fit.
     """
     return _order_study(

@@ -372,6 +372,19 @@ def test_every_experiment_writes_one_summary_agreeing_with_exit_code(
         counts = study["stage_iterations"]
         assert sorted(counts) == ["ladder", "reference"]
         assert all(type(c) is int and c > 0 for c in counts.values())
+        rungs = study["reference"]["rungs"]
+        assert rungs and all(sorted(r) == ["discrepancy", "h_ref", "required"] for r in rungs)
+        assert rungs[-1]["required"] == study["reference"]["required"]
+
+
+def test_tangent_check_reference_costs_under_half_the_ladder(tmp_path, capsys):
+    # the CLI defaults (gl:1, reference gl:3): the walk from h_max stops at
+    # its second rung, 670 reference against 2,270 ladder iterations
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, {"experiment": "tangent-check"}), out) == 0
+    study = json.loads((out / "tangent_check_summary.json").read_text(encoding="utf-8"))
+    counts = study["result"]["study"]["stage_iterations"]
+    assert counts["reference"] <= 0.5 * counts["ladder"]
 
 
 @pytest.mark.parametrize("experiment", list(SMALL_CONFIGS))

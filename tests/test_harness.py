@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rkspectral import harness
 from rkspectral.errors import SingularResolventError, UnreliableReferenceError
 from rkspectral.harness import (
     _stability_growth,
@@ -139,6 +140,35 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="integer"):
             convergence_study(p, MIDPOINT, u0, 0.5, [0.03, 0.015], fp_tol=1e-13)
 
+    def test_zero_step_rejected(self):
+        p = get_problem("nls-cubic-periodic", 32)
+        u0 = nls_two_mode_state(p.grid)
+        with pytest.raises(ValueError, match="positive integer"):
+            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.0], fp_tol=1e-13)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"h_ref": 0.0}, "h_ref"),
+            ({"h_ref": -0.05}, "h_ref"),
+            ({"h_ref": math.inf}, "h_ref"),
+            ({"h_ref": math.nan}, "h_ref"),
+            ({"h_ref": 0.03}, "T/h_ref must be a positive integer"),
+            ({"s_ref": 2.5}, "s_ref must be an integer in 1..8"),
+            ({"s_ref": 0}, "s_ref"),
+            ({"s_ref": 9}, "s_ref"),
+            ({"s_ref": "3"}, "s_ref"),
+        ],
+    )
+    def test_bad_reference_arguments_rejected_before_any_run(self, monkeypatch, kwargs, match):
+        runs = []
+        monkeypatch.setattr(harness, "integrate", lambda *args: runs.append(args))
+        p = get_problem("nls-cubic-periodic", 32)
+        u0 = nls_two_mode_state(p.grid)
+        with pytest.raises(ValueError, match=match):
+            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.025], fp_tol=1e-13, **kwargs)
+        assert runs == []
+
     def test_zero_time_rejected(self):
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
@@ -169,9 +199,11 @@ class TestReferenceWalk:
                                  fp_tol=1e-13, **kwargs)
 
     def test_smooth_study_stops_after_one_rung(self, small_report):
+        # the walk starts at the ladder's first, coarsest step
         ref = small_report.reference
-        assert ref["h_ref"] == min(small_report.h_list)
-        assert ref["rungs"] == [{"h_ref": ref["h_ref"], "discrepancy": ref["discrepancy"]}]
+        assert ref["h_ref"] == small_report.h_list[0]
+        assert ref["rungs"] == [{"h_ref": ref["h_ref"], "discrepancy": ref["discrepancy"],
+                                 "required": ref["required"]}]
         assert ref["discrepancy"] <= ref["required"]
         assert ref["required"] == max(1e-3 * min(small_report.errors), 50 * 1e-13)
 
@@ -200,12 +232,52 @@ class TestReferenceWalk:
         report = self.study(2, s_ref=2)
         rungs = report.reference["rungs"]
         assert len(rungs) > 1
-        assert [r["h_ref"] for r in rungs] == [min(self.H_LIST) / 2**j for j in range(len(rungs))]
+        assert [r["h_ref"] for r in rungs] == [self.H_LIST[0] / 2**j for j in range(len(rungs))]
         assert all(r["discrepancy"] > report.reference["required"] for r in rungs[:-1])
         assert rungs[-1]["discrepancy"] <= report.reference["required"]
         # the walk's reference is the accepted rung's fine run
         single = self.study(2, s_ref=2, h_ref=rungs[-1]["h_ref"])
         assert single.errors == report.errors
+
+    def test_each_rung_reports_its_own_gate(self):
+        # every failing rung misses the gate recomputed against its own
+        # fine run, and the accepted rung meets its own
+        report = self.study(2, s_ref=2)
+        rungs = report.reference["rungs"]
+        assert len(rungs) > 1
+        assert all(r["discrepancy"] > r["required"] for r in rungs[:-1])
+        assert rungs[-1]["discrepancy"] <= rungs[-1]["required"] == report.reference["required"]
+        # each is the gate of that rung tried alone
+        for r in rungs[:-1]:
+            with pytest.raises(UnreliableReferenceError) as info:
+                self.study(2, s_ref=2, h_ref=r["h_ref"])
+            assert (info.value.discrepancy, info.value.required) == (
+                r["discrepancy"], r["required"])
+
+    def test_non_dyadic_ladder_walks_from_its_first_step(self):
+        # T = 0.1, ladder [0.05, 0.02]: rungs halve from 0.05, and the last
+        # is the first whose coarse step is at most 0.02/16 = 0.00125,
+        # that is 0.05/64 (0.05/32 = 0.0015625 is above it)
+        p = get_problem("nls-cubic-periodic", 16)
+        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+
+        def study(**kwargs):
+            return convergence_study(p, gauss_legendre(2), u0, 0.1, [0.05, 0.02],
+                                     fp_tol=1e-13, **kwargs)
+
+        rungs = study(s_ref=2).reference["rungs"]
+        assert len(rungs) > 1
+        assert [r["h_ref"] for r in rungs] == [0.05 / 2**j for j in range(len(rungs))]
+        assert 0.05 / 32 > 0.02 / 16 >= 0.05 / 64
+        with pytest.raises(UnreliableReferenceError) as walk:
+            study(s_ref=1)
+        gaps = {}
+        for h_ref in (0.05 / 32, 0.05 / 64, 0.05 / 128):
+            with pytest.raises(UnreliableReferenceError) as single:
+                study(s_ref=1, h_ref=h_ref)
+            gaps[h_ref] = (single.value.discrepancy, single.value.required)
+        assert len(set(gaps.values())) == 3
+        assert (walk.value.discrepancy, walk.value.required) == gaps[0.05 / 64]
 
     def test_unreachable_gate_raises_with_last_gap(self):
         # a second-order reference cannot resolve fourth-order errors
@@ -239,6 +311,32 @@ class TestReferenceWalk:
     def test_explicit_h_ref_does_not_walk(self):
         with pytest.raises(UnreliableReferenceError):
             self.study(2, s_ref=2, h_ref=min(self.H_LIST))
+
+
+class TestReferenceWalkOnCriterionSix:
+    # the criterion 6 order study: gl:2 on cubic NLS, n = 64, T = 0.5,
+    # ladder 0.02 / 2^j for j < 5, reference gl:4
+    H_LADDER = dyadic_h_list(0.02, 5)
+
+    def study(self, u0_of):
+        p = get_problem("nls-cubic-periodic", 64)
+        return convergence_study(p, gauss_legendre(2), u0_of(p.grid), 0.5, self.H_LADDER,
+                                 fp_tol=1e-13)
+
+    def test_reference_costs_under_a_quarter_of_the_ladder(self):
+        counts = self.study(nls_two_mode_state).stage_iterations
+        assert counts["reference"] <= 0.25 * counts["ladder"]
+
+    def test_rung_gaps_fall_at_the_reference_order(self):
+        # the CLI's random data at seed 3 needs several rungs; every two
+        # successive gaps above the roundoff floor fall by about 2^(2 s_ref)
+        report = self.study(lambda grid: random_band_state(grid, np.random.default_rng(3)))
+        assert report.reference["tableau"] == "gl:4"
+        gaps = [r["discrepancy"] for r in report.reference["rungs"]]
+        factor = 2.0 ** (2 * 4)
+        pairs = [(a, b) for a, b in zip(gaps, gaps[1:]) if b > 50 * 1e-13]
+        assert len(pairs) >= 2
+        assert all(factor / 2 <= a / b <= 2 * factor for a, b in pairs)
 
 
 class TestConservedQuantities:
