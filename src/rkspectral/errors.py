@@ -51,14 +51,27 @@ class DomainEscapeError(RuntimeError):
 class UnreliableReferenceError(RuntimeError):
     """Reference-solution self-validation failed.
 
-    The discrepancy between the reference computed at h_ref and at h_ref/2
-    is not small enough relative to the errors it is meant to resolve.
+    No rung's discrepancy between the reference computed at h_ref and at
+    h_ref/2 was small enough relative to the errors it is meant to
+    resolve.  ``rungs`` lists every rung tried, in order, as the
+    ``{h_ref, discrepancy, required}`` dicts a passing study reports;
+    ``discrepancy`` and ``required`` are the last rung's.
+    ``stage_iterations`` counts the stage iterations spent on the
+    ``ladder`` and ``reference`` runs.
     """
 
-    def __init__(self, discrepancy, required):
-        self.discrepancy = discrepancy
-        self.required = required
+    def __init__(self, rungs, stage_iterations):
+        self.rungs = [dict(rung) for rung in rungs]
+        self.stage_iterations = dict(stage_iterations)
+        self.discrepancy = self.rungs[-1]["discrepancy"]
+        self.required = self.rungs[-1]["required"]
+        tried = "; ".join(
+            f"h_ref={r['h_ref']!r} gap {r['discrepancy']:.3e} required {r['required']:.3e}"
+            for r in self.rungs
+        )
         super().__init__(
-            f"reference self-validation failed: discrepancy {discrepancy:.3e} "
-            f"exceeds {required:.3e}"
+            f"reference self-validation failed: discrepancy {self.discrepancy:.3e} "
+            f"exceeds {self.required:.3e} after {len(self.rungs)} rung(s) [{tried}]; "
+            f"stage iterations: ladder {self.stage_iterations['ladder']}, "
+            f"reference {self.stage_iterations['reference']}"
         )

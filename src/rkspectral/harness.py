@@ -215,7 +215,7 @@ def _order_study(
         if discrepancy <= required:
             break
         if h_coarse <= h_last:
-            raise UnreliableReferenceError(discrepancy, required)
+            raise UnreliableReferenceError(rungs, iterations)
         coarse, h_coarse = fine, h_coarse / 2
 
     flagged = [e <= _CONTAMINATION_FACTOR * fp_tol for e in errors]
@@ -262,7 +262,8 @@ def convergence_study(
     measured against its fine run (floored at 50x the stage tolerance,
     the double-precision accumulation scale); the first passing fine run
     is the reference.  If the first rung whose coarse step is at most
-    h_min/16 fails too, the walk raises ``UnreliableReferenceError``.  An
+    h_min/16 fails too, the walk raises ``UnreliableReferenceError``, which
+    carries every rung tried and the stage iterations spent.  An
     explicit ``h_ref`` (positive, with T/h_ref an integer) tries the
     single rung (h_ref, h_ref/2).  ``s_ref`` and ``h_ref`` are checked
     before any run.  Levels whose error is within 100x the stage
@@ -276,8 +277,8 @@ def convergence_study(
 # -- conserved quantities ------------------------------------------------------
 
 
-def _physical_quadrature(grid: SpectralGrid, values: np.ndarray) -> float:
-    """Integrate collocation values over the domain.
+def _physical_quadrature(grid: SpectralGrid, values: np.ndarray):
+    """Integrate collocation values (..., n) over the domain, row by row.
 
     Periodic: rectangle rule (exact for resolved trigonometric
     polynomials).  Dirichlet: trapezoid with implicit zero endpoints.
@@ -285,28 +286,38 @@ def _physical_quadrature(grid: SpectralGrid, values: np.ndarray) -> float:
     """
     vals = np.real(values)
     if grid.bc == "periodic":
-        return float(vals.sum() * (2 * math.pi / grid.n))
+        return vals.sum(axis=-1) * (2 * math.pi / grid.n)
     if grid.bc == "dirichlet":
-        return float(vals.sum() * (math.pi / (grid.n + 1)))
+        return vals.sum(axis=-1) * (math.pi / (grid.n + 1))
     dx = math.pi / (grid.n - 1)
-    return float((vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1]) * dx)
+    return (vals.sum(axis=-1) - 0.5 * vals[..., 0] - 0.5 * vals[..., -1]) * dx
 
 
 def conserved_quantities(p: ProblemSpec, u: State) -> dict:
     """Mass and energy functionals of a state."""
+    mass, energy = _conserved_rows(p, u.coeffs[None])
+    return {"mass": float(mass[0]), "energy": float(energy[0])}
+
+
+def _conserved_rows(p: ProblemSpec, coeffs: np.ndarray):
+    """Mass and energy of each state of a (m, components, n) coefficient
+    array, as two length-m arrays.  Batched transforms and last-axis sums
+    round like single rows, so row j is bit for bit the value of state j
+    taken alone."""
     grid = p.grid
     w = grid.weights
     k = grid.modes.astype(float)
-    mass = float(np.sum(w * np.abs(u.coeffs[0]) ** 2))
-    gradient_sq = float(np.sum(w * k**2 * np.abs(u.coeffs[0]) ** 2))
-    phys = inverse_transform_array(grid, u.coeffs[0])
+    u = coeffs[:, 0, :]
+    mass = np.sum(w * np.abs(u) ** 2, axis=-1)
+    gradient_sq = np.sum(w * k**2 * np.abs(u) ** 2, axis=-1)
+    phys = inverse_transform_array(grid, u)
     if grid.equation == "schrodinger":
         energy = gradient_sq + _physical_quadrature(grid, p.nonlinearity.potential(phys))
     else:
-        velocity_sq = float(np.sum(w * np.abs(u.coeffs[1]) ** 2))
+        velocity_sq = np.sum(w * np.abs(coeffs[:, 1, :]) ** 2, axis=-1)
         potential = _physical_quadrature(grid, p.nonlinearity.potential(np.real(phys)))
         energy = 0.5 * (velocity_sq + gradient_sq) + potential
-    return {"mass": mass, "energy": energy}
+    return mass, energy
 
 
 # -- linear stability growth ---------------------------------------------------

@@ -23,8 +23,10 @@ Neumann grids take DCT-I as the real FFT of the length-2(n-1) even
 extension.  Dirichlet grids with n <= 256 apply DST-I as a product with
 the grid's cached ``2 sin(pi j k / (n+1))`` matrix; larger ones take the
 real FFT of the length-2(n+1) odd extension, which is slow when 2(n+1)
-has a large prime factor (n = 256: 2 x 257).  Either way a complex
-transform is one real call on the stacked (real, imaginary) rows.
+has a large prime factor (n = 256: 2 x 257).  Either way real data --
+the coefficients and fields of a wave state on a sine or cosine grid --
+take one real call, and complex data one real call on the stacked
+(real, imaginary) rows.
 """
 
 from __future__ import annotations
@@ -166,15 +168,23 @@ class SpectralGrid:
         return State(self, self.transform_array(vals))
 
     def transform_array(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform of raw physical values (..., n), batched."""
-        vals = np.asarray(values, dtype=complex)
+        """Forward transform of raw physical values (..., n), batched.
+
+        Complex on a periodic grid; on a sine or cosine grid real values
+        give real (float64) coefficients, complex values complex ones.
+        """
+        real = self.bc != "periodic" and not np.iscomplexobj(values)
+        vals = np.asarray(values, dtype=float if real else complex)
         if vals.shape[-1] != self.n:
             raise ValueError(f"last axis must have length {self.n}")
         if self.bc == "periodic":
             return np.fft.fft(vals, axis=-1) / self.n
+        # Scaled by the reciprocal: numpy divides complex data by a real
+        # scalar that way, so real values come out bit for bit as the real
+        # part of the same values taken as complex.
         if self.bc == "dirichlet":
-            return _complex_dst1(vals, self._sine_matrix) / (self.n + 1)
-        coeffs = _complex_dct1(vals) / (self.n - 1)
+            return _complex_dst1(vals, self._sine_matrix) * (1 / (self.n + 1))
+        coeffs = _complex_dct1(vals) * (1 / (self.n - 1))
         coeffs[..., 0] /= 2
         coeffs[..., -1] /= 2
         return coeffs
@@ -186,8 +196,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _complex_dst1(vals, sine=None):
-    """DST-I of complex data as one real call on the stacked (real, imag)
-    rows; each row comes out bit for bit as its own transform would.
+    """DST-I of real or complex data as one real call (``_on_parts``); each
+    row comes out bit for bit as its own transform would.
 
     ``sine`` is a grid's ``_sine_matrix``: when given, the transform is a
     product with it, taken with each row as an (n, 1) column so that
@@ -212,8 +222,11 @@ def _complex_dct1(vals):
 
 
 def _on_parts(real_transform, vals):
-    """Apply ``real_transform`` to the stacked (real, imag) rows of
-    ``vals`` in one call and rejoin the two halves as complex data."""
+    """Apply ``real_transform`` in one call: to real ``vals`` as they are
+    (float64 out), to complex ``vals`` on their stacked (real, imag) rows,
+    rejoining the two halves as complex data."""
+    if not np.iscomplexobj(vals):
+        return real_transform(vals)
     parts = real_transform(np.stack([vals.real, vals.imag]))
     out = np.empty(parts.shape[1:], dtype=complex)
     out.real = parts[0]

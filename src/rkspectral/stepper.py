@@ -34,6 +34,16 @@ is of the size of the final fixed-point update.  The iteration
 contracts when h times the local Lipschitz constant of B (times the
 stage-matrix norm) is below one; the recorded contraction estimate is
 the empirical face of that product and scales linearly in h.
+
+On a wave grid with a sine or cosine basis (Dirichlet or Neumann), real
+data stay real: the step matrices are real there, and B maps a real
+displacement to a real velocity forcing.  So when a run's starting
+coefficients have no nonzero imaginary part, ``_steps`` runs the stage
+iteration, the predictor and the update on float64 arrays -- the same
+functions, half the arithmetic.  The returned states are complex either
+way.  Complex data on such a grid, periodic grids (whose real fields
+have complex coefficients) and the Schrodinger equation keep complex
+arithmetic.
 """
 
 from __future__ import annotations
@@ -201,6 +211,12 @@ def _extrapolation_matrix(c, points):
     return e
 
 
+def _real_data(grid, x):
+    """Whether the states ``x`` are real data on a Dirichlet or Neumann
+    wave grid, which ``_steps`` steps in float64."""
+    return grid.equation == "wave" and grid.bc != "periodic" and not x.imag.any()
+
+
 def _steps(p, t, x, cfg, steps, B):
     """Take ``steps`` steps of size ``cfg.h`` from the states ``x``
     (..., c, n), yielding the new states, the stages, the final
@@ -209,13 +225,18 @@ def _steps(p, t, x, cfg, steps, B):
     The first step's iteration starts from the B = 0 solution.  Each
     later one starts from the final B of the last K steps, extrapolated
     to its nodes through min(P, j s) node times after j steps, with one
-    extrapolation matrix built per run and point count.  A near-1
-    contraction warns at the caller of the public function that runs
-    this through ``_integrate`` or ``_integrate_tangent``.
+    extrapolation matrix built per run and point count.  Real data on a
+    Dirichlet or Neumann wave grid run in float64 (see the module
+    docstring), and so do the yielded arrays.  A near-1 contraction warns
+    at the caller of the public function that runs this through
+    ``_integrate`` or ``_integrate_tangent``.
     """
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
     matrices = step_matrices(t, cfg.h, p.grid)
+    if _real_data(p.grid, x):
+        x = x.real.copy()
+        matrices = tuple(m.real.copy() for m in matrices)
     points = max(t.s, _PREDICTOR_POINTS)
     history = deque(maxlen=-(-points // t.s))
     extrapolations = {}

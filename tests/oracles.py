@@ -40,16 +40,31 @@ def fixed_point_stages(p, t, u, cfg):
     return w, stats
 
 
+def _like(blocks, data):
+    """``blocks`` as float64 for real ``data`` when every block is real
+    (the wave system); as they are otherwise."""
+    if np.iscomplexobj(data) or blocks.imag.any():
+        return blocks
+    return blocks.real.copy()
+
+
 def solve_stage_resolvent(grid, data, t, h):
-    """Solve ``(I - h a (x) A) W = data`` mode by mode."""
+    """Solve ``(I - h a (x) A) W = data`` mode by mode; real data on real
+    (wave) blocks are solved in real arithmetic."""
     stage_inv, _ = step_matrices(t, h, grid)
-    return _apply_stage_inv(stage_inv, data)
+    return _apply_stage_inv(_like(stage_inv, data), data)
+
+
+def update_map(grid, coeffs, t, h):
+    """Apply the update map ``S(hA)`` of the method to states (..., c, n);
+    real states on real (wave) blocks are mapped in real arithmetic."""
+    _, update = step_matrices(t, h, grid)
+    return _apply_update(_like(update, coeffs), coeffs)
 
 
 def apply_S_hA(u, t, h):
     """Apply the update map ``S(hA)`` of the method to a state."""
-    _, update = step_matrices(t, h, u.grid)
-    return State(u.grid, _apply_update(update, u.coeffs))
+    return State(u.grid, update_map(u.grid, u.coeffs, t, h))
 
 
 def complex_step_matrices(t, h, grid):

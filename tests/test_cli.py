@@ -473,6 +473,28 @@ def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeyp
     assert header == "step,time,mass,energy,mass_drift_rel,energy_dev"
 
 
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize(
+    "problem", ["nls-cubic-periodic", "wave-dirichlet-compatible", "wave-neumann"]
+)
+def test_chunked_observer_writes_the_per_step_csv(tmp_path, capsys, monkeypatch, problem, steps):
+    # full chunks of 16 states, and the final partial chunk, give the bytes
+    # of an evaluation one state at a time
+    assert cli._OBSERVER_CHUNK == 16
+    payload = {"experiment": "conservation", "problem": problem, "n": 16, "h": 0.01,
+               "steps": steps}
+    cfg = write_config(tmp_path, payload)
+    outputs = []
+    for chunk in (16, 1):
+        monkeypatch.setattr(cli, "_OBSERVER_CHUNK", chunk)
+        out = tmp_path / f"chunk{chunk}"
+        code = run_config(cfg, out)
+        outputs.append((code, (out / "conservation.csv").read_bytes(),
+                        (out / "conservation_summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == steps + 1
+
+
 @pytest.mark.parametrize(
     "problem, steps",
     [("nls-cubic-periodic", 20), ("wave-dirichlet-compatible", 25), ("wave-cubic-periodic", 7)],

@@ -20,7 +20,7 @@ from rkspectral.harness import (
     tangent_convergence_study,
     wave_band_state,
 )
-from rkspectral.problems import ProblemSpec, get_problem, make_nonlinearity
+from rkspectral.problems import ProblemSpec, get_problem, list_problems, make_nonlinearity
 from rkspectral.stepper import SolverConfig, StepStats, integrate
 from rkspectral.spectral import (
     SpectralGrid,
@@ -28,6 +28,7 @@ from rkspectral.spectral import (
     apply_A,
     apply_exp_tA,
     base_norm,
+    inverse_transform_array,
     schrodinger_grid,
     step_matrices,
     wave_grid,
@@ -289,6 +290,43 @@ class TestReferenceWalk:
             self.study(2, s_ref=1, h_ref=min(self.H_LIST) / 16)
         assert (info.value.discrepancy, info.value.required) == (
             last.value.discrepancy, last.value.required)
+        # every rung tried, as a passing study reports them, halving from
+        # h_list[0] down to the last rung at h_min/16
+        rungs = info.value.rungs
+        assert [r["h_ref"] for r in rungs] == [
+            self.H_LIST[0] / 2**j for j in range(len(rungs))]
+        assert rungs[-1]["h_ref"] == min(self.H_LIST) / 16
+        assert all(set(r) == {"h_ref", "discrepancy", "required"} for r in rungs)
+        assert all(r["discrepancy"] > r["required"] for r in rungs)
+        assert rungs[-1] == last.value.rungs[0] == {
+            "h_ref": min(self.H_LIST) / 16, "discrepancy": info.value.discrepancy,
+            "required": info.value.required}
+        # each rung is that rung tried alone
+        with pytest.raises(UnreliableReferenceError) as first:
+            self.study(2, s_ref=1, h_ref=self.H_LIST[0])
+        assert first.value.rungs == rungs[:1]
+        # the stage iterations spent: the ladder's, and the coarse and fine
+        # runs of every rung
+        p = get_problem("nls-cubic-periodic", 16)
+        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+
+        def iterations(t, h):
+            cfg = SolverConfig(h=h, fp_tol=1e-13)
+            _, history = integrate(p, t, u0, cfg, round(self.T / h))
+            return sum(s.iterations for s in history)
+
+        reference_steps = [rungs[0]["h_ref"]] + [r["h_ref"] / 2 for r in rungs]
+        assert info.value.stage_iterations == {
+            "ladder": sum(iterations(gauss_legendre(2), h) for h in self.H_LIST),
+            "reference": sum(iterations(MIDPOINT, h) for h in reference_steps),
+        }
+        assert last.value.stage_iterations["ladder"] == info.value.stage_iterations["ladder"]
+        # the message names every rung's step, gap and gate
+        message = str(info.value)
+        for r in rungs:
+            assert (f"h_ref={r['h_ref']!r} gap {r['discrepancy']:.3e} "
+                    f"required {r['required']:.3e}") in message
+        assert f"ladder {info.value.stage_iterations['ladder']}" in message
 
     def test_stage_iterations_count_ladder_and_every_reference_run(self):
         report = self.study(2, s_ref=2)
@@ -373,6 +411,40 @@ class TestConservedQuantities:
         rng = np.random.default_rng(5)
         u = random_band_state(p.grid, rng, max_mode=5)
         checked_conserved_quantities(p, u)  # raises on spectral/quadrature mismatch
+
+
+class TestConservedRows:
+    @pytest.mark.parametrize("name", list_problems())
+    def test_each_state_is_its_batched_row_bitwise(self, name):
+        # every mode carries data, so the Neumann endpoint terms are live
+        p = get_problem(name, 32)
+        rng = np.random.default_rng(11)
+        shape = (17, p.grid.components, p.grid.n)
+        coeffs = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if p.grid.equation == "wave" and p.grid.bc != "periodic":
+            coeffs[::2] = coeffs[::2].real  # real states, as the real stage solve yields
+        phys = inverse_transform_array(p.grid, coeffs[:, 0, :])
+        assert np.all(np.abs(phys[:, [0, -1]]) > 1e-3) or p.grid.bc == "dirichlet"
+        for m in (1, 16, 17):
+            mass, energy = harness._conserved_rows(p, coeffs[:m])
+            assert mass.shape == energy.shape == (m,)
+            for j in range(m):
+                q = conserved_quantities(p, State(p.grid, coeffs[j]))
+                assert (mass[j], energy[j]) == (q["mass"], q["energy"])
+                assert math.isfinite(q["energy"])
+
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+    def test_quadrature_rows_are_single_quadratures(self, bc):
+        grid = wave_grid(16, bc)
+        values = np.random.default_rng(3).standard_normal((5, 16))
+        values[:, [0, -1]] = [100.0, -50.0]  # endpoints that the Neumann rule halves
+        rows = harness._physical_quadrature(grid, values)
+        assert [float(v) for v in rows] == [
+            float(harness._physical_quadrature(grid, row)) for row in values]
+        if bc == "neumann":
+            dx = math.pi / 15
+            expected = (values.sum(axis=-1) - 0.5 * values[:, 0] - 0.5 * values[:, -1]) * dx
+            assert rows.tobytes() == expected.tobytes()
 
 
 class TestStabilityGrowth:

@@ -144,6 +144,31 @@ class TestTransforms:
         for coeffs in (grid.transform_array(vals), inverse_transform_array(grid, vals)):
             assert coeffs.shape == vals.shape and coeffs.dtype == complex
 
+    @pytest.mark.parametrize("n", [2, 32, 255, 256, 257, 300])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_real_rows_transform_as_the_real_part_of_complex_ones(self, n, bc):
+        # real data take the real transform alone, in float64, bit for bit
+        # the real part of the stacked complex transform
+        grid = wave_grid(n, bc)
+        if bc == "dirichlet":
+            transform = functools.partial(spectral._complex_dst1, sine=grid._sine_matrix)
+        else:
+            transform = spectral._complex_dct1
+        coeffs = np.random.default_rng(n).standard_normal((3, 2, n))
+        strided = coeffs[:, 0, :]  # the displacement rows of a batch of states
+        for rows in (strided, np.ascontiguousarray(strided), strided[1]):
+            for f in (transform, grid.transform_array,
+                      functools.partial(inverse_transform_array, grid)):
+                got, full = f(rows), f(rows.astype(complex))
+                assert got.dtype == np.float64 and full.dtype == complex
+                assert got.tobytes() == np.ascontiguousarray(full.real).tobytes()
+
+    def test_periodic_transforms_stay_complex(self):
+        grid = wave_grid(16)
+        values = np.random.default_rng(4).standard_normal((2, 16))
+        assert grid.transform_array(values).dtype == complex
+        assert inverse_transform_array(grid, values).dtype == complex
+
     @pytest.mark.parametrize("n", [64, 100, 192, 255, 256])
     def test_dense_dst1_matches_scipy(self, n):
         grid = wave_grid(n, "dirichlet")

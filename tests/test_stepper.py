@@ -9,7 +9,7 @@ from rkspectral.spectral import State, apply_exp_tA, base_norm, schrodinger_grid
 from rkspectral.stepper import SolverConfig, _stage_residual, integrate, step, tangent_step
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
-from oracles import apply_S_hA, fixed_point_stages, solve_stage_resolvent
+from oracles import apply_S_hA, fixed_point_stages, solve_stage_resolvent, update_map
 
 MIDPOINT = gauss_legendre(1)
 GL2 = gauss_legendre(2)
@@ -34,10 +34,15 @@ def reference_step(p, t, states, cfg, B):
     nonlinearities; the residual is the largest stage base norm of all
     families, as in the primal and tangent steps.  The update reuses the
     final iteration's ``forcing``, the B evaluated to produce the final
-    stages.
+    stages.  Real states on a sine or cosine wave grid step in real
+    arithmetic, as the stepper's do.
     """
     h, s = cfg.h, t.s
-    lifted = [np.broadcast_to(x.coeffs, (s,) + x.coeffs.shape) for x in states]
+    coeffs = [x.coeffs for x in states]
+    if p.grid.equation == "wave" and p.grid.bc != "periodic":
+        if not any(c.imag.any() for c in coeffs):
+            coeffs = [c.real for c in coeffs]
+    lifted = [np.broadcast_to(c, (s,) + c.shape) for c in coeffs]
 
     def resolve(data):
         return solve_stage_resolvent(p.grid, data, t, h)
@@ -52,15 +57,23 @@ def reference_step(p, t, states, cfg, B):
         )
         w = w_new
     new = [
-        apply_S_hA(x, t, h) + State(p.grid, h * np.einsum("j,jcn->cn", t.b, resolve(f)))
-        for x, f in zip(states, forcing)
+        State(p.grid, update_map(p.grid, c, t, h) + h * np.einsum("j,jcn->cn", t.b, resolve(f)))
+        for c, f in zip(coeffs, forcing)
     ]
     return new, residuals
+
+
+def complex_wave_state(grid):
+    """Wave band data with a nonzero imaginary part."""
+    return State(grid, wave_band_state(grid).coeffs + 0.1j * mode_state(grid, 1, {2: 1}).coeffs)
 
 
 REFERENCE_CASES = [
     ("wave-dirichlet-compatible", 256, wave_band_state),
     ("nls-cubic-periodic", 64, nls_two_mode_state),
+    # complex arithmetic: complex data on a sine grid, and a periodic wave
+    ("wave-dirichlet-compatible", 64, complex_wave_state),
+    ("wave-cubic-periodic", 64, wave_band_state),
 ]
 
 
@@ -118,6 +131,71 @@ class TestAgainstReference:
         assert _stage_residual(grid, delta[1]) == max(
             base_norm(State(grid, delta[1, j])) for j in range(s)
         )
+
+
+def spy_on_B(monkeypatch):
+    """Record the dtype of every stage array the stepper hands to B."""
+    seen = []
+    for name in ("evaluate_B_array", "evaluate_B_pair_array"):
+        def spy(p, w, original=getattr(stepper, name)):
+            seen.append(w.dtype)
+            return original(p, w)
+
+        monkeypatch.setattr(stepper, name, spy)
+    return seen
+
+
+def run_flow(p, u, flow, steps=50):
+    """The final states of ``steps`` steps of the primal or tangent flow."""
+    cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+    if flow == "integrate":
+        return [integrate(p, GL2, u, cfg, steps)[0]]
+    v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
+    return list(stepper._integrate_tangent(p, GL2, (u, v), cfg, steps)[0])
+
+
+class TestRealWaveArithmetic:
+    @pytest.mark.parametrize("name", ["wave-dirichlet-compatible", "wave-neumann"])
+    @pytest.mark.parametrize("flow", ["integrate", "tangent"])
+    def test_real_data_on_a_real_basis_step_in_float64(self, name, flow, monkeypatch):
+        p = get_problem(name, 32)
+        u = wave_band_state(p.grid)
+        seen = spy_on_B(monkeypatch)
+        real = run_flow(p, u, flow)
+        assert len(seen) > 50 and set(seen) == {np.dtype(np.float64)}
+        assert all(x.coeffs.dtype == complex for x in real)  # public states stay complex
+        # the same run forced through complex arithmetic
+        monkeypatch.setattr(stepper, "_real_data", lambda grid, x: False)
+        seen.clear()
+        forced = run_flow(p, u, flow)
+        assert len(seen) > 50 and set(seen) == {np.dtype(complex)}
+        for a, b in zip(real, forced):
+            assert base_norm(a - b) <= 1e-14 * base_norm(b)
+
+    @pytest.mark.parametrize(
+        "name, initial",
+        [
+            ("wave-dirichlet-compatible", complex_wave_state),
+            ("wave-neumann", complex_wave_state),
+            ("wave-cubic-periodic", wave_band_state),
+            ("nls-cubic-periodic", nls_two_mode_state),
+        ],
+    )
+    @pytest.mark.parametrize("flow", ["integrate", "tangent"])
+    def test_other_data_step_in_complex128(self, name, initial, flow, monkeypatch):
+        p = get_problem(name, 32)
+        seen = spy_on_B(monkeypatch)
+        run_flow(p, initial(p.grid), flow, steps=5)
+        assert seen and set(seen) == {np.dtype(complex)}
+
+    def test_complex_tangent_direction_keeps_the_pair_complex(self, monkeypatch):
+        p = get_problem("wave-dirichlet-compatible", 32)
+        u = wave_band_state(p.grid)
+        seen = spy_on_B(monkeypatch)
+        stepper._integrate_tangent(
+            p, GL2, (u, complex_wave_state(p.grid)), SolverConfig(h=0.01, fp_tol=1e-13), 5
+        )
+        assert seen and set(seen) == {np.dtype(complex)}
 
 
 class TestFixedPointStages:
