@@ -28,9 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreliableReferenceError
-from .problems import ProblemSpec, get_problem
-from .spectral import SpectralGrid, State, _symbol_resolvents, base_norm, inverse_transform_array
-from .stepper import SolverConfig, _integrate_tangent, integrate, step
+from .problems import ProblemSpec, evaluate_B_array, evaluate_B_pair_array, get_problem
+from .spectral import (
+    SpectralGrid,
+    State,
+    _base_norm_sq_rows,
+    _symbol_resolvents,
+    base_norm,
+    inverse_transform_array,
+)
+from .stepper import SolverConfig, _check_grid, _flow, _real_data, step
 from .tableau import ButcherTableau, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
@@ -161,16 +168,17 @@ def _fit_order(h_list, errors, flagged):
     return float(slope)
 
 
-def _state_distance(a, b):
-    return base_norm(a - b)
+def _distance(grid, a, b):
+    """Base-norm distance of two coefficient arrays (..., c, n): the root
+    of the sum of each state's squared ``base_norm``, the joint norm of a
+    (primal, tangent) pair."""
+    norms = np.sqrt(_base_norm_sq_rows(grid, a - b)).ravel().tolist()
+    return math.sqrt(sum(norm**2 for norm in norms))
 
 
-def _order_study(
-    p, t, x0, T, h_list, fp_tol, s_ref, h_ref, integrate_fn, distance, name
-) -> ConvergenceReport:
-    """Order study of one flow: ``integrate_fn(p, t, x0, cfg, steps)``
-    returns the final value and per-step statistics, ``distance``
-    compares two final values."""
+def _order_study(p, t, x0, T, h_list, fp_tol, s_ref, h_ref, B, name) -> ConvergenceReport:
+    """Order study of the flow from the coefficients ``x0`` (..., c, n)
+    with the nonlinearity evaluator ``B`` (``stepper._flow``)."""
     h_list = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("h_list must be strictly decreasing")
@@ -190,9 +198,7 @@ def _order_study(
     iterations = {"ladder": 0, "reference": 0}
 
     def run(tab, h, tol, phase):
-        final, history = integrate_fn(
-            p, tab, x0, SolverConfig(h=h, fp_tol=tol), _steps_for(T, h)
-        )
+        final, history = _flow(p, tab, x0, SolverConfig(h=h, fp_tol=tol), _steps_for(T, h), B)
         iterations[phase] += sum(s.iterations for s in history)
         return final, history
 
@@ -208,8 +214,8 @@ def _order_study(
     rungs = []
     while True:
         fine, _ = run(t_ref, h_coarse / 2, ref_tol, "reference")
-        discrepancy = distance(fine, coarse)
-        errors = [distance(final, fine) for final in finals]
+        discrepancy = _distance(p.grid, fine, coarse)
+        errors = [_distance(p.grid, final, fine) for final in finals]
         required = max(_REFERENCE_MARGIN * min(errors), _REFERENCE_FLOOR_FACTOR * fp_tol)
         rungs.append({"h_ref": h_coarse, "discrepancy": discrepancy, "required": required})
         if discrepancy <= required:
@@ -269,9 +275,8 @@ def convergence_study(
     before any run.  Levels whose error is within 100x the stage
     tolerance are flagged and excluded from the fit.
     """
-    return _order_study(
-        p, t, u0, T, h_list, fp_tol, s_ref, h_ref, integrate, _state_distance, p.name,
-    )
+    _check_grid(p, u0)
+    return _order_study(p, t, u0.coeffs, T, h_list, fp_tol, s_ref, h_ref, evaluate_B_array, p.name)
 
 
 # -- conserved quantities ------------------------------------------------------
@@ -303,8 +308,11 @@ def _conserved_rows(p: ProblemSpec, coeffs: np.ndarray):
     """Mass and energy of each state of a (m, components, n) coefficient
     array, as two length-m arrays.  Batched transforms and last-axis sums
     round like single rows, so row j is bit for bit the value of state j
-    taken alone."""
+    taken alone.  Real data on a sine or cosine wave grid are evaluated
+    in float64, with the same bits."""
     grid = p.grid
+    if _real_data(grid, coeffs):
+        coeffs = coeffs.real
     w = grid.weights
     k = grid.modes.astype(float)
     u = coeffs[:, 0, :]
@@ -515,10 +523,6 @@ def dirichlet_compatibility_study(
 # -- tangent study -------------------------------------------------------------
 
 
-def _pair_distance(a, b):
-    return math.sqrt(base_norm(a[0] - b[0]) ** 2 + base_norm(a[1] - b[1]) ** 2)
-
-
 def tangent_convergence_study(
     p: ProblemSpec,
     t: ButcherTableau,
@@ -534,9 +538,10 @@ def tangent_convergence_study(
     against a fine same-family tangent reference, found as in
     ``convergence_study``.
     """
+    _check_grid(p, u0, v0)
+    pair = np.stack([u0.coeffs, v0.coeffs])
     return _order_study(
-        p, t, (u0, v0), T, h_list, fp_tol, None, None,
-        _integrate_tangent, _pair_distance, f"{p.name}+tangent",
+        p, t, pair, T, h_list, fp_tol, None, None, evaluate_B_pair_array, f"{p.name}+tangent"
     )
 
 

@@ -1,12 +1,18 @@
 """The implicit Runge-Kutta time step.
 
+Every run goes through one flow, ``_flow``, on coefficient arrays
+(..., c, n): ``step`` and ``integrate`` on one state, ``tangent_step``
+on the stacked (primal, tangent) pair, the same method tied together
+only by the nonlinearity (B(u), DB(u) v).  The order studies and the
+CLI's conservation runs call ``_flow`` directly; ``State`` objects
+appear only at the public edge.
+
 Stages solve the fixed-point equation
 
     W = (I - h a (x) A)^{-1} (1 u + h a B(W))
 
-by plain iteration.  A single step (``step``, ``tangent_step``) and the
-first step of every run start from the B = 0 solution.  Each later step
-of a run (``integrate`` and the tangent flow of the order studies)
+by plain iteration.  The first step of every run, so a single ``step``
+or ``tangent_step``, starts from the B = 0 solution.  Each later step
 starts from
 
     W_0 = (I - h a (x) A)^{-1} (1 u + h a E [F_{n-K+1}; ...; F_n]),
@@ -38,12 +44,12 @@ the empirical face of that product and scales linearly in h.
 On a wave grid with a sine or cosine basis (Dirichlet or Neumann), real
 data stay real: the step matrices are real there, and B maps a real
 displacement to a real velocity forcing.  So when a run's starting
-coefficients have no nonzero imaginary part, ``_steps`` runs the stage
+coefficients have no nonzero imaginary part, ``_flow`` runs the stage
 iteration, the predictor and the update on float64 arrays -- the same
-functions, half the arithmetic.  The returned states are complex either
-way.  Complex data on such a grid, periodic grids (whose real fields
-have complex coefficients) and the Schrodinger equation keep complex
-arithmetic.
+functions, half the arithmetic -- and returns float64 coefficients;
+the public functions wrap them in complex states.  Complex data on such
+a grid, periodic grids (whose real fields have complex coefficients)
+and the Schrodinger equation keep complex arithmetic.
 """
 
 from __future__ import annotations
@@ -63,13 +69,15 @@ from .spectral import (
     _apply_update,
     _base_norm_sq_rows,
     _generator,
-    base_norm,
     step_matrices,
 )
 from .tableau import ButcherTableau
 
 # A contraction estimate above this warns that h is near the iteration's limit.
 _CONTRACTION_WARN = 0.9
+
+# A stage iteration that has not converged after this many iterations fails.
+_FP_MAX_ITERS = 200
 
 # The predictor extrapolates B through the last max(s, _PREDICTOR_POINTS)
 # history node times.  Over NLS, periodic and Dirichlet wave runs at
@@ -85,13 +93,13 @@ class SolverConfig:
 
     ``fp_tol`` is an absolute tolerance on the base-norm stage update;
     order studies must keep it well below the local error they resolve.
+    A step that has not met it after ``_FP_MAX_ITERS`` iterations fails.
     ``debug_checks`` additionally evaluates the direct update form each
     step and verifies it against the resolvent form.
     """
 
     h: float
     fp_tol: float = 1e-12
-    fp_max_iters: int = 200
     debug_checks: bool = False
 
     def __post_init__(self):
@@ -99,8 +107,6 @@ class SolverConfig:
             raise ValueError("step size must be finite and nonnegative")
         if self.fp_tol <= 0:
             raise ValueError("fixed-point tolerance must be positive")
-        if self.fp_max_iters < 1:
-            raise ValueError("iteration cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
         base_start = base
     w = _apply_stage_inv(stage_inv, base_start)
     residuals = []
-    for iteration in range(1, cfg.fp_max_iters + 1):
+    for iteration in range(1, _FP_MAX_ITERS + 1):
         forcing = B(w)
         w_new = _apply_stage_inv(stage_inv, base + h * np.einsum("ij,...jcn->...icn", a, forcing))
         residual = _stage_residual(grid, w_new - w)
@@ -157,7 +163,7 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
                 )
             return w, forcing, stats
     raise ConvergenceFailureError(
-        StepStats(cfg.fp_max_iters, residuals[-1], _contraction(residuals))
+        StepStats(_FP_MAX_ITERS, residuals[-1], _contraction(residuals))
     )
 
 
@@ -175,8 +181,8 @@ def _update(matrices, b, h, base, forcing):
     return _apply_update(update, base) + h * np.einsum("j,...jcn->...cn", b, z)
 
 
-def _check_grid(p, u):
-    if u.grid != p.grid:
+def _check_grid(p, *states):
+    if any(u.grid != p.grid for u in states):
         raise ValueError("state lives on a different grid than the problem")
 
 
@@ -212,24 +218,24 @@ def _extrapolation_matrix(c, points):
 
 
 def _real_data(grid, x):
-    """Whether the states ``x`` are real data on a Dirichlet or Neumann
-    wave grid, which ``_steps`` steps in float64."""
+    """Whether the coefficients ``x`` are real data on a Dirichlet or
+    Neumann wave grid, which ``_flow`` steps in float64."""
     return grid.equation == "wave" and grid.bc != "periodic" and not x.imag.any()
 
 
-def _steps(p, t, x, cfg, steps, B):
-    """Take ``steps`` steps of size ``cfg.h`` from the states ``x``
-    (..., c, n), yielding the new states, the stages, the final
-    iteration's B and the statistics after each.
+def _flow(p, t, x, cfg, steps, B, observer=None):
+    """Take ``steps`` steps of size ``cfg.h`` from the coefficients ``x``
+    (..., c, n), whose stage arrays the evaluator ``B(p, w)`` maps to
+    their nonlinearity; return the final coefficients and the per-step
+    statistics.
 
-    The first step's iteration starts from the B = 0 solution.  Each
-    later one starts from the final B of the last K steps, extrapolated
-    to its nodes through min(P, j s) node times after j steps, with one
-    extrapolation matrix built per run and point count.  Real data on a
-    Dirichlet or Neumann wave grid run in float64 (see the module
-    docstring), and so do the yielded arrays.  A near-1 contraction warns
-    at the caller of the public function that runs this through
-    ``_integrate`` or ``_integrate_tangent``.
+    Each step after the first starts from the predicted B (see the
+    module docstring), with one extrapolation matrix built per run and
+    point count.  Real data on a Dirichlet or Neumann wave grid run, and
+    come back, in float64.  With ``cfg.debug_checks`` each update is
+    checked against its direct form.  The observer, when given, is
+    called after each step with (step_index, coefficients, stats).  A
+    near-1 contraction warns at the caller of this function's caller.
     """
     if cfg.h == 0:
         raise ValueError("step requires a positive step size")
@@ -238,26 +244,45 @@ def _steps(p, t, x, cfg, steps, B):
         x = x.real.copy()
         matrices = tuple(m.real.copy() for m in matrices)
     points = max(t.s, _PREDICTOR_POINTS)
-    history = deque(maxlen=-(-points // t.s))
+    forcings = deque(maxlen=-(-points // t.s))
     extrapolations = {}
-    for _ in range(steps):
+    history = []
+    for index in range(steps):
         predicted = None
-        if history:
-            used = min(points, len(history) * t.s)
+        if forcings:
+            used = min(points, len(forcings) * t.s)
             if used not in extrapolations:
                 extrapolations[used] = _extrapolation_matrix(t.c, used)
             if extrapolations[used] is not None:
                 predicted = np.einsum(
                     "ij,...jcn->...icn",
                     extrapolations[used],
-                    np.concatenate(history, axis=-3),
+                    np.concatenate(forcings, axis=-3),
                 )
         w, forcing, stats = _solve_stages(
-            matrices[0], t.a, cfg.h, p.grid, x, B, cfg, predicted, stacklevel=5
+            matrices[0], t.a, cfg.h, p.grid, x, lambda w: B(p, w), cfg, predicted, stacklevel=4
         )
-        x = _update(matrices, t.b, cfg.h, x, forcing)
-        history.append(forcing)
-        yield x, w, forcing, stats
+        x_new = _update(matrices, t.b, cfg.h, x, forcing)
+        if cfg.debug_checks:
+            _check_direct_form(p.grid, t, cfg, x, w, forcing, x_new)
+        x = x_new
+        forcings.append(forcing)
+        history.append(stats)
+        if observer is not None:
+            observer(index, x, stats)
+    return x, history
+
+
+def _check_direct_form(grid, t, cfg, x, stages, forcing, x_new):
+    """Cross-evaluate x + h b^T (A W + forcing) against the resolvent-form
+    update ``x_new``, for coefficients with any leading shape."""
+    aw = _apply_update(_generator(grid), stages)
+    direct = x + cfg.h * np.einsum("j,...jcn->...cn", t.b, aw + forcing)
+    gap = _stage_residual(grid, direct - x_new)
+    if gap > 10 * cfg.fp_tol:
+        raise RuntimeError(
+            f"update-form mismatch: resolvent vs direct evaluation differ by {gap:.3e}"
+        )
 
 
 def step(
@@ -269,36 +294,9 @@ def step(
     reuses the final stage iteration's B, so a step makes exactly
     ``stats.iterations`` evaluations of B.
     """
-    u_new, history = _integrate(p, t, u, cfg, 1, None)
-    return u_new, history[0]
-
-
-def _integrate(p, t, u, cfg, steps, observer):
-    """The body of ``step`` and ``integrate``, so that a near-1
-    contraction warns at the caller of either."""
     _check_grid(p, u)
-    history = []
-    flow = _steps(p, t, u.coeffs, cfg, steps, lambda w: evaluate_B_array(p, w))
-    for index, (coeffs, stages, forcing, stats) in enumerate(flow):
-        u_new = State(p.grid, coeffs)
-        if cfg.debug_checks:
-            _check_direct_form(p, t, u, stages, forcing, u_new, cfg)
-        u = u_new
-        history.append(stats)
-        if observer is not None:
-            observer(index, u, stats)
-    return u, history
-
-
-def _check_direct_form(p, t, u, stages, forcing, u_new, cfg):
-    """Cross-evaluate u + h b^T (A W + forcing) against the resolvent form."""
-    aw = _apply_update(_generator(p.grid), stages)
-    direct = u.coeffs + cfg.h * np.einsum("j,jcn->cn", t.b, aw + forcing)
-    gap = base_norm(State(p.grid, direct) - u_new)
-    if gap > 10 * cfg.fp_tol:
-        raise RuntimeError(
-            f"update-form mismatch: resolvent vs direct evaluation differ by {gap:.3e}"
-        )
+    coeffs, history = _flow(p, t, u.coeffs, cfg, 1, evaluate_B_array)
+    return State(p.grid, coeffs), history[0]
 
 
 def integrate(
@@ -318,7 +316,15 @@ def integrate(
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    return _integrate(p, t, u0, cfg, steps, observer)
+    _check_grid(p, u0)
+
+    def observe(index, coeffs, stats):
+        observer(index, State(p.grid, coeffs), stats)
+
+    coeffs, history = _flow(
+        p, t, u0.coeffs, cfg, steps, evaluate_B_array, None if observer is None else observe
+    )
+    return State(p.grid, coeffs), history
 
 
 def tangent_step(
@@ -327,25 +333,12 @@ def tangent_step(
     """One step of the extended (primal, tangent) system.
 
     The linear part acts blockwise, so the pair runs through the shared
-    stage solver as a batch of two stage families; only the coupled
-    nonlinearity (B(U), DB(U) V), evaluated with one transform pass for
-    both families, ties them together in the iteration.  The iteration
-    starts from the B = 0 solution.
+    flow as a batch of two states; only the coupled nonlinearity
+    (B(U), DB(U) V), evaluated with one transform pass for both, ties
+    them together in the iteration.  The iteration starts from the
+    B = 0 solution.
     """
-    (u_new, v_new), history = _integrate_tangent(p, t, (u, v), cfg, 1)
-    return u_new, v_new, history[0]
-
-
-def _integrate_tangent(p, t, pair, cfg, steps):
-    """``steps`` steps of the (primal, tangent) pair, predicted as in
-    ``integrate``; returns the final pair and the per-step statistics."""
-    u, v = pair
-    if v.grid != u.grid or u.grid != p.grid:
-        raise ValueError("primal and tangent states must share the problem grid")
-    history = []
-    flow = _steps(
-        p, t, np.stack([u.coeffs, v.coeffs]), cfg, steps, lambda w: evaluate_B_pair_array(p, w)
-    )
-    for coeffs, _, _, stats in flow:
-        history.append(stats)
-    return (State(p.grid, coeffs[0]), State(p.grid, coeffs[1])), history
+    _check_grid(p, u, v)
+    pair = np.stack([u.coeffs, v.coeffs])
+    (u_new, v_new), history = _flow(p, t, pair, cfg, 1, evaluate_B_pair_array)
+    return State(p.grid, u_new), State(p.grid, v_new), history[0]

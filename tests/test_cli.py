@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rkspectral import cli
+from rkspectral import cli, harness
 from rkspectral.cli import main, run_config
-from rkspectral.stepper import integrate
+from rkspectral.stepper import _flow
 from rkspectral.tableau import gauss_legendre, resolve_tableau
 
 
@@ -111,11 +112,11 @@ def test_stability_summary_names_the_maximizing_point(tmp_path, capsys):
 def test_dealias_override_takes_a_json_bool(tmp_path, capsys, monkeypatch):
     seen = []
 
-    def recording_integrate(p, *args):
+    def recording_flow(p, *args):
         seen.append(p.dealias)
-        return integrate(p, *args)
+        return _flow(p, *args)
 
-    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    monkeypatch.setattr(cli, "_flow", recording_flow)
     for value in (False, True):
         payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
                    "dealias": value}
@@ -455,12 +456,12 @@ def test_debug_checks_run_on_conservation(tmp_path, capsys):
 def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeypatch):
     histories = []
 
-    def recording_integrate(*args):
-        final, history = integrate(*args)
+    def recording_flow(*args):
+        final, history = _flow(*args)
         histories.append(history)
         return final, history
 
-    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    monkeypatch.setattr(cli, "_flow", recording_flow)
     payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 20}
     out = tmp_path / "out"
     assert run_config(write_config(tmp_path, payload), out) == 0
@@ -493,6 +494,29 @@ def test_chunked_observer_writes_the_per_step_csv(tmp_path, capsys, monkeypatch,
                         (out / "conservation_summary.json").read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].count(b"\n") == steps + 1
+
+
+@pytest.mark.parametrize(
+    "problem, dtype",
+    [("wave-dirichlet-compatible", np.float64), ("wave-neumann", np.float64),
+     ("nls-cubic-periodic", np.complex128), ("wave-cubic-periodic", np.complex128)],
+)
+def test_conservation_transforms_real_wave_rows_in_float64(tmp_path, capsys, monkeypatch,
+                                                           problem, dtype):
+    # the initial state, a chunk of 16 steps and a final partial chunk of 4
+    seen = []
+    inverse = harness.inverse_transform_array
+
+    def spy(grid, coeffs):
+        seen.append(coeffs.dtype)
+        return inverse(grid, coeffs)
+
+    monkeypatch.setattr(harness, "inverse_transform_array", spy)
+    payload = {"experiment": "conservation", "problem": problem, "n": 16, "h": 0.01,
+               "steps": 20}
+    # a short wave run may read as drift (exit 1); it still writes every row
+    assert run_config(write_config(tmp_path, payload), tmp_path / "out") in (0, 1)
+    assert seen == [np.dtype(dtype)] * 3
 
 
 @pytest.mark.parametrize(

@@ -163,7 +163,7 @@ class TestConvergenceStudy:
     )
     def test_bad_reference_arguments_rejected_before_any_run(self, monkeypatch, kwargs, match):
         runs = []
-        monkeypatch.setattr(harness, "integrate", lambda *args: runs.append(args))
+        monkeypatch.setattr(harness, "_flow", lambda *args: runs.append(args))
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
         with pytest.raises(ValueError, match=match):
@@ -615,6 +615,43 @@ class TestTangentStudy:
         p, u0, v0 = self.pair()
         with pytest.raises(ValueError, match="decreasing"):
             tangent_convergence_study(p, MIDPOINT, u0, v0, 0.5, [0.01, 0.02], fp_tol=1e-13)
+
+
+@pytest.mark.parametrize("wrong", ["u0", "v0"])
+def test_state_on_another_grid_rejected_before_any_run(monkeypatch, wrong):
+    runs = []
+    monkeypatch.setattr(harness, "_flow", lambda *args: runs.append(args))
+    p = get_problem("nls-cubic-periodic", 32)
+    other = get_problem("nls-cubic-periodic", 16).grid
+    states = {"u0": nls_two_mode_state(p.grid), "v0": nls_two_mode_state(p.grid)}
+    states[wrong] = nls_two_mode_state(other)
+    h_list = [0.05, 0.025]
+    if wrong == "u0":
+        with pytest.raises(ValueError, match="different grid"):
+            convergence_study(p, MIDPOINT, states["u0"], 0.5, h_list, fp_tol=1e-13)
+    with pytest.raises(ValueError, match="different grid"):
+        tangent_convergence_study(
+            p, MIDPOINT, states["u0"], states["v0"], 0.5, h_list, fp_tol=1e-13
+        )
+    assert runs == []
+
+
+@pytest.mark.parametrize("name", ["nls-cubic-periodic", "wave-dirichlet-compatible",
+                                  "wave-neumann", "wave-cubic-periodic"])
+def test_study_distance_is_the_joint_base_norm_bitwise(name):
+    # one state: base_norm of the difference; a pair: the root of the sum
+    # of its two squared base norms, each rounded on its own
+    grid = get_problem(name, 32).grid
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a, b = (random_band_state(grid, rng).coeffs for _ in range(2))
+        c, d = (random_band_state(grid, rng).coeffs for _ in range(2))
+        single = base_norm(State(grid, a) - State(grid, b))
+        assert harness._distance(grid, a, b) == single
+        if grid.equation == "wave" and grid.bc != "periodic":
+            assert harness._distance(grid, a.real, b.real) == single
+        pair = math.sqrt(single**2 + base_norm(State(grid, c) - State(grid, d)) ** 2)
+        assert harness._distance(grid, np.stack([a, c]), np.stack([b, d])) == pair
 
 
 class TestInitialData:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import rkspectral
+from rkspectral import cli
 
 # The package's public surface.  A name added here is a deliberate
 # extension of the API; one that only tests need belongs in tests/oracles.py.
@@ -52,6 +55,86 @@ PUBLIC_NAMES = [
     "wave_band_state",
     "wave_grid",
 ]
+
+# The package's settable values: the defaulted parameters of the public
+# functions, the defaulted fields and method parameters of the public
+# dataclasses, every ``SolverConfig`` field, and the CLI flags.  A name
+# added here is a new knob.
+SETTABLE_VALUES = [
+    "--debug-checks",
+    "--list-problems",
+    "--out",
+    "ButcherTableau.label",
+    "ProblemSpec.dealias",
+    "ProblemSpec.name",
+    "ProblemSpec.scale_bound",
+    "SolverConfig.debug_checks",
+    "SolverConfig.fp_tol",
+    "SolverConfig.h",
+    "StabilityReport.a_eigenvalues",
+    "StabilityReport.a_invertible",
+    "convergence_study(fp_tol)",
+    "convergence_study(h_ref)",
+    "convergence_study(s_ref)",
+    "dirichlet_compatibility_study(T)",
+    "dirichlet_compatibility_study(fp_tol)",
+    "dirichlet_compatibility_study(n)",
+    "dirichlet_compatibility_study(t)",
+    "get_problem(n)",
+    "integrate(observer)",
+    "nls_two_mode_state(amplitudes)",
+    "nls_two_mode_state(modes)",
+    "random_band_state(amplitude)",
+    "random_band_state(max_mode)",
+    "rough_decay_state(exponent)",
+    "schrodinger_grid(bc)",
+    "smoothness_probe(fp_tol)",
+    "smoothness_probe(levels)",
+    "tangent_convergence_study(fp_tol)",
+    "wave_band_state(u_amps)",
+    "wave_band_state(v_amps)",
+    "wave_grid(bc)",
+]
+
+
+def defaulted(name, fn):
+    return [
+        f"{name}({p.name})" for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty
+    ]
+
+
+def cli_flags(monkeypatch):
+    """The option strings the CLI declares, recorded while it builds its parser."""
+    flags = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(self, *names, **kwargs):
+        flags.extend(n for n in names if n.startswith("--") and n != "--help")
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    assert cli.main(["run", "--list-problems"]) == 0
+    return flags
+
+
+def test_settable_values_are_pinned(monkeypatch, capsys):
+    values = cli_flags(monkeypatch)
+    for name in PUBLIC_NAMES:
+        obj = getattr(rkspectral, name)
+        if inspect.isfunction(obj):
+            values += defaulted(name, obj)
+        elif dataclasses.is_dataclass(obj):
+            values += [
+                f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                if name == "SolverConfig" or f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING
+            ]
+            for method, fn in vars(obj).items():
+                if not method.startswith("_") and inspect.isfunction(fn):
+                    values += defaulted(f"{name}.{method}", fn)
+    assert sorted(values) == SETTABLE_VALUES
+    assert len(SETTABLE_VALUES) == 33
 
 
 def test_public_surface_is_pinned():

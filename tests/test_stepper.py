@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rkspectral import stepper
 from rkspectral.errors import ConvergenceFailureError, NumericalBlowupError
-from rkspectral.harness import nls_two_mode_state, wave_band_state
+from rkspectral.harness import nls_two_mode_state, random_band_state, wave_band_state
 from rkspectral.problems import evaluate_B_array, evaluate_B_pair_array, get_problem
 from rkspectral.spectral import State, apply_exp_tA, base_norm, schrodinger_grid, wave_grid
 from rkspectral.stepper import SolverConfig, _stage_residual, integrate, step, tangent_step
@@ -85,6 +87,37 @@ UPDATE_FORM_CASES = [
 ]
 
 
+# (problem, flow, dtype and shape of the coefficients the debug check sees)
+DEBUG_CHECK_CASES = [
+    ("nls-cubic-periodic", "step", complex, (1, 32)),
+    ("wave-dirichlet-compatible", "step", float, (2, 32)),
+    ("wave-neumann", "step", float, (2, 32)),
+    ("nls-cubic-periodic", "tangent", complex, (2, 1, 32)),
+    ("wave-dirichlet-compatible", "tangent", float, (2, 2, 32)),
+]
+
+
+def random_debug_state(p, rng):
+    """Random complex fields on NLS grids, real low-band data on wave grids."""
+    if p.grid.equation == "wave":
+        return random_band_state(p.grid, rng)
+    n = p.grid.n
+    return p.grid.transform(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+
+
+def spy_on_direct_form(monkeypatch):
+    """Record the dtype and shape of the coefficients each debug check sees."""
+    checked = []
+    check = stepper._check_direct_form
+
+    def spy(grid, t, cfg, x, *rest):
+        checked.append((x.dtype, x.shape))
+        return check(grid, t, cfg, x, *rest)
+
+    monkeypatch.setattr(stepper, "_check_direct_form", spy)
+    return checked
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("name, n, initial", REFERENCE_CASES)
     def test_step_is_bitwise_reference(self, name, n, initial):
@@ -145,13 +178,22 @@ def spy_on_B(monkeypatch):
     return seen
 
 
+def tangent_flow(p, t, u, v, cfg, steps):
+    """``steps`` steps of the (primal, tangent) pair through ``stepper._flow``,
+    as the tangent order study takes them; the final pair and the statistics."""
+    (u_new, v_new), history = stepper._flow(
+        p, t, np.stack([u.coeffs, v.coeffs]), cfg, steps, stepper.evaluate_B_pair_array
+    )
+    return (State(p.grid, u_new), State(p.grid, v_new)), history
+
+
 def run_flow(p, u, flow, steps=50):
     """The final states of ``steps`` steps of the primal or tangent flow."""
     cfg = SolverConfig(h=0.01, fp_tol=1e-13)
     if flow == "integrate":
         return [integrate(p, GL2, u, cfg, steps)[0]]
     v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
-    return list(stepper._integrate_tangent(p, GL2, (u, v), cfg, steps)[0])
+    return list(tangent_flow(p, GL2, u, v, cfg, steps)[0])
 
 
 class TestRealWaveArithmetic:
@@ -192,8 +234,8 @@ class TestRealWaveArithmetic:
         p = get_problem("wave-dirichlet-compatible", 32)
         u = wave_band_state(p.grid)
         seen = spy_on_B(monkeypatch)
-        stepper._integrate_tangent(
-            p, GL2, (u, complex_wave_state(p.grid)), SolverConfig(h=0.01, fp_tol=1e-13), 5
+        tangent_flow(
+            p, GL2, u, complex_wave_state(p.grid), SolverConfig(h=0.01, fp_tol=1e-13), 5
         )
         assert seen and set(seen) == {np.dtype(complex)}
 
@@ -244,49 +286,54 @@ class TestFixedPointStages:
         for coarse, fine in zip(estimates, estimates[1:]):
             assert 0.3 <= fine / coarse <= 0.7
 
-    def test_iteration_cap_raises_with_stats(self):
+    def test_iteration_cap_raises_with_stats(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_FP_MAX_ITERS", 3)
         p = get_problem("nls-cubic-periodic", 32)
         u = two_mode(p.grid, 1.5, 0.8)
         with pytest.raises(ConvergenceFailureError) as err:
-            fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.5, fp_tol=1e-15, fp_max_iters=3))
+            fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.5, fp_tol=1e-15))
         assert err.value.stats.iterations == 3
         assert err.value.stats.final_residual > 0
 
-    def test_near_one_contraction_warns_at_caller(self):
+    def test_near_one_contraction_warns_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_FP_MAX_ITERS", 1000)
         p = get_problem("nls-cubic-periodic", 32)
         u = two_mode(p.grid, 2.0, 1.0)
-        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12)
         with pytest.warns(UserWarning, match="near 1") as record:
             _, stats = fixed_point_stages(p, MIDPOINT, u, cfg)
         assert stats.contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
         assert record[0].filename == __file__
 
-    def test_step_near_one_contraction_warns_once_at_caller(self):
+    def test_step_near_one_contraction_warns_once_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_FP_MAX_ITERS", 1000)
         p = get_problem("nls-cubic-periodic", 32)
         u = two_mode(p.grid, 2.0, 1.0)
-        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12)
         with pytest.warns(UserWarning, match="near 1") as record:
             _, stats = step(p, MIDPOINT, u, cfg)
         assert stats.contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
         assert record[0].filename == __file__
 
-    def test_integrate_near_one_contraction_warns_at_caller(self):
+    def test_integrate_near_one_contraction_warns_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_FP_MAX_ITERS", 1000)
         p = get_problem("nls-cubic-periodic", 32)
         u = two_mode(p.grid, 2.0, 1.0)
-        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12)
         with pytest.warns(UserWarning, match="near 1") as record:
             _, history = integrate(p, MIDPOINT, u, cfg, 1)
         assert history[0].contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
         assert record[0].filename == __file__
 
-    def test_tangent_step_near_one_contraction_warns_once_at_caller(self):
+    def test_tangent_step_near_one_contraction_warns_once_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_FP_MAX_ITERS", 1000)
         p = get_problem("nls-cubic-periodic", 32)
         u = two_mode(p.grid, 2.0, 1.0)
         v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
-        cfg = SolverConfig(h=0.21, fp_tol=1e-12, fp_max_iters=1000)
+        cfg = SolverConfig(h=0.21, fp_tol=1e-12)
         with pytest.warns(UserWarning, match="near 1") as record:
             _, _, stats = tangent_step(p, MIDPOINT, u, v, cfg)
         assert stats.contraction_estimate > stepper._CONTRACTION_WARN
@@ -330,13 +377,42 @@ class TestStep:
             normalized.append(base_norm(out - apply_exp_tA(u, h)) / h ** (2 * s + 1))
         assert max(normalized) / min(normalized) <= 2.2
 
-    def test_update_forms_agree_on_random_states(self):
-        p = get_problem("nls-cubic-periodic", 32)
+    @pytest.mark.parametrize("name, flow, dtype, shape", DEBUG_CHECK_CASES)
+    def test_update_forms_agree_on_random_states(self, name, flow, dtype, shape, monkeypatch):
+        p = get_problem(name, 32)
+        checked = spy_on_direct_form(monkeypatch)
         rng = np.random.default_rng(3)
         cfg = SolverConfig(h=0.02, fp_tol=1e-13, debug_checks=True)
         for _ in range(5):
-            u = p.grid.transform(0.3 * (rng.standard_normal(32) + 1j * rng.standard_normal(32)))
-            step(p, MIDPOINT, u, cfg)  # raises if the two forms disagree
+            u = random_debug_state(p, rng)
+            if flow == "step":
+                step(p, MIDPOINT, u, cfg)  # raises if the two forms disagree
+            else:
+                tangent_step(p, MIDPOINT, u, random_band_state(p.grid, rng), cfg)
+        assert checked == [(np.dtype(dtype), shape)] * 5
+
+    @pytest.mark.parametrize("name, flow, dtype, shape", DEBUG_CHECK_CASES)
+    def test_perturbed_update_fails_the_debug_check(self, name, flow, dtype, shape, monkeypatch):
+        # a 1e-9 error in the last coefficient of the update (for the pair,
+        # of the tangent) is far above the check's 10 fp_tol
+        update = stepper._update
+
+        def perturbed(*args):
+            out = update(*args)
+            out.flat[-1] += 1e-9
+            return out
+
+        monkeypatch.setattr(stepper, "_update", perturbed)
+        p = get_problem(name, 32)
+        rng = np.random.default_rng(3)
+        u = random_debug_state(p, rng)
+        cfg = SolverConfig(h=0.02, fp_tol=1e-13, debug_checks=True)
+        with pytest.raises(RuntimeError, match="update-form mismatch"):
+            if flow == "step":
+                step(p, MIDPOINT, u, cfg)
+            else:
+                tangent_step(p, MIDPOINT, u, random_band_state(p.grid, rng), cfg)
+        step(p, MIDPOINT, u, dataclasses.replace(cfg, debug_checks=False))  # unchecked: no error
 
     @pytest.mark.parametrize("name, initial", UPDATE_FORM_CASES)
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
@@ -442,7 +518,7 @@ class TestIntegrate:
             _, history = integrate(p, GL2, u, cfg, 50)
         elif run == "tangent":
             v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
-            _, history = stepper._integrate_tangent(p, GL2, (u, v), cfg, 5)
+            _, history = tangent_flow(p, GL2, u, v, cfg, 5)
         else:
             history = [step(p, GL2, u, cfg)[1]]
         assert len(history) == {"integrate": 50, "tangent": 5, "step": 1}[run]
@@ -578,12 +654,12 @@ class TestPredictedStart:
         cfg = SolverConfig(h=0.005, fp_tol=1e-13)
         u = nls_two_mode_state(p.grid)
         v = mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
-        (u1, v1), history = stepper._integrate_tangent(p, t, (u, v), cfg, 1)
+        (u1, v1), history = tangent_flow(p, t, u, v, cfg, 1)
         u_step, v_step, stats = tangent_step(p, t, u, v, cfg)
         assert u1.coeffs.tobytes() == u_step.coeffs.tobytes()
         assert v1.coeffs.tobytes() == v_step.coeffs.tobytes()
         assert history == [stats]
-        (u_run, v_run), history = stepper._integrate_tangent(p, t, (u, v), cfg, 40)
+        (u_run, v_run), history = tangent_flow(p, t, u, v, cfg, 40)
         primal, _ = integrate(p, t, u, cfg, 40)
         unpredicted = 0
         for _ in range(40):
@@ -641,5 +717,5 @@ class TestSolverConfig:
             SolverConfig(h=-0.1)
         with pytest.raises(ValueError):
             SolverConfig(h=0.1, fp_tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the iteration cap is stepper._FP_MAX_ITERS
             SolverConfig(h=0.1, fp_max_iters=0)
