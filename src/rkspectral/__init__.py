@@ -3,7 +3,6 @@ Schrodinger equations on spectral grids, with order-study tooling."""
 
 from .errors import (
     ConvergenceFailureError,
-    DomainEscapeError,
     NumericalBlowupError,
     SingularResolventError,
     UnreliableReferenceError,

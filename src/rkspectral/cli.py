@@ -78,7 +78,7 @@ def _resolve(experiment, cfg) -> dict:
     for key in _POSITIVE_KEYS:
         if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ValueError(f"config key {key!r} must be positive, got {cfg[key]!r}")
-    minima = {"n": 1, "steps": 1, "n_steps": 0, "q": 0,
+    minima = {"n": 1, "steps": 1, "n_steps": 0, "q": 0, "seed": 0,
               "levels": 2 if experiment in _ORDER_STUDIES else 1}
     for key, low in minima.items():
         if key in cfg and cfg[key] < low:
@@ -103,11 +103,15 @@ def _resolve(experiment, cfg) -> dict:
             hs = [float(h) for h in cfg["h_list"]]
             if any(b >= a for a, b in zip(hs, hs[1:])):
                 raise ValueError("config key 'h_list' must be strictly decreasing")
+            if len(hs) < 2 or not all(0 < h < math.inf for h in hs):
+                raise ValueError(f"config key 'h_list' must hold at least two positive steps, "
+                                 f"got {cfg['h_list']!r}")
         else:
             hs = harness.dyadic_h_list(float(cfg["h_max"]), int(cfg["levels"]))
-        if len(hs) < 2 or not all(0 < h < math.inf for h in hs):
-            raise ValueError(f"config key 'h_list' must hold at least two positive steps, "
-                             f"got {cfg['h_list']!r}")
+            # The step count T / h of the smallest step must be a finite number.
+            if not (hs[-1] > 0 and math.isfinite(cfg["T"] / hs[-1])):
+                raise ValueError(f"config key 'levels' halves h_max too far for T={cfg['T']!r}: "
+                                 f"the ladder h_max / 2**j runs from {hs[0]!r} to {hs[-1]!r}")
         # The study's own checks: T/h integer at every level, fp_tol tight enough.
         for h in hs:
             harness._steps_for(cfg["T"], h)

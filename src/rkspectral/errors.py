@@ -37,17 +37,6 @@ class NumericalBlowupError(RuntimeError):
     """NaN or Inf appeared during stage iteration or stepping."""
 
 
-class DomainEscapeError(RuntimeError):
-    """Physical values left the ball on which the nonlinearity is trusted."""
-
-    def __init__(self, max_abs, bound):
-        self.max_abs = max_abs
-        self.bound = bound
-        super().__init__(
-            f"pointwise magnitude {max_abs:.6g} exceeds nonlinearity radius {bound:.6g}"
-        )
-
-
 class UnreliableReferenceError(RuntimeError):
     """Reference-solution self-validation failed.
 

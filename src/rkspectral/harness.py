@@ -549,7 +549,7 @@ def dyadic_h_list(h_max: float, levels: int) -> list[float]:
     """h_max, h_max/2, ..., h_max/2^(levels-1)."""
     if levels < 1:
         raise ValueError("need at least one level")
-    return [h_max / 2**j for j in range(levels)]
+    return [math.ldexp(h_max, -j) for j in range(levels)]
 
 
 def write_summary_json(path, summary: dict):

@@ -11,13 +11,11 @@ modes unless the top third of the spectrum is zeroed afterwards
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainEscapeError
 from .spectral import SpectralGrid, inverse_transform_array
 
 DEFAULT_GRID_SIZE = 64
@@ -95,15 +93,14 @@ class ProblemSpec:
     """A semilinear evolution problem on a spectral grid; the grid's
     ``equation`` says which one.
 
-    ``scale_bound`` is the pointwise-magnitude radius on which the
-    nonlinearity is trusted; evaluation outside it raises, making
-    blow-up diagnosable instead of silent.
+    ``dealias`` zeroes the top third of B's modes (2/3 rule).  The
+    nonlinearity is evaluated wherever the stages go; a blow-up shows as
+    a non-finite stage, which the stepper raises as NumericalBlowupError.
     """
 
     grid: SpectralGrid
     nonlinearity: Nonlinearity
     dealias: bool = True
-    scale_bound: float = math.inf
     name: str = field(default="")
 
     def __post_init__(self):
@@ -124,14 +121,6 @@ def dealias_mask(grid: SpectralGrid) -> np.ndarray:
     return k <= (2 * int(k.max())) // 3
 
 
-def _guard_domain(p: ProblemSpec, phys: np.ndarray):
-    if not math.isfinite(p.scale_bound):
-        return
-    max_abs = float(np.max(np.abs(phys)))
-    if max_abs > p.scale_bound:
-        raise DomainEscapeError(max_abs, p.scale_bound)
-
-
 def _modal_B(p: ProblemSpec, values: np.ndarray, like: np.ndarray) -> np.ndarray:
     """Transform pointwise nonlinearity values (..., n) into B's component
     of an array shaped like ``like`` (..., components, n), dealiased."""
@@ -148,7 +137,6 @@ def _modal_B(p: ProblemSpec, values: np.ndarray, like: np.ndarray) -> np.ndarray
 def evaluate_B_array(p: ProblemSpec, coeffs: np.ndarray) -> np.ndarray:
     """Batched nonlinearity: coeffs (..., components, n) -> same shape."""
     phys = inverse_transform_array(p.grid, coeffs[..., 0, :])
-    _guard_domain(p, phys)
     return _modal_B(p, p.nonlinearity.value(phys), coeffs)
 
 
@@ -160,7 +148,6 @@ def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
     single rows, so each half equals its own evaluation bit for bit.
     """
     u_phys, v_phys = inverse_transform_array(p.grid, pair[..., 0, :])
-    _guard_domain(p, u_phys)
     f = p.nonlinearity
     return _modal_B(p, np.stack([f.value(u_phys), f.tangent(u_phys, v_phys)]), pair)
 

@@ -100,15 +100,6 @@ class SpectralGrid:
             k = np.arange(self.n, dtype=np.int64)
         return _read_only(k)
 
-    @property
-    def nodes(self) -> np.ndarray:
-        """Collocation points matching the transform convention."""
-        if self.bc == "periodic":
-            return 2 * math.pi * np.arange(self.n) / self.n
-        if self.bc == "dirichlet":
-            return math.pi * np.arange(1, self.n + 1) / (self.n + 1)
-        return math.pi * np.arange(self.n) / (self.n - 1)
-
     @cached_property
     def weights(self) -> np.ndarray:
         """Per-mode Parseval weights of the continuum L2 norm (read-only)."""
@@ -152,20 +143,6 @@ class SpectralGrid:
         return _read_only(table[angles])
 
     # -- transforms -------------------------------------------------------
-
-    def transform(self, values) -> "State":
-        """Map physical collocation values to a modal State.
-
-        ``values`` has shape (n,) for one component or (components, n).
-        """
-        vals = np.asarray(values)
-        if vals.ndim == 1:
-            vals = vals[None, :]
-        if vals.shape != (self.components, self.n):
-            raise ValueError(
-                f"expected values of shape ({self.components}, {self.n}), got {vals.shape}"
-            )
-        return State(self, self.transform_array(vals))
 
     def transform_array(self, values: np.ndarray) -> np.ndarray:
         """Forward transform of raw physical values (..., n), batched.

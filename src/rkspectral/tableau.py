@@ -14,7 +14,7 @@ eigenvalue in the closed left half-plane other than 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,13 +125,15 @@ class StabilityReport:
     imaginary-axis sweep carries the weight and the interior grid is a
     safety net.  ``rk2_ok`` is the exact eigenvalue criterion: no
     eigenvalue of ``a`` may lie in the closed left half-plane except 0.
+    ``a_eigenvalues`` lists those eigenvalues and ``a_invertible`` says
+    whether none of them is 0; ``check_a_stability`` sets every field.
     """
 
     rk1_ok: bool
     rk1_worst: tuple[complex, float]
     rk2_ok: bool
-    a_eigenvalues: list = field(default_factory=list)
-    a_invertible: bool = True
+    a_eigenvalues: list
+    a_invertible: bool
 
     @property
     def a_stable(self) -> bool:

@@ -25,6 +25,21 @@ from rkspectral.spectral import (
 from rkspectral.stepper import _solve_stages
 
 
+def grid_nodes(grid):
+    """The collocation points of ``grid``'s transform convention."""
+    if grid.bc == "periodic":
+        return 2 * math.pi * np.arange(grid.n) / grid.n
+    if grid.bc == "dirichlet":
+        return math.pi * np.arange(1, grid.n + 1) / (grid.n + 1)
+    return math.pi * np.arange(grid.n) / (grid.n - 1)
+
+
+def to_state(grid, values):
+    """The State whose collocation values are ``values``: shape (n,) for
+    one component or (components, n)."""
+    return State(grid, grid.transform_array(np.atleast_2d(values)))
+
+
 def fixed_point_stages(p, t, u, cfg):
     """The stages of one step and their statistics, iterated from the
     B = 0 solution until the base-norm update falls below ``cfg.fp_tol``.
@@ -219,9 +234,9 @@ def _gradient_quadrature(grid, u):
         vals = inverse_transform_array(grid, 1j * k * c)
         return _physical_quadrature(grid, np.abs(vals) ** 2)
     if grid.bc == "dirichlet":
-        x = np.concatenate([[0.0], grid.nodes, [math.pi]])
+        x = np.concatenate([[0.0], grid_nodes(grid), [math.pi]])
         vals = np.abs((k * c) @ np.cos(np.outer(k, x))) ** 2
         dx = math.pi / (grid.n + 1)
         return float((vals.sum() - 0.5 * vals[0] - 0.5 * vals[-1]) * dx)
-    vals = np.abs(-(k * c) @ np.sin(np.outer(k, grid.nodes))) ** 2
+    vals = np.abs(-(k * c) @ np.sin(np.outer(k, grid_nodes(grid)))) ** 2
     return _physical_quadrature(grid, vals)

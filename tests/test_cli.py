@@ -11,6 +11,7 @@ import pytest
 
 from rkspectral import cli, harness
 from rkspectral.cli import main, run_config
+from rkspectral.spectral import State
 from rkspectral.stepper import _flow
 from rkspectral.tableau import gauss_legendre, resolve_tableau
 
@@ -290,13 +291,19 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "stability", "grid": "heat"}, "grid"),
      ({"experiment": "convergence", "initial_data": "smooth"}, "initial_data"),
      ({"experiment": "conservation", "problem": "wave-cubic-periodic",
-       "nonlinearity": "cubic_plus_const:abc"}, "nonlinearity")],
+       "nonlinearity": "cubic_plus_const:abc"}, "nonlinearity"),
+     # a derived ladder whose smallest step is subnormal, or underflows to 0
+     ({"experiment": "convergence", "levels": 1025}, "levels"),
+     ({"experiment": "convergence", "h_max": 1e-300, "levels": 100}, "levels"),
+     ({"experiment": "convergence", "initial_data": "random", "seed": -1}, "seed"),
+     ({"experiment": "tangent-check", "seed": -1}, "seed")],
 )
 def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert run_config(cfg, out) == 2
     err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"config key {key!r}" in err
     if key == "h_max":
         assert "h_list" not in err  # the dyadic ladder it implies is not blamed
@@ -550,6 +557,24 @@ def test_conservation_summary_explains_the_verdict(tmp_path, capsys, problem, st
         assert result["energy_dev_early_max"] == max(devs[: window["steps"]])
     assert window["time"] == float(rows[window["steps"] - 1]["time"])
     assert result["energy_dev_final"] == devs[-1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_blowup_in_a_run_exits_2_and_leaves_nothing(tmp_path, capsys, monkeypatch):
+    def huge(problem, cfg):
+        coeffs = np.zeros((problem.grid.components, problem.grid.n), dtype=complex)
+        coeffs[0, 1] = 1e160
+        return State(problem.grid, coeffs)
+
+    monkeypatch.setattr(cli, "_initial_state", huge)
+    payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 20}
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: solver failure: non-finite stage residual")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_from_a_checkout(tmp_path):

@@ -35,7 +35,7 @@ from rkspectral.spectral import (
 )
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
-from oracles import checked_conserved_quantities, hermitian_symmetry_defect
+from oracles import checked_conserved_quantities, grid_nodes, hermitian_symmetry_defect, to_state
 from oracles import stability_growth as matrix_stability_growth
 
 MIDPOINT = gauss_legendre(1)
@@ -187,6 +187,13 @@ class TestConvergenceStudy:
         u0 = nls_two_mode_state(p.grid)
         with pytest.raises(ValueError, match="fp_tol"):
             convergence_study(p, MIDPOINT, u0, 0.5, dyadic_h_list(0.02, 3), fp_tol=1e-4)
+
+
+def test_dyadic_h_list_halves_exactly_and_never_overflows():
+    assert dyadic_h_list(0.02, 6) == [0.02 / 2**j for j in range(6)]
+    # 2**1100 is past the float range; the ladder underflows to 0 instead
+    ladder = dyadic_h_list(0.02, 1100)
+    assert ladder[1023] > 0 and ladder[-1] == 0.0
 
 
 class TestReferenceWalk:
@@ -392,14 +399,14 @@ class TestConservedQuantities:
 
     def test_linear_dirichlet_energy_of_sine(self):
         p = ProblemSpec(wave_grid(32, "dirichlet"), make_nonlinearity("wave", "zero"))
-        u = p.grid.transform(np.vstack([np.sin(p.grid.nodes), np.zeros(32)]))
+        u = to_state(p.grid, np.vstack([np.sin(grid_nodes(p.grid)), np.zeros(32)]))
         q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4, abs=1e-10)
 
     def test_cubic_dirichlet_energy_of_sine(self):
         # adds the quartic potential integral: int sin^4 / 4 = 3 pi / 32
         p = get_problem("wave-dirichlet-compatible", 32)
-        u = p.grid.transform(np.vstack([np.sin(p.grid.nodes), np.zeros(32)]))
+        u = to_state(p.grid, np.vstack([np.sin(grid_nodes(p.grid)), np.zeros(32)]))
         q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4 + 3 * math.pi / 32, abs=1e-10)
 

@@ -11,7 +11,13 @@ from rkspectral.spectral import State, apply_exp_tA, base_norm, schrodinger_grid
 from rkspectral.stepper import SolverConfig, _stage_residual, integrate, step, tangent_step
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
-from oracles import apply_S_hA, fixed_point_stages, solve_stage_resolvent, update_map
+from oracles import (
+    apply_S_hA,
+    fixed_point_stages,
+    solve_stage_resolvent,
+    to_state,
+    update_map,
+)
 
 MIDPOINT = gauss_legendre(1)
 GL2 = gauss_legendre(2)
@@ -102,7 +108,7 @@ def random_debug_state(p, rng):
     if p.grid.equation == "wave":
         return random_band_state(p.grid, rng)
     n = p.grid.n
-    return p.grid.transform(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    return to_state(p.grid, 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
 
 
 def spy_on_direct_form(monkeypatch):
@@ -346,6 +352,33 @@ class TestFixedPointStages:
         u = mode_state(p.grid, 0, {1: 1e160})
         with pytest.raises(NumericalBlowupError):
             fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.1))
+
+
+def huge_state(grid):
+    return mode_state(grid, 0, {1: 1e160})
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+class TestBlowupFailsLoudly:
+    # no bound on the data is enforced; a blow-up shows as a non-finite stage
+    def test_step(self):
+        p = get_problem("wave-cubic-periodic", 16)
+        with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
+            step(p, MIDPOINT, huge_state(p.grid), SolverConfig(h=0.1))
+
+    def test_integrate(self):
+        p = get_problem("nls-cubic-periodic", 16)
+        seen = []
+        with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
+            integrate(p, GL2, huge_state(p.grid), SolverConfig(h=0.1), 5,
+                      observer=lambda *args: seen.append(args))
+        assert seen == []
+
+    def test_tangent_step_with_a_huge_primal_half(self):
+        p = get_problem("wave-cubic-periodic", 16)
+        v = mode_state(p.grid, 0, {1: 1e-3})
+        with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
+            tangent_step(p, MIDPOINT, huge_state(p.grid), v, SolverConfig(h=0.1))
 
 
 class TestStep:
