@@ -108,9 +108,12 @@ class ProblemSpec:
             object.__setattr__(self, "name", f"{self.grid.equation}-{self.nonlinearity.name}")
 
     @cached_property
-    def _aliased_modes(self) -> np.ndarray:
-        """Complement of ``dealias_mask(grid)``, computed once per problem."""
-        return ~dealias_mask(self.grid)
+    def _aliased_modes(self) -> slice:
+        """The modes ``dealias_mask(grid)`` drops, as a slice, computed once
+        per problem: the top third is one run of storage indices (on a
+        periodic grid the middle of the FFT order, around Nyquist)."""
+        aliased = np.flatnonzero(~dealias_mask(self.grid))
+        return slice(int(aliased[0]), int(aliased[-1]) + 1)
 
 
 def dealias_mask(grid: SpectralGrid) -> np.ndarray:
@@ -123,12 +126,21 @@ def dealias_mask(grid: SpectralGrid) -> np.ndarray:
 
 def _modal_B(p: ProblemSpec, values: np.ndarray, like: np.ndarray) -> np.ndarray:
     """Transform pointwise nonlinearity values (..., n) into B's component
-    of an array shaped like ``like`` (..., components, n), dealiased."""
-    out = np.zeros_like(like)
+    of an array shaped like ``like`` (..., components, n), dealiased by
+    zeroing the slice ``p._aliased_modes``.
+
+    The values come from the inverse transform of ``like``, so they are
+    float64 or complex128 and go straight to the transform kernel; only
+    the length is checked.  A Schrodinger B is the transform itself, with
+    a component axis; a wave B is zero in the displacement component.
+    """
+    if like.shape[-1] != p.grid.n:
+        raise ValueError(f"coefficients must have {p.grid.n} modes, got {like.shape[-1]}")
     if p.grid.equation == "wave":
-        out[..., 1, :] = -p.grid.transform_array(values)
+        out = np.zeros_like(like)
+        out[..., 1, :] = -p.grid._transform(values)
     else:
-        out[..., 0, :] = -1j * p.grid.transform_array(values)
+        out = (-1j * p.grid._transform(values))[..., None, :]
     if p.dealias:
         out[..., p._aliased_modes] = 0.0
     return out

@@ -154,6 +154,11 @@ class SpectralGrid:
         vals = np.asarray(values, dtype=float if real else complex)
         if vals.shape[-1] != self.n:
             raise ValueError(f"last axis must have length {self.n}")
+        return self._transform(vals)
+
+    def _transform(self, vals: np.ndarray) -> np.ndarray:
+        """``transform_array``'s kernel: float64 or complex128 values
+        (..., n), complex on a periodic grid, taken as they are."""
         if self.bc == "periodic":
             return np.fft.fft(vals, axis=-1) / self.n
         # Scaled by the reciprocal: numpy divides complex data by a real
@@ -316,11 +321,10 @@ def _base_norm_sq_rows(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """``base_norm_sq`` of every state in a (..., components, n) array."""
     w = grid.weights
     if grid.components == 1:
-        return np.sum(w * np.abs(coeffs[..., 0, :]) ** 2, axis=-1)
-    return np.sum(
-        w * (grid._h1_factor * np.abs(coeffs[..., 0, :]) ** 2 + np.abs(coeffs[..., 1, :]) ** 2),
-        axis=-1,
-    )
+        return (w * np.abs(coeffs[..., 0, :]) ** 2).sum(axis=-1)
+    return (
+        w * (grid._h1_factor * np.abs(coeffs[..., 0, :]) ** 2 + np.abs(coeffs[..., 1, :]) ** 2)
+    ).sum(axis=-1)
 
 
 def base_norm(u: State) -> float:
@@ -416,12 +420,13 @@ def _symbol_function(grid: SpectralGrid, f: np.ndarray, slope) -> np.ndarray:
 
 
 def _apply_stage_inv(stage_inv: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Apply per-mode (s*c, s*c) blocks to stage data (..., s, c, n)."""
-    vec = data.reshape(data.shape[:-3] + (-1, data.shape[-1])).swapaxes(-1, -2)
-    out = np.einsum("kpq,...kq->...kp", stage_inv, vec)
-    return np.ascontiguousarray(out.swapaxes(-1, -2).reshape(data.shape))
+    """Apply per-mode (s*c, s*c) blocks to stage data (..., s, c, n): the
+    block kernel ``_apply_update`` on the data viewed as (..., s*c, n)."""
+    rows = data.reshape(data.shape[:-3] + (-1, data.shape[-1]))
+    return _apply_update(stage_inv, rows).reshape(data.shape)
 
 
 def _apply_update(update: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Apply per-mode (c, c) update blocks to states (..., c, n)."""
+    """Apply per-mode (r, r) blocks to data (..., r, n), mode by mode: the
+    one block kernel of A, e^{tA}, the update S(hA) and the stage inverse."""
     return np.ascontiguousarray(np.einsum("kpq,...qk->...pk", update, coeffs))

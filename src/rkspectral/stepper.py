@@ -105,8 +105,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.h < 0 or not math.isfinite(self.h):
             raise ValueError("step size must be finite and nonnegative")
-        if self.fp_tol <= 0:
-            raise ValueError("fixed-point tolerance must be positive")
+        if not (self.fp_tol > 0 and math.isfinite(self.fp_tol)):
+            raise ValueError("fixed-point tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class StepStats:
 
 def _stage_residual(grid, delta):
     """Max base norm over stages (and any leading axes) of a stage-data difference."""
-    return math.sqrt(float(np.max(_base_norm_sq_rows(grid, delta))))
+    return math.sqrt(_base_norm_sq_rows(grid, delta).max())
 
 
 def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
@@ -135,13 +135,12 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
     frames up, which the caller sets to the frame of its own caller that
     the warning should name.
     """
-    s = a.shape[0]
-    base = np.broadcast_to(base[..., None, :, :], base.shape[:-2] + (s,) + base.shape[-2:])
+    base = base[..., None, :, :]
     if predicted is not None:
-        base_start = base + h * np.einsum("ij,...jcn->...icn", a, predicted)
+        start = base + h * np.einsum("ij,...jcn->...icn", a, predicted)
     else:
-        base_start = base
-    w = _apply_stage_inv(stage_inv, base_start)
+        start = np.broadcast_to(base, base.shape[:-3] + (len(a),) + base.shape[-2:])
+    w = _apply_stage_inv(stage_inv, start)
     residuals = []
     for iteration in range(1, _FP_MAX_ITERS + 1):
         forcing = B(w)

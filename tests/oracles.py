@@ -2,6 +2,9 @@
 
 Most are a few lines over the package's per-mode step matrices and its
 private stage solver, so a test can check one piece of a step on its own.
+The stage inverse is applied by a swapaxes/einsum form of its own
+(``apply_stage_blocks``), not by the package's block kernel, so the
+stage oracles check that kernel too.
 Stage data are arrays of shape (s, components, n).  Two build the step
 matrices independently: by a complex LU of the (s c) x (s c) Kronecker
 block, and in 50-digit arithmetic; the propagator blocks come in
@@ -17,7 +20,6 @@ from rkspectral.harness import _physical_quadrature, conserved_quantities
 from rkspectral.problems import evaluate_B_array
 from rkspectral.spectral import (
     State,
-    _apply_stage_inv,
     _apply_update,
     inverse_transform_array,
     step_matrices,
@@ -55,7 +57,7 @@ def fixed_point_stages(p, t, u, cfg):
     return w, stats
 
 
-def _like(blocks, data):
+def blocks_like(blocks, data):
     """``blocks`` as float64 for real ``data`` when every block is real
     (the wave system); as they are otherwise."""
     if np.iscomplexobj(data) or blocks.imag.any():
@@ -63,18 +65,27 @@ def _like(blocks, data):
     return blocks.real.copy()
 
 
+def apply_stage_blocks(stage_inv, data):
+    """Apply per-mode (s c, s c) blocks to stage data (..., s, c, n) with the
+    modes moved in front of each flattened stage vector: swap to
+    (..., n, s c), contract with ``kpq,...kq->...kp``, swap back."""
+    vec = data.reshape(data.shape[:-3] + (-1, data.shape[-1])).swapaxes(-1, -2)
+    out = np.einsum("kpq,...kq->...kp", stage_inv, vec)
+    return np.ascontiguousarray(out.swapaxes(-1, -2).reshape(data.shape))
+
+
 def solve_stage_resolvent(grid, data, t, h):
     """Solve ``(I - h a (x) A) W = data`` mode by mode; real data on real
     (wave) blocks are solved in real arithmetic."""
     stage_inv, _ = step_matrices(t, h, grid)
-    return _apply_stage_inv(_like(stage_inv, data), data)
+    return apply_stage_blocks(blocks_like(stage_inv, data), data)
 
 
 def update_map(grid, coeffs, t, h):
     """Apply the update map ``S(hA)`` of the method to states (..., c, n);
     real states on real (wave) blocks are mapped in real arithmetic."""
     _, update = step_matrices(t, h, grid)
-    return _apply_update(_like(update, coeffs), coeffs)
+    return _apply_update(blocks_like(update, coeffs), coeffs)
 
 
 def apply_S_hA(u, t, h):

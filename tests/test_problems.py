@@ -75,6 +75,51 @@ class TestEvaluateB:
             evaluate_B_array(p, u.coeffs)
 
 
+# Every grid kind at its smallest legal size, odd sizes (other than
+# periodic), and 16, 64, 255/256 and 1024.
+DEALIAS_GRIDS = [
+    (equation, bc, n)
+    for equation in ("schrodinger", "wave")
+    for bc, sizes in (("periodic", (4, 6, 8, 10, 16, 64, 256, 1024)),
+                      ("dirichlet", (2, 3, 4, 5, 7, 16, 64, 255, 256, 1024)),
+                      ("neumann", (2, 3, 4, 5, 7, 16, 64, 255, 256, 1024)))
+    for n in sizes
+]
+
+
+class TestDealiasSlice:
+    @pytest.mark.parametrize("equation, bc, n", DEALIAS_GRIDS)
+    def test_slice_selects_the_complement_of_the_mask(self, equation, bc, n):
+        grid = SpectralGrid(equation, bc, n)
+        p = ProblemSpec(grid, make_nonlinearity(equation, "cubic"))
+        selected = np.zeros(n, dtype=bool)
+        selected[p._aliased_modes] = True
+        assert np.array_equal(selected, ~dealias_mask(grid))
+
+    @pytest.mark.parametrize("equation, bc, n", DEALIAS_GRIDS)
+    def test_no_dealias_keeps_the_top_third(self, equation, bc, n):
+        grid = SpectralGrid(equation, bc, n)
+        f = make_nonlinearity(equation, "cubic")
+        rng = np.random.default_rng(n)
+        shape = (3, grid.components, n)
+        real = rng.standard_normal(shape)
+        top = ~dealias_mask(grid)
+        data = [real + 1j * rng.standard_normal(shape)]
+        if equation == "wave" and bc != "periodic":
+            data.append(real)  # real data on a sine or cosine wave grid: float64
+        for coeffs in data:
+            kept = evaluate_B_array(ProblemSpec(grid, f, dealias=False), coeffs)
+            phys = inverse_transform_array(grid, coeffs[..., 0, :])
+            modal = grid.transform_array(f.value(phys))
+            expected = np.zeros_like(coeffs)
+            expected[..., -1, :] = -modal if equation == "wave" else -1j * modal
+            assert kept.tobytes() == expected.tobytes() and kept.dtype == expected.dtype
+            assert np.abs(kept[..., -1, top]).min() > 0.0
+            dealiased = evaluate_B_array(ProblemSpec(grid, f), coeffs)
+            assert np.abs(dealiased[..., -1, top]).max() == 0.0
+            assert np.array_equal(dealiased[..., ~top], kept[..., ~top])
+
+
 class TestTangentLinearization:
     @pytest.mark.parametrize("name", ["nls-cubic-periodic", "wave-cubic-periodic"])
     def test_matches_central_differences(self, name):

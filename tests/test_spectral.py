@@ -25,7 +25,9 @@ from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import (
     apply_S_hA,
+    apply_stage_blocks,
     block_relative_error,
+    blocks_like,
     complex_step_matrices,
     exact_propagator_block,
     exact_wave_blocks,
@@ -425,6 +427,28 @@ class TestStageResolvent:
 
 ALL_GRID_KINDS = [(eq, bc) for eq in ("schrodinger", "wave")
                   for bc in ("periodic", "dirichlet", "neumann")]
+
+
+class TestStageBlockKernel:
+    @pytest.mark.parametrize("equation, bc", ALL_GRID_KINDS)
+    @pytest.mark.parametrize("s", range(1, 9))
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_matches_swapaxes_oracle_bitwise(self, equation, bc, s, n):
+        # The stage inverse goes through the update's block kernel on the
+        # data viewed as (..., s c, n); every value is the oracle's bits.
+        grid = SpectralGrid(equation, bc, n + (bc == "dirichlet"))
+        stage_inv, _ = step_matrices(gauss_legendre(s), 0.03, grid)
+        rng = np.random.default_rng(s)
+        for lead in [(), (2,), (5, 2)]:
+            shape = lead + (s, grid.components, grid.n)
+            real = rng.standard_normal(shape)
+            for data in (real, real + 1j * rng.standard_normal(shape)):
+                blocks = blocks_like(stage_inv, data)
+                got = spectral._apply_stage_inv(blocks, data)
+                expected = apply_stage_blocks(blocks, data)
+                assert got.shape == expected.shape and got.dtype == expected.dtype
+                assert got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes(), (lead, data.dtype)
 
 
 class TestDistinctSymbolBuild:

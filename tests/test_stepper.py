@@ -752,3 +752,10 @@ class TestSolverConfig:
             SolverConfig(h=0.1, fp_tol=0.0)
         with pytest.raises(TypeError):  # the iteration cap is stepper._FP_MAX_ITERS
             SolverConfig(h=0.1, fp_max_iters=0)
+
+    @pytest.mark.parametrize("fp_tol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tolerance_rejected(self, fp_tol):
+        # inf would end every stage solve after one iteration, and nan
+        # would run _FP_MAX_ITERS iterations per step before failing.
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(h=0.1, fp_tol=fp_tol)
