@@ -117,6 +117,20 @@ def _resolve(experiment, cfg) -> dict:
             harness._steps_for(cfg["T"], h)
         harness._check_fp_tol(cfg["fp_tol"], min(hs), t.p)
         inputs["h_list"] = hs
+    if experiment == "smoothness":
+        # The probe divides by its stencil spacings h / 2**j / (q + 1) raised
+        # to q; the largest (j = 0) and the smallest must be normal floats.
+        q = cfg["q"]
+        for key, level in (("h", 0), ("levels", cfg["levels"] - 1)):
+            spacing = math.ldexp(cfg["h"], -level) / (q + 1)
+            try:
+                scale = spacing**q
+            except OverflowError:
+                scale = math.inf
+            if not (sys.float_info.min <= spacing and sys.float_info.min <= scale < math.inf):
+                raise ValueError(f"config key {key!r}: the stencil spacing {spacing!r} of "
+                                 f"level {level} raised to q={q} is {scale!r}, not a "
+                                 f"positive normal float")
     if experiment == "stability" and cfg["grid"] not in _GRIDS:
         raise ValueError(f"config key 'grid' must be one of {list(_GRIDS)}, "
                          f"got {cfg['grid']!r}")
@@ -243,7 +257,7 @@ def _run_stability(cfg, out_dir, t, grid):
     rows = []
     worst, argmax = 0.0, None
     for h in cfg["h_values"]:
-        amp, mode = harness._stability_growth(t, grid, float(h), n_steps)
+        amp, mode = harness.stability_growth(t, grid, float(h), n_steps)
         deviation = abs(amp - 1.0)
         if argmax is None or deviation > worst:
             argmax = {"h": float(h), "mode": mode}

@@ -24,11 +24,10 @@ class ConvergenceFailureError(RuntimeError):
     regime.  ``stats`` holds the StepStats of the failed solve.
     """
 
-    def __init__(self, stats, message=None):
+    def __init__(self, stats):
         self.stats = stats
         super().__init__(
-            message
-            or f"stage iteration failed to converge "
+            f"stage iteration failed to converge "
             f"(iterations={stats.iterations}, residual={stats.final_residual:.3e})"
         )
 

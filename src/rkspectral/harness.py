@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +71,8 @@ class ConvergenceReport:
     rung's coarse step and its h -> h/2 gap; ``required``, the gate that
     gap had to meet; and ``rungs``, the ``{h_ref, discrepancy, required}``
     of every rung tried, in order, each ``required`` being the gate
-    recomputed against that rung's own fine run.  A walk from the ladder's
-    coarsest step reads ``rungs[j]["h_ref"] == h_list[0] / 2**j``.
+    recomputed against that rung's own fine run.  The walk starts at the
+    ladder's coarsest step, so ``rungs[j]["h_ref"] == h_list[0] / 2**j``.
     """
 
     problem: str
@@ -121,12 +120,12 @@ class ConvergenceReport:
         }
 
 
-def _steps_for(T, h, name="h"):
-    """Steps of size ``h`` in [0, T]; ``name`` labels ``h`` in the error."""
+def _steps_for(T, h):
+    """Steps of size ``h`` in [0, T]."""
     ratio = T / h if h > 0 else 0.0
     m = round(ratio) if math.isfinite(ratio) else 0
     if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T/{name} must be a positive integer; T={T}, {name}={h}")
+        raise ValueError(f"T/h must be a positive integer; T={T}, h={h}")
     return m
 
 
@@ -176,7 +175,7 @@ def _distance(grid, a, b):
     return math.sqrt(sum(norm**2 for norm in norms))
 
 
-def _order_study(p, t, x0, T, h_list, fp_tol, s_ref, h_ref, B, name) -> ConvergenceReport:
+def _order_study(p, t, x0, T, h_list, fp_tol, B, name) -> ConvergenceReport:
     """Order study of the flow from the coefficients ``x0`` (..., c, n)
     with the nonlinearity evaluator ``B`` (``stepper._flow``)."""
     h_list = [float(h) for h in h_list]
@@ -185,15 +184,7 @@ def _order_study(p, t, x0, T, h_list, fp_tol, s_ref, h_ref, B, name) -> Converge
     for h in h_list:
         _steps_for(T, h)
     _check_fp_tol(fp_tol, min(h_list), t.p)
-    if s_ref is None:
-        s_ref = min(t.s + 2, _MAX_STAGES)
-    elif not (isinstance(s_ref, numbers.Integral) and 1 <= s_ref <= _MAX_STAGES):
-        raise ValueError(f"s_ref must be an integer in 1..{_MAX_STAGES}, got {s_ref!r}")
-    if h_ref is None:
-        h_coarse, h_last = h_list[0], min(h_list) / _LAST_RUNG_DIVISOR
-    else:
-        h_coarse = h_last = float(h_ref)
-        _steps_for(T, h_coarse, "h_ref")
+    h_coarse, h_last = h_list[0], min(h_list) / _LAST_RUNG_DIVISOR
 
     iterations = {"ladder": 0, "reference": 0}
 
@@ -208,7 +199,7 @@ def _order_study(p, t, x0, T, h_list, fp_tol, s_ref, h_ref, B, name) -> Converge
         finals.append(final)
         stats.append(_summarize(history))
 
-    t_ref = gauss_legendre(s_ref)
+    t_ref = gauss_legendre(min(t.s + 2, _MAX_STAGES))
     ref_tol = min(fp_tol, FP_TOL_FLOOR)
     coarse, _ = run(t_ref, h_coarse, ref_tol, "reference")
     rungs = []
@@ -235,7 +226,7 @@ def _order_study(p, t, x0, T, h_list, fp_tol, s_ref, h_ref, B, name) -> Converge
         fitted_order=fitted,
         stats=stats,
         reference={
-            "tableau": f"gl:{s_ref}",
+            "tableau": t_ref.label,
             "h_ref": h_coarse,
             "discrepancy": discrepancy,
             "required": required,
@@ -254,13 +245,11 @@ def convergence_study(
     T: float,
     h_list,
     fp_tol: float = FP_TOL_FLOOR,
-    s_ref: int | None = None,
-    h_ref: float | None = None,
 ) -> ConvergenceReport:
     """Measure final-time errors against a fine reference and fit the order.
 
-    The ladder levels run first.  The reference uses ``s_ref`` stages
-    (default two more than the study's, at most 8) and walks rungs: the
+    The ladder levels run first.  The reference has two more stages than
+    the study's method (at most 8) and walks rungs: the
     first pairs a coarse run at the ladder's first, coarsest step
     ``h_list[0]`` with a fine run at half of it, and each failing rung's
     fine run becomes the next rung's coarse run.  A rung passes when its
@@ -269,14 +258,12 @@ def convergence_study(
     the double-precision accumulation scale); the first passing fine run
     is the reference.  If the first rung whose coarse step is at most
     h_min/16 fails too, the walk raises ``UnreliableReferenceError``, which
-    carries every rung tried and the stage iterations spent.  An
-    explicit ``h_ref`` (positive, with T/h_ref an integer) tries the
-    single rung (h_ref, h_ref/2).  ``s_ref`` and ``h_ref`` are checked
-    before any run.  Levels whose error is within 100x the stage
-    tolerance are flagged and excluded from the fit.
+    carries every rung tried and the stage iterations spent.  Levels
+    whose error is within 100x the stage tolerance are flagged and
+    excluded from the fit.
     """
     _check_grid(p, u0)
-    return _order_study(p, t, u0.coeffs, T, h_list, fp_tol, s_ref, h_ref, evaluate_B_array, p.name)
+    return _order_study(p, t, u0.coeffs, T, h_list, fp_tol, evaluate_B_array, p.name)
 
 
 # -- conserved quantities ------------------------------------------------------
@@ -331,21 +318,20 @@ def _conserved_rows(p: ProblemSpec, coeffs: np.ndarray):
 # -- linear stability growth ---------------------------------------------------
 
 
-def stability_growth(t: ButcherTableau, grid: SpectralGrid, h: float, n_steps: int) -> float:
-    """Largest per-mode growth of n steps of the linear update map.
-
-    For scalar symbols this is max_k |S(h lambda_k)|^n.  For 2x2 wave
-    blocks the n-th power is measured in the mode's base-norm weighting,
-    which exposes the linear secular growth of the nilpotent k = 0 block
-    that a spectral-radius reading would hide.
-    """
-    return _stability_growth(t, grid, h, n_steps)[0]
-
-
-def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
-    """``stability_growth`` and the mode that attains it, the first in
+def stability_growth(
+    t: ButcherTableau, grid: SpectralGrid, h: float, n_steps: int
+) -> tuple[float, int]:
+    """Largest per-mode growth of n steps of the linear update map, and the
+    mode that attains it: ``(growth, mode)``, the first such mode in
     ``grid._distinct_symbols[0]`` order (k >= 0: on a periodic grid, -k
-    shares the block of k).
+    shares the block of k).  Arithmetic that overflows or turns invalid on
+    the way raises ValueError: the growth is then not finite, or not
+    to be trusted.
+
+    For scalar symbols the growth is max_k |S(h lambda_k)|^n.  For 2x2
+    wave blocks the n-th power is measured in the mode's base-norm
+    weighting, which exposes the linear secular growth of the nilpotent
+    k = 0 block that a spectral-radius reading would hide.
 
     The update map acts on each mode through the stability function S at
     the symbol's eigenvalues (Hairer & Wanner, Solving ODEs II, IV.3),
@@ -371,23 +357,28 @@ def _stability_growth(t, grid, h, n_steps) -> tuple[float, int]:
     first = grid._distinct_symbols[0]
     if n_steps == 0:
         return 1.0, int(grid.modes[first[0]])
-    k, _, sigma = _symbol_resolvents(t, h, grid)
-    if grid.components == 1:
-        growth = np.abs(sigma) ** n_steps
-    else:
-        growth = np.empty(len(first))
-        nonzero = k != 0
-        kn = k[nonzero]
-        sigma = sigma[nonzero] ** n_steps
-        alpha, beta = sigma.real, sigma.imag
-        w = np.sqrt(kn**2 + 1.0)
-        f2 = 2 * alpha**2 + (w * beta / kn) ** 2 + (kn * beta / w) ** 2
-        det = alpha**2 + beta**2
-        growth[nonzero] = 0.5 * (np.sqrt(f2 + 2 * det) + np.abs(beta) / (w * kn))
-        if not nonzero.all():
-            block = np.array([[1.0, h * t.b.sum()], [0.0, 1.0]])
-            power = np.linalg.matrix_power(block, n_steps).astype(complex)
-            growth[~nonzero] = np.linalg.norm(power, ord=2)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            k, _, sigma = _symbol_resolvents(t, h, grid)
+            if grid.components == 1:
+                growth = np.abs(sigma) ** n_steps
+            else:
+                growth = np.empty(len(first))
+                nonzero = k != 0
+                kn = k[nonzero]
+                sigma = sigma[nonzero] ** n_steps
+                alpha, beta = sigma.real, sigma.imag
+                w = np.sqrt(kn**2 + 1.0)
+                f2 = 2 * alpha**2 + (w * beta / kn) ** 2 + (kn * beta / w) ** 2
+                det = alpha**2 + beta**2
+                growth[nonzero] = 0.5 * (np.sqrt(f2 + 2 * det) + np.abs(beta) / (w * kn))
+                if not nonzero.all():
+                    block = np.array([[1.0, h * t.b.sum()], [0.0, 1.0]])
+                    power = np.linalg.matrix_power(block, n_steps).astype(complex)
+                    growth[~nonzero] = np.linalg.norm(power, ord=2)
+    except FloatingPointError as exc:
+        raise ValueError(f"stability growth over n_steps={n_steps} steps of h={h!r} "
+                         f"is not finite ({exc})") from None
     j = int(np.argmax(growth))
     return float(growth[j]), int(grid.modes[first[j]])
 
@@ -413,13 +404,11 @@ def smoothness_probe(
     (q operator powers applied to u0 stay in the base space) the
     values stay bounded, and for a method of order >= q they approach
     the norm of the q-th operator power of u0; rough data makes them
-    grow as the ladder descends.
+    grow as the ladder descends.  At q = 0 a level's value is the base
+    norm of one step of its base step.
     """
     if not 0 <= q <= 4:
         raise ValueError("difference order must be in [0, 4]")
-    if q == 0:
-        out, _ = step(p, t, u0, SolverConfig(h=h, fp_tol=fp_tol))
-        return [(h, base_norm(out))]
     coeffs = [(-1.0) ** i * math.comb(q, i) for i in range(q + 1)]
     results = []
     for level in range(levels):
@@ -493,11 +482,7 @@ def rough_decay_state(grid: SpectralGrid, exponent: float = 1.1) -> State:
 
 
 def dirichlet_compatibility_study(
-    h_list,
-    T: float = 0.4,
-    n: int = 256,
-    t: ButcherTableau | None = None,
-    fp_tol: float = FP_TOL_FLOOR,
+    h_list, T: float, n: int, t: ButcherTableau, fp_tol: float
 ) -> tuple[ConvergenceReport, ConvergenceReport]:
     """Order study of the boundary-compatible vs incompatible cubic wave.
 
@@ -505,11 +490,9 @@ def dirichlet_compatibility_study(
     initial data; only the constant term of the nonlinearity differs.
     The incompatible constant leaks a slowly decaying sine tail into the
     velocity component, so its temporal order collapses once the step
-    ladder leaves those mode frequencies unresolved; the defaults (many
-    modes, a coarse ladder) put the study in that regime.
+    ladder leaves those mode frequencies unresolved; the CLI's defaults
+    (many modes, a coarse ladder) put the study in that regime.
     """
-    if t is None:
-        t = gauss_legendre(1)
     compatible = get_problem("wave-dirichlet-compatible", n)
     incompatible = get_problem("wave-dirichlet-incompatible", n)
     u0 = wave_band_state(compatible.grid, u_amps=(0.4, 0.2, 0.1), v_amps=(0.2, -0.1, 0.05))
@@ -540,9 +523,7 @@ def tangent_convergence_study(
     """
     _check_grid(p, u0, v0)
     pair = np.stack([u0.coeffs, v0.coeffs])
-    return _order_study(
-        p, t, pair, T, h_list, fp_tol, None, None, evaluate_B_pair_array, f"{p.name}+tangent"
-    )
+    return _order_study(p, t, pair, T, h_list, fp_tol, evaluate_B_pair_array, f"{p.name}+tangent")
 
 
 def dyadic_h_list(h_max: float, levels: int) -> list[float]:

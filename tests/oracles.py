@@ -21,10 +21,11 @@ from rkspectral.problems import evaluate_B_array
 from rkspectral.spectral import (
     State,
     _apply_update,
+    base_norm,
     inverse_transform_array,
     step_matrices,
 )
-from rkspectral.stepper import _solve_stages
+from rkspectral.stepper import SolverConfig, _solve_stages, integrate
 
 
 def grid_nodes(grid):
@@ -186,6 +187,23 @@ def stability_growth(t, grid, h, n_steps):
     weighted[:, 1, 0] = powers[:, 1, 0] * inv_weights
     weighted[:, 1, 1] = powers[:, 1, 1]
     return float(np.max(np.linalg.norm(weighted, ord=2, axis=(1, 2))))
+
+
+def reference_rung(p, t, t_ref, u0, T, h_list, h_ref, fp_tol=1e-13):
+    """One rung (h_ref, h_ref/2) of an order study's reference, recomputed
+    from public ``integrate`` and ``base_norm`` with every run at
+    ``fp_tol``: the final-time errors of the ``t`` ladder ``h_list``
+    against the fine ``t_ref`` run, and the rung's ``{h_ref, discrepancy,
+    required}``, its gate being 1e-3 times the smallest error floored at
+    50 ``fp_tol``."""
+
+    def final(tab, h):
+        return integrate(p, tab, u0, SolverConfig(h=h, fp_tol=fp_tol), round(T / h))[0]
+
+    coarse, fine = final(t_ref, h_ref), final(t_ref, h_ref / 2)
+    errors = [base_norm(final(t, h) - fine) for h in h_list]
+    required = max(1e-3 * min(errors), 50 * fp_tol)
+    return errors, {"h_ref": h_ref, "discrepancy": base_norm(fine - coarse), "required": required}
 
 
 def evaluate_B(p, u):

@@ -120,7 +120,7 @@ def test_criterion_03_normal_operator_stability():
         for s in (1, 2, 3):
             t = gauss_legendre(s)
             for h in (1e-3, 1e-2, 1e-1, 1.0):
-                worst = max(worst, abs(stability_growth(t, grid, h, 10) - 1.0))
+                worst = max(worst, abs(stability_growth(t, grid, h, 10)[0] - 1.0))
         assert worst <= 1e-13
         return worst
 
@@ -281,7 +281,9 @@ def test_criterion_09_tangent_convergence():
 
 def test_criterion_10_dirichlet_compatibility():
     def run():
-        return dirichlet_compatibility_study(dyadic_h_list(0.08, 5), T=0.4, n=256)
+        return dirichlet_compatibility_study(
+            dyadic_h_list(0.08, 5), T=0.4, n=256, t=gauss_legendre(1), fp_tol=FP_TOL
+        )
 
     (rep_c, rep_i), elapsed = timed(run)
     assert elapsed < 60.0

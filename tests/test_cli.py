@@ -223,6 +223,28 @@ def test_smoothness_run(tmp_path, capsys):
     assert "growing" in out
 
 
+def test_zeroth_order_smoothness_writes_every_level(tmp_path, capsys):
+    payload = {"experiment": "smoothness", "n": 16, "levels": 3, "q": 0}
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) == 0
+    rows = (out / "smoothness.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.05, 0.025, 0.0125]
+
+
+@pytest.mark.parametrize("h", [0.1, 1e308])
+def test_stability_growth_that_is_not_finite_exits_2(tmp_path, capsys, h):
+    payload = {"experiment": "stability", "grid": "wave", "n": 16, "n_steps": 10**20,
+               "h_values": [h]}
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: stability growth over n_steps={10**20} steps "
+                                   f"of h={h!r} is not finite (overflow encountered in ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_entry_list_problems(capsys, tmp_path):
     cfg = write_config(tmp_path, {"experiment": "stability"})
     assert main(["run", str(cfg), "--list-problems"]) == 0
@@ -295,6 +317,11 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      # a derived ladder whose smallest step is subnormal, or underflows to 0
      ({"experiment": "convergence", "levels": 1025}, "levels"),
      ({"experiment": "convergence", "h_max": 1e-300, "levels": 100}, "levels"),
+     # a smoothness stencil spacing whose q-th power underflows, or overflows
+     ({"experiment": "smoothness", "n": 16, "levels": 600}, "levels"),
+     ({"experiment": "smoothness", "n": 16, "levels": 1100}, "levels"),
+     ({"experiment": "smoothness", "n": 16, "levels": 1100, "q": 0}, "levels"),
+     ({"experiment": "smoothness", "n": 16, "h": 1e300, "q": 4}, "h"),
      ({"experiment": "convergence", "initial_data": "random", "seed": -1}, "seed"),
      ({"experiment": "tangent-check", "seed": -1}, "seed")],
 )

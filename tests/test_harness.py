@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from rkspectral import harness
 from rkspectral.errors import SingularResolventError, UnreliableReferenceError
 from rkspectral.harness import (
-    _stability_growth,
     _summarize,
     conserved_quantities,
     convergence_study,
@@ -21,7 +21,7 @@ from rkspectral.harness import (
     wave_band_state,
 )
 from rkspectral.problems import ProblemSpec, get_problem, list_problems, make_nonlinearity
-from rkspectral.stepper import SolverConfig, StepStats, integrate
+from rkspectral.stepper import SolverConfig, StepStats, integrate, step
 from rkspectral.spectral import (
     SpectralGrid,
     State,
@@ -35,7 +35,13 @@ from rkspectral.spectral import (
 )
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
-from oracles import checked_conserved_quantities, grid_nodes, hermitian_symmetry_defect, to_state
+from oracles import (
+    checked_conserved_quantities,
+    grid_nodes,
+    hermitian_symmetry_defect,
+    reference_rung,
+    to_state,
+)
 from oracles import stability_growth as matrix_stability_growth
 
 MIDPOINT = gauss_legendre(1)
@@ -52,30 +58,29 @@ class TestReferenceSolution:
             ref, _ = integrate(p, gauss_legendre(3), u0, cfg, steps)
             assert base_norm(ref - exact) < 1e-11
 
-    def test_validation_tolerance_enforced(self):
-        # an explicit single rung (h_ref, h_ref/2) whose gap misses the gate
+    def test_validation_tolerance_enforced(self, monkeypatch):
+        # a same-order (gl:1) reference: the last rung's gap misses the gate
+        monkeypatch.setattr(harness, "_MAX_STAGES", 1)
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
         with pytest.raises(UnreliableReferenceError) as info:
-            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.025], fp_tol=1e-13,
-                              s_ref=1, h_ref=0.25)
-        coarse, fine = (
-            integrate(p, MIDPOINT, u0, SolverConfig(h=h, fp_tol=1e-13), round(0.5 / h))[0]
-            for h in (0.25, 0.125)
-        )
-        assert info.value.discrepancy == base_norm(fine - coarse)
+            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.025], fp_tol=1e-13)
+        _, last = reference_rung(p, MIDPOINT, MIDPOINT, u0, 0.5, [0.05, 0.025], 0.025 / 16)
+        assert info.value.rungs[-1] == last
+        assert info.value.discrepancy == last["discrepancy"]
         assert info.value.discrepancy > info.value.required
 
-    def test_halving_reference_step_self_consistency(self):
-        # the discrepancy recorded at h_ref dominates the one at h_ref/2
+    def test_halving_reference_step_self_consistency(self, monkeypatch):
+        # the discrepancy recorded at each rung dominates the one at the next
+        monkeypatch.setattr(harness, "_MAX_STAGES", 2)
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid, amplitudes=(0.4, 0.2))
-        coarse, fine = (
-            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.025], fp_tol=1e-13,
-                              s_ref=2, h_ref=h_ref).reference
-            for h_ref in (0.5 / 32, 0.5 / 64)
-        )
-        assert fine["discrepancy"] < coarse["discrepancy"]
+        h_list = [0.05, 0.025]
+        rungs = convergence_study(p, MIDPOINT, u0, 0.5, h_list, fp_tol=1e-13).reference["rungs"]
+        assert len(rungs) > 1
+        assert all(b["discrepancy"] < a["discrepancy"] for a, b in zip(rungs, rungs[1:]))
+        assert rungs == [reference_rung(p, MIDPOINT, gauss_legendre(2), u0, 0.5, h_list,
+                                        r["h_ref"])[1] for r in rungs]
 
 
 @pytest.fixture(scope="module")
@@ -147,29 +152,6 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="positive integer"):
             convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.0], fp_tol=1e-13)
 
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"h_ref": 0.0}, "h_ref"),
-            ({"h_ref": -0.05}, "h_ref"),
-            ({"h_ref": math.inf}, "h_ref"),
-            ({"h_ref": math.nan}, "h_ref"),
-            ({"h_ref": 0.03}, "T/h_ref must be a positive integer"),
-            ({"s_ref": 2.5}, "s_ref must be an integer in 1..8"),
-            ({"s_ref": 0}, "s_ref"),
-            ({"s_ref": 9}, "s_ref"),
-            ({"s_ref": "3"}, "s_ref"),
-        ],
-    )
-    def test_bad_reference_arguments_rejected_before_any_run(self, monkeypatch, kwargs, match):
-        runs = []
-        monkeypatch.setattr(harness, "_flow", lambda *args: runs.append(args))
-        p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid)
-        with pytest.raises(ValueError, match=match):
-            convergence_study(p, MIDPOINT, u0, 0.5, [0.05, 0.025], fp_tol=1e-13, **kwargs)
-        assert runs == []
-
     def test_zero_time_rejected(self):
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
@@ -200,11 +182,21 @@ class TestReferenceWalk:
     T = 0.1
     H_LIST = [0.025, 0.0125]
 
-    def study(self, s, **kwargs):
+    @staticmethod
+    def data():
         p = get_problem("nls-cubic-periodic", 16)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
-        return convergence_study(p, gauss_legendre(s), u0, self.T, self.H_LIST,
-                                 fp_tol=1e-13, **kwargs)
+        return p, nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+
+    def study(self, s):
+        p, u0 = self.data()
+        return convergence_study(p, gauss_legendre(s), u0, self.T, self.H_LIST, fp_tol=1e-13)
+
+    def rung(self, s, s_ref, h_ref):
+        """The rung (h_ref, h_ref/2) of a gl:s study with a gl:s_ref
+        reference, recomputed by ``oracles.reference_rung``."""
+        p, u0 = self.data()
+        return reference_rung(p, gauss_legendre(s), gauss_legendre(s_ref), u0, self.T,
+                              self.H_LIST, h_ref)
 
     def test_smooth_study_stops_after_one_rung(self, small_report):
         # the walk starts at the ladder's first, coarsest step
@@ -215,88 +207,80 @@ class TestReferenceWalk:
         assert ref["discrepancy"] <= ref["required"]
         assert ref["required"] == max(1e-3 * min(small_report.errors), 50 * 1e-13)
 
-    def test_explicit_h_ref_reproduces_single_rung_recipe(self):
+    def test_first_rung_reproduces_single_rung_recipe(self):
+        # smooth data: the walk's first rung, at the ladder's first step, passes
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
         h_list = dyadic_h_list(0.025, 3)
-        h_ref = min(h_list) / 16
-        report = convergence_study(p, MIDPOINT, u0, 0.25, h_list, fp_tol=1e-13, h_ref=h_ref)
-        coarse, ref = (
-            integrate(p, gauss_legendre(3), u0, SolverConfig(h=h, fp_tol=1e-13), round(0.25 / h))[0]
-            for h in (h_ref, h_ref / 2)
-        )
-        expected = [
-            base_norm(integrate(p, MIDPOINT, u0, SolverConfig(h=h, fp_tol=1e-13),
-                                round(0.25 / h))[0] - ref)
-            for h in h_list
-        ]
+        report = convergence_study(p, MIDPOINT, u0, 0.25, h_list, fp_tol=1e-13)
+        expected, rung = reference_rung(p, MIDPOINT, gauss_legendre(3), u0, 0.25, h_list,
+                                        h_list[0])
         assert report.errors == expected
-        assert report.reference["h_ref"] == h_ref
-        assert report.reference["discrepancy"] == base_norm(ref - coarse)
-        assert len(report.reference["rungs"]) == 1
+        assert report.reference["h_ref"] == h_list[0]
+        assert report.reference["discrepancy"] == rung["discrepancy"]
+        assert report.reference["rungs"] == [rung]
 
-    def test_failing_rungs_chain_into_finer_ones(self):
+    def test_failing_rungs_chain_into_finer_ones(self, monkeypatch):
         # a same-order reference needs several halvings to clear the gate
-        report = self.study(2, s_ref=2)
+        monkeypatch.setattr(harness, "_MAX_STAGES", 2)
+        report = self.study(2)
+        assert report.reference["tableau"] == "gl:2"
         rungs = report.reference["rungs"]
         assert len(rungs) > 1
         assert [r["h_ref"] for r in rungs] == [self.H_LIST[0] / 2**j for j in range(len(rungs))]
         assert all(r["discrepancy"] > report.reference["required"] for r in rungs[:-1])
         assert rungs[-1]["discrepancy"] <= report.reference["required"]
         # the walk's reference is the accepted rung's fine run
-        single = self.study(2, s_ref=2, h_ref=rungs[-1]["h_ref"])
-        assert single.errors == report.errors
+        errors, _ = self.rung(2, 2, rungs[-1]["h_ref"])
+        assert errors == report.errors
 
-    def test_each_rung_reports_its_own_gate(self):
+    def test_each_rung_reports_its_own_gate(self, monkeypatch):
         # every failing rung misses the gate recomputed against its own
         # fine run, and the accepted rung meets its own
-        report = self.study(2, s_ref=2)
+        monkeypatch.setattr(harness, "_MAX_STAGES", 2)
+        report = self.study(2)
         rungs = report.reference["rungs"]
         assert len(rungs) > 1
         assert all(r["discrepancy"] > r["required"] for r in rungs[:-1])
         assert rungs[-1]["discrepancy"] <= rungs[-1]["required"] == report.reference["required"]
-        # each is the gate of that rung tried alone
-        for r in rungs[:-1]:
-            with pytest.raises(UnreliableReferenceError) as info:
-                self.study(2, s_ref=2, h_ref=r["h_ref"])
-            assert (info.value.discrepancy, info.value.required) == (
-                r["discrepancy"], r["required"])
+        # each is the gate of that rung computed alone
+        for r in rungs:
+            assert self.rung(2, 2, r["h_ref"])[1] == r
 
-    def test_non_dyadic_ladder_walks_from_its_first_step(self):
+    def test_non_dyadic_ladder_walks_from_its_first_step(self, monkeypatch):
         # T = 0.1, ladder [0.05, 0.02]: rungs halve from 0.05, and the last
         # is the first whose coarse step is at most 0.02/16 = 0.00125,
         # that is 0.05/64 (0.05/32 = 0.0015625 is above it)
-        p = get_problem("nls-cubic-periodic", 16)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        p, u0 = self.data()
+        h_list = [0.05, 0.02]
 
-        def study(**kwargs):
-            return convergence_study(p, gauss_legendre(2), u0, 0.1, [0.05, 0.02],
-                                     fp_tol=1e-13, **kwargs)
+        def study(max_stages):
+            monkeypatch.setattr(harness, "_MAX_STAGES", max_stages)
+            return convergence_study(p, gauss_legendre(2), u0, 0.1, h_list, fp_tol=1e-13)
 
-        rungs = study(s_ref=2).reference["rungs"]
+        rungs = study(2).reference["rungs"]
         assert len(rungs) > 1
         assert [r["h_ref"] for r in rungs] == [0.05 / 2**j for j in range(len(rungs))]
         assert 0.05 / 32 > 0.02 / 16 >= 0.05 / 64
         with pytest.raises(UnreliableReferenceError) as walk:
-            study(s_ref=1)
+            study(1)
         gaps = {}
         for h_ref in (0.05 / 32, 0.05 / 64, 0.05 / 128):
-            with pytest.raises(UnreliableReferenceError) as single:
-                study(s_ref=1, h_ref=h_ref)
-            gaps[h_ref] = (single.value.discrepancy, single.value.required)
+            _, rung = reference_rung(p, gauss_legendre(2), MIDPOINT, u0, 0.1, h_list, h_ref)
+            gaps[h_ref] = (rung["discrepancy"], rung["required"])
         assert len(set(gaps.values())) == 3
         assert (walk.value.discrepancy, walk.value.required) == gaps[0.05 / 64]
 
-    def test_unreachable_gate_raises_with_last_gap(self):
+    def test_unreachable_gate_raises_with_last_gap(self, monkeypatch):
         # a second-order reference cannot resolve fourth-order errors
+        monkeypatch.setattr(harness, "_MAX_STAGES", 1)
         with pytest.raises(UnreliableReferenceError) as info:
-            self.study(2, s_ref=1)
+            self.study(2)
         assert info.value.discrepancy > info.value.required >= 50 * 1e-13
         # the gap and margin reported are those of the last rung, h_min/16
-        with pytest.raises(UnreliableReferenceError) as last:
-            self.study(2, s_ref=1, h_ref=min(self.H_LIST) / 16)
+        _, last = self.rung(2, 1, min(self.H_LIST) / 16)
         assert (info.value.discrepancy, info.value.required) == (
-            last.value.discrepancy, last.value.required)
+            last["discrepancy"], last["required"])
         # every rung tried, as a passing study reports them, halving from
         # h_list[0] down to the last rung at h_min/16
         rungs = info.value.rungs
@@ -305,13 +289,11 @@ class TestReferenceWalk:
         assert rungs[-1]["h_ref"] == min(self.H_LIST) / 16
         assert all(set(r) == {"h_ref", "discrepancy", "required"} for r in rungs)
         assert all(r["discrepancy"] > r["required"] for r in rungs)
-        assert rungs[-1] == last.value.rungs[0] == {
+        assert rungs[-1] == last == {
             "h_ref": min(self.H_LIST) / 16, "discrepancy": info.value.discrepancy,
             "required": info.value.required}
-        # each rung is that rung tried alone
-        with pytest.raises(UnreliableReferenceError) as first:
-            self.study(2, s_ref=1, h_ref=self.H_LIST[0])
-        assert first.value.rungs == rungs[:1]
+        # each rung is that rung computed alone
+        assert self.rung(2, 1, self.H_LIST[0])[1] == rungs[0]
         # the stage iterations spent: the ladder's, and the coarse and fine
         # runs of every rung
         p = get_problem("nls-cubic-periodic", 16)
@@ -327,7 +309,9 @@ class TestReferenceWalk:
             "ladder": sum(iterations(gauss_legendre(2), h) for h in self.H_LIST),
             "reference": sum(iterations(MIDPOINT, h) for h in reference_steps),
         }
-        assert last.value.stage_iterations["ladder"] == info.value.stage_iterations["ladder"]
+        # the ladder's count does not depend on the reference
+        monkeypatch.setattr(harness, "_MAX_STAGES", 8)
+        assert self.study(2).stage_iterations["ladder"] == info.value.stage_iterations["ladder"]
         # the message names every rung's step, gap and gate
         message = str(info.value)
         for r in rungs:
@@ -335,8 +319,9 @@ class TestReferenceWalk:
                     f"required {r['required']:.3e}") in message
         assert f"ladder {info.value.stage_iterations['ladder']}" in message
 
-    def test_stage_iterations_count_ladder_and_every_reference_run(self):
-        report = self.study(2, s_ref=2)
+    def test_stage_iterations_count_ladder_and_every_reference_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "_MAX_STAGES", 2)
+        report = self.study(2)
         p = get_problem("nls-cubic-periodic", 16)
         u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
 
@@ -353,9 +338,29 @@ class TestReferenceWalk:
             "reference": sum(iterations(h) for h in reference_steps),
         }
 
-    def test_explicit_h_ref_does_not_walk(self):
-        with pytest.raises(UnreliableReferenceError):
-            self.study(2, s_ref=2, h_ref=min(self.H_LIST))
+    def test_walk_passes_a_failing_rung_at_the_finest_study_step(self, monkeypatch):
+        # the rung (h_min, h_min/2) of a gl:2 reference misses its gate
+        # alone; the walk records it and halves on
+        monkeypatch.setattr(harness, "_MAX_STAGES", 2)
+        _, rung = self.rung(2, 2, min(self.H_LIST))
+        assert rung["discrepancy"] > rung["required"]
+        rungs = self.study(2).reference["rungs"]
+        assert rungs[1] == rung and len(rungs) > 2
+
+    @pytest.mark.parametrize("s", [1, 6, 7, 8])
+    def test_reference_has_two_more_stages_up_to_eight(self, monkeypatch, s):
+        # with a flow that returns its data every error is 0: the first rung
+        # passes, and the fit then has no usable point
+        tableaus = []
+
+        def flow(p, tab, x0, cfg, steps, B):
+            tableaus.append(tab.label)
+            return x0, [StepStats(1, 0.0, 0.0)] * steps
+
+        monkeypatch.setattr(harness, "_flow", flow)
+        with pytest.raises(ValueError, match="fewer than two usable points"):
+            self.study(s)
+        assert tableaus == [f"gl:{s}"] * 2 + [f"gl:{min(s + 2, 8)}"] * 2
 
 
 class TestReferenceWalkOnCriterionSix:
@@ -374,7 +379,8 @@ class TestReferenceWalkOnCriterionSix:
 
     def test_rung_gaps_fall_at_the_reference_order(self):
         # the CLI's random data at seed 3 needs several rungs; every two
-        # successive gaps above the roundoff floor fall by about 2^(2 s_ref)
+        # successive gaps above the roundoff floor fall by about 2^(2 s),
+        # s = 4 the reference's stage count
         report = self.study(lambda grid: random_band_state(grid, np.random.default_rng(3)))
         assert report.reference["tableau"] == "gl:4"
         gaps = [r["discrepancy"] for r in report.reference["rungs"]]
@@ -456,21 +462,21 @@ class TestConservedRows:
 
 class TestStabilityGrowth:
     def test_zero_steps_is_one(self):
-        assert stability_growth(MIDPOINT, schrodinger_grid(16), 0.1, 0) == 1.0
+        assert stability_growth(MIDPOINT, schrodinger_grid(16), 0.1, 0)[0] == 1.0
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_schrodinger_amplification_is_one(self, s):
         grid = schrodinger_grid(256)
         t = gauss_legendre(s)
         for h in (1e-3, 1e-2, 1e-1, 1.0):
-            assert stability_growth(t, grid, h, 10) == pytest.approx(1.0, abs=1e-13)
+            assert stability_growth(t, grid, h, 10)[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_wave_secular_growth_is_linear(self):
         # k = 0 block: growth ~ 1 + n h, far below exponential
         grid = wave_grid(64)
         h = 0.1
-        a100 = stability_growth(MIDPOINT, grid, h, 100)
-        a1000 = stability_growth(MIDPOINT, grid, h, 1000)
+        a100 = stability_growth(MIDPOINT, grid, h, 100)[0]
+        a1000 = stability_growth(MIDPOINT, grid, h, 1000)[0]
         assert a100 == pytest.approx(math.hypot(100 * h, 1), rel=0.2)
         assert a1000 / a100 == pytest.approx(10.0, rel=0.15)
 
@@ -500,7 +506,7 @@ class TestStabilityGrowth:
                         norms = np.linalg.norm(scale @ powers @ inv_scale, ord=2, axis=(1, 2))
                         expected = float(np.max(norms))
                         assert matrix_stability_growth(t, grid, h, n_steps) == expected
-                        got = stability_growth(t, grid, h, n_steps)
+                        got = stability_growth(t, grid, h, n_steps)[0]
                         if bc == "dirichlet":
                             assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
                         else:
@@ -519,7 +525,7 @@ class TestStabilityGrowth:
                 for h in (1e-3, 0.37, 1.0, 2.5):
                     for n_steps in (1, 10):
                         expected = matrix_stability_growth(t, grid, h, n_steps)
-                        got = stability_growth(t, grid, h, n_steps)
+                        got = stability_growth(t, grid, h, n_steps)[0]
                         if (equation, bc) == ("wave", "dirichlet"):
                             assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
                         else:
@@ -532,18 +538,34 @@ class TestStabilityGrowth:
         step = 4.0 / 399
         for i in range(400):
             h = 10.0 ** min(max(-4.0 + i * step, -4.0), 0.0)
-            assert stability_growth(t, grid, h, 10) == matrix_stability_growth(t, grid, h, 10), h
+            assert stability_growth(t, grid, h, 10)[0] == matrix_stability_growth(t, grid, h, 10), h
 
     def test_reports_the_mode_attaining_the_maximum(self):
         # explicit Euler grows fastest in the highest mode, the midpoint
         # rule's secular growth sits in k = 0, and with no steps every mode
         # ties at 1, so the first representative is named.
         euler = ButcherTableau(1, [[0.0]], [1.0], [0.0], 1)
-        assert _stability_growth(euler, wave_grid(16, "dirichlet"), 0.1, 10)[1] == 16
-        assert _stability_growth(euler, schrodinger_grid(16), 0.1, 10)[1] == 8
-        growth, mode = _stability_growth(MIDPOINT, wave_grid(64), 0.1, 100)
-        assert (growth, mode) == (stability_growth(MIDPOINT, wave_grid(64), 0.1, 100), 0)
-        assert _stability_growth(MIDPOINT, wave_grid(16, "dirichlet"), 0.1, 0) == (1.0, 1)
+        assert stability_growth(euler, wave_grid(16, "dirichlet"), 0.1, 10)[1] == 16
+        assert stability_growth(euler, schrodinger_grid(16), 0.1, 10)[1] == 8
+        growth, mode = stability_growth(MIDPOINT, wave_grid(64), 0.1, 100)
+        assert (growth, mode) == (matrix_stability_growth(MIDPOINT, wave_grid(64), 0.1, 100), 0)
+        assert stability_growth(MIDPOINT, wave_grid(16, "dirichlet"), 0.1, 0) == (1.0, 1)
+
+    @pytest.mark.parametrize(
+        "t, grid, h, n_steps",
+        [(MIDPOINT, wave_grid(16), 0.1, 10**20),  # |S| rounds above 1 in k != 0
+         (MIDPOINT, wave_grid(16), 1e308, 10**20),  # the k = 0 power overflows too
+         (MIDPOINT, wave_grid(16, "dirichlet"), 0.1, 10**20),
+         (ButcherTableau(1, [[0.0]], [1.0], [0.0], 1), schrodinger_grid(16), 1.0, 10**6),
+         # h k^2 overflows in the resolvent, which would read a finite |S| of 13.9 at k = 2
+         (gauss_legendre(2), schrodinger_grid(16), 1e308, 10)],
+        ids=["wave", "wave-huge-h", "wave-dirichlet", "schrodinger-euler", "schrodinger-huge-h"],
+    )
+    def test_growth_that_is_not_finite_raises(self, t, grid, h, n_steps):
+        # tier-1 turns warnings into errors, so this also checks that none escapes
+        message = re.escape(f"n_steps={n_steps} steps of h={h!r} is not finite")
+        with pytest.raises(ValueError, match=message):
+            stability_growth(t, grid, h, n_steps)
 
     @pytest.mark.parametrize(
         "equation, n, bc, h, mode",
@@ -562,7 +584,7 @@ class TestStabilityGrowth:
 
     def test_wave_nonzero_modes_stay_bounded(self):
         grid = wave_grid(64, "dirichlet")  # no zero mode on this grid
-        amp = stability_growth(gauss_legendre(2), grid, 0.05, 500)
+        amp, _ = stability_growth(gauss_legendre(2), grid, 0.05, 500)
         assert amp < 1.5
 
 
@@ -585,11 +607,15 @@ class TestSmoothnessProbe:
         assert all(b > 2 * a for a, b in zip(values, values[1:]))
 
     def test_zeroth_order_is_step_norm(self):
+        # one row per level: the base norm of one step of its base step
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
-        [(h, value)] = smoothness_probe(p, MIDPOINT, u0, 0.05, 0)
-        assert h == 0.05
-        assert np.isfinite(value) and value > 0
+        rows = smoothness_probe(p, MIDPOINT, u0, 0.05, 0)
+        steps = [step(p, MIDPOINT, u0, SolverConfig(h=0.05 / 2**j, fp_tol=1e-13))[0]
+                 for j in range(4)]
+        expected = [(0.05 / 2**j, base_norm(out)) for j, out in enumerate(steps)]
+        assert rows == expected
+        assert all(np.isfinite(value) and value > 0 for _, value in rows)
 
     def test_order_cap(self):
         p = get_problem("nls-cubic-periodic", 32)

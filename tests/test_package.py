@@ -70,12 +70,6 @@ SETTABLE_VALUES = [
     "SolverConfig.fp_tol",
     "SolverConfig.h",
     "convergence_study(fp_tol)",
-    "convergence_study(h_ref)",
-    "convergence_study(s_ref)",
-    "dirichlet_compatibility_study(T)",
-    "dirichlet_compatibility_study(fp_tol)",
-    "dirichlet_compatibility_study(n)",
-    "dirichlet_compatibility_study(t)",
     "get_problem(n)",
     "integrate(observer)",
     "nls_two_mode_state(amplitudes)",
@@ -148,7 +142,7 @@ def test_settable_values_are_pinned(monkeypatch, capsys):
                 if not method.startswith("_") and inspect.isfunction(fn):
                     values += defaulted(f"{name}.{method}", fn)
     assert sorted(values) == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 30
+    assert len(SETTABLE_VALUES) == 24
 
 
 def test_public_surface_is_pinned():
