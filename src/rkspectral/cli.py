@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .errors import ConvergenceFailureError, NumericalBlowupError, UnreliableReferenceError
+from .errors import (ConvergenceFailureError, InputError, NumericalBlowupError,
+                     UnreliableReferenceError)
 from .problems import evaluate_B_array, get_problem, list_problems, make_nonlinearity
 from .spectral import State, base_norm, schrodinger_grid, wave_grid
 from .stepper import SolverConfig, _flow, step, tangent_step
@@ -51,11 +52,8 @@ _COMMON_KEYS = ("experiment", "out", "debug_checks")
 _KEY_TYPES = {"experiment": str, "out": str, "debug_checks": bool, "h_list": list,
               "nonlinearity": str, "dealias": bool}
 
-# The experiments that fit an order to a ladder of step sizes.
-_ORDER_STUDIES = ("convergence", "dirichlet-compat", "tangent-check")
-
 # Numeric config keys that must be finite and positive.
-_POSITIVE_KEYS = ("h", "h_max", "T", "fp_tol", "eps")
+_POSITIVE_KEYS = ("T", "fp_tol", "eps")
 
 # The stability experiment's grid kinds.
 _GRIDS = {"schrodinger": schrodinger_grid, "wave": wave_grid}
@@ -72,22 +70,19 @@ def _is_number(value) -> bool:
 
 def _resolve(experiment, cfg) -> dict:
     """The one place where config values become objects: the runner's inputs
-    ``t``, ``h_list`` (order studies), ``grid`` (stability), ``problem`` and
-    ``u0``.  Raise ValueError (or KeyError, for an unknown name) naming the
-    first config key whose value is out of range."""
+    ``t``, ``h_list``, ``solver``, ``grid``, ``problem`` and ``u0``.  Raise
+    ValueError (or KeyError, for an unknown name) naming the first config
+    key whose value is out of range, or the library's InputError."""
     for key in _POSITIVE_KEYS:
         if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ValueError(f"config key {key!r} must be positive, got {cfg[key]!r}")
-    minima = {"n": 1, "steps": 1, "n_steps": 0, "q": 0, "seed": 0,
-              "levels": 2 if experiment in _ORDER_STUDIES else 1}
-    for key, low in minima.items():
+    for key, low in {"steps": 1, "n_steps": 0, "seed": 0}.items():
         if key in cfg and cfg[key] < low:
             raise ValueError(f"config key {key!r} must be at least {low}, got {cfg[key]!r}")
-    if cfg.get("q", 0) > 4:
-        raise ValueError(f"config key 'q' must be at most 4, got {cfg['q']!r}")
     for h in cfg.get("h_values", ()):
-        if not (_is_number(h) and 0 <= h < math.inf):
-            raise ValueError(f"config key 'h_values' must hold nonnegative numbers, got {h!r}")
+        if not _is_number(h):
+            raise ValueError(f"config key 'h_values' must hold numbers, got {h!r}")
+        harness._check_growth_step(h)
     if cfg.get("initial_data", "standard") not in ("standard", "random", "rough"):
         raise ValueError(f"config key 'initial_data' must be standard, random or rough, "
                          f"got {cfg['initial_data']!r}")
@@ -96,41 +91,18 @@ def _resolve(experiment, cfg) -> dict:
     except (ValueError, OSError) as exc:
         raise ValueError(f"config key 'tableau': {exc}") from exc
     inputs = {"t": t}
-    if experiment in _ORDER_STUDIES:
+    if "h_max" in cfg:  # an order study, which fits to a ladder of step sizes
         if "h_list" in cfg:
             if not all(_is_number(h) for h in cfg["h_list"]):
                 raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
-            hs = [float(h) for h in cfg["h_list"]]
-            if any(b >= a for a, b in zip(hs, hs[1:])):
-                raise ValueError("config key 'h_list' must be strictly decreasing")
-            if len(hs) < 2 or not all(0 < h < math.inf for h in hs):
-                raise ValueError(f"config key 'h_list' must hold at least two positive steps, "
-                                 f"got {cfg['h_list']!r}")
+            hs = cfg["h_list"]
         else:
             hs = harness.dyadic_h_list(float(cfg["h_max"]), int(cfg["levels"]))
-            # The step count T / h of the smallest step must be a finite number.
-            if not (hs[-1] > 0 and math.isfinite(cfg["T"] / hs[-1])):
-                raise ValueError(f"config key 'levels' halves h_max too far for T={cfg['T']!r}: "
-                                 f"the ladder h_max / 2**j runs from {hs[0]!r} to {hs[-1]!r}")
-        # The study's own checks: T/h integer at every level, fp_tol tight enough.
-        for h in hs:
-            harness._steps_for(cfg["T"], h)
-        harness._check_fp_tol(cfg["fp_tol"], min(hs), t.p)
-        inputs["h_list"] = hs
+        inputs["h_list"] = harness._check_ladder(cfg["T"], hs, cfg["fp_tol"], t.p)
+    if experiment in ("conservation", "tangent-check"):
+        inputs["solver"] = SolverConfig(float(cfg["h"]), float(cfg["fp_tol"]), cfg["debug_checks"])
     if experiment == "smoothness":
-        # The probe divides by its stencil spacings h / 2**j / (q + 1) raised
-        # to q; the largest (j = 0) and the smallest must be normal floats.
-        q = cfg["q"]
-        for key, level in (("h", 0), ("levels", cfg["levels"] - 1)):
-            spacing = math.ldexp(cfg["h"], -level) / (q + 1)
-            try:
-                scale = spacing**q
-            except OverflowError:
-                scale = math.inf
-            if not (sys.float_info.min <= spacing and sys.float_info.min <= scale < math.inf):
-                raise ValueError(f"config key {key!r}: the stencil spacing {spacing!r} of "
-                                 f"level {level} raised to q={q} is {scale!r}, not a "
-                                 f"positive normal float")
+        harness._check_stencil(cfg["h"], cfg["q"], cfg["levels"])
     if experiment == "stability" and cfg["grid"] not in _GRIDS:
         raise ValueError(f"config key 'grid' must be one of {list(_GRIDS)}, "
                          f"got {cfg['grid']!r}")
@@ -192,10 +164,9 @@ def _run_convergence(cfg, out_dir, t, h_list, problem, u0):
     return report.summary_dict(), ok, verdict
 
 
-def _run_conservation(cfg, out_dir, t, problem, u0):
-    h = float(cfg["h"])
+def _run_conservation(cfg, out_dir, t, solver, problem, u0):
+    h = solver.h
     steps = int(cfg["steps"])
-    solver = SolverConfig(h=h, fp_tol=float(cfg["fp_tol"]), debug_checks=cfg["debug_checks"])
     rows, pending = [], []
     q0 = harness.conserved_quantities(problem, u0)
 
@@ -306,12 +277,10 @@ def _run_dirichlet_compat(cfg, out_dir, t, h_list):
     return result, ok, verdict
 
 
-def _run_tangent_check(cfg, out_dir, t, h_list, problem, u0):
+def _run_tangent_check(cfg, out_dir, t, h_list, solver, problem, u0):
     rng = np.random.default_rng(int(cfg["seed"]))
     v0 = harness.random_band_state(problem.grid, rng)
-    h = float(cfg["h"])
     eps = float(cfg["eps"])
-    solver = SolverConfig(h=h, fp_tol=float(cfg["fp_tol"]))
     _, v1, _ = tangent_step(problem, t, u0, v0, solver)
     plus, _ = step(problem, t, u0 + eps * v0, solver)
     minus, _ = step(problem, t, u0 + (-eps) * v0, solver)
@@ -419,6 +388,11 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
         inputs = _resolve(experiment, cfg)
     except KeyError as exc:
         return _fail(f"{exc.args[0]}")
+    except InputError as exc:  # a library parameter, named by the config key that set it
+        key = "h_values" if experiment == "stability" else exc.name
+        if key == "h_list" and "h_list" not in cfg:  # too short, or off T by h_max
+            key = "levels" if cfg["levels"] < 2 else "h_max"
+        return _fail(f"config key {key!r}: {exc}")
     except ValueError as exc:
         return _fail(str(exc))
     target = Path(out_dir) if out_dir else Path(cfg.get("out", "."))

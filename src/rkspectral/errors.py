@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+class InputError(ValueError):
+    """A run input breaking its rule; ``name`` is the parameter at fault."""
+
+    def __init__(self, name, message):
+        self.name = name
+        super().__init__(message)
+
+
 class SingularResolventError(ValueError):
     """Raised when (I - z*a) or a stage block (I - h*a (x) A_k) is singular.
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnreliableReferenceError
+from .errors import InputError, UnreliableReferenceError
 from .problems import ProblemSpec, evaluate_B_array, evaluate_B_pair_array, get_problem
 from .spectral import (
     SpectralGrid,
@@ -120,13 +121,21 @@ class ConvergenceReport:
         }
 
 
-def _steps_for(T, h):
-    """Steps of size ``h`` in [0, T]."""
-    ratio = T / h if h > 0 else 0.0
-    m = round(ratio) if math.isfinite(ratio) else 0
-    if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T/h must be a positive integer; T={T}, h={h}")
-    return m
+def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
+    """The order-study input rule: two or more strictly decreasing steps,
+    each dividing T, and an ``fp_tol`` tight enough for the finest one."""
+    h_list = [float(h) for h in h_list]
+    if len(h_list) < 2 or any(b >= a for a, b in zip(h_list, h_list[1:])):
+        raise InputError("h_list", f"need two or more strictly decreasing steps, got {h_list!r}")
+    for h in h_list:
+        m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
+        if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
+            raise InputError("h_list", f"T/h must be a positive integer; T={T}, h={h}")
+    bound = max(1e-2 * h_list[-1] ** (p_order + 1), FP_TOL_FLOOR)
+    if fp_tol > bound:
+        raise InputError("fp_tol", f"fp_tol={fp_tol:g} too loose for an order-{p_order} study "
+                                   f"with min step {h_list[-1]:g}; need <= {bound:g}")
+    return h_list
 
 
 def _summarize(stats) -> dict:
@@ -142,15 +151,6 @@ def _summarize(stats) -> dict:
         "max_residual": float(max(s.final_residual for s in stats)),
         "mean_contraction": float(np.mean(ratios)) if ratios else 0.0,
     }
-
-
-def _check_fp_tol(fp_tol, h_min, p_order):
-    bound = max(1e-2 * h_min ** (p_order + 1), FP_TOL_FLOOR)
-    if fp_tol > bound:
-        raise ValueError(
-            f"fp_tol={fp_tol:g} too loose for an order-{p_order} study with "
-            f"min step {h_min:g}; need <= {bound:g}"
-        )
 
 
 def _fit_order(h_list, errors, flagged):
@@ -178,18 +178,13 @@ def _distance(grid, a, b):
 def _order_study(p, t, x0, T, h_list, fp_tol, B, name) -> ConvergenceReport:
     """Order study of the flow from the coefficients ``x0`` (..., c, n)
     with the nonlinearity evaluator ``B`` (``stepper._flow``)."""
-    h_list = [float(h) for h in h_list]
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must be strictly decreasing")
-    for h in h_list:
-        _steps_for(T, h)
-    _check_fp_tol(fp_tol, min(h_list), t.p)
-    h_coarse, h_last = h_list[0], min(h_list) / _LAST_RUNG_DIVISOR
+    h_list = _check_ladder(T, h_list, fp_tol, t.p)
+    h_coarse, h_last = h_list[0], h_list[-1] / _LAST_RUNG_DIVISOR
 
     iterations = {"ladder": 0, "reference": 0}
 
-    def run(tab, h, tol, phase):
-        final, history = _flow(p, tab, x0, SolverConfig(h=h, fp_tol=tol), _steps_for(T, h), B)
+    def run(tab, h, tol, phase):  # h is a checked step or a halving of one: T / h is whole
+        final, history = _flow(p, tab, x0, SolverConfig(h=h, fp_tol=tol), round(T / h), B)
         iterations[phase] += sum(s.iterations for s in history)
         return final, history
 
@@ -244,7 +239,7 @@ def convergence_study(
     u0: State,
     T: float,
     h_list,
-    fp_tol: float = FP_TOL_FLOOR,
+    fp_tol: float,
 ) -> ConvergenceReport:
     """Measure final-time errors against a fine reference and fit the order.
 
@@ -318,6 +313,12 @@ def _conserved_rows(p: ProblemSpec, coeffs: np.ndarray):
 # -- linear stability growth ---------------------------------------------------
 
 
+def _check_growth_step(h):
+    """The stability sweep's step rule: h finite and nonnegative."""
+    if not 0 <= h < math.inf:
+        raise InputError("h", f"h must be finite and nonnegative, got {h!r}")
+
+
 def stability_growth(
     t: ButcherTableau, grid: SpectralGrid, h: float, n_steps: int
 ) -> tuple[float, int]:
@@ -352,6 +353,7 @@ def stability_growth(
     ``step_matrices``' k = 0 update, the block that sets the maximum of a
     periodic or Neumann wave grid.
     """
+    _check_growth_step(h)
     if n_steps < 0:
         raise ValueError("step count must be nonnegative")
     first = grid._distinct_symbols[0]
@@ -386,14 +388,32 @@ def stability_growth(
 # -- smoothness probe ----------------------------------------------------------
 
 
+def _check_stencil(h, q, levels):
+    """The probe's input rule: 0 <= q <= 4, levels >= 1, and each stencil
+    spacing h / 2**j / (q + 1) and its q-th power a positive normal float."""
+    if not 0 <= q <= 4:
+        raise InputError("q", f"difference order q must be in [0, 4], got {q!r}")
+    if levels < 1:
+        raise InputError("levels", f"need at least one level, got {levels!r}")
+    for name, level in (("h", 0), ("levels", levels - 1)):
+        spacing = math.ldexp(h, -level) / (q + 1)
+        try:
+            scale = spacing**q
+        except OverflowError:
+            scale = math.inf
+        if not all(sys.float_info.min <= x < math.inf for x in (spacing, scale)):
+            raise InputError(name, f"the stencil spacing {spacing!r} of level {level} raised "
+                                   f"to q={q} is {scale!r}, not a positive normal float")
+
+
 def smoothness_probe(
     p: ProblemSpec,
     t: ButcherTableau,
     u0: State,
     h: float,
     q: int,
-    levels: int = 4,
-    fp_tol: float = FP_TOL_FLOOR,
+    levels: int,
+    fp_tol: float,
 ) -> list[tuple[float, float]]:
     """Central finite differences of the step map in its step size.
 
@@ -407,8 +427,7 @@ def smoothness_probe(
     grow as the ladder descends.  At q = 0 a level's value is the base
     norm of one step of its base step.
     """
-    if not 0 <= q <= 4:
-        raise ValueError("difference order must be in [0, 4]")
+    _check_stencil(h, q, levels)
     coeffs = [(-1.0) ** i * math.comb(q, i) for i in range(q + 1)]
     results = []
     for level in range(levels):
@@ -513,7 +532,7 @@ def tangent_convergence_study(
     v0: State,
     T: float,
     h_list,
-    fp_tol: float = FP_TOL_FLOOR,
+    fp_tol: float,
 ) -> ConvergenceReport:
     """Order study of the extended (primal, tangent) system.
 
@@ -527,9 +546,11 @@ def tangent_convergence_study(
 
 
 def dyadic_h_list(h_max: float, levels: int) -> list[float]:
-    """h_max, h_max/2, ..., h_max/2^(levels-1)."""
-    if levels < 1:
-        raise ValueError("need at least one level")
+    """h_max, h_max/2, ..., h_max/2^(levels-1): positive normal floats."""
+    if not sys.float_info.min <= h_max < math.inf:
+        raise InputError("h_max", f"h_max must be a positive normal float, got {h_max!r}")
+    if levels < 1 or math.ldexp(h_max, 1 - levels) < sys.float_info.min:
+        raise InputError("levels", f"need 1 <= levels={levels!r} and normal steps h_max / 2**j")
     return [math.ldexp(h_max, -j) for j in range(levels)]
 
 

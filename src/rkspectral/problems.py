@@ -18,8 +18,6 @@ import numpy as np
 
 from .spectral import SpectralGrid, inverse_transform_array
 
-DEFAULT_GRID_SIZE = 64
-
 
 # -- scalar nonlinearities -----------------------------------------------------
 
@@ -183,10 +181,10 @@ def list_problems() -> list:
     return sorted(_CATALOGUE)
 
 
-def get_problem(name: str, n: int | None = None) -> ProblemSpec:
-    """Look up a catalogue problem, optionally overriding the grid size."""
+def get_problem(name: str, n: int) -> ProblemSpec:
+    """Build a catalogue problem on a grid of ``n`` modes."""
     if name not in _CATALOGUE:
         raise KeyError(f"unknown problem {name!r}; available: {list_problems()}")
     equation, bc, nonlinearity = _CATALOGUE[name]
-    grid = SpectralGrid(equation, bc, DEFAULT_GRID_SIZE if n is None else n)
+    grid = SpectralGrid(equation, bc, n)
     return ProblemSpec(grid, make_nonlinearity(equation, nonlinearity), name=name)

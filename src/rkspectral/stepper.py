@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, NumericalBlowupError
+from .errors import ConvergenceFailureError, InputError, NumericalBlowupError
 from .problems import ProblemSpec, evaluate_B_array, evaluate_B_pair_array
 from .spectral import (
     State,
@@ -103,10 +103,10 @@ class SolverConfig:
     debug_checks: bool = False
 
     def __post_init__(self):
-        if self.h < 0 or not math.isfinite(self.h):
-            raise ValueError("step size must be finite and nonnegative")
-        if not (self.fp_tol > 0 and math.isfinite(self.fp_tol)):
-            raise ValueError("fixed-point tolerance must be finite and positive")
+        if not 0 < self.h < math.inf:
+            raise InputError("h", f"step size must be finite and positive, got {self.h!r}")
+        if not 0 < self.fp_tol < math.inf:
+            raise InputError("fp_tol", "fixed-point tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,6 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
     called after each step with (step_index, coefficients, stats).  A
     near-1 contraction warns at the caller of this function's caller.
     """
-    if cfg.h == 0:
-        raise ValueError("step requires a positive step size")
     matrices = step_matrices(t, cfg.h, p.grid)
     if _real_data(p.grid, x):
         x = x.real.copy()

@@ -97,7 +97,7 @@ class ButcherTableau:
         )
 
     @staticmethod
-    def from_json(text: str, label: str = "custom") -> "ButcherTableau":
+    def from_json(text: str, label: str) -> "ButcherTableau":
         """Parse a tableau from a JSON document with keys s, a, b, c, p."""
         doc = json.loads(text)
         if not isinstance(doc, dict):

@@ -46,9 +46,7 @@ def to_state(grid, values):
 def fixed_point_stages(p, t, u, cfg):
     """The stages of one step and their statistics, iterated from the
     B = 0 solution until the base-norm update falls below ``cfg.fp_tol``.
-
-    A step size of 0 is accepted as a degenerate probe.  A near-1
-    contraction warns at the caller of this function.
+    A near-1 contraction warns at the caller of this function.
     """
     stage_inv, _ = step_matrices(t, cfg.h, p.grid)
     w, _, stats = _solve_stages(

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -173,9 +174,56 @@ class TestConvergenceStudy:
 
 def test_dyadic_h_list_halves_exactly_and_never_overflows():
     assert dyadic_h_list(0.02, 6) == [0.02 / 2**j for j in range(6)]
-    # 2**1100 is past the float range; the ladder underflows to 0 instead
-    ladder = dyadic_h_list(0.02, 1100)
-    assert ladder[1023] > 0 and ladder[-1] == 0.0
+    ladder = dyadic_h_list(0.02, 1017)
+    assert ladder[-1] == math.ldexp(0.02, -1016) >= sys.float_info.min
+    # one more level is subnormal; 2**1100 is past the float range, and the
+    # ladder is refused rather than built by division
+    for levels in (1018, 1100):
+        with pytest.raises(ValueError, match="normal steps"):
+            dyadic_h_list(0.02, levels)
+
+
+# Library calls whose inputs break a rule: (call on a 16-mode NLS problem
+# and its data, the parameter at fault, the message).
+BAD_INPUTS = {
+    "one-step ladder": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [0.02], fp_tol=1e-13),
+        "h_list", "two or more strictly decreasing steps"),
+    "one-step tangent ladder": (
+        lambda p, u0: tangent_convergence_study(p, MIDPOINT, u0, u0, 0.5, [0.02],
+                                                fp_tol=1e-13),
+        "h_list", "two or more strictly decreasing steps"),
+    "no smoothness level": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2, levels=0, fp_tol=1e-13),
+        "levels", "at least one level"),
+    "stencil power underflows": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2, levels=600, fp_tol=1e-13),
+        "levels", "level 599 raised to q=2 is 0.0"),
+    "stencil power overflows": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 1e300, 4, levels=4, fp_tol=1e-13),
+        "h", "level 0 raised to q=4 is inf"),
+    "subnormal dyadic ladder": (
+        lambda p, u0: dyadic_h_list(1e-300, 100), "levels", "normal steps"),
+    "negative stability step": (
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), -1.0, 10),
+        "h", "h must be finite and nonnegative"),
+    "nan stability step": (
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), math.nan, 10),
+        "h", "h must be finite and nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_rejected_before_any_run(monkeypatch, case):
+    runs = []
+    for target in ("_flow", "step", "_symbol_resolvents"):
+        monkeypatch.setattr(harness, target, lambda *args, **kwargs: runs.append(args))
+    call, name, message = BAD_INPUTS[case]
+    p = get_problem("nls-cubic-periodic", 16)
+    with pytest.raises(ValueError, match=message) as exc:
+        call(p, nls_two_mode_state(p.grid))
+    assert exc.value.name == name
+    assert runs == []
 
 
 class TestReferenceWalk:
@@ -593,7 +641,7 @@ class TestSmoothnessProbe:
         # order >= q makes the h -> 0 limit exactly |A^q u0|
         p = get_problem("nls-linear-periodic", 32)
         u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
-        results = smoothness_probe(p, gauss_legendre(2), u0, 0.05, 2, levels=6)
+        results = smoothness_probe(p, gauss_legendre(2), u0, 0.05, 2, levels=6, fp_tol=1e-13)
         values = [v for _, v in results]
         limit = base_norm(apply_A(apply_A(u0)))
         assert values[-1] == pytest.approx(limit, rel=1e-4)
@@ -602,7 +650,7 @@ class TestSmoothnessProbe:
     def test_rough_data_diverges(self):
         p = get_problem("nls-linear-periodic", 256)
         u0 = rough_decay_state(p.grid, exponent=1.1)
-        results = smoothness_probe(p, gauss_legendre(2), u0, 0.05, 2, levels=5)
+        results = smoothness_probe(p, gauss_legendre(2), u0, 0.05, 2, levels=5, fp_tol=1e-13)
         values = [v for _, v in results]
         assert all(b > 2 * a for a, b in zip(values, values[1:]))
 
@@ -610,7 +658,7 @@ class TestSmoothnessProbe:
         # one row per level: the base norm of one step of its base step
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
-        rows = smoothness_probe(p, MIDPOINT, u0, 0.05, 0)
+        rows = smoothness_probe(p, MIDPOINT, u0, 0.05, 0, levels=4, fp_tol=1e-13)
         steps = [step(p, MIDPOINT, u0, SolverConfig(h=0.05 / 2**j, fp_tol=1e-13))[0]
                  for j in range(4)]
         expected = [(0.05 / 2**j, base_norm(out)) for j, out in enumerate(steps)]
@@ -620,7 +668,8 @@ class TestSmoothnessProbe:
     def test_order_cap(self):
         p = get_problem("nls-cubic-periodic", 32)
         with pytest.raises(ValueError):
-            smoothness_probe(p, MIDPOINT, nls_two_mode_state(p.grid), 0.05, 5)
+            smoothness_probe(p, MIDPOINT, nls_two_mode_state(p.grid), 0.05, 5, levels=4,
+                             fp_tol=1e-13)
 
 
 class TestTangentStudy:

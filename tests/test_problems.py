@@ -5,7 +5,6 @@ import pytest
 
 from rkspectral.problems import (
     _NONLINEARITIES,
-    DEFAULT_GRID_SIZE,
     ProblemSpec,
     dealias_mask,
     evaluate_B_array,
@@ -192,19 +191,19 @@ class TestCatalogue:
             assert required in names
 
     def test_nls_cubic_periodic_shape(self):
-        p = get_problem("nls-cubic-periodic")
+        p = get_problem("nls-cubic-periodic", 64)
         assert p.grid.equation == "schrodinger"
         assert p.grid.bc == "periodic"
         assert p.grid.components == 1
 
     def test_incompatible_case_has_nonzero_boundary_value(self):
-        p = get_problem("wave-dirichlet-incompatible")
+        p = get_problem("wave-dirichlet-incompatible", 64)
         assert p.nonlinearity.value(0.0) == pytest.approx(1.0)
-        assert get_problem("wave-dirichlet-compatible").nonlinearity.value(0.0) == 0.0
+        assert get_problem("wave-dirichlet-compatible", 64).nonlinearity.value(0.0) == 0.0
 
     def test_unknown_name_lists_catalogue(self):
         with pytest.raises(KeyError, match="nls-cubic-periodic"):
-            get_problem("foo")
+            get_problem("foo", 64)
 
     def test_catalogue_builds_all_at_given_size(self):
         assert all(get_problem(name, 32).grid.n == 32 for name in list_problems())
@@ -213,7 +212,8 @@ class TestCatalogue:
         for name in list_problems():
             with pytest.raises(ValueError):
                 get_problem(name, 0)
-        assert get_problem("nls-cubic-periodic").grid.n == DEFAULT_GRID_SIZE
+        with pytest.raises(TypeError):  # the grid size has no default
+            get_problem("nls-cubic-periodic")
 
     def test_nonlinearity_parsing(self):
         f = make_nonlinearity("wave", "cubic_plus_const:2.5")

@@ -247,13 +247,14 @@ class TestRealWaveArithmetic:
 
 
 class TestFixedPointStages:
-    def test_zero_step_probe(self):
+    def test_exact_fixed_point_stops_at_once(self):
+        # zero data are their stages' fixed point: one iteration, no update
         p = get_problem("nls-cubic-periodic", 16)
-        u = two_mode(p.grid)
-        stages, stats = fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.0))
+        u = State(p.grid, np.zeros((1, 16), dtype=complex))
+        stages, stats = fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.1))
         assert stats.iterations == 1
         assert stats.final_residual == 0.0
-        assert np.array_equal(stages[0], u.coeffs)
+        assert not stages.any()
 
     def test_linear_problem_converges_in_one_iteration(self):
         p = get_problem("nls-linear-periodic", 16)
@@ -746,8 +747,9 @@ class TestTangentStep:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(h=-0.1)
+        for h in (-0.1, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step size"):
+                SolverConfig(h=h)
         with pytest.raises(ValueError):
             SolverConfig(h=0.1, fp_tol=0.0)
         with pytest.raises(TypeError):  # the iteration cap is stepper._FP_MAX_ITERS

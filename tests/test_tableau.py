@@ -247,8 +247,8 @@ def valid_tableaus(draw):
 
 def assert_json_roundtrip(t):
     # field by field: dataclass == on array fields raises
-    again = ButcherTableau.from_json(t.to_json())
-    assert (again.s, again.p) == (t.s, t.p)
+    again = ButcherTableau.from_json(t.to_json(), t.label)
+    assert (again.s, again.p, again.label) == (t.s, t.p, t.label)
     for name in ("a", "b", "c"):
         got, want = getattr(again, name), getattr(t, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -268,7 +268,7 @@ class TestJsonInterface:
 
     def test_roundtrip(self):
         t = gauss_legendre(3)
-        again = ButcherTableau.from_json(t.to_json())
+        again = ButcherTableau.from_json(t.to_json(), "gl:3")
         assert np.array_equal(again.a, t.a)
         assert np.array_equal(again.b, t.b)
         assert np.array_equal(again.c, t.c)
@@ -276,12 +276,12 @@ class TestJsonInterface:
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing"):
-            ButcherTableau.from_json(json.dumps({"s": 1, "a": [[0.5]]}))
+            ButcherTableau.from_json(json.dumps({"s": 1, "a": [[0.5]]}), "t.json")
 
     @pytest.mark.parametrize("doc", [[1, 2], "gl:1", 3, None])
     def test_document_that_is_not_an_object_rejected(self, doc):
         with pytest.raises(ValueError, match="must be an object"):
-            ButcherTableau.from_json(json.dumps(doc))
+            ButcherTableau.from_json(json.dumps(doc), "t.json")
 
     @pytest.mark.parametrize(
         "key, value", [("s", None), ("a", {"x": 1}), ("c", "abc"), ("p", [2])]
@@ -289,12 +289,12 @@ class TestJsonInterface:
     def test_unconvertible_value_names_its_key(self, key, value):
         doc = {"s": 1, "a": [[0.5]], "b": [1], "c": [0.5], "p": 2, key: value}
         with pytest.raises(ValueError, match=f"tableau JSON key '{key}'"):
-            ButcherTableau.from_json(json.dumps(doc))
+            ButcherTableau.from_json(json.dumps(doc), "t.json")
 
     def test_null_coefficient_rejected(self):
         doc = {"s": 1, "a": [[0.5]], "b": [None], "c": [0.5], "p": 2}
         with pytest.raises(ValueError, match="finite"):
-            ButcherTableau.from_json(json.dumps(doc))
+            ButcherTableau.from_json(json.dumps(doc), "t.json")
 
     def test_resolve_gl_spec(self):
         t = resolve_tableau("gl:2")
