@@ -96,8 +96,9 @@ def _resolve(experiment, cfg) -> dict:
             if not all(_is_number(h) for h in cfg["h_list"]):
                 raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
             hs = cfg["h_list"]
-        else:
+        else:  # a derived ladder's steps divide T when h_max does, unless they overflow it
             hs = harness.dyadic_h_list(float(cfg["h_max"]), int(cfg["levels"]))
+            harness._check_divides(cfg["T"], hs[0], "h_max")
         inputs["h_list"] = harness._check_ladder(cfg["T"], hs, cfg["fp_tol"], t.p)
     if experiment in ("conservation", "tangent-check"):
         inputs["solver"] = SolverConfig(float(cfg["h"]), float(cfg["fp_tol"]), cfg["debug_checks"])
@@ -390,8 +391,8 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
         return _fail(f"{exc.args[0]}")
     except InputError as exc:  # a library parameter, named by the config key that set it
         key = "h_values" if experiment == "stability" else exc.name
-        if key == "h_list" and "h_list" not in cfg:  # too short, or off T by h_max
-            key = "levels" if cfg["levels"] < 2 else "h_max"
+        if key == "h_list" and "h_list" not in cfg:  # too short, or T/h overflows
+            key = "levels"
         return _fail(f"config key {key!r}: {exc}")
     except ValueError as exc:
         return _fail(str(exc))

@@ -13,8 +13,11 @@ class SingularResolventError(ValueError):
     """Raised when (I - z*a) or a stage block (I - h*a (x) A_k) is singular.
 
     Carries the offending argument ``where``: the complex point ``z`` for
-    scalar stability-function evaluation, or the mode index for per-mode
-    solves, whose message also names their step size ``h``.
+    scalar stability-function evaluation, or the mode index for a step
+    size's stage blocks, whose message also names the step size ``h``.
+    ``step_matrices`` finds a singular block in its s x s inverse;
+    ``stability_function`` and ``stability_growth`` find it as a zero of
+    the stability denominator det(I - z a) at z = h lambda.
     """
 
     def __init__(self, where, h=None):

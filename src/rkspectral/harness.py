@@ -33,12 +33,13 @@ from .spectral import (
     SpectralGrid,
     State,
     _base_norm_sq_rows,
-    _symbol_resolvents,
+    _check_singular,
+    _eigenvalues,
     base_norm,
     inverse_transform_array,
 )
 from .stepper import SolverConfig, _check_grid, _flow, _real_data, step
-from .tableau import ButcherTableau, gauss_legendre
+from .tableau import ButcherTableau, _stability_values, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
 # O(1) states cannot be driven meaningfully below this.
@@ -128,14 +129,20 @@ def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
     if len(h_list) < 2 or any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise InputError("h_list", f"need two or more strictly decreasing steps, got {h_list!r}")
     for h in h_list:
-        m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
-        if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
-            raise InputError("h_list", f"T/h must be a positive integer; T={T}, h={h}")
+        _check_divides(T, h, "h_list")
     bound = max(1e-2 * h_list[-1] ** (p_order + 1), FP_TOL_FLOOR)
     if fp_tol > bound:
         raise InputError("fp_tol", f"fp_tol={fp_tol:g} too loose for an order-{p_order} study "
                                    f"with min step {h_list[-1]:g}; need <= {bound:g}")
     return h_list
+
+
+def _check_divides(T, h, name):
+    """A study step's rule: T / h is a positive integer.  ``name`` is the
+    parameter that set h."""
+    m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
+    if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
+        raise InputError(name, f"T/h must be a positive integer; T={T}, h={h}")
 
 
 def _summarize(stats) -> dict:
@@ -327,7 +334,8 @@ def stability_growth(
     ``grid._distinct_symbols[0]`` order (k >= 0: on a periodic grid, -k
     shares the block of k).  Arithmetic that overflows or turns invalid on
     the way raises ValueError: the growth is then not finite, or not
-    to be trusted.
+    to be trusted.  A singular stage block raises SingularResolventError
+    naming the first singular mode, and h.
 
     For scalar symbols the growth is max_k |S(h lambda_k)|^n.  For 2x2
     wave blocks the n-th power is measured in the mode's base-norm
@@ -336,7 +344,8 @@ def stability_growth(
 
     The update map acts on each mode through the stability function S at
     the symbol's eigenvalues (Hairer & Wanner, Solving ODEs II, IV.3),
-    read once per distinct symbol (``spectral._symbol_resolvents``).
+    read once per distinct symbol from the tableau's stability
+    polynomials (``tableau._stability_values``): no per-mode inverse.
     Schrodinger: |S(-i h k^2)|^n.  Wave, k != 0: M = [[0, 1], [-k^2, 0]]
     has eigenvalues +-ik and (M/k)^2 = -I, so with S(ihk)^n = alpha + i
     beta (a real tableau gives S(-ihk) its conjugate), S(hM)^n = alpha I +
@@ -361,7 +370,9 @@ def stability_growth(
         return 1.0, int(grid.modes[first[0]])
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            k, _, sigma = _symbol_resolvents(t, h, grid)
+            k, lam = _eigenvalues(grid)
+            sigma, singular = _stability_values(t, h * lam)
+            _check_singular(grid, singular, h)
             if grid.components == 1:
                 growth = np.abs(sigma) ** n_steps
             else:

@@ -10,7 +10,10 @@ comes from one evaluator, ``_symbol_function``: f at one eigenvalue per
 distinct symbol, taken as is for a Schrodinger mode and, since M^2 =
 -k^2 I, as ``Re f (x) I + (Im f / k) (x) M`` for a wave mode.  The
 semigroup is exact and convergence studies see time-discretization
-error only.
+error only.  The stage resolvent is the only function of A that needs
+a matrix inverse per symbol (``tableau._resolvent``); the stability
+sweep (``harness.stability_growth``) reads S at the eigenvalues
+(``_eigenvalues``) from the tableau's stability polynomials instead.
 
 Mode index sets: periodic k in {-n/2+1, ..., n/2}; Dirichlet (sine)
 k in {1, ..., n}; Neumann (cosine) k in {0, ..., n-1}.  For the periodic
@@ -360,10 +363,13 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     and update realizes ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
     They are ``_symbol_function`` of X = (I - h a lambda)^{-1} (slope h a)
     and of S(h lambda) (slope h sum(b)), both read once per distinct
-    symbol from ``_symbol_resolvents``.  Nothing is kept: a repeated call
-    returns fresh arrays, same bits.
+    symbol's eigenvalue lambda (``_eigenvalues``) from one batched s x s
+    inverse (``tableau._resolvent``); a SingularResolventError names the
+    first singular mode, and h.  Nothing is kept: a repeated call returns
+    fresh arrays, same bits.
     """
-    _, x, sigma = _symbol_resolvents(t, h, grid)
+    x, sigma, singular = _resolvent(t, h, _eigenvalues(grid)[1])
+    _check_singular(grid, singular, h)
     return (
         _symbol_function(grid, x, h * t.a),
         _symbol_function(grid, sigma[:, None, None], h * t.b.sum()),
@@ -378,16 +384,12 @@ def _eigenvalues(grid: SpectralGrid):
     return k, -1j * k**2 if grid.components == 1 else 1j * k
 
 
-def _symbol_resolvents(t: ButcherTableau, h: float, grid: SpectralGrid):
-    """k, X = (I - h a lambda)^{-1} and S(h lambda) of each distinct symbol
-    at its eigenvalue lambda (``_eigenvalues``); a SingularResolventError
-    names the first singular mode, and h."""
-    k, lam = _eigenvalues(grid)
-    x, sigma, singular = _resolvent(t, h, lam)
+def _check_singular(grid: SpectralGrid, singular: np.ndarray, h: float):
+    """Raise SingularResolventError naming the first distinct symbol's mode
+    (``_eigenvalues`` order) flagged in ``singular``, and h."""
     if singular.any():
         first = grid._distinct_symbols[0]
         raise SingularResolventError(int(grid.modes[first[int(np.argmax(singular))]]), h)
-    return k, x, sigma
 
 
 def _generator(grid: SpectralGrid) -> np.ndarray:

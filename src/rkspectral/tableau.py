@@ -3,9 +3,10 @@
 A tableau ``(a, b, c)`` defines an s-stage implicit Runge-Kutta method.
 The stability function
 
-    S(z) = 1 + z * b^T (I - z a)^{-1} 1
+    S(z) = 1 + z * b^T (I - z a)^{-1} 1 = det(I - z (a - 1 b^T)) / det(I - z a)
 
-encodes the method's action on the scalar test equation; A-stability
+encodes the method's action on the scalar test equation (Hairer & Wanner,
+Solving ODEs II, IV.3, Prop. 3.2); A-stability
 demands |S(z)| <= 1 on the closed left half-plane together with
 invertibility of (I - z a) there, which holds exactly when ``a`` has no
 eigenvalue in the closed left half-plane other than 0.
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +88,24 @@ class ButcherTableau:
         b.setflags(write=False)
         c.setflags(write=False)
 
+    @cached_property
+    def _stability_polynomials(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending coefficients of N(z) = det(I - z (a - 1 b^T)) and D(z) =
+        det(I - z a), S = N / D, each trimmed of its zero leading
+        coefficients (an explicit tableau's D has degree < s).  They come
+        from the binary tableau as given, in exact rational arithmetic,
+        each rounded once to the nearest float.
+        """
+        a = [[Fraction(x) for x in row] for row in self.a.tolist()]
+        b = [Fraction(x) for x in self.b.tolist()]
+        polys = []
+        for m in ([[x - y for x, y in zip(row, b)] for row in a], a):
+            coeffs = np.array(_det_polynomial(m))
+            coeffs = coeffs[: np.flatnonzero(coeffs)[-1] + 1]
+            coeffs.setflags(write=False)
+            polys.append(coeffs)
+        return tuple(polys)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -138,6 +159,32 @@ class StabilityReport:
     @property
     def a_stable(self) -> bool:
         return self.rk1_ok and self.rk2_ok
+
+
+def _det_polynomial(m) -> list[float]:
+    """Ascending coefficients of det(I - z m) for a square matrix m of
+    Fractions with power-of-two denominators (binary floats and their
+    differences), each rounded once to the nearest float.
+
+    Faddeev-LeVerrier on the integer matrix q m, q the common
+    denominator: p_0 = 1, M_k = q m (M_{k-1} + p_{k-1} I), p_k = -tr(M_k)
+    / k, every division exact; det(I - z m) has coefficients p_k / q^k.
+    """
+    s = len(m)
+    q = max(x.denominator for row in m for x in row)
+    m = [[int(x * q) for x in row] for row in m]
+    coeffs = [1]
+    power = [[0] * s for _ in range(s)]
+    for k in range(1, s + 1):
+        for i in range(s):
+            power[i][i] += coeffs[-1]
+        power = [[sum(m[i][l] * power[l][j] for l in range(s)) for j in range(s)]
+                 for i in range(s)]
+        coeffs.append(-sum(power[i][i] for i in range(s)) // k)
+    try:
+        return [c / q**k for k, c in enumerate(coeffs)]
+    except OverflowError:
+        raise ValueError("stability polynomial coefficients overflow a float") from None
 
 
 def _legendre_value_and_derivative(x, s):
@@ -206,17 +253,54 @@ def gauss_legendre(s: int) -> ButcherTableau:
 
 def stability_function(t: ButcherTableau, z: complex) -> complex:
     """Evaluate S(z) = 1 + z b^T (I - z a)^{-1} 1 at one point."""
-    _, value, singular = _resolvent(t, 1.0, np.array([complex(z)]))
+    value, singular = _stability_values(t, np.array([complex(z)]))
     if singular[0]:
         raise SingularResolventError(complex(z))
     return value[0]
 
 
+def _stability_values(t: ButcherTableau, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(z) = N(z) / D(z) at the complex points ``z`` (shape (m,)) from the
+    tableau's stability polynomials, and the mask of singular points,
+    D(z) = 0, where S reads inf.
+
+    Horner runs in z where |z| <= 1 and, where |z| > 1, on the reversed
+    polynomials in w = 1/z: S = z^(deg N - deg D) N~(w) / D~(w).  Each
+    branch sees only its own points and no power of z beyond that ratio's
+    is formed, so a finite S does not overflow on the way.
+    """
+    num, den = t._stability_polynomials
+    z = np.asarray(z, dtype=complex)
+    inner = np.abs(z) <= 1.0
+    outer = ~inner
+    w = 1 / z[outer]
+    n_val, d_val = np.empty_like(z), np.empty_like(z)
+    n_val[inner], d_val[inner] = _horner(num[::-1], z[inner]), _horner(den[::-1], z[inner])
+    n_val[outer], d_val[outer] = _horner(num, w), _horner(den, w)
+    singular = d_val == 0
+    sigma = np.divide(n_val, d_val, out=np.full_like(z, np.inf), where=~singular)
+    shift = len(num) - len(den)
+    if shift:
+        scaled = outer & ~singular
+        factor = z[scaled] if shift > 0 else 1 / z[scaled]
+        sigma[scaled] *= factor ** abs(shift)
+    return sigma, singular
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients ``coeffs`` (highest degree first) at x."""
+    value = np.full(x.shape, coeffs[0], dtype=complex)
+    for c in coeffs[1:]:
+        value = value * x + c
+    return value
+
+
 def _resolvent(t, h, lam):
-    """The package's one stage resolvent: X = (I - h (a lam))^{-1}, S(h lam)
-    = 1 + h (lam b^T X 1) and the mask of singular (I - h a lam), at the
-    complex points ``lam`` (shape (m,)); a singular point reads lam = 0
-    (X = I), then S = inf."""
+    """The stage resolvent of the step matrices: X = (I - h (a lam))^{-1},
+    their update S(h lam) = 1 + h (lam b^T X 1) and the mask of singular
+    (I - h a lam), at the complex points ``lam`` (shape (m,)); a singular
+    point reads lam = 0 (X = I), then S = inf.  Every other reading of S
+    takes it from the stability polynomials (``_stability_values``)."""
     m = np.eye(t.s) - h * (t.a * lam[:, None, None])
     try:
         x = np.linalg.inv(m)
@@ -263,7 +347,7 @@ def check_a_stability(t: ButcherTableau) -> StabilityReport:
     interior = (re[:, None] + 1j * im[None, :]).ravel()
 
     samples = np.concatenate([boundary, interior])
-    values = np.abs(_resolvent(t, 1.0, samples)[1])
+    values = np.abs(_stability_values(t, samples)[0])
     worst = int(np.argmax(values))
     rk1_ok = bool(values[worst] <= 1.0 + _RK1_TOL)
 

@@ -8,9 +8,11 @@ stage oracles check that kernel too.
 Stage data are arrays of shape (s, components, n).  Two build the step
 matrices independently: by a complex LU of the (s c) x (s c) Kronecker
 block, and in 50-digit arithmetic; the propagator blocks come in
-50 digits too.
+50 digits too, and so do the stability function, in resolvent form, and
+the stability polynomials, as sums of principal minors.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -185,6 +187,51 @@ def stability_growth(t, grid, h, n_steps):
     weighted[:, 1, 0] = powers[:, 1, 0] * inv_weights
     weighted[:, 1, 1] = powers[:, 1, 1]
     return float(np.max(np.linalg.norm(weighted, ord=2, axis=(1, 2))))
+
+
+def exact_stability_polynomials(t, digits=50):
+    """Ascending coefficients of N(z) = det(I - z (a - 1 b^T)) and D(z) =
+    det(I - z a) for the binary tableau ``t``, as mpmath values at
+    ``digits`` significant digits: the coefficient of z^j is (-1)^j times
+    the sum of the j x j principal minors of the matrix."""
+    with mpmath.workdps(digits):
+        a = [[mpmath.mpf(x) for x in row] for row in t.a.tolist()]
+        b = [mpmath.mpf(x) for x in t.b.tolist()]
+        polys = []
+        for m in ([[x - y for x, y in zip(row, b)] for row in a], a):
+            coeffs = [mpmath.mpf(1)]
+            for j in range(1, t.s + 1):
+                minors = (mpmath.det(mpmath.matrix([[m[p][q] for q in idx] for p in idx]))
+                          for idx in itertools.combinations(range(t.s), j))
+                coeffs.append((-1) ** j * mpmath.fsum(minors))
+            polys.append(coeffs)
+        return polys
+
+
+def exact_stability_function(t, z, digits=50):
+    """S(z) = 1 + z b^T (I - z a)^{-1} 1 for the binary tableau ``t`` at the
+    binary point z, as an mpmath value at ``digits`` significant digits.
+    The solve carries log10 |z| more, so that mpmath's LU still reads the
+    pivots of I - z a at a huge |z| as nonzero."""
+    with mpmath.workdps(digits + max(0, math.ceil(math.log10(max(1.0, abs(z)))))):
+        z = mpmath.mpc(complex(z))
+        x = mpmath.lu_solve(mpmath.eye(t.s) - z * mpmath.matrix(t.a.tolist()),
+                            mpmath.matrix([1] * t.s))
+        return 1 + z * mpmath.fsum(mpmath.mpf(b) * xi for b, xi in zip(t.b, x))
+
+
+def exact_largest_stability_modulus(polys, grid, h, digits=40):
+    """max |S(-i h k^2)| = |N / D| over a Schrodinger grid's distinct
+    symbols at the binary h, from ``exact_stability_polynomials``' ``polys``
+    and taken at ``digits`` significant digits."""
+    num, den = polys
+    with mpmath.workdps(digits):
+        largest = mpmath.mpf(0)
+        for k in grid.modes[grid._distinct_symbols[0]]:
+            z = mpmath.mpc(0, -mpmath.mpf(h) * int(k) ** 2)
+            s = mpmath.polyval(num[::-1], z) / mpmath.polyval(den[::-1], z)
+            largest = max(largest, abs(s))
+        return largest
 
 
 def reference_rung(p, t, t_ref, u0, T, h_list, h_ref, fp_tol=1e-13):

@@ -317,6 +317,8 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      # a derived ladder whose smallest step is subnormal, or underflows to 0
      ({"experiment": "convergence", "levels": 1025}, "levels"),
      ({"experiment": "convergence", "h_max": 1e-300, "levels": 100}, "levels"),
+     # h_max divides T, but T/h overflows at the ladder's smallest step
+     ({"experiment": "convergence", "T": 1000, "levels": 1015}, "levels"),
      # a smoothness stencil spacing whose q-th power underflows, or overflows
      ({"experiment": "smoothness", "n": 16, "levels": 600}, "levels"),
      ({"experiment": "smoothness", "n": 16, "levels": 1100}, "levels"),

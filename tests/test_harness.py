@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 import re
 import sys
@@ -38,6 +39,8 @@ from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import (
     checked_conserved_quantities,
+    exact_largest_stability_modulus,
+    exact_stability_polynomials,
     grid_nodes,
     hermitian_symmetry_defect,
     reference_rung,
@@ -46,6 +49,11 @@ from oracles import (
 from oracles import stability_growth as matrix_stability_growth
 
 MIDPOINT = gauss_legendre(1)
+
+
+@functools.cache
+def exact_gl_polynomials(s):
+    return exact_stability_polynomials(gauss_legendre(s))
 
 
 class TestReferenceSolution:
@@ -216,7 +224,7 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_rejected_before_any_run(monkeypatch, case):
     runs = []
-    for target in ("_flow", "step", "_symbol_resolvents"):
+    for target in ("_flow", "step", "_stability_values"):
         monkeypatch.setattr(harness, target, lambda *args, **kwargs: runs.append(args))
     call, name, message = BAD_INPUTS[case]
     p = get_problem("nls-cubic-periodic", 16)
@@ -563,18 +571,28 @@ class TestStabilityGrowth:
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
     def test_closed_form_matches_step_matrix_oracle(self, equation, bc):
-        # Both read S from one resolvent: a Schrodinger update is S, and the
-        # wave k = 0 update, the maximum of a periodic or Neumann grid, is
-        # exact in both.  Dirichlet wave values agree to 8.4e-16.
+        # The wave k = 0 update, the maximum of a periodic or Neumann grid, is
+        # exact in both.  Dirichlet wave values agree to 8.4e-16.  A
+        # Schrodinger growth is |S|^n, S read from the stability polynomials
+        # here and from the s x s inverse in the step matrices: against the
+        # 40-digit growth of the same binary tableau they read up to 1.4e-14
+        # and 1.9e-14 relative, and each other up to 2.3e-14.
         for n in (16, 256):
             grid = SpectralGrid(equation, bc, n - (bc != "periodic"))
             for s in range(1, 9):
                 t = gauss_legendre(s)
+                polys = exact_gl_polynomials(s) if equation == "schrodinger" else None
                 for h in (1e-3, 0.37, 1.0, 2.5):
+                    if polys:
+                        largest = exact_largest_stability_modulus(polys, grid, h)
                     for n_steps in (1, 10):
                         expected = matrix_stability_growth(t, grid, h, n_steps)
                         got = stability_growth(t, grid, h, n_steps)[0]
-                        if (equation, bc) == ("wave", "dirichlet"):
+                        if polys:
+                            exact = largest**n_steps
+                            assert abs(got - exact) <= 2e-14 * exact, (n, s, h, n_steps)
+                            assert got == pytest.approx(expected, rel=3e-14, abs=0), (n, s, h)
+                        elif (equation, bc) == ("wave", "dirichlet"):
                             assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
                         else:
                             assert got == expected, (n, s, h)
@@ -587,6 +605,22 @@ class TestStabilityGrowth:
         for i in range(400):
             h = 10.0 ** min(max(-4.0 + i * step, -4.0), 0.0)
             assert stability_growth(t, grid, h, 10)[0] == matrix_stability_growth(t, grid, h, 10), h
+
+    @pytest.mark.parametrize(
+        "equation, bc", [("wave", "periodic"), ("wave", "dirichlet"), ("schrodinger", "periodic")])
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_extreme_steps_stay_finite(self, equation, bc, s):
+        # S is read on the reversed polynomials where |h lambda| > 1, so no
+        # power of h lambda overflows: over h = 1e-300 .. 1e300 every growth
+        # is finite, as the step-matrix path's is, and within rkbench's
+        # stability tolerance of it (up to 4.0e-14 relative).
+        grid, t = SpectralGrid(equation, bc, 16), gauss_legendre(s)
+        for j in range(-300, 301, 10):
+            h = 10.0**j
+            for n_steps in (1, 10):
+                expected = matrix_stability_growth(t, grid, h, n_steps)
+                got = stability_growth(t, grid, h, n_steps)[0]
+                assert got == pytest.approx(expected, rel=1e-12, abs=0), (h, n_steps)
 
     def test_reports_the_mode_attaining_the_maximum(self):
         # explicit Euler grows fastest in the highest mode, the midpoint

@@ -13,9 +13,12 @@ from rkspectral.tableau import (
     check_a_stability,
     gauss_legendre,
     quadrature_order,
+    _stability_values,
     resolve_tableau,
     stability_function,
 )
+
+from oracles import exact_stability_function, exact_stability_polynomials
 
 SQRT3 = np.sqrt(3.0)
 
@@ -81,6 +84,14 @@ class TestGaussLegendre:
         assert np.max(np.abs(t.a.sum(axis=1) - t.c)) < 1e-12
         assert abs(t.b.sum() - 1.0) < 1e-12
         assert t.p == 2 * s
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_cooper_condition(self, s):
+        # b_i a_ij + b_j a_ji = b_i b_j: the quadratic invariants of a Gauss
+        # method.  Up to 5.3e-14 (s = 8) with today's coefficients.
+        t = gauss_legendre(s)
+        defect = t.b[:, None] * t.a + (t.b[:, None] * t.a).T - np.outer(t.b, t.b)
+        assert np.max(np.abs(defect)) <= 1e-13
 
     @pytest.mark.parametrize("s", [0, 9, -3])
     def test_stage_count_range(self, s):
@@ -181,7 +192,7 @@ class TestStabilityFunctionOracles:
 
 
 class TestAStabilityCheck:
-    @pytest.mark.parametrize("s", range(1, 6))
+    @pytest.mark.parametrize("s", range(1, 8))
     def test_gauss_legendre_passes(self, s):
         report = check_a_stability(gauss_legendre(s))
         assert report.rk1_ok and report.rk2_ok and report.a_invertible
@@ -203,6 +214,65 @@ class TestAStabilityCheck:
     def test_midpoint_eigenvalues(self):
         report = check_a_stability(gauss_legendre(1))
         assert report.a_eigenvalues == pytest.approx([0.5])
+
+
+# Tableaus beside gl:1..gl:8 whose stability polynomials test the
+# evaluator: an L-stable pair with deg N < deg D (implicit Euler, Radau IIA
+# s = 2) and explicit ones with deg D < s, the last one with deg N < s too.
+CUSTOM_TABLEAUS = {
+    "implicit-euler": implicit_euler(),
+    "radau-iia-2": ButcherTableau(2, [[5 / 12, -1 / 12], [3 / 4, 1 / 4]], [3 / 4, 1 / 4],
+                                  [1 / 3, 1.0], 3),
+    "explicit-euler": explicit_euler(),
+    "explicit-2-stage": ButcherTableau(2, [[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0], [0.0, 1.0], 1),
+}
+ALL_TABLEAUS = {f"gl:{s}": gauss_legendre(s) for s in range(1, 9)} | CUSTOM_TABLEAUS
+
+# Points on rays of the whole plane, on both sides of |z| = 1 and out to
+# |z| = 1e300, where a forward Horner form of a degree-8 polynomial overflows.
+EVALUATOR_POINTS = [
+    r * complex(math.cos(math.pi * q), math.sin(math.pi * q))
+    for r in (1e-300, 0.3, 1.0, 1.001, 40.0, 1e8, 1e200, 1e300)
+    for q in (0.5, 0.75, 1.0, 1.25, 1.5)
+]
+
+
+class TestStabilityPolynomials:
+    @pytest.mark.parametrize("name", list(ALL_TABLEAUS))
+    def test_coefficients_are_the_rounded_characteristic_polynomials(self, name):
+        # N(z) = det(I - z (a - 1 b^T)) and D(z) = det(I - z a) of the binary
+        # tableau, each coefficient the float nearest the 50-digit sum of
+        # principal minors, with the zero leading coefficients trimmed.
+        t = ALL_TABLEAUS[name]
+        want = [np.trim_zeros(np.array([float(c) for c in poly]), "b").tolist()
+                for poly in exact_stability_polynomials(t)]
+        assert [poly.tolist() for poly in t._stability_polynomials] == want
+
+    @pytest.mark.parametrize("name", list(ALL_TABLEAUS))
+    def test_values_match_the_resolvent_form(self, name):
+        # against the 50-digit 1 + z b^T (I - z a)^{-1} 1, measured against
+        # max(1, |S|); up to 6.8e-16 (gl:6).  Points where |S| overflows a
+        # float are left out.
+        t = ALL_TABLEAUS[name]
+        for z in EVALUATOR_POINTS:
+            expected = exact_stability_function(t, z)
+            if abs(expected) < 1e300:
+                error = abs(mpmath.mpc(stability_function(t, z)) - expected)
+                assert error <= 2e-15 * max(1, abs(expected)), z
+
+    def test_coefficient_that_overflows_a_float_raises(self):
+        # det(I - z a) = (1 - 1e200 z)^2 has a z^2 coefficient of 1e400
+        t = ButcherTableau(2, [[1e200, 0], [0, 1e200]], [0.5, 0.5], [1e200, 1e200], 1)
+        with pytest.raises(ValueError, match="overflow a float"):
+            stability_function(t, 0.5)
+
+    def test_singular_points_read_inf(self):
+        # D(z) = 1 + z^2 / 4 for a = [[0, -1/2], [1/2, 0]] vanishes at z = +-2i,
+        # where the evaluator runs on the reversed polynomials
+        t = ButcherTableau(2, [[0, -0.5], [0.5, 0]], [0.5, 0.5], [-0.5, 0.5], 1)
+        sigma, singular = _stability_values(t, np.array([2j, -2j, 1j, 4.0]))
+        assert singular.tolist() == [True, True, False, False]
+        assert np.isinf(sigma[:2]).all() and np.isfinite(sigma[2:]).all()
 
 
 class TestQuadratureOrder:
