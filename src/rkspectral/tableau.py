@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -93,14 +92,18 @@ class ButcherTableau:
         """Ascending coefficients of N(z) = det(I - z (a - 1 b^T)) and D(z) =
         det(I - z a), S = N / D, each trimmed of its zero leading
         coefficients (an explicit tableau's D has degree < s).  They come
-        from the binary tableau as given, in exact rational arithmetic,
-        each rounded once to the nearest float.
+        from the binary tableau as given, in exact integer arithmetic
+        (``_det_polynomial``), each rounded once to the nearest float.
         """
-        a = [[Fraction(x) for x in row] for row in self.a.tolist()]
-        b = [Fraction(x) for x in self.b.tolist()]
+        # q a and q b as integers, q the largest denominator among them
+        ratios = [x.as_integer_ratio() for x in (*self.a.ravel().tolist(), *self.b.tolist())]
+        q = max(d for _, d in ratios)
+        ints = [n * (q // d) for n, d in ratios]
+        a = [ints[i : i + self.s] for i in range(0, self.s * self.s, self.s)]
+        b = ints[self.s * self.s :]
         polys = []
         for m in ([[x - y for x, y in zip(row, b)] for row in a], a):
-            coeffs = np.array(_det_polynomial(m))
+            coeffs = np.array(_det_polynomial(m, q))
             coeffs = coeffs[: np.flatnonzero(coeffs)[-1] + 1]
             coeffs.setflags(write=False)
             polys.append(coeffs)
@@ -161,18 +164,15 @@ class StabilityReport:
         return self.rk1_ok and self.rk2_ok
 
 
-def _det_polynomial(m) -> list[float]:
-    """Ascending coefficients of det(I - z m) for a square matrix m of
-    Fractions with power-of-two denominators (binary floats and their
-    differences), each rounded once to the nearest float.
+def _det_polynomial(m, q) -> list[float]:
+    """Ascending coefficients of det(I - z m / q) for a square integer
+    matrix m and an integer q, each rounded once to the nearest float.
 
-    Faddeev-LeVerrier on the integer matrix q m, q the common
-    denominator: p_0 = 1, M_k = q m (M_{k-1} + p_{k-1} I), p_k = -tr(M_k)
-    / k, every division exact; det(I - z m) has coefficients p_k / q^k.
+    Faddeev-LeVerrier in integers: p_0 = 1, M_k = m (M_{k-1} + p_{k-1} I),
+    p_k = -tr(M_k) / k, every division exact; det(I - z m / q) has
+    coefficients p_k / q^k.
     """
     s = len(m)
-    q = max(x.denominator for row in m for x in row)
-    m = [[int(x * q) for x in row] for row in m]
     coeffs = [1]
     power = [[0] * s for _ in range(s)]
     for k in range(1, s + 1):
