@@ -264,10 +264,10 @@ def _stability_values(t: ButcherTableau, z: np.ndarray) -> tuple[np.ndarray, np.
     tableau's stability polynomials, and the mask of singular points,
     D(z) = 0, where S reads inf.
 
-    Horner runs in z where |z| <= 1 and, where |z| > 1, on the reversed
-    polynomials in w = 1/z: S = z^(deg N - deg D) N~(w) / D~(w).  Each
-    branch sees only its own points and no power of z beyond that ratio's
-    is formed, so a finite S does not overflow on the way.
+    Horner (``np.polyval``) runs in z where |z| <= 1 and, where |z| > 1,
+    on the reversed polynomials in w = 1/z: S = z^(deg N - deg D) N~(w) /
+    D~(w).  Each branch sees only its own points and no power of z beyond
+    that ratio's is formed, so a finite S does not overflow on the way.
     """
     num, den = t._stability_polynomials
     z = np.asarray(z, dtype=complex)
@@ -275,8 +275,9 @@ def _stability_values(t: ButcherTableau, z: np.ndarray) -> tuple[np.ndarray, np.
     outer = ~inner
     w = 1 / z[outer]
     n_val, d_val = np.empty_like(z), np.empty_like(z)
-    n_val[inner], d_val[inner] = _horner(num[::-1], z[inner]), _horner(den[::-1], z[inner])
-    n_val[outer], d_val[outer] = _horner(num, w), _horner(den, w)
+    n_val[inner] = np.polyval(num[::-1], z[inner])
+    d_val[inner] = np.polyval(den[::-1], z[inner])
+    n_val[outer], d_val[outer] = np.polyval(num, w), np.polyval(den, w)
     singular = d_val == 0
     sigma = np.divide(n_val, d_val, out=np.full_like(z, np.inf), where=~singular)
     shift = len(num) - len(den)
@@ -285,14 +286,6 @@ def _stability_values(t: ButcherTableau, z: np.ndarray) -> tuple[np.ndarray, np.
         factor = z[scaled] if shift > 0 else 1 / z[scaled]
         sigma[scaled] *= factor ** abs(shift)
     return sigma, singular
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial with coefficients ``coeffs`` (highest degree first) at x."""
-    value = np.full(x.shape, coeffs[0], dtype=complex)
-    for c in coeffs[1:]:
-        value = value * x + c
-    return value
 
 
 def _resolvent(t, h, lam):

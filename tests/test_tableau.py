@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from rkspectral.errors import SingularResolventError
 from rkspectral.tableau import (
     ButcherTableau,
+    _stability_values,
     check_a_stability,
     gauss_legendre,
     quadrature_order,
-    _stability_values,
     resolve_tableau,
     stability_function,
 )
