@@ -328,7 +328,9 @@ def check_a_stability(t: ButcherTableau) -> StabilityReport:
     |y| in [1e-3, 1e6] and on a coarse log grid in the open left
     half-plane, and tests that the eigenvalues of ``a`` avoid the closed
     left half-plane except for an exact zero (tolerance band 1e-10).
-    Failures are reported, never raised.
+    Failures are reported, never raised; only a tableau whose stability
+    polynomials have a coefficient beyond the float range raises
+    ValueError.
     """
     y = np.logspace(-3, 6, _BOUNDARY_SAMPLES)
     boundary = np.concatenate([1j * y, -1j * y])
