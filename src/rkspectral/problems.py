@@ -7,6 +7,12 @@ in the velocity component as ``(0, -f(u))``; for the Schrodinger
 equation it is ``-i dV/d(conj u)``.  Cubic products alias onto retained
 modes unless the top third of the spectrum is zeroed afterwards
 (2/3 rule), which is the default here.
+
+The integer powers in the maps are chains of products, ``u * (u * u)``
+rather than ``u**3``: numpy sends a real ``u**3`` to libm ``pow``, about
+20 us per 256 points against about 1 us for the products (timeit, one
+Intel Xeon core), and a product chain on real data rounds like the real
+part of the same chain on complex data, where ``pow`` does not.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ class Nonlinearity:
 def _wave_cubic_plus_const(c: float) -> Nonlinearity:
     return Nonlinearity(
         name=f"cubic_plus_const:{c:g}",
-        value=lambda u: u**3 + c,
+        value=lambda u: u * (u * u) + c,
         tangent=lambda u, v: 3 * u**2 * v,
-        potential=lambda u: u**4 / 4 + c * u,
+        potential=lambda u: (u * u) * (u * u) / 4 + c * u,
     )
 
 
@@ -53,10 +59,17 @@ _NONLINEARITIES = {
     "wave": {
         "zero": Nonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * u * v, lambda u: 0 * u),
         "cubic": Nonlinearity(
-            "cubic", lambda u: u**3, lambda u, v: 3 * u**2 * v, lambda u: u**4 / 4
+            "cubic",
+            lambda u: u * (u * u),
+            lambda u, v: 3 * u**2 * v,
+            lambda u: (u * u) * (u * u) / 4,
         ),
         "quintic": Nonlinearity(
-            "quintic", lambda u: u**5, lambda u, v: 5 * u**4 * v, lambda u: u**6 / 6
+            "quintic",
+            lambda u: u * ((u * u) * (u * u)),
+            lambda u, v: 5 * ((u * u) * (u * u)) * v,
+            # numpy divides complex data by 6 as a product with 1/6
+            lambda u: (u * u) * ((u * u) * (u * u)) * (1 / 6),
         ),
     },
     "schrodinger": {
@@ -66,7 +79,7 @@ _NONLINEARITIES = {
             "cubic",
             value=lambda u: np.abs(u) ** 2 * u,
             tangent=lambda u, v: 2 * np.abs(u) ** 2 * v + u**2 * np.conj(v),
-            potential=lambda u: np.abs(u) ** 4 / 2,
+            potential=lambda u: (np.abs(u) ** 2) ** 2 / 2,
         ),
     },
 }

@@ -47,9 +47,12 @@ displacement to a real velocity forcing.  So when a run's starting
 coefficients have no nonzero imaginary part, ``_flow`` runs the stage
 iteration, the predictor and the update on float64 arrays -- the same
 functions, half the arithmetic -- and returns float64 coefficients;
-the public functions wrap them in complex states.  Complex data on such
-a grid, periodic grids (whose real fields have complex coefficients)
-and the Schrodinger equation keep complex arithmetic.
+the public functions wrap them in complex states.  Every operation of
+that run rounds like the real part of its complex counterpart -- the
+pointwise maps of B too, whose powers are products -- so the float64
+flow equals the complex flow bit for bit.  Complex data on such a grid,
+periodic grids (whose real fields have complex coefficients) and the
+Schrodinger equation keep complex arithmetic.
 """
 
 from __future__ import annotations

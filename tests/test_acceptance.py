@@ -32,7 +32,13 @@ from rkspectral.spectral import (
     wave_grid,
 )
 from rkspectral.stepper import SolverConfig, integrate, step, tangent_step
-from rkspectral.tableau import check_a_stability, gauss_legendre, quadrature_order, stability_function
+from rkspectral.tableau import (
+    ButcherTableau,
+    check_a_stability,
+    gauss_legendre,
+    quadrature_order,
+    stability_function,
+)
 
 FP_TOL = 1e-13
 H_LADDER = dyadic_h_list(0.02, 5)
@@ -204,6 +210,14 @@ def test_criterion_07_wave_full_order(wave_studies):
     )
 
 
+# Negative controls for the mass bound: A-stable methods that do not
+# conserve quadratic invariants.
+RADAU_IIA_2 = ButcherTableau(
+    2, [[5 / 12, -1 / 12], [3 / 4, 1 / 4]], [3 / 4, 1 / 4], [1 / 3, 1.0], 3, label="radau-iia-2"
+)
+IMPLICIT_EULER = ButcherTableau(1, [[1.0]], [1.0], [1.0], 1, label="implicit-euler")
+
+
 def test_criterion_08_conservation():
     def run():
         t1 = gauss_legendre(1)
@@ -212,15 +226,25 @@ def test_criterion_08_conservation():
         p = get_problem("nls-cubic-periodic", 64)
         u0 = nls_two_mode_state(p.grid)
         mass0 = conserved_quantities(p, u0)["mass"]
-        drifts = []
-        integrate(
-            p, t1, u0, cfg, 2000,
-            observer=lambda i, u, s: drifts.append(
-                abs(conserved_quantities(p, u)["mass"] - mass0) / mass0
-            ),
-        )
-        mass_drift = max(drifts)
-        assert mass_drift <= 1e-9
+
+        def mass_drift_of(t):
+            drifts = []
+            integrate(
+                p, t, u0, cfg, 2000,
+                observer=lambda i, u, s: drifts.append(
+                    abs(conserved_quantities(p, u)["mass"] - mass0) / mass0
+                ),
+            )
+            return max(drifts)
+
+        mass_drift = mass_drift_of(t1)
+        assert mass_drift <= 1e-12
+        # both controls drift past the bound; Radau IIA fits its order 3 on
+        # criterion 6's study, so its drift is not that of a broken method
+        radau = convergence_study(p, RADAU_IIA_2, u0, 0.5, H_LADDER, fp_tol=FP_TOL)
+        assert 2.7 <= radau.fitted_order <= 3.3
+        controls = [mass_drift_of(t) for t in (RADAU_IIA_2, IMPLICIT_EULER)]
+        assert min(controls) > 1e-12
 
         pw = get_problem("wave-cubic-periodic", 64)
         w0 = wave_band_state(pw.grid)
@@ -235,13 +259,14 @@ def test_criterion_08_conservation():
         early_max = max(deviations[:200])
         final = deviations[-1]
         assert final <= 2 * early_max
-        return mass_drift, final, early_max
+        return mass_drift, controls, final, early_max
 
-    (mass_drift, final, early_max), elapsed = timed(run)
+    (mass_drift, controls, final, early_max), elapsed = timed(run)
     assert elapsed < 30.0
     announce(
         8,
-        f"mass drift {mass_drift:.1e}; energy final dev {final:.2e} <= 2 x early max "
+        f"mass drift {mass_drift:.1e} (radau-iia-2 {controls[0]:.1e}, implicit-euler "
+        f"{controls[1]:.1e}); energy final dev {final:.2e} <= 2 x early max "
         f"{early_max:.2e} ({elapsed:.1f}s)",
     )
 

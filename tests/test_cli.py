@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkspectral import cli, harness
+from rkspectral import cli, harness, stepper
 from rkspectral.cli import main, run_config
 from rkspectral.spectral import State
 from rkspectral.stepper import _flow
@@ -553,6 +553,26 @@ def test_conservation_transforms_real_wave_rows_in_float64(tmp_path, capsys, mon
     # a short wave run may read as drift (exit 1); it still writes every row
     assert run_config(write_config(tmp_path, payload), tmp_path / "out") in (0, 1)
     assert seen == [np.dtype(dtype)] * 3
+
+
+@pytest.mark.parametrize("problem", ["wave-dirichlet-compatible", "wave-neumann"])
+def test_real_wave_conservation_matches_complex_arithmetic_bitwise(tmp_path, capsys,
+                                                                   monkeypatch, problem):
+    # the float64 flow and observer write the bytes of the complex ones; at
+    # h = 0.1 a last-bit difference in B reaches the CSV's mass and energy
+    payload = {"experiment": "conservation", "problem": problem, "n": 16, "h": 0.1,
+               "steps": 20}
+    cfg = write_config(tmp_path, payload)
+    outputs = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(stepper, "_real_data", lambda grid, x: False)
+            monkeypatch.setattr(harness, "_real_data", lambda grid, x: False)
+        out = tmp_path / f"forced{forced}"
+        code = run_config(cfg, out)
+        outputs.append((code, (out / "conservation.csv").read_bytes(),
+                        (out / "conservation_summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
