@@ -8,7 +8,9 @@ from .errors import (
     UnreliableReferenceError,
 )
 from .harness import (
+    ConservationReport,
     ConvergenceReport,
+    conservation_run,
     conserved_quantities,
     convergence_study,
     dirichlet_compatibility_study,

@@ -14,7 +14,6 @@ configuration, or a missed target.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import difflib
 import json
@@ -27,23 +26,15 @@ import numpy as np
 from . import harness
 from .errors import (ConvergenceFailureError, InputError, NumericalBlowupError,
                      UnreliableReferenceError)
-from .problems import evaluate_B_array, get_problem, list_problems, make_nonlinearity
+from .problems import get_problem, list_problems, make_nonlinearity
 from .spectral import State, base_norm, schrodinger_grid, wave_grid
-from .stepper import SolverConfig, _flow, step, tangent_step
+from .stepper import SolverConfig, _check_steps, step, tangent_step
 from .tableau import resolve_tableau
 
 # The experiments that read --debug-checks; elsewhere the flag is an error.
 _DEBUG_CHECKED = ("conservation",)
 
 _ORDER_WINDOW = 0.3
-
-# The conservation observer evaluates the states of this many steps in one
-# batch (``harness._conserved_rows``), whose rows are the values of single
-# states bit for bit.  On the Dirichlet wave run (n = 256, 2,000 steps, in
-# a process that has also imported scipy, as the benchmark's does) chunks
-# of 64 raised the peak RSS by 1.2 MB over one state at a time; chunks of
-# 16 added none (58.8-58.9 MB either way).
-_OBSERVER_CHUNK = 16
 
 # Config keys every experiment reads beside its defaults and extra keys.
 _COMMON_KEYS = ("experiment", "out", "debug_checks")
@@ -76,9 +67,10 @@ def _resolve(experiment, cfg) -> dict:
     for key in _POSITIVE_KEYS:
         if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ValueError(f"config key {key!r} must be positive, got {cfg[key]!r}")
-    for key, low in {"steps": 1, "n_steps": 0, "seed": 0}.items():
-        if key in cfg and cfg[key] < low:
-            raise ValueError(f"config key {key!r} must be at least {low}, got {cfg[key]!r}")
+    for key in {"steps", "n_steps"} & cfg.keys():
+        _check_steps(key, cfg[key])
+    if cfg["seed"] < 0:  # every experiment has a seed
+        raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']!r}")
     for h in cfg.get("h_values", ()):
         if not _is_number(h):
             raise ValueError(f"config key 'h_values' must hold numbers, got {h!r}")
@@ -141,13 +133,6 @@ def _initial_state(problem, cfg) -> State:
     return harness.wave_band_state(problem.grid)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _report_order_verdict(report, declared_p):
     ok = abs(report.fitted_order - declared_p) <= _ORDER_WINDOW
     return ok, (
@@ -166,61 +151,26 @@ def _run_convergence(cfg, out_dir, t, h_list, problem, u0):
 
 
 def _run_conservation(cfg, out_dir, t, solver, problem, u0):
-    h = solver.h
-    steps = int(cfg["steps"])
-    rows, pending = [], []
-    q0 = harness.conserved_quantities(problem, u0)
-
-    def evaluate_pending():
-        masses, energies = harness._conserved_rows(problem, np.stack(pending))
-        pending.clear()
-        for mass, energy in zip(masses.tolist(), energies.tolist()):
-            index = len(rows)
-            mass_drift = abs(mass - q0["mass"]) / max(abs(q0["mass"]), 1e-300)
-            energy_dev = abs(energy - q0["energy"])
-            # csv writes a float as str(), which is its shortest round-trip repr.
-            rows.append([index + 1, (index + 1) * h, mass, energy, mass_drift, energy_dev])
-
-    def observer(index, coeffs, stats):
-        pending.append(coeffs)
-        if len(pending) == _OBSERVER_CHUNK:
-            evaluate_pending()
-
-    # The observer gets the flow's own (float64 for real wave data) coefficients.
-    _, history = _flow(problem, t, u0.coeffs, solver, steps, evaluate_B_array, observer)
-    if pending:
-        evaluate_pending()
-    _write_csv(
-        out_dir / "conservation.csv",
-        ["step", "time", "mass", "energy", "mass_drift_rel", "energy_dev"],
-        rows,
-    )
-    energy_devs = [r[5] for r in rows]
-    early_steps = max(1, steps // 10)
-    early = max(energy_devs[:early_steps])
-    final = energy_devs[-1]
-    # Tenth j holds steps j*steps//10 + 1 .. (j+1)*steps//10 (none when steps < 10).
-    tenths = [energy_devs[j * steps // 10:(j + 1) * steps // 10] for j in range(10)]
-    result = {"energy_dev_final": final, "energy_dev_early_max": early,
-              "energy_dev_tenths": [max(part) if part else None for part in tenths],
-              "stage_iterations": sum(stats.iterations for stats in history),
-              "max_iterations": max(stats.iterations for stats in history)}
+    report = harness.conservation_run(problem, t, u0, solver, int(cfg["steps"]))
+    report.write_csv(out_dir / "conservation.csv")
+    result = report.summary_dict()
     if problem.grid.equation == "schrodinger":
         # Only NLS conserves "mass"; the wave system's is the displacement's
         # squared L2 norm, which the wave equation does not conserve.
-        mass_drift = max(r[4] for r in rows)
+        mass_drift = max(row[4] for row in report.rows)
         ok = mass_drift <= 1e-9
         verdict = f"relative mass drift {mass_drift:.2e} {'PASS' if ok else 'FAIL'}"
         result["mass_drift_rel"] = mass_drift
-        window = steps  # the mass verdict reads every step
+        window = len(report.rows)  # the mass verdict reads every step
     else:
+        early, final = result["energy_dev_early_max"], result["energy_dev_final"]
         ok = final <= 2 * early if early > 0 else final == 0
         verdict = (
             f"energy deviation final={final:.2e} early_max={early:.2e} "
             f"{'PASS (no drift)' if ok else 'FAIL'}"
         )
-        window = early_steps  # the final deviation is held against these steps
-    result["verdict_window"] = {"steps": window, "time": window * h}
+        window = report.early_steps  # the final deviation is held against these steps
+    result["verdict_window"] = {"steps": window, "time": window * solver.h}
     return result, ok, verdict
 
 
@@ -235,7 +185,7 @@ def _run_stability(cfg, out_dir, t, grid):
             argmax = {"h": float(h), "mode": mode}
         worst = max(worst, deviation)
         rows.append([repr(float(h)), repr(amp)])
-    _write_csv(out_dir / "stability.csv", ["h", "amplification"], rows)
+    harness._write_csv(out_dir / "stability.csv", ["h", "amplification"], rows)
     if cfg["grid"] == "schrodinger":
         ok = worst <= 1e-13
         verdict = f"max |amplification - 1| = {worst:.2e} {'PASS' if ok else 'FAIL'}"
@@ -250,7 +200,7 @@ def _run_smoothness(cfg, out_dir, t, problem, u0):
         problem, t, u0, float(cfg["h"]), int(cfg["q"]), levels=int(cfg["levels"]),
         fp_tol=float(cfg["fp_tol"]),
     )
-    _write_csv(
+    harness._write_csv(
         out_dir / "smoothness.csv",
         ["h_base", "normalized_difference"],
         [[repr(h), repr(v)] for h, v in results],
@@ -390,7 +340,7 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
     except KeyError as exc:
         return _fail(f"{exc.args[0]}")
     except InputError as exc:  # a library parameter, named by the config key that set it
-        key = "h_values" if experiment == "stability" else exc.name
+        key = "h_values" if experiment == "stability" and exc.name == "h" else exc.name
         if key == "h_list" and "h_list" not in cfg:  # too short, or T/h overflows
             key = "levels"
         return _fail(f"config key {key!r}: {exc}")

@@ -3,8 +3,8 @@
 Every run goes through one flow, ``_flow``, on coefficient arrays
 (..., c, n): ``step`` and ``integrate`` on one state, ``tangent_step``
 on the stacked (primal, tangent) pair, the same method tied together
-only by the nonlinearity (B(u), DB(u) v).  The order studies and the
-CLI's conservation runs call ``_flow`` directly; ``State`` objects
+only by the nonlinearity (B(u), DB(u) v).  The order studies and
+``harness.conservation_run`` call ``_flow`` directly; ``State`` objects
 appear only at the public edge.
 
 Stages solve the fixed-point equation
@@ -183,6 +183,13 @@ def _update(matrices, b, h, base, forcing):
     return _apply_update(update, base) + h * np.einsum("j,...jcn->...cn", b, z)
 
 
+def _check_steps(name, count):
+    """A run takes at least one step (``steps``), a stability power none (``n_steps``)."""
+    low = {"steps": 1, "n_steps": 0}[name]
+    if count < low:
+        raise InputError(name, f"{name} must be at least {low}, got {count!r}")
+
+
 def _check_grid(p, *states):
     if any(u.grid != p.grid for u in states):
         raise ValueError("state lives on a different grid than the problem")
@@ -300,30 +307,16 @@ def step(
 
 
 def integrate(
-    p: ProblemSpec,
-    t: ButcherTableau,
-    u0: State,
-    cfg: SolverConfig,
-    steps: int,
-    observer=None,
+    p: ProblemSpec, t: ButcherTableau, u0: State, cfg: SolverConfig, steps: int
 ) -> tuple[State, list[StepStats]]:
     """Apply the step map ``steps`` times, reporting per-step statistics.
 
     The first step is ``step``; each later step starts its stage
     iteration from the B of the last steps extrapolated to its nodes.
-    The observer, when given, is called after each step with
-    (step_index, state, stats) and must treat the state as read-only.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
+    _check_steps("steps", steps)
     _check_grid(p, u0)
-
-    def observe(index, coeffs, stats):
-        observer(index, State(p.grid, coeffs), stats)
-
-    coeffs, history = _flow(
-        p, t, u0.coeffs, cfg, steps, evaluate_B_array, None if observer is None else observe
-    )
+    coeffs, history = _flow(p, t, u0.coeffs, cfg, steps, evaluate_B_array)
     return State(p.grid, coeffs), history
 
 

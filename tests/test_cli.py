@@ -117,7 +117,7 @@ def test_dealias_override_takes_a_json_bool(tmp_path, capsys, monkeypatch):
         seen.append(p.dealias)
         return _flow(p, *args)
 
-    monkeypatch.setattr(cli, "_flow", recording_flow)
+    monkeypatch.setattr(harness, "_flow", recording_flow)
     for value in (False, True):
         payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
                    "dealias": value}
@@ -301,6 +301,7 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "convergence", "h_max": -0.02}, "h_max"),
      ({"experiment": "conservation", "h": 0}, "h"),
      ({"experiment": "conservation", "steps": 0}, "steps"),
+     ({"experiment": "stability", "n_steps": -1}, "n_steps"),
      ({"experiment": "convergence", "n": 5}, "n"),
      ({"experiment": "dirichlet-compat", "n": 0}, "n"),
      ({"experiment": "tangent-check", "h_list": [0.02]}, "h_list"),
@@ -497,7 +498,7 @@ def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeyp
         histories.append(history)
         return final, history
 
-    monkeypatch.setattr(cli, "_flow", recording_flow)
+    monkeypatch.setattr(harness, "_flow", recording_flow)
     payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 20}
     out = tmp_path / "out"
     assert run_config(write_config(tmp_path, payload), out) == 0
@@ -517,13 +518,13 @@ def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeyp
 def test_chunked_observer_writes_the_per_step_csv(tmp_path, capsys, monkeypatch, problem, steps):
     # full chunks of 16 states, and the final partial chunk, give the bytes
     # of an evaluation one state at a time
-    assert cli._OBSERVER_CHUNK == 16
+    assert harness._OBSERVER_CHUNK == 16
     payload = {"experiment": "conservation", "problem": problem, "n": 16, "h": 0.01,
                "steps": steps}
     cfg = write_config(tmp_path, payload)
     outputs = []
     for chunk in (16, 1):
-        monkeypatch.setattr(cli, "_OBSERVER_CHUNK", chunk)
+        monkeypatch.setattr(harness, "_OBSERVER_CHUNK", chunk)
         out = tmp_path / f"chunk{chunk}"
         code = run_config(cfg, out)
         outputs.append((code, (out / "conservation.csv").read_bytes(),

@@ -11,6 +11,7 @@ from rkspectral import harness
 from rkspectral.errors import SingularResolventError, UnreliableReferenceError
 from rkspectral.harness import (
     _summarize,
+    conservation_run,
     conserved_quantities,
     convergence_study,
     dyadic_h_list,
@@ -218,6 +219,12 @@ BAD_INPUTS = {
     "nan stability step": (
         lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), math.nan, 10),
         "h", "h must be finite and nonnegative"),
+    "negative stability power": (
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), 0.1, -1),
+        "n_steps", "n_steps must be at least 0"),
+    "no conservation step": (
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01), 0),
+        "steps", "steps must be at least 1"),
 }
 
 
@@ -501,6 +508,29 @@ class TestConservedRows:
                 q = conserved_quantities(p, State(p.grid, coeffs[j]))
                 assert (mass[j], energy[j]) == (q["mass"], q["energy"])
                 assert math.isfinite(q["energy"])
+
+    @pytest.mark.parametrize("steps", [1, 16, 17])
+    @pytest.mark.parametrize(
+        "name", ["nls-cubic-periodic", "wave-dirichlet-compatible", "wave-neumann"]
+    )
+    def test_conservation_run_rows_are_conserved_quantities_bitwise(self, name, steps):
+        # one state, a full chunk of 16 and a partial one; the real wave
+        # data run in float64.  A run of j steps is the first j of a longer run.
+        p = get_problem(name, 16)
+        initial = nls_two_mode_state if p.grid.equation == "schrodinger" else wave_band_state
+        u0 = initial(p.grid)
+        cfg = SolverConfig(h=0.01, fp_tol=1e-13)
+        report = conservation_run(p, MIDPOINT, u0, cfg, steps)
+        q0 = conserved_quantities(p, u0)
+        assert len(report.rows) == steps
+        for j, row in enumerate(report.rows, start=1):
+            q = conserved_quantities(p, integrate(p, MIDPOINT, u0, cfg, j)[0])
+            assert row == [j, j * cfg.h, q["mass"], q["energy"],
+                           abs(q["mass"] - q0["mass"]) / q0["mass"],
+                           abs(q["energy"] - q0["energy"])]
+        _, history = integrate(p, MIDPOINT, u0, cfg, steps)
+        assert report.stage_iterations == sum(s.iterations for s in history)
+        assert report.max_iterations == max(s.iterations for s in history)
 
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     def test_quadrature_rows_are_single_quadratures(self, bc):

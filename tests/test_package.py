@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import inspect
 import os
@@ -13,6 +14,7 @@ from rkspectral import cli
 # extension of the API; one that only tests need belongs in tests/oracles.py.
 PUBLIC_NAMES = [
     "ButcherTableau",
+    "ConservationReport",
     "ConvergenceFailureError",
     "ConvergenceReport",
     "Nonlinearity",
@@ -29,6 +31,7 @@ PUBLIC_NAMES = [
     "apply_exp_tA",
     "base_norm",
     "check_a_stability",
+    "conservation_run",
     "conserved_quantities",
     "convergence_study",
     "dirichlet_compatibility_study",
@@ -69,7 +72,6 @@ SETTABLE_VALUES = [
     "SolverConfig.debug_checks",
     "SolverConfig.fp_tol",
     "SolverConfig.h",
-    "integrate(observer)",
     "nls_two_mode_state(amplitudes)",
     "nls_two_mode_state(modes)",
     "random_band_state(amplitude)",
@@ -85,6 +87,8 @@ SETTABLE_VALUES = [
 # classes other than the exceptions.  A name added here is new API.
 PUBLIC_ATTRIBUTES = {
     "ButcherTableau": ["a", "b", "c", "from_json", "label", "p", "s", "to_json"],
+    "ConservationReport": ["early_steps", "max_iterations", "rows", "stage_iterations",
+                           "summary_dict", "write_csv"],
     "ConvergenceReport": ["T", "errors", "fitted_order", "flagged", "fp_tol", "h_list",
                           "problem", "reference", "stage_iterations", "stats", "summary_dict",
                           "tableau", "write_csv"],
@@ -138,7 +142,7 @@ def test_settable_values_are_pinned(monkeypatch, capsys):
                 if not method.startswith("_") and inspect.isfunction(fn):
                     values += defaulted(f"{name}.{method}", fn)
     assert sorted(values) == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 19
+    assert len(SETTABLE_VALUES) == 18
 
 
 def test_public_surface_is_pinned():
@@ -158,6 +162,26 @@ def test_public_class_attributes_are_pinned():
             fields = {f.name for f in dataclasses.fields(cls)}
             attributes[name] = sorted(fields | {a for a in vars(cls) if not a.startswith("_")})
     assert attributes == PUBLIC_ATTRIBUTES
+
+
+# The private library names the CLI may use: the input rules it checks
+# before any run, and the CSV writer its runners share with the reports.
+CLI_PRIVATE_NAMES = ["_check_divides", "_check_growth_step", "_check_ladder", "_check_stencil",
+                     "_check_steps", "_write_csv"]
+
+
+def test_cli_private_library_names_are_pinned():
+    # a run's work goes through public harness and stepper functions
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    layers = ("harness", "stepper")
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in layers:
+            private.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in layers and node.attr.startswith("_")):
+            private.add(node.attr)
+    assert sorted(private) == CLI_PRIVATE_NAMES
 
 
 def test_cli_import_loads_no_scipy():

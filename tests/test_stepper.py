@@ -35,6 +35,16 @@ def two_mode(grid, a1=0.5, a2=0.25):
     return mode_state(grid, 0, {1: a1, 2: a2})
 
 
+def observed_flow(p, t, u, cfg, steps, observer):
+    """``integrate`` through ``stepper._flow``, whose observer is called
+    after each step with (step_index, state, stats)."""
+    coeffs, history = stepper._flow(
+        p, t, u.coeffs, cfg, steps, evaluate_B_array,
+        lambda i, x, stats: observer(i, State(p.grid, x), stats),
+    )
+    return State(p.grid, coeffs), history
+
+
 def reference_step(p, t, states, cfg, B):
     """One step of each state family iterated on its own from public pieces.
 
@@ -371,8 +381,8 @@ class TestBlowupFailsLoudly:
         p = get_problem("nls-cubic-periodic", 16)
         seen = []
         with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
-            integrate(p, GL2, huge_state(p.grid), SolverConfig(h=0.1), 5,
-                      observer=lambda *args: seen.append(args))
+            observed_flow(p, GL2, huge_state(p.grid), SolverConfig(h=0.1), 5,
+                          lambda *args: seen.append(args))
         assert seen == []
 
     def test_tangent_step_with_a_huge_primal_half(self):
@@ -513,9 +523,9 @@ class TestIntegrate:
         p = get_problem("nls-cubic-periodic", 16)
         u = two_mode(p.grid)
         seen = []
-        integrate(
+        observed_flow(
             p, MIDPOINT, u, SolverConfig(h=0.01), 3,
-            observer=lambda i, state, stats: seen.append((i, stats.iterations)),
+            lambda i, state, stats: seen.append((i, stats.iterations)),
         )
         assert [i for i, _ in seen] == [0, 1, 2]
 
@@ -526,12 +536,13 @@ class TestIntegrate:
             raise RuntimeError("stop here")
 
         with pytest.raises(RuntimeError, match="stop here"):
-            integrate(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01), 3, observer=boom)
+            observed_flow(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01), 3, boom)
 
     def test_step_count_validation(self):
         p = get_problem("nls-cubic-periodic", 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="steps must be at least 1") as exc:
             integrate(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01), 0)
+        assert exc.value.name == "steps"
 
     @pytest.mark.parametrize("run", ["integrate", "tangent", "step"])
     def test_builds_step_matrices_once_per_run(self, run, monkeypatch):
@@ -609,7 +620,7 @@ class TestPredictedStart:
         points = max(s, stepper._PREDICTOR_POINTS)
         steps = -(-points // s)
         seen = []
-        integrate(p, t, u, cfg, steps + 3, lambda i, x, st: seen.append(x))
+        observed_flow(p, t, u, cfg, steps + 3, lambda i, x, st: seen.append(x))
         assert built == [min(points, j * s) for j in range(1, steps + 1)]
         first, _ = step(p, t, u, cfg)
         assert seen[0].coeffs.tobytes() == first.coeffs.tobytes()
@@ -622,7 +633,7 @@ class TestPredictedStart:
         cfg = SolverConfig(h=0.01, fp_tol=1e-13)
         u = initial(p.grid)
         seen = []
-        final, history = integrate(p, t, u, cfg, 10, lambda i, x, st: seen.append(x))
+        final, history = observed_flow(p, t, u, cfg, 10, lambda i, x, st: seen.append(x))
         first, first_stats = step(p, t, u, cfg)
         assert seen[0].coeffs.tobytes() == first.coeffs.tobytes()
         assert history[0] == first_stats
