@@ -175,16 +175,16 @@ def _run_conservation(cfg, out_dir, t, solver, problem, u0):
 
 
 def _run_stability(cfg, out_dir, t, grid):
-    n_steps = int(cfg["n_steps"])
+    h_values = [float(h) for h in cfg["h_values"]]
+    growths = harness.stability_growth(t, grid, h_values, int(cfg["n_steps"]))
     rows = []
     worst, argmax = 0.0, None
-    for h in cfg["h_values"]:
-        amp, mode = harness.stability_growth(t, grid, float(h), n_steps)
+    for h, (amp, mode) in zip(h_values, growths):
         deviation = abs(amp - 1.0)
         if argmax is None or deviation > worst:
-            argmax = {"h": float(h), "mode": mode}
+            argmax = {"h": h, "mode": mode}
         worst = max(worst, deviation)
-        rows.append([repr(float(h)), repr(amp)])
+        rows.append([repr(h), repr(amp)])
     harness._write_csv(out_dir / "stability.csv", ["h", "amplification"], rows)
     if cfg["grid"] == "schrodinger":
         ok = worst <= 1e-13
@@ -340,7 +340,7 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
     except KeyError as exc:
         return _fail(f"{exc.args[0]}")
     except InputError as exc:  # a library parameter, named by the config key that set it
-        key = "h_values" if experiment == "stability" and exc.name == "h" else exc.name
+        key = exc.name
         if key == "h_list" and "h_list" not in cfg:  # too short, or T/h overflows
             key = "levels"
         return _fail(f"config key {key!r}: {exc}")

@@ -260,7 +260,7 @@ def stability_function(t: ButcherTableau, z: complex) -> complex:
 
 
 def _stability_values(t: ButcherTableau, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S(z) = N(z) / D(z) at the complex points ``z`` (shape (m,)) from the
+    """S(z) = N(z) / D(z) at the complex points ``z`` (any shape) from the
     tableau's stability polynomials, and the mask of singular points,
     D(z) = 0, where S reads inf.
 

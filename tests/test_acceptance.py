@@ -125,8 +125,8 @@ def test_criterion_03_normal_operator_stability():
         worst = 0.0
         for s in (1, 2, 3):
             t = gauss_legendre(s)
-            for h in (1e-3, 1e-2, 1e-1, 1.0):
-                worst = max(worst, abs(stability_growth(t, grid, h, 10)[0] - 1.0))
+            for growth, _ in stability_growth(t, grid, [1e-3, 1e-2, 1e-1, 1.0], 10):
+                worst = max(worst, abs(growth - 1.0))
         assert worst <= 1e-13
         return worst
 

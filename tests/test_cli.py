@@ -110,6 +110,43 @@ def test_stability_summary_names_the_maximizing_point(tmp_path, capsys):
     assert result["max_deviation"] == max(float(row.split(",")[1]) - 1.0 for row in rows)
 
 
+def test_empty_stability_sweep_passes_with_no_argmax(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "stability", "h_values": []})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 0
+    assert capsys.readouterr().out == "stability: max |amplification - 1| = 0.00e+00 PASS\n"
+    assert (out / "stability.csv").read_bytes() == b"h,amplification\r\n"
+    summary = json.loads((out / "stability_summary.json").read_text(encoding="utf-8"))
+    assert summary["result"] == {"argmax": None, "max_deviation": 0.0}
+    assert summary["pass"] is True
+
+
+def test_stability_sweep_is_one_library_call(tmp_path, capsys, monkeypatch):
+    calls, growth = [], harness.stability_growth
+
+    def recording(t, grid, h_values, n_steps):
+        calls.append((list(h_values), n_steps))
+        return growth(t, grid, h_values, n_steps)
+
+    monkeypatch.setattr(harness, "stability_growth", recording)
+    payload = {"experiment": "stability", "grid": "wave", "n": 16, "n_steps": 3,
+               "h_values": [0.1, 1, 0.2]}
+    assert run_config(write_config(tmp_path, payload), tmp_path / "out") == 0
+    assert calls == [([0.1, 1.0, 0.2], 3)]
+    assert all(type(h) is float for h in calls[0][0])
+
+
+def test_negative_stability_step_error_is_unchanged(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "stability", "h_values": [0.1, -1.0]})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config key 'h_values': h must be finite and nonnegative, got -1.0\n")
+    assert not out.exists()
+
+
 def test_dealias_override_takes_a_json_bool(tmp_path, capsys, monkeypatch):
     seen = []
 

@@ -214,13 +214,17 @@ BAD_INPUTS = {
     "subnormal dyadic ladder": (
         lambda p, u0: dyadic_h_list(1e-300, 100), "levels", "normal steps"),
     "negative stability step": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), -1.0, 10),
-        "h", "h must be finite and nonnegative"),
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [-1.0], 10),
+        "h_values", "h must be finite and nonnegative"),
     "nan stability step": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), math.nan, 10),
-        "h", "h must be finite and nonnegative"),
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [math.nan], 10),
+        "h_values", "h must be finite and nonnegative"),
+    "bad stability step after five good ones": (
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16),
+                                       [0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.6], 10),
+        "h_values", re.escape("h must be finite and nonnegative, got -1.0")),
     "negative stability power": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), 0.1, -1),
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [0.1], -1),
         "n_steps", "n_steps must be at least 0"),
     "no conservation step": (
         lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01), 0),
@@ -546,23 +550,28 @@ class TestConservedRows:
             assert rows.tobytes() == expected.tobytes()
 
 
+def growths(t, grid, h_values, n_steps):
+    """The growths of a ``stability_growth`` sweep, without their modes."""
+    return [growth for growth, _ in stability_growth(t, grid, h_values, n_steps)]
+
+
 class TestStabilityGrowth:
     def test_zero_steps_is_one(self):
-        assert stability_growth(MIDPOINT, schrodinger_grid(16), 0.1, 0)[0] == 1.0
+        assert growths(MIDPOINT, schrodinger_grid(16), [0.1], 0) == [1.0]
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_schrodinger_amplification_is_one(self, s):
         grid = schrodinger_grid(256)
         t = gauss_legendre(s)
-        for h in (1e-3, 1e-2, 1e-1, 1.0):
-            assert stability_growth(t, grid, h, 10)[0] == pytest.approx(1.0, abs=1e-13)
+        for growth in growths(t, grid, [1e-3, 1e-2, 1e-1, 1.0], 10):
+            assert growth == pytest.approx(1.0, abs=1e-13)
 
     def test_wave_secular_growth_is_linear(self):
         # k = 0 block: growth ~ 1 + n h, far below exponential
         grid = wave_grid(64)
         h = 0.1
-        a100 = stability_growth(MIDPOINT, grid, h, 100)[0]
-        a1000 = stability_growth(MIDPOINT, grid, h, 1000)[0]
+        [a100] = growths(MIDPOINT, grid, [h], 100)
+        [a1000] = growths(MIDPOINT, grid, [h], 1000)
         assert a100 == pytest.approx(math.hypot(100 * h, 1), rel=0.2)
         assert a1000 / a100 == pytest.approx(10.0, rel=0.15)
 
@@ -573,15 +582,17 @@ class TestStabilityGrowth:
         # does the closed form where the k = 0 block sets the maximum
         # (periodic and Neumann grids); a Dirichlet grid has no k = 0 mode,
         # so there the closed form holds it to 1e-12 relative.
+        h_values = [1e-3, 0.37, 1.0, 2.5]  # a real SVD differs at s=2, h=1
         for n in (16, 256, 1024):
             grid = wave_grid(n - (bc != "periodic"), bc)
             k = grid.modes.astype(float)
             weights = np.sqrt(k**2 + 1.0)
             for s in (1, 2, 3, 6):
                 t = gauss_legendre(s)
-                for h in (1e-3, 0.37, 1.0, 2.5):  # a real SVD differs at s=2, h=1
-                    _, update = step_matrices(t, h, grid)
-                    for n_steps in (1, 10):
+                for n_steps in (1, 10):
+                    sweep = growths(t, grid, h_values, n_steps)
+                    for h, got in zip(h_values, sweep, strict=True):
+                        _, update = step_matrices(t, h, grid)
                         powers = np.linalg.matrix_power(update, n_steps)
                         scale = np.zeros_like(powers)
                         scale[:, 0, 0] = weights
@@ -592,7 +603,6 @@ class TestStabilityGrowth:
                         norms = np.linalg.norm(scale @ powers @ inv_scale, ord=2, axis=(1, 2))
                         expected = float(np.max(norms))
                         assert matrix_stability_growth(t, grid, h, n_steps) == expected
-                        got = stability_growth(t, grid, h, n_steps)[0]
                         if bc == "dirichlet":
                             assert got == pytest.approx(expected, rel=1e-12, abs=0), (n, s, h)
                         else:
@@ -607,19 +617,18 @@ class TestStabilityGrowth:
         # here and from the s x s inverse in the step matrices: against the
         # 40-digit growth of the same binary tableau they read up to 1.4e-14
         # and 1.9e-14 relative, and each other up to 2.3e-14.
+        h_values = [1e-3, 0.37, 1.0, 2.5]
         for n in (16, 256):
             grid = SpectralGrid(equation, bc, n - (bc != "periodic"))
             for s in range(1, 9):
                 t = gauss_legendre(s)
                 polys = exact_gl_polynomials(s) if equation == "schrodinger" else None
-                for h in (1e-3, 0.37, 1.0, 2.5):
-                    if polys:
-                        largest = exact_largest_stability_modulus(polys, grid, h)
-                    for n_steps in (1, 10):
+                for n_steps in (1, 10):
+                    sweep = growths(t, grid, h_values, n_steps)
+                    for h, got in zip(h_values, sweep, strict=True):
                         expected = matrix_stability_growth(t, grid, h, n_steps)
-                        got = stability_growth(t, grid, h, n_steps)[0]
                         if polys:
-                            exact = largest**n_steps
+                            exact = exact_largest_stability_modulus(polys, grid, h) ** n_steps
                             assert abs(got - exact) <= 2e-14 * exact, (n, s, h, n_steps)
                             assert got == pytest.approx(expected, rel=3e-14, abs=0), (n, s, h)
                         elif (equation, bc) == ("wave", "dirichlet"):
@@ -628,13 +637,33 @@ class TestStabilityGrowth:
                             assert got == expected, (n, s, h)
 
     def test_h_scan_sweep_matches_step_matrix_oracle_bitwise(self):
-        # the benchmark's stability sweep: 400 log-spaced steps on [1e-4, 1]
+        # the benchmark's stability sweep: 400 log-spaced steps on [1e-4, 1],
+        # one call across 50 chunks
         grid = wave_grid(1024)
         t = gauss_legendre(3)
         step = 4.0 / 399
-        for i in range(400):
-            h = 10.0 ** min(max(-4.0 + i * step, -4.0), 0.0)
-            assert stability_growth(t, grid, h, 10)[0] == matrix_stability_growth(t, grid, h, 10), h
+        h_values = [10.0 ** min(max(-4.0 + i * step, -4.0), 0.0) for i in range(400)]
+        sweep = growths(t, grid, h_values, 10)
+        assert len(h_values) == 50 * harness._GROWTH_CHUNK
+        for h, got in zip(h_values, sweep, strict=True):
+            assert got == matrix_stability_growth(t, grid, h, 10), h
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 17])
+    @pytest.mark.parametrize(
+        "equation, bc", [("wave", "periodic"), ("wave", "dirichlet"), ("schrodinger", "periodic")])
+    def test_sweep_is_its_single_steps_bitwise(self, equation, bc, length):
+        # chunks of 8: none, one partial, one full, one full and a partial,
+        # two full and a partial; with no steps every entry is (1.0, first mode)
+        grid, t = SpectralGrid(equation, bc, 32), gauss_legendre(3)
+        h_values = np.random.default_rng(length).uniform(0.0, 2.0, length).tolist()
+        first_mode = int(grid.modes[grid._distinct_symbols[0][0]])
+        for n_steps in (0, 1, 10):
+            sweep = stability_growth(t, grid, h_values, n_steps)
+            assert sweep == [stability_growth(t, grid, [h], n_steps)[0] for h in h_values]
+            assert all(type(g) is float and type(m) is int for g, m in sweep)
+            if n_steps == 0:
+                assert sweep == [(1.0, first_mode)] * length
+        assert stability_growth(t, grid, iter(h_values), 10) == sweep
 
     @pytest.mark.parametrize(
         "equation, bc", [("wave", "periodic"), ("wave", "dirichlet"), ("schrodinger", "periodic")])
@@ -645,11 +674,10 @@ class TestStabilityGrowth:
         # is finite, as the step-matrix path's is, and within rkbench's
         # stability tolerance of it (up to 4.0e-14 relative).
         grid, t = SpectralGrid(equation, bc, 16), gauss_legendre(s)
-        for j in range(-300, 301, 10):
-            h = 10.0**j
-            for n_steps in (1, 10):
+        h_values = [10.0**j for j in range(-300, 301, 10)]
+        for n_steps in (1, 10):
+            for h, got in zip(h_values, growths(t, grid, h_values, n_steps), strict=True):
                 expected = matrix_stability_growth(t, grid, h, n_steps)
-                got = stability_growth(t, grid, h, n_steps)[0]
                 assert got == pytest.approx(expected, rel=1e-12, abs=0), (h, n_steps)
 
     def test_reports_the_mode_attaining_the_maximum(self):
@@ -657,11 +685,11 @@ class TestStabilityGrowth:
         # rule's secular growth sits in k = 0, and with no steps every mode
         # ties at 1, so the first representative is named.
         euler = ButcherTableau(1, [[0.0]], [1.0], [0.0], 1)
-        assert stability_growth(euler, wave_grid(16, "dirichlet"), 0.1, 10)[1] == 16
-        assert stability_growth(euler, schrodinger_grid(16), 0.1, 10)[1] == 8
-        growth, mode = stability_growth(MIDPOINT, wave_grid(64), 0.1, 100)
+        assert stability_growth(euler, wave_grid(16, "dirichlet"), [0.1], 10)[0][1] == 16
+        assert stability_growth(euler, schrodinger_grid(16), [0.1], 10)[0][1] == 8
+        [(growth, mode)] = stability_growth(MIDPOINT, wave_grid(64), [0.1], 100)
         assert (growth, mode) == (matrix_stability_growth(MIDPOINT, wave_grid(64), 0.1, 100), 0)
-        assert stability_growth(MIDPOINT, wave_grid(16, "dirichlet"), 0.1, 0) == (1.0, 1)
+        assert stability_growth(MIDPOINT, wave_grid(16, "dirichlet"), [0.1], 0) == [(1.0, 1)]
 
     @pytest.mark.parametrize(
         "t, grid, h, n_steps",
@@ -677,7 +705,7 @@ class TestStabilityGrowth:
         # tier-1 turns warnings into errors, so this also checks that none escapes
         message = re.escape(f"n_steps={n_steps} steps of h={h!r} is not finite")
         with pytest.raises(ValueError, match=message):
-            stability_growth(t, grid, h, n_steps)
+            stability_growth(t, grid, [h], n_steps)
 
     @pytest.mark.parametrize(
         "equation, n, bc, h, mode",
@@ -691,12 +719,31 @@ class TestStabilityGrowth:
         # at z = +-i: where h k^2 = 1 (Schrodinger) or h k = 1 (wave).
         t = ButcherTableau(2, [[0, -1], [1, 0]], [0.5, 0.5], [-1, 1], 1)
         with pytest.raises(SingularResolventError) as info:
-            stability_growth(t, SpectralGrid(equation, bc, n), h, 10)
+            stability_growth(t, SpectralGrid(equation, bc, n), [h], 10)
         assert info.value.where == mode
+
+    @pytest.mark.parametrize("overflow_first", [True, False])
+    def test_first_step_at_fault_in_a_chunk_raises(self, overflow_first):
+        # h = 1e308 overflows h k, h = 1 meets the singular block at k = 1;
+        # both sit inside one chunk, after good steps, and the earlier raises
+        t = ButcherTableau(2, [[0, -1], [1, 0]], [0.5, 0.5], [-1, 1], 1)
+        grid = wave_grid(8)
+        faults = [1e308, 1.0] if overflow_first else [1.0, 1e308]
+        h_values = [0.3, 0.1, *faults, 0.2]
+        assert len(h_values) <= harness._GROWTH_CHUNK
+        if overflow_first:
+            with pytest.raises(ValueError, match=re.escape("steps of h=1e+308 is not finite")) as info:
+                stability_growth(t, grid, h_values, 10)
+            assert not isinstance(info.value, SingularResolventError)
+        else:
+            with pytest.raises(SingularResolventError) as info:
+                stability_growth(t, grid, h_values, 10)
+            assert info.value.where == 1
+            assert str(info.value) == "singular stage block at mode 1 for h = 1.0"
 
     def test_wave_nonzero_modes_stay_bounded(self):
         grid = wave_grid(64, "dirichlet")  # no zero mode on this grid
-        amp, _ = stability_growth(gauss_legendre(2), grid, 0.05, 500)
+        [amp] = growths(gauss_legendre(2), grid, [0.05], 500)
         assert amp < 1.5
 
 
@@ -780,6 +827,17 @@ def test_state_on_another_grid_rejected_before_any_run(monkeypatch, wrong):
             p, MIDPOINT, states["u0"], states["v0"], 0.5, h_list, fp_tol=1e-13
         )
     assert runs == []
+
+
+def test_conserved_quantities_rejects_a_state_on_another_grid():
+    # Neumann weights and quadrature would otherwise read sine coefficients
+    p = get_problem("wave-neumann", 16)
+    u = wave_band_state(wave_grid(16, "dirichlet"))
+    message = "state lives on a different grid than the problem"
+    with pytest.raises(ValueError, match=message):
+        conserved_quantities(p, u)
+    with pytest.raises(ValueError, match=message):
+        conservation_run(p, MIDPOINT, u, SolverConfig(h=0.01), 1)
 
 
 @pytest.mark.parametrize("name", ["nls-cubic-periodic", "wave-dirichlet-compatible",
