@@ -65,8 +65,8 @@ def _resolve(experiment, cfg) -> dict:
     ValueError (or KeyError, for an unknown name) naming the first config
     key whose value is out of range, or the library's InputError."""
     for key in _POSITIVE_KEYS:
-        if key in cfg and not (math.isfinite(cfg[key]) and cfg[key] > 0):
-            raise ValueError(f"config key {key!r} must be positive, got {cfg[key]!r}")
+        if key in cfg and not 0 < cfg[key] <= sys.float_info.max:  # a huge int is not finite
+            raise InputError(key, f"{key} must be finite and positive, got {cfg[key]!r}")
     for key in {"steps", "n_steps"} & cfg.keys():
         _check_steps(key, cfg[key])
     if cfg["seed"] < 0:  # every experiment has a seed
@@ -89,11 +89,11 @@ def _resolve(experiment, cfg) -> dict:
                 raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
             hs = cfg["h_list"]
         else:  # a derived ladder's steps divide T when h_max does, unless they overflow it
-            hs = harness.dyadic_h_list(float(cfg["h_max"]), int(cfg["levels"]))
+            hs = harness.dyadic_h_list(cfg["h_max"], int(cfg["levels"]))
             harness._check_divides(cfg["T"], hs[0], "h_max")
         inputs["h_list"] = harness._check_ladder(cfg["T"], hs, cfg["fp_tol"], t.p)
     if experiment in ("conservation", "tangent-check"):
-        inputs["solver"] = SolverConfig(float(cfg["h"]), float(cfg["fp_tol"]), cfg["debug_checks"])
+        inputs["solver"] = SolverConfig(cfg["h"], cfg["fp_tol"], cfg["debug_checks"])
     if experiment == "smoothness":
         harness._check_stencil(cfg["h"], cfg["q"], cfg["levels"])
     if experiment == "stability" and cfg["grid"] not in _GRIDS:

@@ -132,7 +132,10 @@ class ConvergenceReport:
 def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
     """The order-study input rule: two or more strictly decreasing steps,
     each dividing T, and an ``fp_tol`` tight enough for the finest one."""
-    h_list = [float(h) for h in h_list]
+    try:
+        h_list = [float(h) for h in h_list]
+    except OverflowError:  # an int too large for a float
+        raise InputError("h_list", "every step must be finite") from None
     if len(h_list) < 2 or any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise InputError("h_list", f"need two or more strictly decreasing steps, got {h_list!r}")
     for h in h_list:
@@ -147,7 +150,8 @@ def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
 def _check_divides(T, h, name):
     """A study step's rule: T / h is a positive integer.  ``name`` is the
     parameter that set h."""
-    m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
+    fits = h > 0 and abs(T) <= sys.float_info.max  # an int T may be too large for a float
+    m = round(T / h) if fits and math.isfinite(T / h) else 0
     if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
         raise InputError(name, f"T/h must be a positive integer; T={T}, h={h}")
 
@@ -395,8 +399,8 @@ def _conserved_rows(p: ProblemSpec, coeffs: np.ndarray):
 
 def _check_growth_step(h):
     """The stability sweep's step rule: each h of ``h_values`` finite and
-    nonnegative."""
-    if not 0 <= h < math.inf:
+    nonnegative (an int too large for a float is not finite)."""
+    if not 0 <= h <= sys.float_info.max:
         raise InputError("h_values", f"h must be finite and nonnegative, got {h!r}")
 
 
@@ -514,7 +518,10 @@ def _check_stencil(h, q, levels):
     if levels < 1:
         raise InputError("levels", f"need at least one level, got {levels!r}")
     for name, level in (("h", 0), ("levels", levels - 1)):
-        spacing = math.ldexp(h, -level) / (q + 1)
+        try:
+            spacing = math.ldexp(h, -level) / (q + 1)
+        except OverflowError:  # an int h too large for a float
+            spacing = math.inf
         try:
             scale = spacing**q
         except OverflowError:
@@ -665,7 +672,7 @@ def tangent_convergence_study(
 
 def dyadic_h_list(h_max: float, levels: int) -> list[float]:
     """h_max, h_max/2, ..., h_max/2^(levels-1): positive normal floats."""
-    if not sys.float_info.min <= h_max < math.inf:
+    if not sys.float_info.min <= h_max <= sys.float_info.max:
         raise InputError("h_max", f"h_max must be a positive normal float, got {h_max!r}")
     if levels < 1 or math.ldexp(h_max, 1 - levels) < sys.float_info.min:
         raise InputError("levels", f"need 1 <= levels={levels!r} and normal steps h_max / 2**j")

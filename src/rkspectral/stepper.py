@@ -18,14 +18,18 @@ starts from
     W_0 = (I - h a (x) A)^{-1} (1 u + h a E [F_{n-K+1}; ...; F_n]),
 
 where F_m is step m's final-iteration B, kept for the last
-K = ceil(P / s) steps with P = max(s, 5), and E[i, j] = l_j(1 + c_i)
-evaluates the Lagrange basis on the last P history node times
+K = ceil(P / s) steps with P = 8 for s = 1 and P = max(s, 5) for
+s >= 2 (``_predictor_points``), and E[i, j] = l_j(1 + c_i) evaluates
+the Lagrange basis on the last P history node times
 (c - (K - 1), ..., c - 1, c) at the new step's nodes: the "starting
 values" of Hairer & Wanner (Solving ODEs II, section IV.8), continued
 across steps.  The first steps of a run use the min(P, j s) node times
 their j steps provide.  B is extrapolated, not W, so the stiff linear
 part still goes through the resolvent and highly oscillatory modes are
-never extrapolated.  The update is then evaluated in resolvent form,
+never extrapolated.  At large h the extrapolated start can leave the
+iteration's basin; a step whose predicted iteration diverges to a
+non-finite residual restarts from the B = 0 solution.  The update is
+then evaluated in resolvent form,
 
     u' = S(hA) u + h b^T (I - h a (x) A)^{-1} B(W_prev),
 
@@ -58,6 +62,7 @@ Schrodinger equation keep complex arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -82,12 +87,37 @@ _CONTRACTION_WARN = 0.9
 # A stage iteration that has not converged after this many iterations fails.
 _FP_MAX_ITERS = 200
 
-# The predictor extrapolates B through the last max(s, _PREDICTOR_POINTS)
-# history node times.  Over NLS, periodic and Dirichlet wave runs at
-# h = 0.02..0.00125, five points take 10-42% fewer stage iterations than
-# s points for s = 1..4, while s + 2 points take up to 36% more at s = 8,
-# where the longer extrapolation amplifies rounding.
-_PREDICTOR_POINTS = 5
+
+# The predictor's point count.  Extrapolating B through P history node
+# times amplifies rounding by E's largest row sum, max_i sum_j |E[i, j]|.
+# For s = 1 the nodes are one step apart and the sum is 2**P - 1; the
+# Gauss nodes of s >= 2 stages cluster within a step, and it grows much
+# faster in P:
+#
+#     s    P = 5    P = 6    P = 7    P = 8
+#     1       31       63      127      255
+#     2      139      347      857    1,999
+#     4      735    3,300   11,241   33,431
+#
+# Over NLS, periodic and Dirichlet wave runs at h = 0.02..0.00125, five
+# points take 10-42% fewer stage iterations than s points for s = 1..4,
+# while s + 2 points take up to 36% more at s = 8.  For s = 1 on that
+# ladder (T = 0.5, n = 64), eight points take fewer than five: NLS 1,930
+# -> 1,166, periodic, Dirichlet and Neumann waves 995 -> 840, 979 -> 837
+# and 990 -> 839, the NLS tangent pair (n = 32) 2,270 -> 1,582.  Nine
+# points take about as many (15% fewer on random NLS data), ten to twelve
+# take more on NLS (1,307-1,447).
+# Large steps cost more: over 60 steps, eight points take 2-4% more
+# iterations than five on NLS at h = 0.1..0.3 and 3-6% more on the
+# Dirichlet wave at h = 0.3..4.  The more points, the smaller the first
+# step tried (h = 0.1..2) at which the NLS start leaves the iteration's
+# basin: 1.5 for five, 0.7 for six or seven, 0.4 for eight and 0.35 for
+# nine.  Such steps restart from B = 0 (``_solve_stages``); at
+# h = 0.4..1, where five points still converged, eight then take 9-17%
+# more iterations.
+def _predictor_points(s):
+    """How many history node times the predictor extrapolates B through."""
+    return 8 if s == 1 else max(s, 5)
 
 
 @dataclass(frozen=True)
@@ -106,10 +136,13 @@ class SolverConfig:
     debug_checks: bool = False
 
     def __post_init__(self):
-        if not 0 < self.h < math.inf:
+        # an int too large for a float is not finite; the others become floats
+        if not 0 < self.h <= sys.float_info.max:
             raise InputError("h", f"step size must be finite and positive, got {self.h!r}")
-        if not 0 < self.fp_tol < math.inf:
+        if not 0 < self.fp_tol <= sys.float_info.max:
             raise InputError("fp_tol", "fixed-point tolerance must be finite and positive")
+        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "fp_tol", float(self.fp_tol))
 
 
 @dataclass(frozen=True)
@@ -131,28 +164,32 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
     (..., s, c, n) and ``B`` maps them to their nonlinearity.  The
     iteration starts from ``stage_inv (1 base + h a predicted)``, where
     ``predicted`` is a guess of B at the stages, or None for the B = 0
-    solution.  The residual is the largest base-norm update over all
-    stages.  Returns the stages, the B evaluated by the final iteration
-    (at the iterate before the returned stages) and the statistics; a
-    contraction estimate above ``_CONTRACTION_WARN`` warns ``stacklevel``
-    frames up, which the caller sets to the frame of its own caller that
-    the warning should name.
+    solution.  A predicted start whose iteration diverges to a
+    non-finite residual restarts from the B = 0 solution, within the same
+    ``_FP_MAX_ITERS`` iterations, so ``stats.iterations`` still counts
+    every B evaluation.  The residual is the largest base-norm update
+    over all stages.  Returns the stages, the B evaluated by the final
+    iteration (at the iterate before the returned stages) and the
+    statistics; a contraction estimate above ``_CONTRACTION_WARN`` warns
+    ``stacklevel`` frames up, which the caller sets to the frame of its
+    own caller that the warning should name.
     """
     base = base[..., None, :, :]
-    if predicted is not None:
-        start = base + h * np.einsum("ij,...jcn->...icn", a, predicted)
-    else:
-        start = np.broadcast_to(base, base.shape[:-3] + (len(a),) + base.shape[-2:])
-    w = _apply_stage_inv(stage_inv, start)
+    w = _first_iterate(stage_inv, a, h, base, predicted)
     residuals = []
     for iteration in range(1, _FP_MAX_ITERS + 1):
         forcing = B(w)
         w_new = _apply_stage_inv(stage_inv, base + h * np.einsum("ij,...jcn->...icn", a, forcing))
         residual = _stage_residual(grid, w_new - w)
         if not math.isfinite(residual):
-            raise NumericalBlowupError(
-                f"non-finite stage residual at iteration {iteration} (h={h:g})"
-            )
+            if predicted is None or iteration == _FP_MAX_ITERS:
+                raise NumericalBlowupError(
+                    f"non-finite stage residual at iteration {iteration} (h={h:g})"
+                )
+            # at large h the extrapolated start can leave the iteration's basin
+            predicted, residuals = None, []
+            w = _first_iterate(stage_inv, a, h, base, None)
+            continue
         residuals.append(residual)
         w = w_new
         if residual <= cfg.fp_tol:
@@ -167,6 +204,17 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
     raise ConvergenceFailureError(
         StepStats(_FP_MAX_ITERS, residuals[-1], _contraction(residuals))
     )
+
+
+def _first_iterate(stage_inv, a, h, base, predicted):
+    """``stage_inv (1 base + h a predicted)``, or ``stage_inv (1 base)``
+    (the B = 0 solution) when ``predicted`` is None; ``base`` has a stage
+    axis of length 1."""
+    if predicted is not None:
+        start = base + h * np.einsum("ij,...jcn->...icn", a, predicted)
+    else:
+        start = np.broadcast_to(base, base.shape[:-3] + (len(a),) + base.shape[-2:])
+    return _apply_stage_inv(stage_inv, start)
 
 
 def _contraction(residuals):
@@ -250,7 +298,7 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
     if _real_data(p.grid, x):
         x = x.real.copy()
         matrices = tuple(m.real.copy() for m in matrices)
-    points = max(t.s, _PREDICTOR_POINTS)
+    points = _predictor_points(t.s)
     forcings = deque(maxlen=-(-points // t.s))
     extrapolations = {}
     history = []

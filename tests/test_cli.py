@@ -363,7 +363,16 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "smoothness", "n": 16, "levels": 1100, "q": 0}, "levels"),
      ({"experiment": "smoothness", "n": 16, "h": 1e300, "q": 4}, "h"),
      ({"experiment": "convergence", "initial_data": "random", "seed": -1}, "seed"),
-     ({"experiment": "tangent-check", "seed": -1}, "seed")],
+     ({"experiment": "tangent-check", "seed": -1}, "seed"),
+     ({"experiment": "convergence", "T": -1}, "T"),
+     # JSON integers too large for a float: not finite
+     ({"experiment": "stability", "h_values": [10**400]}, "h_values"),
+     ({"experiment": "convergence", "T": 10**400}, "T"),
+     ({"experiment": "tangent-check", "eps": 10**400}, "eps"),
+     ({"experiment": "convergence", "h_max": 10**400}, "h_max"),
+     ({"experiment": "convergence", "h_list": [10**400, 0.01]}, "h_list"),
+     ({"experiment": "conservation", "h": 10**400}, "h"),
+     ({"experiment": "smoothness", "h": 10**400}, "h")],
 )
 def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)

@@ -223,6 +223,15 @@ BAD_INPUTS = {
         lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16),
                                        [0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.6], 10),
         "h_values", re.escape("h must be finite and nonnegative, got -1.0")),
+    "stability step too large for a float": (
+        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [10**400], 10),
+        "h_values", "h must be finite and nonnegative"),
+    "order-study time too large for a float": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 10**400, [0.02, 0.01], fp_tol=1e-13),
+        "h_list", "T/h must be a positive integer"),
+    "solver step too large for a float": (
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=10**400), 1),
+        "h", "step size must be finite and positive"),
     "negative stability power": (
         lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [0.1], -1),
         "n_steps", "n_steps must be at least 0"),

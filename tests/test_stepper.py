@@ -584,7 +584,7 @@ class TestPredictedStart:
         # node times tau of the last K steps to its values at 1 + c;
         # rounding grows with the size of E.
         c = gauss_legendre(s).c
-        points = max(s, stepper._PREDICTOR_POINTS)
+        points = stepper._predictor_points(s)
         steps = -(-points // s)
         tau = np.concatenate([c - k for k in range(steps - 1, -1, -1)])
         e = stepper._extrapolation_matrix(c, points)
@@ -617,7 +617,7 @@ class TestPredictedStart:
         t = gauss_legendre(s)
         cfg = SolverConfig(h=0.01, fp_tol=1e-13)
         u = two_mode(p.grid)
-        points = max(s, stepper._PREDICTOR_POINTS)
+        points = stepper._predictor_points(s)
         steps = -(-points // s)
         seen = []
         observed_flow(p, t, u, cfg, steps + 3, lambda i, x, st: seen.append(x))
@@ -663,7 +663,49 @@ class TestPredictedStart:
         for _ in range(100):
             u, stats = step(p, MIDPOINT, u, cfg)
             unpredicted += stats.iterations
-        assert sum(s.iterations for s in history) <= 0.6 * unpredicted
+        # 219 of 630 with eight history points, 312 with five
+        assert sum(s.iterations for s in history) <= 0.4 * unpredicted
+
+    def test_midpoint_dirichlet_wave_takes_one_iteration_per_step(self):
+        # eight history points predict B within fp_tol on nearly every
+        # step: 208 iterations over 200 steps, against 399 with five
+        p = get_problem("wave-dirichlet-compatible", 64)
+        cfg = SolverConfig(h=5e-3, fp_tol=1e-13)
+        _, history = integrate(p, MIDPOINT, wave_band_state(p.grid), cfg, 200)
+        assert sum(s.iterations for s in history) <= 1.1 * 200
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverging_prediction_restarts_from_b_zero(self, monkeypatch):
+        # at h = 0.5 the eight-point extrapolation starts some steps outside
+        # the iteration's basin; they restart from the B = 0 solution, as
+        # each step of the step loop starts, and reach the same stages
+        first_iterate = stepper._first_iterate
+        unpredicted = []
+
+        def recording(stage_inv, a, h, base, predicted):
+            unpredicted.append(predicted is None)
+            return first_iterate(stage_inv, a, h, base, predicted)
+
+        evaluations = []
+
+        def counted(p, w):
+            evaluations.append(w.shape)
+            return evaluate_B_array(p, w)
+
+        monkeypatch.setattr(stepper, "_first_iterate", recording)
+        monkeypatch.setattr(stepper, "evaluate_B_array", counted)
+        p = get_problem("nls-cubic-periodic", 64)
+        u = nls_two_mode_state(p.grid)
+        cfg = SolverConfig(h=0.5, fp_tol=1e-13)
+        final, history = integrate(p, MIDPOINT, u, cfg, 12)
+        restarts = len(unpredicted) - 12
+        assert restarts >= 1 and sum(unpredicted) == 1 + restarts
+        # the diverged iterations count too: one B evaluation each
+        assert sum(s.iterations for s in history) == len(evaluations)
+        looped = u
+        for _ in range(12):
+            looped, _ = step(p, MIDPOINT, looped, cfg)
+        assert base_norm(final - looped) <= 1e-12
 
     def test_lobatto_nodes_zero_and_one_run_predicted(self):
         # the 2-stage Lobatto IIIA nodes 0 and 1 visit each step boundary
@@ -758,9 +800,11 @@ class TestTangentStep:
 
 class TestSolverConfig:
     def test_validation(self):
-        for h in (-0.1, 0.0, float("nan"), float("inf")):
+        for h in (-0.1, 0.0, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="step size"):
                 SolverConfig(h=h)
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(h=0.1, fp_tol=10**400)
         with pytest.raises(ValueError):
             SolverConfig(h=0.1, fp_tol=0.0)
         with pytest.raises(TypeError):  # the iteration cap is stepper._FP_MAX_ITERS
@@ -772,3 +816,8 @@ class TestSolverConfig:
         # would run _FP_MAX_ITERS iterations per step before failing.
         with pytest.raises(ValueError, match="tolerance"):
             SolverConfig(h=0.1, fp_tol=fp_tol)
+
+    def test_int_values_are_stored_as_floats(self):
+        cfg = SolverConfig(h=1, fp_tol=1)
+        assert (type(cfg.h), type(cfg.fp_tol)) == (float, float)
+        assert cfg == SolverConfig(h=1.0, fp_tol=1.0)
