@@ -36,9 +36,7 @@ from .spectral import (
     apply_A,
     apply_exp_tA,
     base_norm,
-    schrodinger_grid,
     sobolev_norm,
-    wave_grid,
 )
 from .stepper import (
     SolverConfig,

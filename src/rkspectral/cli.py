@@ -27,7 +27,7 @@ from . import harness
 from .errors import (ConvergenceFailureError, InputError, NumericalBlowupError,
                      UnreliableReferenceError)
 from .problems import get_problem, list_problems, make_nonlinearity
-from .spectral import State, base_norm, schrodinger_grid, wave_grid
+from .spectral import SpectralGrid, State, base_norm
 from .stepper import SolverConfig, _check_steps, step, tangent_step
 from .tableau import resolve_tableau
 
@@ -45,9 +45,6 @@ _KEY_TYPES = {"experiment": str, "out": str, "debug_checks": bool, "h_list": lis
 
 # Numeric config keys that must be finite and positive.
 _POSITIVE_KEYS = ("T", "fp_tol", "eps")
-
-# The stability experiment's grid kinds.
-_GRIDS = {"schrodinger": schrodinger_grid, "wave": wave_grid}
 
 
 def _fail(message: str) -> int:
@@ -67,9 +64,11 @@ def _resolve(experiment, cfg) -> dict:
     for key in _POSITIVE_KEYS:
         if key in cfg and not 0 < cfg[key] <= sys.float_info.max:  # a huge int is not finite
             raise InputError(key, f"{key} must be finite and positive, got {cfg[key]!r}")
+    if cfg.get("eps", 1.0) < sys.float_info.min:  # the tangent check divides by 2 eps
+        raise InputError("eps", f"eps must be a positive normal float, got {cfg['eps']!r}")
     for key in {"steps", "n_steps"} & cfg.keys():
         _check_steps(key, cfg[key])
-    if cfg["seed"] < 0:  # every experiment has a seed
+    if cfg.get("seed", 0) < 0:
         raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']!r}")
     for h in cfg.get("h_values", ()):
         if not _is_number(h):
@@ -96,14 +95,16 @@ def _resolve(experiment, cfg) -> dict:
         inputs["solver"] = SolverConfig(cfg["h"], cfg["fp_tol"], cfg["debug_checks"])
     if experiment == "smoothness":
         harness._check_stencil(cfg["h"], cfg["q"], cfg["levels"])
-    if experiment == "stability" and cfg["grid"] not in _GRIDS:
-        raise ValueError(f"config key 'grid' must be one of {list(_GRIDS)}, "
+    if experiment == "stability" and cfg["grid"] not in ("schrodinger", "wave"):
+        raise ValueError(f"config key 'grid' must be one of ['schrodinger', 'wave'], "
                          f"got {cfg['grid']!r}")
     try:
         if experiment == "stability":
-            inputs["grid"] = _GRIDS[cfg["grid"]](cfg["n"])
+            inputs["grid"] = SpectralGrid(cfg["grid"], "periodic", cfg["n"])
         else:
             problem = get_problem(cfg.get("problem", "wave-dirichlet-compatible"), cfg["n"])
+            if "problem" in cfg:  # the data's modes must be on the grid
+                inputs["u0"] = _initial_state(problem, cfg)
     except ValueError as exc:
         raise ValueError(f"config key 'n': {exc}") from exc
     if "problem" in cfg:
@@ -117,7 +118,6 @@ def _resolve(experiment, cfg) -> dict:
         if "dealias" in cfg:
             problem = dataclasses.replace(problem, dealias=cfg["dealias"])
         inputs["problem"] = problem
-        inputs["u0"] = _initial_state(problem, cfg)
     return inputs
 
 
@@ -283,7 +283,7 @@ _EXPERIMENT_TABLE = {
     ),
     "dirichlet-compat": (
         {"tableau": "gl:1", "n": 256, "T": 0.4, "h_max": 0.08, "levels": 5,
-         "fp_tol": 1e-13, "seed": 0},
+         "fp_tol": 1e-13},
         ("h_list",),
         _run_dirichlet_compat,
     ),
@@ -305,6 +305,8 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
         return _fail(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         return _fail(f"config {path} is not valid JSON (line {exc.lineno}, col {exc.colno})")
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer int() will not convert
+        return _fail(f"config {path} is not valid JSON ({exc})")
     if not isinstance(raw, dict):
         return _fail(f"config {path} must be a JSON object, got {type(raw).__name__}")
 

@@ -35,10 +35,10 @@ class ConvergenceFailureError(RuntimeError):
     regime.  ``stats`` holds the StepStats of the failed solve.
     """
 
-    def __init__(self, stats):
+    def __init__(self, stats, fp_tol, h):
         self.stats = stats
         super().__init__(
-            f"stage iteration failed to converge "
+            f"stage iteration failed to reach fp_tol={fp_tol:g} at h={h:g} "
             f"(iterations={stats.iterations}, residual={stats.final_residual:.3e})"
         )
 

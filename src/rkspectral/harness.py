@@ -172,17 +172,12 @@ def _summarize(stats) -> dict:
 
 
 def _fit_order(h_list, errors, flagged):
-    pairs = [
-        (math.log(h), math.log(e))
-        for h, e, f in zip(h_list, errors, flagged)
-        if not f and e > 0
-    ]
+    pairs = [(math.log(h), math.log(e)) for h, e, f in zip(h_list, errors, flagged)
+             if not f and e > 0]
     if len(pairs) < 2:
         raise ValueError("fewer than two usable points for the order fit")
-    x = np.array([a for a, _ in pairs])
-    y = np.array([b for _, b in pairs])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    x, y = np.array(pairs).T
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def _distance(grid, a, b):
@@ -570,38 +565,43 @@ def smoothness_probe(
 # -- initial data builders -----------------------------------------------------
 
 
-def nls_two_mode_state(grid: SpectralGrid, amplitudes=(0.9, 0.45), modes=(1, 2)) -> State:
-    """Smooth two-mode Schrodinger data."""
+def _mode_index(grid: SpectralGrid, k: int) -> int:
+    """Storage index of mode k; ValueError, naming n, where the grid lacks it."""
+    hits = np.flatnonzero(grid.modes == k)
+    if not hits.size:
+        raise ValueError(f"the {grid.bc} grid of n={grid.n} lacks mode {k} of the initial data")
+    return int(hits[0])
+
+
+def nls_two_mode_state(grid: SpectralGrid) -> State:
+    """Smooth two-mode Schrodinger data: 0.9 in mode 1 and 0.45 in mode 2."""
     coeffs = np.zeros((1, grid.n), dtype=complex)
-    for a, k in zip(amplitudes, modes):
-        coeffs[0, np.where(grid.modes == k)[0][0]] = a
+    coeffs[0, _mode_index(grid, 1)] = 0.9
+    coeffs[0, _mode_index(grid, 2)] = 0.45
     return State(grid, coeffs)
 
 
 def wave_band_state(grid: SpectralGrid, u_amps=(0.4, 0.2), v_amps=(0.2, -0.1)) -> State:
-    """Smooth low-mode wave data (real field), matching the grid's basis."""
+    """Smooth low-mode wave data (real field): each component's j-th
+    amplitude in mode j, split over the Hermitian pair +-j on a periodic grid."""
     coeffs = np.zeros((2, grid.n), dtype=complex)
-    if grid.bc == "periodic":
-        for comp, amps in enumerate((u_amps, v_amps)):
-            for j, a in enumerate(amps, start=1):
-                idx_pos = np.where(grid.modes == j)[0][0]
-                idx_neg = np.where(grid.modes == -j)[0][0]
-                coeffs[comp, idx_pos] = a / 2
-                coeffs[comp, idx_neg] = a / 2  # Hermitian pair: real cosine modes
-    else:
-        for comp, amps in enumerate((u_amps, v_amps)):
-            for j, a in enumerate(amps, start=1):
-                coeffs[comp, np.where(grid.modes == j)[0][0]] = a
+    for comp, amps in enumerate((u_amps, v_amps)):
+        for j, a in enumerate(amps, start=1):
+            if grid.bc == "periodic":
+                coeffs[comp, _mode_index(grid, j)] = coeffs[comp, _mode_index(grid, -j)] = a / 2
+            else:
+                coeffs[comp, _mode_index(grid, j)] = a
     return State(grid, coeffs)
 
 
-def random_band_state(grid: SpectralGrid, rng, max_mode: int = 4, amplitude: float = 0.3) -> State:
-    """Seeded random low-band data; real-field symmetric for wave grids."""
+def random_band_state(grid: SpectralGrid, rng) -> State:
+    """Seeded random data: a complex normal draw times 0.3 / (1 + |k|) in
+    each mode 0 < |k| <= 4 of each component; real-field symmetric on wave grids."""
     coeffs = np.zeros((grid.components, grid.n), dtype=complex)
     for comp in range(grid.components):
         for j, k in enumerate(grid.modes):
-            if 0 < abs(int(k)) <= max_mode:
-                draw = amplitude * (rng.standard_normal() + 1j * rng.standard_normal())
+            if 0 < abs(int(k)) <= 4:
+                draw = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
                 coeffs[comp, j] = draw / (1 + abs(int(k)))
     if grid.equation == "wave" and grid.bc == "periodic":
         flipped = np.conj(np.roll(coeffs[:, ::-1], 1, axis=-1))

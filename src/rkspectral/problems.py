@@ -92,7 +92,10 @@ def make_nonlinearity(equation: str, spec: str) -> Nonlinearity:
     if spec in table:
         return table[spec]
     if equation == "wave" and spec.startswith("cubic_plus_const:"):
-        return _wave_cubic_plus_const(float(spec.split(":", 1)[1]))
+        c = float(spec.split(":", 1)[1])
+        if not np.isfinite(c):
+            raise ValueError(f"the constant of {spec!r} must be finite")
+        return _wave_cubic_plus_const(c)
     raise KeyError(f"unknown {equation} nonlinearity {spec!r}; known: {sorted(table)}")
 
 

@@ -53,6 +53,9 @@ DEFAULT_SCALE_CAP = 8
 # product loses to the FFT at n = 511 and 512.
 _DENSE_DST1_MAX_N = 256
 
+# Largest grid size, 1,024 times the largest any study or benchmark runs.
+_MAX_MODES = 2**20
+
 
 @dataclass(frozen=True)
 class SpectralGrid:
@@ -81,6 +84,8 @@ class SpectralGrid:
             operator.index(self.n)
         except TypeError:
             raise ValueError(f"grid size n must be an integer, got {self.n!r}") from None
+        if self.n > _MAX_MODES:
+            raise ValueError(f"grid size n must be at most {_MAX_MODES}, got {self.n!r}")
         if self.bc == "periodic":
             if self.n < 4 or self.n % 2:
                 raise ValueError("periodic grids require even n >= 4")
@@ -239,14 +244,6 @@ def _dct1(rows):
     return np.fft.rfft(ext, axis=-1).real[..., :n]
 
 
-def schrodinger_grid(n: int, bc: str = "periodic") -> SpectralGrid:
-    return SpectralGrid("schrodinger", bc, n)
-
-
-def wave_grid(n: int, bc: str = "periodic") -> SpectralGrid:
-    return SpectralGrid("wave", bc, n)
-
-
 @dataclass(frozen=True)
 class State:
     """Modal coefficients of one solution snapshot on a grid.
@@ -365,15 +362,20 @@ def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     and of S(h lambda) (slope h sum(b)), both read once per distinct
     symbol's eigenvalue lambda (``_eigenvalues``) from one batched s x s
     inverse (``tableau._resolvent``); a SingularResolventError names the
-    first singular mode, and h.  Nothing is kept: a repeated call returns
-    fresh arrays, same bits.
+    first singular mode, and h, and arithmetic that overflows (an h far
+    out of range) a ValueError naming h.  Nothing is kept: a repeated
+    call returns fresh arrays, same bits.
     """
-    x, sigma, singular = _resolvent(t, h, _eigenvalues(grid)[1])
-    _check_singular(grid, singular, h)
-    return (
-        _symbol_function(grid, x, h * t.a),
-        _symbol_function(grid, sigma[:, None, None], h * t.b.sum()),
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x, sigma, singular = _resolvent(t, h, _eigenvalues(grid)[1])
+            _check_singular(grid, singular, h)
+            return (
+                _symbol_function(grid, x, h * t.a),
+                _symbol_function(grid, sigma[:, None, None], h * t.b.sum()),
+            )
+    except FloatingPointError as exc:
+        raise ValueError(f"step matrices for h={h!r} are not finite ({exc})") from None
 
 
 def _eigenvalues(grid: SpectralGrid):

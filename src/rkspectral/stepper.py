@@ -202,7 +202,7 @@ def _solve_stages(stage_inv, a, h, grid, base, B, cfg, predicted, stacklevel):
                 )
             return w, forcing, stats
     raise ConvergenceFailureError(
-        StepStats(_FP_MAX_ITERS, residuals[-1], _contraction(residuals))
+        StepStats(_FP_MAX_ITERS, residuals[-1], _contraction(residuals)), cfg.fp_tol, h
     )
 
 
@@ -232,10 +232,11 @@ def _update(matrices, b, h, base, forcing):
 
 
 def _check_steps(name, count):
-    """A run takes at least one step (``steps``), a stability power none (``n_steps``)."""
+    """At least one step (``steps``) or none (``n_steps``); no more than the largest float."""
     low = {"steps": 1, "n_steps": 0}[name]
-    if count < low:
-        raise InputError(name, f"{name} must be at least {low}, got {count!r}")
+    if not low <= count <= sys.float_info.max:
+        raise InputError(name, f"{name} must be at least {low} and at most "
+                               f"{sys.float_info.max!r}, got {count!r}")
 
 
 def _check_grid(p, *states):
@@ -302,29 +303,33 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
     forcings = deque(maxlen=-(-points // t.s))
     extrapolations = {}
     history = []
-    for index in range(steps):
-        predicted = None
-        if forcings:
-            used = min(points, len(forcings) * t.s)
-            if used not in extrapolations:
-                extrapolations[used] = _extrapolation_matrix(t.c, used)
-            if extrapolations[used] is not None:
-                predicted = np.einsum(
-                    "ij,...jcn->...icn",
-                    extrapolations[used],
-                    np.concatenate(forcings, axis=-3),
-                )
-        w, forcing, stats = _solve_stages(
-            matrices[0], t.a, cfg.h, p.grid, x, lambda w: B(p, w), cfg, predicted, stacklevel=4
-        )
-        x_new = _update(matrices, t.b, cfg.h, x, forcing)
-        if cfg.debug_checks:
-            _check_direct_form(p.grid, t, cfg, x, w, forcing, x_new)
-        x = x_new
-        forcings.append(forcing)
-        history.append(stats)
-        if observer is not None:
-            observer(index, x, stats)
+    # a blow-up shows as a non-finite residual or final state: numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in range(steps):
+            predicted = None
+            if forcings:
+                used = min(points, len(forcings) * t.s)
+                if used not in extrapolations:
+                    extrapolations[used] = _extrapolation_matrix(t.c, used)
+                if extrapolations[used] is not None:
+                    predicted = np.einsum(
+                        "ij,...jcn->...icn",
+                        extrapolations[used],
+                        np.concatenate(forcings, axis=-3),
+                    )
+            w, forcing, stats = _solve_stages(
+                matrices[0], t.a, cfg.h, p.grid, x, lambda w: B(p, w), cfg, predicted, stacklevel=4
+            )
+            x_new = _update(matrices, t.b, cfg.h, x, forcing)
+            if cfg.debug_checks:
+                _check_direct_form(p.grid, t, cfg, x, w, forcing, x_new)
+            x = x_new
+            forcings.append(forcing)
+            history.append(stats)
+            if observer is not None:
+                observer(index, x, stats)
+    if not np.isfinite(x).all():
+        raise NumericalBlowupError(f"non-finite state after step {steps} (h={cfg.h:g})")
     return x, history
 
 

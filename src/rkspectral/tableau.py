@@ -61,12 +61,9 @@ class ButcherTableau:
     label: str = "custom"
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        a, b, c = (np.asarray(x, dtype=float) for x in (self.a, self.b, self.c))
+        for name, x in zip("abc", (a, b, c)):
+            object.__setattr__(self, name, x)
         if self.s < 1:
             raise ValueError("stage count must be positive")
         if a.shape != (self.s, self.s) or b.shape != (self.s,) or c.shape != (self.s,):
@@ -83,9 +80,8 @@ class ButcherTableau:
         weight_defect = abs(b.sum() - 1.0)
         if weight_defect > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1; defect {weight_defect:.3e}")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        c.setflags(write=False)
+        for x in (a, b, c):
+            x.setflags(write=False)
 
     @cached_property
     def _stability_polynomials(self) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +187,6 @@ def _legendre_value_and_derivative(x, s):
     """Evaluate the degree-s Legendre polynomial and its derivative at x."""
     p_prev = np.ones_like(x)
     p = x.copy()
-    if s == 0:
-        return p_prev, np.zeros_like(x)
     for m in range(2, s + 1):
         p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
     dp = s * (x * p - p_prev) / (x * x - 1.0)
@@ -219,7 +213,7 @@ def _legendre_roots(s, tol=1e-14, max_iter=100):
 
 
 def gauss_legendre(s: int) -> ButcherTableau:
-    """Construct the s-stage Gauss-Legendre collocation tableau.
+    """Construct the s-stage Gauss-Legendre collocation tableau, 1 <= s <= 8.
 
     The nodes are the roots of the shifted Legendre polynomial of degree
     s on [0, 1]; the coefficients are the exact integrals of the
@@ -228,11 +222,6 @@ def gauss_legendre(s: int) -> ButcherTableau:
         a_ij = int_0^{c_i} l_j,   b_j = int_0^1 l_j,
 
     giving classical order p = 2s.
-
-    Parameters
-    ----------
-    s : int
-        Stage count, 1 <= s <= 8.
     """
     if not 1 <= s <= 8:
         raise ValueError(f"stage count must be in [1, 8], got {s}")

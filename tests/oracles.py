@@ -45,6 +45,31 @@ def to_state(grid, values):
     return State(grid, grid.transform_array(np.atleast_2d(values)))
 
 
+def two_mode_state(grid, amplitudes):
+    """Schrodinger data with ``amplitudes`` in modes 1 and 2: the
+    package's ``nls_two_mode_state`` at other amplitudes."""
+    coeffs = np.zeros((1, grid.n), dtype=complex)
+    for a, k in zip(amplitudes, (1, 2)):
+        coeffs[0, np.flatnonzero(grid.modes == k)[0]] = a
+    return State(grid, coeffs)
+
+
+def band_state(grid, rng, max_mode):
+    """The package's ``random_band_state`` drawn in the modes 0 < |k| <=
+    ``max_mode``: the same draws, taken in the same order, at max_mode = 4."""
+    coeffs = np.zeros((grid.components, grid.n), dtype=complex)
+    for comp in range(grid.components):
+        for j, k in enumerate(grid.modes):
+            if 0 < abs(int(k)) <= max_mode:
+                draw = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
+                coeffs[comp, j] = draw / (1 + abs(int(k)))
+    if grid.equation == "wave" and grid.bc == "periodic":
+        coeffs = 0.5 * (coeffs + np.conj(np.roll(coeffs[:, ::-1], 1, axis=-1)))
+    elif grid.equation == "wave":
+        coeffs = coeffs.real.astype(complex)
+    return State(grid, coeffs)
+
+
 def fixed_point_stages(p, t, u, cfg):
     """The stages of one step and their statistics, iterated from the
     B = 0 solution until the base-norm update falls below ``cfg.fp_tol``.

@@ -23,13 +23,12 @@ from rkspectral.harness import (
 )
 from rkspectral.problems import get_problem
 from rkspectral.spectral import (
+    SpectralGrid,
     State,
     apply_A,
     apply_exp_tA,
     base_norm,
-    schrodinger_grid,
     sobolev_norm,
-    wave_grid,
 )
 from rkspectral.stepper import SolverConfig, step, tangent_step
 from rkspectral.tableau import (
@@ -121,7 +120,7 @@ def test_criterion_02_stability_function():
 
 def test_criterion_03_normal_operator_stability():
     def run():
-        grid = schrodinger_grid(256)
+        grid = SpectralGrid("schrodinger", "periodic", 256)
         worst = 0.0
         for s in (1, 2, 3):
             t = gauss_legendre(s)
@@ -138,7 +137,8 @@ def test_criterion_03_normal_operator_stability():
 def test_criterion_04_scale_norm_contractivity():
     def run():
         rng = np.random.default_rng(4)
-        for grid in (schrodinger_grid(32), wave_grid(32)):
+        for equation in ("schrodinger", "wave"):
+            grid = SpectralGrid(equation, "periodic", 32)
             for _ in range(100):
                 shape = (grid.components, grid.n)
                 u = State(

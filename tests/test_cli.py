@@ -1,13 +1,20 @@
 import builtins
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkspectral import cli, harness, stepper
 from rkspectral.cli import main, run_config
@@ -35,6 +42,31 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert run_config(path, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "line" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length")
+def test_integer_of_too_many_digits_rejected(tmp_path, capsys):
+    # json reads an integer through int(), which refuses more than 4,300 digits
+    path = tmp_path / "huge.json"
+    path.write_text('{"experiment": "stability", "n": 1' + "0" * 5000 + "}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_config(path, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not valid JSON (Exceeds the limit")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_rejected(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"experiment": "stability", "out": "\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    assert run_config(path, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not valid JSON ('utf-8' codec can't decode")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_that_is_not_an_object_rejected(tmp_path, capsys):
@@ -372,7 +404,20 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "convergence", "h_max": 10**400}, "h_max"),
      ({"experiment": "convergence", "h_list": [10**400, 0.01]}, "h_list"),
      ({"experiment": "conservation", "h": 10**400}, "h"),
-     ({"experiment": "smoothness", "h": 10**400}, "h")],
+     ({"experiment": "smoothness", "h": 10**400}, "h"),
+     # step counts and grid sizes above their rules' bounds (messages below)
+     ({"experiment": "stability", "n_steps": int(sys.float_info.max) + 1}, "n_steps"),
+     ({"experiment": "conservation", "steps": 10**400}, "steps"),
+     ({"experiment": "stability", "n": 2**20 + 2}, "n"),
+     ({"experiment": "convergence", "n": 10**400}, "n"),
+     ({"experiment": "dirichlet-compat", "n": 10**400}, "n"),
+     # a grid too small for the standard data's modes
+     ({"experiment": "conservation", "problem": "wave-cubic-periodic", "n": 4}, "n"),
+     ({"experiment": "convergence", "problem": "wave-neumann", "n": 2}, "n"),
+     # a nonlinearity constant or a difference step that is not finite
+     ({"experiment": "conservation", "problem": "wave-cubic-periodic",
+       "nonlinearity": "cubic_plus_const:inf"}, "nonlinearity"),
+     ({"experiment": "tangent-check", "eps": 5e-324}, "eps")],
 )
 def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
@@ -383,6 +428,44 @@ def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, 
     assert f"config key {key!r}" in err
     if key == "h_max":
         assert "h_list" not in err  # the dyadic ladder it implies is not blamed
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [({"experiment": "stability", "n_steps": 10**400},
+      f"config key 'n_steps': n_steps must be at least 0 and at most {sys.float_info.max!r}, "),
+     ({"experiment": "conservation", "steps": int(sys.float_info.max) + 1},
+      f"config key 'steps': steps must be at least 1 and at most {sys.float_info.max!r}, "),
+     ({"experiment": "stability", "n": 10**400},
+      "config key 'n': grid size n must be at most 1048576, got 1000"),
+     ({"experiment": "convergence", "n": 2**20 + 2},
+      "config key 'n': grid size n must be at most 1048576, got 1048578\n")],
+)
+def test_size_errors_state_their_bound(tmp_path, capsys, payload, message):
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dirichlet_compat_on_a_grid_too_small_for_its_data_exits_2(tmp_path, capsys):
+    payload = {"experiment": "dirichlet-compat", "n": 2, "T": 0.2, "h_max": 0.1, "levels": 2}
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    assert capsys.readouterr().err == (
+        "error: the dirichlet grid of n=2 lacks mode 3 of the initial data\n")
+    assert not out.exists()
+
+
+def test_dirichlet_compat_rejects_a_seed(tmp_path, capsys):
+    # the study's data are fixed: nothing reads a seed
+    cfg = write_config(tmp_path, {"experiment": "dirichlet-compat", "seed": 0})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key 'seed' for the dirichlet-compat experiment")
     assert not out.exists()
 
 
@@ -463,7 +546,7 @@ def test_every_experiment_writes_one_summary_agreeing_with_exit_code(
 
 def test_tangent_check_reference_costs_under_half_the_ladder(tmp_path, capsys):
     # the CLI defaults (gl:1, reference gl:3): the walk from h_max stops at
-    # its second rung, 670 reference against 2,270 ladder iterations
+    # its second rung, 670 reference against 1,582 ladder iterations
     out = tmp_path / "out"
     assert run_config(write_config(tmp_path, {"experiment": "tangent-check"}), out) == 0
     study = json.loads((out / "tangent_check_summary.json").read_text(encoding="utf-8"))
@@ -684,3 +767,53 @@ def test_python_dash_m_runs_from_a_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("stability: max |amplification - 1|")
     assert (tmp_path / "out" / "stability.csv").exists()
+
+
+# Cheap valid configs, one per experiment, that the fuzz property below
+# breaks one key at a time; convergence draws random data, so its seed is read,
+# and conservation runs a wave, whose nonlinearity takes a constant.
+FUZZ_BASES = {
+    "convergence": {"n": 16, "T": 0.1, "h_max": 0.025, "levels": 2, "initial_data": "random"},
+    "conservation": {"problem": "wave-cubic-periodic", "n": 16, "h": 0.01, "steps": 3},
+    "stability": {"n": 16, "h_values": [0.1], "n_steps": 2},
+    "smoothness": {"n": 16, "levels": 2},
+    "dirichlet-compat": {"n": 16, "T": 0.1, "h_max": 0.025, "levels": 2},
+    "tangent-check": {"n": 16, "T": 0.1, "h_max": 0.025, "levels": 2},
+}
+# Out-of-range and wrong-typed JSON values; no large valid size, which is
+# slow rather than wrong.  Python's json writes and reads NaN and Infinity.
+FUZZ_VALUES = [10**400, -10**400, int(sys.float_info.max) + 1, 1e308, -1e308, 5e-324, 0,
+               -1, -0.0, 2, 4, math.nan, math.inf, -math.inf, True, False, None, "", ".",
+               "\x00", "gl:9", "random", "wave", "cubic_plus_const:inf", [], [0.1],
+               [10**400], ["x"], [math.nan], {}, {"a": 1}]
+
+
+@pytest.mark.parametrize("experiment", list(FUZZ_BASES))
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_config_value_exits_with_a_verdict_or_a_keyed_error(experiment, data):
+    # the draws are few enough that the search tries every (key, value) pair
+    defaults, extra_keys, _ = cli._EXPERIMENT_TABLE[experiment]
+    keys = sorted({*defaults, *extra_keys, *cli._COMMON_KEYS})
+    key = data.draw(st.sampled_from([*keys, "unknown_key"]), label="key")
+    value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
+    payload = {"experiment": experiment, **FUZZ_BASES[experiment], key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_config(write_config(Path(tmp), payload), out)
+        if code == 2:
+            # one error line, naming a key the experiment reads (or the unknown one)
+            lines = stderr.getvalue().splitlines()
+            assert stdout.getvalue() == "" and len(lines) == 1, lines
+            assert lines[0].startswith("error: ")
+            named = [k for k in (*keys, "unknown_key")
+                     if re.search(rf"(?<![\w-]){re.escape(k)}(?![\w-])", lines[0])]
+            assert named, lines[0]
+            assert not out.exists()
+        else:
+            assert code in (0, 1)
+            assert stderr.getvalue() == ""
+            assert stdout.getvalue().startswith(f"{experiment}: ")
+            assert stdout.getvalue().count("\n") == 1

@@ -32,13 +32,12 @@ from rkspectral.spectral import (
     apply_exp_tA,
     base_norm,
     inverse_transform_array,
-    schrodinger_grid,
     step_matrices,
-    wave_grid,
 )
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import (
+    band_state,
     checked_conserved_quantities,
     exact_largest_stability_modulus,
     exact_stability_polynomials,
@@ -46,10 +45,13 @@ from oracles import (
     hermitian_symmetry_defect,
     reference_rung,
     to_state,
+    two_mode_state,
 )
 from oracles import stability_growth as matrix_stability_growth
 
 MIDPOINT = gauss_legendre(1)
+SCHRODINGER16 = SpectralGrid("schrodinger", "periodic", 16)
+WAVE16 = SpectralGrid("wave", "periodic", 16)
 
 
 @functools.cache
@@ -61,7 +63,7 @@ class TestReferenceSolution:
     def test_linear_reference_matches_exact_propagator(self):
         # the gl:3 runs of a reference rung at h = T/64 and T/128
         p = get_problem("nls-linear-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        u0 = two_mode_state(p.grid, (0.5, 0.25))
         exact = apply_exp_tA(u0, 0.5)
         for steps in (64, 128):
             cfg = SolverConfig(h=0.5 / steps, fp_tol=1e-13)
@@ -84,7 +86,7 @@ class TestReferenceSolution:
         # the discrepancy recorded at each rung dominates the one at the next
         monkeypatch.setattr(harness, "_MAX_STAGES", 2)
         p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.4, 0.2))
+        u0 = two_mode_state(p.grid, (0.4, 0.2))
         h_list = [0.05, 0.025]
         rungs = convergence_study(p, MIDPOINT, u0, 0.5, h_list, fp_tol=1e-13).reference["rungs"]
         assert len(rungs) > 1
@@ -96,7 +98,7 @@ class TestReferenceSolution:
 @pytest.fixture(scope="module")
 def small_report():
     p = get_problem("nls-cubic-periodic", 32)
-    u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+    u0 = two_mode_state(p.grid, (0.5, 0.25))
     return convergence_study(p, MIDPOINT, u0, 0.25, dyadic_h_list(0.025, 4), fp_tol=1e-13)
 
 
@@ -214,17 +216,17 @@ BAD_INPUTS = {
     "subnormal dyadic ladder": (
         lambda p, u0: dyadic_h_list(1e-300, 100), "levels", "normal steps"),
     "negative stability step": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [-1.0], 10),
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [-1.0], 10),
         "h_values", "h must be finite and nonnegative"),
     "nan stability step": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [math.nan], 10),
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [math.nan], 10),
         "h_values", "h must be finite and nonnegative"),
     "bad stability step after five good ones": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16),
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16,
                                        [0.1, 0.2, 0.3, 0.4, 0.5, -1.0, 0.6], 10),
         "h_values", re.escape("h must be finite and nonnegative, got -1.0")),
     "stability step too large for a float": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [10**400], 10),
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [10**400], 10),
         "h_values", "h must be finite and nonnegative"),
     "order-study time too large for a float": (
         lambda p, u0: convergence_study(p, MIDPOINT, u0, 10**400, [0.02, 0.01], fp_tol=1e-13),
@@ -233,8 +235,22 @@ BAD_INPUTS = {
         lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=10**400), 1),
         "h", "step size must be finite and positive"),
     "negative stability power": (
-        lambda p, u0: stability_growth(gauss_legendre(2), wave_grid(16), [0.1], -1),
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [0.1], -1),
         "n_steps", "n_steps must be at least 0"),
+    "stability power too large for a float": (
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [0.1], 10**400),
+        "n_steps", re.escape(f"n_steps must be at least 0 and at most {sys.float_info.max!r}")),
+    "stability power one past the bound": (
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [0.1],
+                                       int(sys.float_info.max) + 1),
+        "n_steps", "n_steps must be at least 0 and at most"),
+    "conservation steps too large for a float": (
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01), 10**400),
+        "steps", re.escape(f"steps must be at least 1 and at most {sys.float_info.max!r}")),
+    "integrate steps one past the bound": (
+        lambda p, u0: integrate(p, MIDPOINT, u0, SolverConfig(h=0.01),
+                                int(sys.float_info.max) + 1),
+        "steps", "steps must be at least 1 and at most"),
     "no conservation step": (
         lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01), 0),
         "steps", "steps must be at least 1"),
@@ -261,7 +277,7 @@ class TestReferenceWalk:
     @staticmethod
     def data():
         p = get_problem("nls-cubic-periodic", 16)
-        return p, nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        return p, two_mode_state(p.grid, (0.5, 0.25))
 
     def study(self, s):
         p, u0 = self.data()
@@ -286,7 +302,7 @@ class TestReferenceWalk:
     def test_first_rung_reproduces_single_rung_recipe(self):
         # smooth data: the walk's first rung, at the ladder's first step, passes
         p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        u0 = two_mode_state(p.grid, (0.5, 0.25))
         h_list = dyadic_h_list(0.025, 3)
         report = convergence_study(p, MIDPOINT, u0, 0.25, h_list, fp_tol=1e-13)
         expected, rung = reference_rung(p, MIDPOINT, gauss_legendre(3), u0, 0.25, h_list,
@@ -373,7 +389,7 @@ class TestReferenceWalk:
         # the stage iterations spent: the ladder's, and the coarse and fine
         # runs of every rung
         p = get_problem("nls-cubic-periodic", 16)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        u0 = two_mode_state(p.grid, (0.5, 0.25))
 
         def iterations(t, h):
             cfg = SolverConfig(h=h, fp_tol=1e-13)
@@ -399,7 +415,7 @@ class TestReferenceWalk:
         monkeypatch.setattr(harness, "_MAX_STAGES", 2)
         report = self.study(2)
         p = get_problem("nls-cubic-periodic", 16)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        u0 = two_mode_state(p.grid, (0.5, 0.25))
 
         def iterations(h):
             cfg = SolverConfig(h=h, fp_tol=1e-13)
@@ -480,7 +496,7 @@ class TestConservedQuantities:
         assert q["mass"] == pytest.approx(2 * math.pi * 0.09, abs=1e-12)
 
     def test_linear_dirichlet_energy_of_sine(self):
-        p = ProblemSpec(wave_grid(32, "dirichlet"), make_nonlinearity("wave", "zero"))
+        p = ProblemSpec(SpectralGrid("wave", "dirichlet", 32), make_nonlinearity("wave", "zero"))
         u = to_state(p.grid, np.vstack([np.sin(grid_nodes(p.grid)), np.zeros(32)]))
         q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4, abs=1e-10)
@@ -498,7 +514,7 @@ class TestConservedQuantities:
     def test_debug_quadratures_agree_on_random_band_data(self, name):
         p = get_problem(name, 32)
         rng = np.random.default_rng(5)
-        u = random_band_state(p.grid, rng, max_mode=5)
+        u = band_state(p.grid, rng, 5)
         checked_conserved_quantities(p, u)  # raises on spectral/quadrature mismatch
 
 
@@ -547,7 +563,7 @@ class TestConservedRows:
 
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     def test_quadrature_rows_are_single_quadratures(self, bc):
-        grid = wave_grid(16, bc)
+        grid = SpectralGrid("wave", bc, 16)
         values = np.random.default_rng(3).standard_normal((5, 16))
         values[:, [0, -1]] = [100.0, -50.0]  # endpoints that the Neumann rule halves
         rows = harness._physical_quadrature(grid, values)
@@ -566,18 +582,18 @@ def growths(t, grid, h_values, n_steps):
 
 class TestStabilityGrowth:
     def test_zero_steps_is_one(self):
-        assert growths(MIDPOINT, schrodinger_grid(16), [0.1], 0) == [1.0]
+        assert growths(MIDPOINT, SCHRODINGER16, [0.1], 0) == [1.0]
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_schrodinger_amplification_is_one(self, s):
-        grid = schrodinger_grid(256)
+        grid = SpectralGrid("schrodinger", "periodic", 256)
         t = gauss_legendre(s)
         for growth in growths(t, grid, [1e-3, 1e-2, 1e-1, 1.0], 10):
             assert growth == pytest.approx(1.0, abs=1e-13)
 
     def test_wave_secular_growth_is_linear(self):
         # k = 0 block: growth ~ 1 + n h, far below exponential
-        grid = wave_grid(64)
+        grid = SpectralGrid("wave", "periodic", 64)
         h = 0.1
         [a100] = growths(MIDPOINT, grid, [h], 100)
         [a1000] = growths(MIDPOINT, grid, [h], 1000)
@@ -593,7 +609,7 @@ class TestStabilityGrowth:
         # so there the closed form holds it to 1e-12 relative.
         h_values = [1e-3, 0.37, 1.0, 2.5]  # a real SVD differs at s=2, h=1
         for n in (16, 256, 1024):
-            grid = wave_grid(n - (bc != "periodic"), bc)
+            grid = SpectralGrid("wave", bc, n - (bc != "periodic"))
             k = grid.modes.astype(float)
             weights = np.sqrt(k**2 + 1.0)
             for s in (1, 2, 3, 6):
@@ -648,7 +664,7 @@ class TestStabilityGrowth:
     def test_h_scan_sweep_matches_step_matrix_oracle_bitwise(self):
         # the benchmark's stability sweep: 400 log-spaced steps on [1e-4, 1],
         # one call across 50 chunks
-        grid = wave_grid(1024)
+        grid = SpectralGrid("wave", "periodic", 1024)
         t = gauss_legendre(3)
         step = 4.0 / 399
         h_values = [10.0 ** min(max(-4.0 + i * step, -4.0), 0.0) for i in range(400)]
@@ -694,20 +710,22 @@ class TestStabilityGrowth:
         # rule's secular growth sits in k = 0, and with no steps every mode
         # ties at 1, so the first representative is named.
         euler = ButcherTableau(1, [[0.0]], [1.0], [0.0], 1)
-        assert stability_growth(euler, wave_grid(16, "dirichlet"), [0.1], 10)[0][1] == 16
-        assert stability_growth(euler, schrodinger_grid(16), [0.1], 10)[0][1] == 8
-        [(growth, mode)] = stability_growth(MIDPOINT, wave_grid(64), [0.1], 100)
-        assert (growth, mode) == (matrix_stability_growth(MIDPOINT, wave_grid(64), 0.1, 100), 0)
-        assert stability_growth(MIDPOINT, wave_grid(16, "dirichlet"), [0.1], 0) == [(1.0, 1)]
+        dirichlet = SpectralGrid("wave", "dirichlet", 16)
+        assert stability_growth(euler, dirichlet, [0.1], 10)[0][1] == 16
+        assert stability_growth(euler, SCHRODINGER16, [0.1], 10)[0][1] == 8
+        grid = SpectralGrid("wave", "periodic", 64)
+        [(growth, mode)] = stability_growth(MIDPOINT, grid, [0.1], 100)
+        assert (growth, mode) == (matrix_stability_growth(MIDPOINT, grid, 0.1, 100), 0)
+        assert stability_growth(MIDPOINT, dirichlet, [0.1], 0) == [(1.0, 1)]
 
     @pytest.mark.parametrize(
         "t, grid, h, n_steps",
-        [(MIDPOINT, wave_grid(16), 0.1, 10**20),  # |S| rounds above 1 in k != 0
-         (MIDPOINT, wave_grid(16), 1e308, 10**20),  # the k = 0 power overflows too
-         (MIDPOINT, wave_grid(16, "dirichlet"), 0.1, 10**20),
-         (ButcherTableau(1, [[0.0]], [1.0], [0.0], 1), schrodinger_grid(16), 1.0, 10**6),
+        [(MIDPOINT, WAVE16, 0.1, 10**20),  # |S| rounds above 1 in k != 0
+         (MIDPOINT, WAVE16, 1e308, 10**20),  # the k = 0 power overflows too
+         (MIDPOINT, SpectralGrid("wave", "dirichlet", 16), 0.1, 10**20),
+         (ButcherTableau(1, [[0.0]], [1.0], [0.0], 1), SCHRODINGER16, 1.0, 10**6),
          # h k^2 overflows in the resolvent, which would read a finite |S| of 13.9 at k = 2
-         (gauss_legendre(2), schrodinger_grid(16), 1e308, 10)],
+         (gauss_legendre(2), SCHRODINGER16, 1e308, 10)],
         ids=["wave", "wave-huge-h", "wave-dirichlet", "schrodinger-euler", "schrodinger-huge-h"],
     )
     def test_growth_that_is_not_finite_raises(self, t, grid, h, n_steps):
@@ -736,7 +754,7 @@ class TestStabilityGrowth:
         # h = 1e308 overflows h k, h = 1 meets the singular block at k = 1;
         # both sit inside one chunk, after good steps, and the earlier raises
         t = ButcherTableau(2, [[0, -1], [1, 0]], [0.5, 0.5], [-1, 1], 1)
-        grid = wave_grid(8)
+        grid = SpectralGrid("wave", "periodic", 8)
         faults = [1e308, 1.0] if overflow_first else [1.0, 1e308]
         h_values = [0.3, 0.1, *faults, 0.2]
         assert len(h_values) <= harness._GROWTH_CHUNK
@@ -751,7 +769,7 @@ class TestStabilityGrowth:
             assert str(info.value) == "singular stage block at mode 1 for h = 1.0"
 
     def test_wave_nonzero_modes_stay_bounded(self):
-        grid = wave_grid(64, "dirichlet")  # no zero mode on this grid
+        grid = SpectralGrid("wave", "dirichlet", 64)  # no zero mode on this grid
         [amp] = growths(gauss_legendre(2), grid, [0.05], 500)
         assert amp < 1.5
 
@@ -760,7 +778,7 @@ class TestSmoothnessProbe:
     def test_band_limited_data_converges_to_operator_power_norm(self):
         # order >= q makes the h -> 0 limit exactly |A^q u0|
         p = get_problem("nls-linear-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        u0 = two_mode_state(p.grid, (0.5, 0.25))
         results = smoothness_probe(p, gauss_legendre(2), u0, 0.05, 2, levels=6, fp_tol=1e-13)
         values = [v for _, v in results]
         limit = base_norm(apply_A(apply_A(u0)))
@@ -795,7 +813,7 @@ class TestSmoothnessProbe:
 class TestTangentStudy:
     def test_extended_system_order(self):
         p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        u0 = two_mode_state(p.grid, (0.5, 0.25))
         coeffs = np.zeros((1, 32), dtype=complex)
         coeffs[0, np.where(p.grid.modes == 1)[0][0]] = 0.3
         coeffs[0, np.where(p.grid.modes == 3)[0][0]] = -0.2
@@ -809,7 +827,7 @@ class TestTangentStudy:
     @staticmethod
     def pair():
         p = get_problem("nls-cubic-periodic", 32)
-        u0 = nls_two_mode_state(p.grid, amplitudes=(0.5, 0.25))
+        u0 = two_mode_state(p.grid, (0.5, 0.25))
         v0 = random_band_state(p.grid, np.random.default_rng(3))
         return p, u0, v0
 
@@ -841,7 +859,7 @@ def test_state_on_another_grid_rejected_before_any_run(monkeypatch, wrong):
 def test_conserved_quantities_rejects_a_state_on_another_grid():
     # Neumann weights and quadrature would otherwise read sine coefficients
     p = get_problem("wave-neumann", 16)
-    u = wave_band_state(wave_grid(16, "dirichlet"))
+    u = wave_band_state(SpectralGrid("wave", "dirichlet", 16))
     message = "state lives on a different grid than the problem"
     with pytest.raises(ValueError, match=message):
         conserved_quantities(p, u)
@@ -869,17 +887,39 @@ def test_study_distance_is_the_joint_base_norm_bitwise(name):
 
 class TestInitialData:
     def test_wave_band_state_is_real_field(self):
-        state = wave_band_state(wave_grid(32))
+        state = wave_band_state(SpectralGrid("wave", "periodic", 32))
         assert hermitian_symmetry_defect(state) == 0.0
 
     def test_random_band_state_seeded(self):
-        grid = wave_grid(32)
+        grid = SpectralGrid("wave", "periodic", 32)
         a = random_band_state(grid, np.random.default_rng(9))
         b = random_band_state(grid, np.random.default_rng(9))
         assert np.array_equal(a.coeffs, b.coeffs)
 
+    @pytest.mark.parametrize("name", list_problems())
+    def test_oracle_data_match_the_package_at_its_values(self, name):
+        # the tests' data at other amplitudes or bands come from these
+        grid = get_problem(name, 16).grid
+        band = band_state(grid, np.random.default_rng(3), 4)
+        assert np.array_equal(band.coeffs, random_band_state(grid, np.random.default_rng(3)).coeffs)
+        wider = band_state(grid, np.random.default_rng(3), 5)
+        assert np.any(wider.coeffs[:, np.abs(grid.modes) == 5])
+        if grid.equation == "schrodinger":
+            pair = two_mode_state(grid, (0.9, 0.45))
+            assert np.array_equal(pair.coeffs, nls_two_mode_state(grid).coeffs)
+
+    @pytest.mark.parametrize(
+        "grid, mode",
+        [(SpectralGrid("wave", "periodic", 4), -2), (SpectralGrid("wave", "neumann", 2), 2),
+         (SpectralGrid("schrodinger", "neumann", 2), 2)],
+    )
+    def test_data_off_the_grid_rejected(self, grid, mode):
+        build = wave_band_state if grid.equation == "wave" else nls_two_mode_state
+        with pytest.raises(ValueError, match=f"n={grid.n} lacks mode {mode} of the initial data"):
+            build(grid)
+
     def test_rough_state_decay(self):
-        grid = schrodinger_grid(64)
+        grid = SpectralGrid("schrodinger", "periodic", 64)
         state = rough_decay_state(grid, 1.1)
         idx2 = np.where(grid.modes == 2)[0][0]
         assert abs(state.coeffs[0, idx2]) == pytest.approx(2 ** -1.1)

@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "random_band_state",
     "resolve_tableau",
     "rough_decay_state",
-    "schrodinger_grid",
     "smoothness_probe",
     "sobolev_norm",
     "stability_function",
@@ -55,7 +54,6 @@ PUBLIC_NAMES = [
     "tangent_convergence_study",
     "tangent_step",
     "wave_band_state",
-    "wave_grid",
 ]
 
 # The package's settable values: the defaulted parameters of the public
@@ -72,15 +70,9 @@ SETTABLE_VALUES = [
     "SolverConfig.debug_checks",
     "SolverConfig.fp_tol",
     "SolverConfig.h",
-    "nls_two_mode_state(amplitudes)",
-    "nls_two_mode_state(modes)",
-    "random_band_state(amplitude)",
-    "random_band_state(max_mode)",
     "rough_decay_state(exponent)",
-    "schrodinger_grid(bc)",
     "wave_band_state(u_amps)",
     "wave_band_state(v_amps)",
-    "wave_grid(bc)",
 ]
 
 # The public attributes (fields, methods and properties) of the public
@@ -142,7 +134,7 @@ def test_settable_values_are_pinned(monkeypatch, capsys):
                 if not method.startswith("_") and inspect.isfunction(fn):
                     values += defaulted(f"{name}.{method}", fn)
     assert sorted(values) == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 18
+    assert len(SETTABLE_VALUES) == 12
 
 
 def test_public_surface_is_pinned():
@@ -152,6 +144,7 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert names == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 41
 
 
 def test_public_class_attributes_are_pinned():

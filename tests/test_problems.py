@@ -14,7 +14,7 @@ from rkspectral.problems import (
     list_problems,
     make_nonlinearity,
 )
-from rkspectral.spectral import SpectralGrid, State, inverse_transform_array, schrodinger_grid
+from rkspectral.spectral import SpectralGrid, State, inverse_transform_array
 
 from oracles import evaluate_B, grid_nodes, to_state
 
@@ -70,7 +70,7 @@ class TestEvaluateB:
 
     def test_grid_mismatch_rejected(self):
         p = get_problem("nls-cubic-periodic", 16)
-        u = mode_state(schrodinger_grid(32), 0, {0: 1.0})
+        u = mode_state(SpectralGrid("schrodinger", "periodic", 32), 0, {0: 1.0})
         with pytest.raises(ValueError):
             evaluate_B_array(p, u.coeffs)
 
@@ -225,6 +225,9 @@ class TestCatalogue:
             make_nonlinearity("wave", "septic")
         with pytest.raises(KeyError, match="unknown schrodinger nonlinearity 'quintic'"):
             make_nonlinearity("schrodinger", "quintic")
+        for constant in ("inf", "-inf", "nan", "1e400"):  # float() reads each
+            with pytest.raises(ValueError, match="must be finite"):
+                make_nonlinearity("wave", f"cubic_plus_const:{constant}")
 
 
 # Every tabled nonlinearity, plus the parsed family.
@@ -359,7 +362,7 @@ class TestBoundaryPreservation:
 class TestSobolevAlgebra:
     def test_product_norm_bounded_by_calibrated_constant(self):
         # calibrate the algebra constant on 100 pairs, then check 1000 more
-        grid = schrodinger_grid(64)
+        grid = SpectralGrid("schrodinger", "periodic", 64)
         rng = np.random.default_rng(4)
         max_mode = 8
 

@@ -16,10 +16,8 @@ from rkspectral.spectral import (
     apply_exp_tA,
     base_norm,
     inverse_transform_array,
-    schrodinger_grid,
     sobolev_norm,
     step_matrices,
-    wave_grid,
 )
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
@@ -66,10 +64,10 @@ class TestTransforms:
     @pytest.mark.parametrize(
         "grid",
         [
-            schrodinger_grid(16),
-            wave_grid(16),
-            wave_grid(16, "dirichlet"),
-            wave_grid(16, "neumann"),
+            SpectralGrid("schrodinger", "periodic", 16),
+            SpectralGrid("wave", "periodic", 16),
+            SpectralGrid("wave", "dirichlet", 16),
+            SpectralGrid("wave", "neumann", 16),
         ],
         ids=["periodic-nls", "periodic-wave", "dirichlet", "neumann"],
     )
@@ -86,7 +84,7 @@ class TestTransforms:
     @example(bc_n=("dirichlet", spectral._DENSE_DST1_MAX_N + 1), seed=0)
     def test_roundtrip_property(self, bc_n, seed):
         bc, n = bc_n
-        grid = schrodinger_grid(n, bc)
+        grid = SpectralGrid("schrodinger", bc, n)
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         tol = 1e-13 * np.max(np.abs(values))
@@ -96,7 +94,7 @@ class TestTransforms:
         assert np.max(np.abs(back_and_there - values)) <= tol
 
     def test_periodic_cosine_hits_two_modes(self):
-        grid = schrodinger_grid(16)
+        grid = SpectralGrid("schrodinger", "periodic", 16)
         state = to_state(grid, np.cos(grid_nodes(grid)))
         active = grid.modes[np.abs(state.coeffs[0]) > 1e-12]
         assert sorted(active.tolist()) == [-1, 1]
@@ -105,20 +103,20 @@ class TestTransforms:
             assert state.coeffs[0, idx] == pytest.approx(0.5, abs=1e-14)
 
     def test_dirichlet_sine_hits_single_mode(self):
-        grid = wave_grid(8, "dirichlet")
+        grid = SpectralGrid("wave", "dirichlet", 8)
         state = to_state(grid, np.vstack([np.sin(grid_nodes(grid)), np.zeros(8)]))
         assert state.coeffs[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(state.coeffs[0, 1:])) < 1e-14
 
     def test_size_mismatch_rejected(self):
-        grid = schrodinger_grid(16)
+        grid = SpectralGrid("schrodinger", "periodic", 16)
         with pytest.raises(ValueError):
             grid.transform_array(np.zeros(15))
 
     def test_mode_sets(self):
-        assert set(schrodinger_grid(8).modes) == {-3, -2, -1, 0, 1, 2, 3, 4}
-        assert set(wave_grid(5, "dirichlet").modes) == {1, 2, 3, 4, 5}
-        assert set(wave_grid(5, "neumann").modes) == {0, 1, 2, 3, 4}
+        assert set(SpectralGrid("schrodinger", "periodic", 8).modes) == {-3, -2, -1, 0, 1, 2, 3, 4}
+        assert set(SpectralGrid("wave", "dirichlet", 5).modes) == {1, 2, 3, 4, 5}
+        assert set(SpectralGrid("wave", "neumann", 5).modes) == {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize("n", [255, 256, 257])
     @pytest.mark.parametrize(
@@ -128,7 +126,7 @@ class TestTransforms:
     def test_stacked_real_transform_matches_two_calls(self, n, bc, stacked, transform):
         # one call on the stacked (real, imag) rows gives each row's own transform
         rng = np.random.default_rng(n)
-        grid = wave_grid(n, bc)
+        grid = SpectralGrid("wave", bc, n)
         vals = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         vals[1].imag = 0.0  # a real field among complex ones
         sine = grid._sine_matrix
@@ -153,7 +151,7 @@ class TestTransforms:
     def test_real_rows_transform_as_the_real_part_of_complex_ones(self, n, bc):
         # real data take the real transform alone, in float64, bit for bit
         # the real part of the stacked complex transform
-        grid = wave_grid(n, bc)
+        grid = SpectralGrid("wave", bc, n)
         if bc == "dirichlet":
             transform = functools.partial(spectral._complex_dst1, sine=grid._sine_matrix)
         else:
@@ -168,14 +166,14 @@ class TestTransforms:
                 assert got.tobytes() == np.ascontiguousarray(full.real).tobytes()
 
     def test_periodic_transforms_stay_complex(self):
-        grid = wave_grid(16)
+        grid = SpectralGrid("wave", "periodic", 16)
         values = np.random.default_rng(4).standard_normal((2, 16))
         assert grid.transform_array(values).dtype == complex
         assert inverse_transform_array(grid, values).dtype == complex
 
     @pytest.mark.parametrize("n", [64, 100, 192, 255, 256])
     def test_dense_dst1_matches_scipy(self, n):
-        grid = wave_grid(n, "dirichlet")
+        grid = SpectralGrid("wave", "dirichlet", n)
         vals = np.random.default_rng(n).standard_normal((3, n))
         expected = dst(vals, type=1, axis=-1)
         dense = spectral._complex_dst1(vals, grid._sine_matrix)
@@ -189,7 +187,7 @@ class TestTransforms:
         # each row is its own matrix-vector product: batching never moves a
         # bit (a BLAS product of r rows as one matrix rounds differently as
         # r changes)
-        sine = wave_grid(n, "dirichlet")._sine_matrix
+        sine = SpectralGrid("wave", "dirichlet", n)._sine_matrix
         rng = np.random.default_rng(n)
         vals = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
         stacked = spectral._complex_dst1(vals, sine)
@@ -204,9 +202,9 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n, dense", [(2, True), (255, True), (256, True), (257, False)])
     def test_dense_dst1_size_cap(self, n, dense):
-        grid = wave_grid(n, "dirichlet")
+        grid = SpectralGrid("wave", "dirichlet", n)
         assert (grid._sine_matrix is not None) is dense
-        assert schrodinger_grid(n, "neumann")._sine_matrix is None
+        assert SpectralGrid("schrodinger", "neumann", n)._sine_matrix is None
         if dense:
             assert grid._sine_matrix is grid._sine_matrix
             assert grid._sine_matrix.shape == (n, n)
@@ -224,7 +222,7 @@ class TestTransforms:
         cosines = 2 * np.cos(np.pi * (np.outer(j, j) % (2 * n - 2)) / (n - 1))
         cosines[:, 0] /= 2
         cosines[:, -1] /= 2
-        grid = wave_grid(n, "dirichlet")
+        grid = SpectralGrid("wave", "dirichlet", n)
         for got, expected in [
             (spectral._complex_dst1(vals, grid._sine_matrix), vals @ sines.T),
             (spectral._complex_dct1(vals), vals @ cosines.T),
@@ -242,7 +240,7 @@ class TestTransforms:
                 assert spectral._dct1(rows).tobytes() == dct(rows, type=1, axis=-1).tobytes()
 
     def test_modes_and_weights_are_cached_read_only(self):
-        grid = wave_grid(16, "neumann")
+        grid = SpectralGrid("wave", "neumann", 16)
         assert grid.modes is grid.modes and grid.weights is grid.weights
         with pytest.raises(ValueError):
             grid.modes[0] = 5
@@ -263,28 +261,35 @@ class TestTransforms:
         with pytest.raises(ValueError, match="grid size n must be an integer"):
             SpectralGrid("wave", bc, n)
 
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("n", [2**20 + 2, 10**400])
+    def test_size_above_the_bound_rejected(self, bc, n):
+        with pytest.raises(ValueError, match="grid size n must be at most 1048576, got "):
+            SpectralGrid("schrodinger", bc, n)
+        assert SpectralGrid("schrodinger", bc, 2**20).n == 2**20
+
     def test_numpy_integer_size_accepted(self):
-        grid = wave_grid(np.int64(8), "dirichlet")
+        grid = SpectralGrid("wave", "dirichlet", np.int64(8))
         assert grid.modes.tolist() == list(range(1, 9))
         assert State(grid, np.ones((2, 8))).coeffs.shape == (2, 8)
 
 
 class TestOperatorAction:
     def test_schrodinger_single_mode(self):
-        u = mode_state(schrodinger_grid(8), {1: 1.0})
+        u = mode_state(SpectralGrid("schrodinger", "periodic", 8), {1: 1.0})
         out = apply_A(u)
         idx = np.where(u.grid.modes == 1)[0][0]
         assert out.coeffs[0, idx] == pytest.approx(-1j, abs=0)
 
     def test_wave_block(self):
-        u = mode_state(wave_grid(8), {2: (1.0, 0.0)})
+        u = mode_state(SpectralGrid("wave", "periodic", 8), {2: (1.0, 0.0)})
         out = apply_A(u)
         idx = np.where(u.grid.modes == 2)[0][0]
         assert out.coeffs[0, idx] == 0.0
         assert out.coeffs[1, idx] == pytest.approx(-4.0, abs=0)
 
     def test_wave_zero_mode_is_nilpotent(self):
-        u = mode_state(wave_grid(8), {0: (2.0, 3.0)})
+        u = mode_state(SpectralGrid("wave", "periodic", 8), {0: (2.0, 3.0)})
         once = apply_A(u)
         idx = np.where(u.grid.modes == 0)[0][0]
         assert once.coeffs[0, idx] == pytest.approx(3.0, abs=0)
@@ -296,13 +301,13 @@ class TestOperatorAction:
 
 class TestPropagator:
     def test_schrodinger_half_period(self):
-        u = mode_state(schrodinger_grid(8), {1: 1.0})
+        u = mode_state(SpectralGrid("schrodinger", "periodic", 8), {1: 1.0})
         out = apply_exp_tA(u, math.pi)
         idx = np.where(u.grid.modes == 1)[0][0]
         assert out.coeffs[0, idx] == pytest.approx(-1.0, abs=1e-15)
 
     def test_wave_quarter_period(self):
-        u = mode_state(wave_grid(8), {1: (1.0, 0.0)})
+        u = mode_state(SpectralGrid("wave", "periodic", 8), {1: (1.0, 0.0)})
         out = apply_exp_tA(u, math.pi / 2)
         idx = np.where(u.grid.modes == 1)[0][0]
         assert out.coeffs[0, idx] == pytest.approx(0.0, abs=1e-15)
@@ -310,17 +315,19 @@ class TestPropagator:
 
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(1)
-        u = random_state(wave_grid(16), rng)
+        u = random_state(SpectralGrid("wave", "periodic", 16), rng)
         assert np.array_equal(apply_exp_tA(u, 0.0).coeffs, u.coeffs)
 
     def test_jordan_mode_secular_term(self):
-        u = mode_state(wave_grid(8), {0: (1.0, 2.0)})
+        u = mode_state(SpectralGrid("wave", "periodic", 8), {0: (1.0, 2.0)})
         out = apply_exp_tA(u, 0.5)
         idx = np.where(u.grid.modes == 0)[0][0]
         assert out.coeffs[0, idx] == pytest.approx(2.0, abs=0)
         assert out.coeffs[1, idx] == pytest.approx(2.0, abs=0)
 
-    @pytest.mark.parametrize("grid", [schrodinger_grid(16), wave_grid(16)])
+    @pytest.mark.parametrize(
+        "grid", [SpectralGrid("schrodinger", "periodic", 16), SpectralGrid("wave", "periodic", 16)]
+    )
     def test_semigroup_property(self, grid):
         rng = np.random.default_rng(2)
         u = random_state(grid, rng)
@@ -376,7 +383,7 @@ class TestLinearPartClosedForm:
 
 class TestStageResolvent:
     def test_midpoint_schrodinger_closed_form(self):
-        grid = schrodinger_grid(8)
+        grid = SpectralGrid("schrodinger", "periodic", 8)
         rhs = np.zeros((1, 1, 8), dtype=complex)
         idx = np.where(grid.modes == 1)[0][0]
         rhs[0, 0, idx] = 1.0
@@ -385,14 +392,14 @@ class TestStageResolvent:
 
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(3)
-        grid = wave_grid(16)
+        grid = SpectralGrid("wave", "periodic", 16)
         data = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
         out = solve_stage_resolvent(grid, data, gauss_legendre(2), 0.0)
         assert np.max(np.abs(out - data)) < 1e-15
 
     @pytest.mark.parametrize("mode", [1, 3, 7])
     def test_midpoint_wave_against_dense_solve(self, mode):
-        grid = wave_grid(16)
+        grid = SpectralGrid("wave", "periodic", 16)
         h = 0.2
         rhs = np.zeros((1, 2, 16), dtype=complex)
         idx = np.where(grid.modes == mode)[0][0]
@@ -402,7 +409,9 @@ class TestStageResolvent:
         expected = np.linalg.solve(np.eye(2) - (h / 2) * block, np.array([1.0, 0.0]))
         assert w[0, :, idx] == pytest.approx(expected, abs=1e-14)
 
-    @pytest.mark.parametrize("grid", [schrodinger_grid(32), wave_grid(32)])
+    @pytest.mark.parametrize(
+        "grid", [SpectralGrid("schrodinger", "periodic", 32), SpectralGrid("wave", "periodic", 32)]
+    )
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_resolvent_identity(self, grid, s):
         # (I - h a A)^{-1} = I + h a A (I - h a A)^{-1}
@@ -415,8 +424,16 @@ class TestStageResolvent:
         defect = np.max(np.abs(w - (data + h * aw)))
         assert defect < 1e-11
 
+    @pytest.mark.parametrize("equation", ["schrodinger", "wave"])
+    def test_step_too_large_for_the_symbols_raises(self, equation):
+        # h a k^2 (h a k for the wave) overflows: no step matrix is finite
+        grid = SpectralGrid(equation, "periodic", 16)
+        message = r"step matrices for h=1e\+308 are not finite \(overflow"
+        with pytest.raises(ValueError, match=message):
+            step_matrices(gauss_legendre(2), 1e308, grid)
+
     def test_repeated_calls_build_fresh_equal_arrays(self):
-        grid = wave_grid(16)
+        grid = SpectralGrid("wave", "periodic", 16)
         t = gauss_legendre(2)
         first = step_matrices(t, 0.01, grid)
         again = step_matrices(t, 0.01, grid)
@@ -494,7 +511,7 @@ class TestDistinctSymbolBuild:
         # At k = 0, M = [[0, 1], [0, 0]] is nilpotent, so the stage inverse
         # is I + h a (x) M and the update I + h sum(b) M: no rounding but
         # that of the products h a_ij and h sum(b).
-        grid = wave_grid(8)
+        grid = SpectralGrid("wave", "periodic", 8)
         zero = int(np.flatnonzero(grid.modes == 0)[0])
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
         for s in range(1, 9):
@@ -513,7 +530,7 @@ class TestDistinctSymbolBuild:
         # LU construction reaches 1.9e-13 at s = 8).
         t = gauss_legendre(s)
         for bc in ("dirichlet", "periodic"):
-            grid = wave_grid(256, bc)
+            grid = SpectralGrid("wave", bc, 256)
             first = grid._distinct_symbols[0]
             for h in (1e-3, 0.37, 2.5, 5.0):
                 stage_inv, update = step_matrices(t, h, grid)
@@ -533,13 +550,13 @@ class TestDistinctSymbolBuild:
         # is singular exactly when h k^2 = 1; +k and -k both qualify.
         t = ButcherTableau(2, [[0, -1], [1, 0]], [0.5, 0.5], [-1, 1], 1)
         with pytest.raises(SingularResolventError) as info:
-            step_matrices(t, h, schrodinger_grid(n, bc))
+            step_matrices(t, h, SpectralGrid("schrodinger", bc, n))
         assert info.value.where == mode
 
 
 class TestUpdateMap:
     def test_midpoint_schrodinger_rational_form(self):
-        grid = schrodinger_grid(8)
+        grid = SpectralGrid("schrodinger", "periodic", 8)
         u = mode_state(grid, {2: 1.0})
         h = 0.05
         out = apply_S_hA(u, gauss_legendre(1), h)
@@ -550,14 +567,14 @@ class TestUpdateMap:
 
     def test_zero_step_is_identity(self):
         rng = np.random.default_rng(6)
-        u = random_state(schrodinger_grid(16), rng)
+        u = random_state(SpectralGrid("schrodinger", "periodic", 16), rng)
         out = apply_S_hA(u, gauss_legendre(2), 0.0)
         assert np.max(np.abs(out.coeffs - u.coeffs)) < 1e-15
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_unimodular_on_schrodinger_spectrum(self, s):
         # discrete normal-operator stability: modulus one per mode
-        grid = schrodinger_grid(128)
+        grid = SpectralGrid("schrodinger", "periodic", 128)
         t = gauss_legendre(s)
         for h in (1e-3, 1e-2, 1e-1, 1.0):
             _, update = step_matrices(t, h, grid)
@@ -567,15 +584,17 @@ class TestUpdateMap:
 class TestScaleNorms:
     def test_rung_zero_is_base_norm(self):
         rng = np.random.default_rng(7)
-        u = random_state(wave_grid(16), rng)
+        u = random_state(SpectralGrid("wave", "periodic", 16), rng)
         assert sobolev_norm(u, 0) == pytest.approx(base_norm(u), abs=0)
 
     def test_single_mode_values(self):
-        u = mode_state(schrodinger_grid(8), {1: 1.0})
+        u = mode_state(SpectralGrid("schrodinger", "periodic", 8), {1: 1.0})
         assert sobolev_norm(u, 0) == pytest.approx(math.sqrt(2 * math.pi), abs=1e-14)
         assert sobolev_norm(u, 1) == pytest.approx(math.sqrt(4 * math.pi), abs=1e-14)
 
-    @pytest.mark.parametrize("grid", [schrodinger_grid(32), wave_grid(32)])
+    @pytest.mark.parametrize(
+        "grid", [SpectralGrid("schrodinger", "periodic", 32), SpectralGrid("wave", "periodic", 32)]
+    )
     def test_operator_maps_one_rung_down(self, grid):
         rng = np.random.default_rng(8)
         for _ in range(100):
@@ -585,12 +604,12 @@ class TestScaleNorms:
 
     def test_rungs_are_monotone(self):
         rng = np.random.default_rng(9)
-        u = random_state(schrodinger_grid(16), rng)
+        u = random_state(SpectralGrid("schrodinger", "periodic", 16), rng)
         norms = [sobolev_norm(u, k) for k in range(7)]
         assert all(a <= b for a, b in zip(norms, norms[1:]))
 
     def test_scale_cap_enforced(self):
-        u = mode_state(schrodinger_grid(8), {1: 1.0})
+        u = mode_state(SpectralGrid("schrodinger", "periodic", 8), {1: 1.0})
         with pytest.raises(ValueError):
             sobolev_norm(u, 9)
 
@@ -598,7 +617,7 @@ class TestScaleNorms:
 class TestStateHygiene:
     def test_hermitian_symmetry_of_real_fields(self):
         rng = np.random.default_rng(10)
-        grid = wave_grid(16)
+        grid = SpectralGrid("wave", "periodic", 16)
         state = to_state(grid, rng.standard_normal((2, 16)))
         assert hermitian_symmetry_defect(state) < 1e-12
         # symmetry survives the linear flow and the update map
@@ -607,7 +626,7 @@ class TestStateHygiene:
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(12)
-        u = random_state(wave_grid(16), rng)
-        v = random_state(wave_grid(32), rng)
+        u = random_state(SpectralGrid("wave", "periodic", 16), rng)
+        v = random_state(SpectralGrid("wave", "periodic", 32), rng)
         with pytest.raises(ValueError):
             _ = u + v

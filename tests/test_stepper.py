@@ -7,7 +7,7 @@ from rkspectral import stepper
 from rkspectral.errors import ConvergenceFailureError, NumericalBlowupError
 from rkspectral.harness import nls_two_mode_state, random_band_state, wave_band_state
 from rkspectral.problems import evaluate_B_array, evaluate_B_pair_array, get_problem
-from rkspectral.spectral import State, apply_exp_tA, base_norm, schrodinger_grid, wave_grid
+from rkspectral.spectral import SpectralGrid, State, apply_exp_tA, base_norm
 from rkspectral.stepper import SolverConfig, _stage_residual, integrate, step, tangent_step
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
@@ -169,7 +169,9 @@ class TestAgainstReference:
             assert stats.iterations == len(residuals)
             assert stats.final_residual == residuals[-1]
 
-    @pytest.mark.parametrize("grid", [schrodinger_grid(32), wave_grid(32, "dirichlet")])
+    @pytest.mark.parametrize(
+        "grid", [SpectralGrid("schrodinger", "periodic", 32), SpectralGrid("wave", "dirichlet", 32)]
+    )
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_stage_residual_is_max_base_norm(self, grid, s):
         rng = np.random.default_rng(s)
@@ -307,7 +309,7 @@ class TestFixedPointStages:
         monkeypatch.setattr(stepper, "_FP_MAX_ITERS", 3)
         p = get_problem("nls-cubic-periodic", 32)
         u = two_mode(p.grid, 1.5, 0.8)
-        with pytest.raises(ConvergenceFailureError) as err:
+        with pytest.raises(ConvergenceFailureError, match="reach fp_tol=1e-15 at h=0.5 ") as err:
             fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.5, fp_tol=1e-15))
         assert err.value.stats.iterations == 3
         assert err.value.stats.final_residual > 0
@@ -369,7 +371,6 @@ def huge_state(grid):
     return mode_state(grid, 0, {1: 1e160})
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 class TestBlowupFailsLoudly:
     # no bound on the data is enforced; a blow-up shows as a non-finite stage
     def test_step(self):
@@ -390,6 +391,20 @@ class TestBlowupFailsLoudly:
         v = mode_state(p.grid, 0, {1: 1e-3})
         with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
             tangent_step(p, MIDPOINT, huge_state(p.grid), v, SolverConfig(h=0.1))
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_non_finite_last_update(self, monkeypatch, steps):
+        # the last step's stages converge, but its update is not finite
+        update, calls = stepper._update, []
+
+        def last_overflows(*args):
+            calls.append(args)
+            return update(*args) * (np.inf if len(calls) == steps else 1.0)
+
+        monkeypatch.setattr(stepper, "_update", last_overflows)
+        p = get_problem("wave-cubic-periodic", 16)
+        with pytest.raises(NumericalBlowupError, match=f"non-finite state after step {steps} "):
+            integrate(p, MIDPOINT, wave_band_state(p.grid), SolverConfig(h=0.1), steps)
 
 
 class TestStep:
@@ -674,7 +689,6 @@ class TestPredictedStart:
         _, history = integrate(p, MIDPOINT, wave_band_state(p.grid), cfg, 200)
         assert sum(s.iterations for s in history) <= 1.1 * 200
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_prediction_restarts_from_b_zero(self, monkeypatch):
         # at h = 0.5 the eight-point extrapolation starts some steps outside
         # the iteration's basin; they restart from the B = 0 solution, as
