@@ -9,6 +9,11 @@ quantities plus a JSON summary echoing the fully resolved configuration,
 so an artifact directory alone reproduces the run.  The process exits 0
 when the experiment's verdict passes and nonzero on solver failure, bad
 configuration, or a missed target.
+
+The CLI checks the config's JSON shape and the values no library
+function reads; every other value reaches the library as JSON gave it,
+and the library function that takes it checks it before any step.  A
+rejected value exits 2 with one line naming the config key that set it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (ConvergenceFailureError, InputError, NumericalBlowupError,
                      UnreliableReferenceError)
 from .problems import get_problem, list_problems, make_nonlinearity
 from .spectral import SpectralGrid, State, base_norm
-from .stepper import SolverConfig, _check_steps, step, tangent_step
+from .stepper import SolverConfig, step, tangent_step
 from .tableau import resolve_tableau
 
 # The experiments that read --debug-checks; elsewhere the flag is an error.
@@ -43,9 +48,6 @@ _COMMON_KEYS = ("experiment", "out", "debug_checks")
 _KEY_TYPES = {"experiment": str, "out": str, "debug_checks": bool, "h_list": list,
               "nonlinearity": str, "dealias": bool}
 
-# Numeric config keys that must be finite and positive.
-_POSITIVE_KEYS = ("T", "fp_tol", "eps")
-
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -58,22 +60,22 @@ def _is_number(value) -> bool:
 
 def _resolve(experiment, cfg) -> dict:
     """The one place where config values become objects: the runner's inputs
-    ``t``, ``h_list``, ``solver``, ``grid``, ``problem`` and ``u0``.  Raise
-    ValueError (or KeyError, for an unknown name) naming the first config
-    key whose value is out of range, or the library's InputError."""
-    for key in _POSITIVE_KEYS:
-        if key in cfg and not 0 < cfg[key] <= sys.float_info.max:  # a huge int is not finite
-            raise InputError(key, f"{key} must be finite and positive, got {cfg[key]!r}")
-    if cfg.get("eps", 1.0) < sys.float_info.min:  # the tangent check divides by 2 eps
-        raise InputError("eps", f"eps must be a positive normal float, got {cfg['eps']!r}")
-    for key in {"steps", "n_steps"} & cfg.keys():
-        _check_steps(key, cfg[key])
+    ``t``, ``h_list``, ``solver``, ``grid``, ``problem`` and ``u0``.  Only
+    the values no library function reads are checked here (``eps``,
+    ``seed``, ``initial_data``, ``grid`` and the element types of
+    ``h_values`` and ``h_list``); the library checks every other value
+    when the run calls it.  Raise ValueError (or KeyError, for an unknown
+    name) naming the config key at fault, or the library's InputError."""
+    eps = cfg.get("eps", 1.0)
+    if not 0 < eps <= sys.float_info.max:  # a huge int is not finite
+        raise InputError("eps", f"eps must be finite and positive, got {eps!r}")
+    if eps < sys.float_info.min:  # the tangent check divides by 2 eps
+        raise InputError("eps", f"eps must be a positive normal float, got {eps!r}")
     if cfg.get("seed", 0) < 0:
         raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']!r}")
     for h in cfg.get("h_values", ()):
         if not _is_number(h):
             raise ValueError(f"config key 'h_values' must hold numbers, got {h!r}")
-        harness._check_growth_step(h)
     if cfg.get("initial_data", "standard") not in ("standard", "random", "rough"):
         raise ValueError(f"config key 'initial_data' must be standard, random or rough, "
                          f"got {cfg['initial_data']!r}")
@@ -88,13 +90,11 @@ def _resolve(experiment, cfg) -> dict:
                 raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
             hs = cfg["h_list"]
         else:  # a derived ladder's steps divide T when h_max does, unless they overflow it
-            hs = harness.dyadic_h_list(cfg["h_max"], int(cfg["levels"]))
+            hs = harness.dyadic_h_list(cfg["h_max"], cfg["levels"])
             harness._check_divides(cfg["T"], hs[0], "h_max")
-        inputs["h_list"] = harness._check_ladder(cfg["T"], hs, cfg["fp_tol"], t.p)
+        inputs["h_list"] = hs
     if experiment in ("conservation", "tangent-check"):
         inputs["solver"] = SolverConfig(cfg["h"], cfg["fp_tol"], cfg["debug_checks"])
-    if experiment == "smoothness":
-        harness._check_stencil(cfg["h"], cfg["q"], cfg["levels"])
     if experiment == "stability" and cfg["grid"] not in ("schrodinger", "wave"):
         raise ValueError(f"config key 'grid' must be one of ['schrodinger', 'wave'], "
                          f"got {cfg['grid']!r}")
@@ -124,7 +124,7 @@ def _resolve(experiment, cfg) -> dict:
 def _initial_state(problem, cfg) -> State:
     kind = cfg["initial_data"]
     if kind == "random":
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(cfg["seed"])
         return harness.random_band_state(problem.grid, rng)
     if kind == "rough":
         return harness.rough_decay_state(problem.grid)
@@ -142,16 +142,14 @@ def _report_order_verdict(report, declared_p):
 
 
 def _run_convergence(cfg, out_dir, t, h_list, problem, u0):
-    report = harness.convergence_study(
-        problem, t, u0, float(cfg["T"]), h_list, fp_tol=float(cfg["fp_tol"])
-    )
+    report = harness.convergence_study(problem, t, u0, cfg["T"], h_list, fp_tol=cfg["fp_tol"])
     report.write_csv(out_dir / "convergence.csv")
     ok, verdict = _report_order_verdict(report, t.p)
     return report.summary_dict(), ok, verdict
 
 
 def _run_conservation(cfg, out_dir, t, solver, problem, u0):
-    report = harness.conservation_run(problem, t, u0, solver, int(cfg["steps"]))
+    report = harness.conservation_run(problem, t, u0, solver, cfg["steps"])
     report.write_csv(out_dir / "conservation.csv")
     result = report.summary_dict()
     if problem.grid.equation == "schrodinger":
@@ -175,11 +173,10 @@ def _run_conservation(cfg, out_dir, t, solver, problem, u0):
 
 
 def _run_stability(cfg, out_dir, t, grid):
-    h_values = [float(h) for h in cfg["h_values"]]
-    growths = harness.stability_growth(t, grid, h_values, int(cfg["n_steps"]))
+    growths = harness.stability_growth(t, grid, cfg["h_values"], cfg["n_steps"])
     rows = []
     worst, argmax = 0.0, None
-    for h, (amp, mode) in zip(h_values, growths):
+    for h, (amp, mode) in zip(map(float, cfg["h_values"]), growths):
         deviation = abs(amp - 1.0)
         if argmax is None or deviation > worst:
             argmax = {"h": h, "mode": mode}
@@ -197,8 +194,7 @@ def _run_stability(cfg, out_dir, t, grid):
 
 def _run_smoothness(cfg, out_dir, t, problem, u0):
     results = harness.smoothness_probe(
-        problem, t, u0, float(cfg["h"]), int(cfg["q"]), levels=int(cfg["levels"]),
-        fp_tol=float(cfg["fp_tol"]),
+        problem, t, u0, cfg["h"], cfg["q"], levels=cfg["levels"], fp_tol=cfg["fp_tol"]
     )
     harness._write_csv(
         out_dir / "smoothness.csv",
@@ -215,7 +211,7 @@ def _run_smoothness(cfg, out_dir, t, problem, u0):
 
 def _run_dirichlet_compat(cfg, out_dir, t, h_list):
     rep_c, rep_i = harness.dirichlet_compatibility_study(
-        h_list, T=float(cfg["T"]), n=int(cfg["n"]), t=t, fp_tol=float(cfg["fp_tol"])
+        h_list, T=cfg["T"], n=cfg["n"], t=t, fp_tol=cfg["fp_tol"]
     )
     rep_c.write_csv(out_dir / "dirichlet_compatible.csv")
     rep_i.write_csv(out_dir / "dirichlet_incompatible.csv")
@@ -229,18 +225,21 @@ def _run_dirichlet_compat(cfg, out_dir, t, h_list):
 
 
 def _run_tangent_check(cfg, out_dir, t, h_list, solver, problem, u0):
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     v0 = harness.random_band_state(problem.grid, rng)
-    eps = float(cfg["eps"])
+    report = harness.tangent_convergence_study(
+        problem, t, u0, v0, cfg["T"], h_list, fp_tol=cfg["fp_tol"]
+    )
+    eps = cfg["eps"]
     _, v1, _ = tangent_step(problem, t, u0, v0, solver)
-    plus, _ = step(problem, t, u0 + eps * v0, solver)
-    minus, _ = step(problem, t, u0 + (-eps) * v0, solver)
+    try:  # the step from u0 has converged at this h, so a blow-up is eps's
+        plus, _ = step(problem, t, u0 + eps * v0, solver)
+        minus, _ = step(problem, t, u0 + (-eps) * v0, solver)
+    except NumericalBlowupError as exc:
+        raise InputError("eps", f"eps={eps!r} is too large: a step from u0 +- eps*v0 "
+                                f"is not finite where the step from u0 converged") from exc
     fd = (1.0 / (2 * eps)) * (plus - minus)
     rel_err = base_norm(fd - v1) / max(base_norm(v1), 1e-300)
-
-    report = harness.tangent_convergence_study(
-        problem, t, u0, v0, float(cfg["T"]), h_list, fp_tol=float(cfg["fp_tol"])
-    )
     report.write_csv(out_dir / "tangent_convergence.csv")
     ok_fd = rel_err <= 1e-5
     ok_order, order_verdict = _report_order_verdict(report, t.p)
@@ -337,27 +336,23 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
             f"--debug-checks (config key debug_checks) does not apply to the {experiment} "
             f"experiment; only {', '.join(_DEBUG_CHECKED)} reads it"
         )
-    try:
-        inputs = _resolve(experiment, cfg)
-    except KeyError as exc:
-        return _fail(f"{exc.args[0]}")
-    except InputError as exc:  # a library parameter, named by the config key that set it
-        key = exc.name
-        if key == "h_list" and "h_list" not in cfg:  # too short, or T/h overflows
-            key = "levels"
-        return _fail(f"config key {key!r}: {exc}")
-    except ValueError as exc:
-        return _fail(str(exc))
     target = Path(out_dir) if out_dir else Path(cfg.get("out", "."))
     created = [d for d in (target, *target.parents) if not d.exists()]
-    target.mkdir(parents=True, exist_ok=True)
-
     try:
+        inputs = _resolve(experiment, cfg)
+        target.mkdir(parents=True, exist_ok=True)
         result, ok, verdict = runner(cfg, target, **inputs)
         harness.write_summary_json(
             target / f"{experiment.replace('-', '_')}_summary.json",
             {"config": cfg, "result": result, "pass": ok},
         )
+    except KeyError as exc:
+        message = f"{exc.args[0]}"
+    except InputError as exc:  # a library parameter, named by the config key that set it
+        key = exc.name
+        if key == "h_list" and "h_list" not in cfg:  # too short, or T/h overflows
+            key = "levels"
+        message = f"config key {key!r}: {exc}"
     except (ValueError, OSError) as exc:
         message = str(exc)
     except (ConvergenceFailureError, NumericalBlowupError, UnreliableReferenceError) as exc:

@@ -131,7 +131,8 @@ class ConvergenceReport:
 
 def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
     """The order-study input rule: two or more strictly decreasing steps,
-    each dividing T, and an ``fp_tol`` tight enough for the finest one."""
+    each dividing T, and an ``fp_tol`` finite, positive and tight enough
+    for the finest one."""
     try:
         h_list = [float(h) for h in h_list]
     except OverflowError:  # an int too large for a float
@@ -140,6 +141,7 @@ def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
         raise InputError("h_list", f"need two or more strictly decreasing steps, got {h_list!r}")
     for h in h_list:
         _check_divides(T, h, "h_list")
+    SolverConfig(h_list[-1], fp_tol)  # its fp_tol rule, before fp_tol is formatted
     bound = max(1e-2 * h_list[-1] ** (p_order + 1), FP_TOL_FLOOR)
     if fp_tol > bound:
         raise InputError("fp_tol", f"fp_tol={fp_tol:g} too loose for an order-{p_order} study "
@@ -148,11 +150,12 @@ def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
 
 
 def _check_divides(T, h, name):
-    """A study step's rule: T / h is a positive integer.  ``name`` is the
-    parameter that set h."""
-    fits = h > 0 and abs(T) <= sys.float_info.max  # an int T may be too large for a float
-    m = round(T / h) if fits and math.isfinite(T / h) else 0
-    if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, abs(T)):
+    """A study step's rule: T finite and positive, and T / h a positive
+    integer.  ``name`` is the parameter that set h."""
+    if not 0 < T <= sys.float_info.max:  # an int too large for a float is not finite
+        raise InputError("T", f"T must be finite and positive, got {T!r}")
+    m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
+    if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, T):
         raise InputError(name, f"T/h must be a positive integer; T={T}, h={h}")
 
 
@@ -228,7 +231,7 @@ def _order_study(p, t, x0, T, h_list, fp_tol, B, name) -> ConvergenceReport:
     return ConvergenceReport(
         problem=name,
         tableau=t.label,
-        T=T,
+        T=float(T),
         h_list=h_list,
         errors=errors,
         fitted_order=fitted,
@@ -241,7 +244,7 @@ def _order_study(p, t, x0, T, h_list, fp_tol, B, name) -> ConvergenceReport:
             "rungs": rungs,
         },
         flagged=flagged,
-        fp_tol=fp_tol,
+        fp_tol=float(fp_tol),
         stage_iterations=iterations,
     )
 

@@ -140,7 +140,7 @@ class SolverConfig:
         if not 0 < self.h <= sys.float_info.max:
             raise InputError("h", f"step size must be finite and positive, got {self.h!r}")
         if not 0 < self.fp_tol <= sys.float_info.max:
-            raise InputError("fp_tol", "fixed-point tolerance must be finite and positive")
+            raise InputError("fp_tol", f"fp_tol must be finite and positive, got {self.fp_tol!r}")
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "fp_tol", float(self.fp_tol))
 

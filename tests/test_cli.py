@@ -164,8 +164,9 @@ def test_stability_sweep_is_one_library_call(tmp_path, capsys, monkeypatch):
     payload = {"experiment": "stability", "grid": "wave", "n": 16, "n_steps": 3,
                "h_values": [0.1, 1, 0.2]}
     assert run_config(write_config(tmp_path, payload), tmp_path / "out") == 0
-    assert calls == [([0.1, 1.0, 0.2], 3)]
-    assert all(type(h) is float for h in calls[0][0])
+    assert calls == [([0.1, 1, 0.2], 3)]  # the JSON numbers, which the library checks
+    with open(tmp_path / "out" / "stability.csv", newline="", encoding="utf-8") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == ["0.1", "1.0", "0.2"]
 
 
 def test_negative_stability_step_error_is_unchanged(tmp_path, capsys):
@@ -417,7 +418,10 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      # a nonlinearity constant or a difference step that is not finite
      ({"experiment": "conservation", "problem": "wave-cubic-periodic",
        "nonlinearity": "cubic_plus_const:inf"}, "nonlinearity"),
-     ({"experiment": "tangent-check", "eps": 5e-324}, "eps")],
+     ({"experiment": "tangent-check", "eps": 5e-324}, "eps"),
+     # u0 +- eps*v0 overflows in B where the step from u0 converges
+     ({"experiment": "tangent-check", "n": 16, "T": 0.1, "h_max": 0.025, "levels": 2,
+       "eps": 1e308}, "eps")],
 )
 def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
@@ -585,6 +589,38 @@ def test_each_run_reads_a_tableau_file_once(tmp_path, capsys, monkeypatch, exper
                "tableau": str(tableau_path)}
     assert run_config(write_config(tmp_path, payload), tmp_path / "out") in (0, 1)
     assert len(opens) == 1
+
+
+# The input rules each run calls: once per library call that takes the
+# value, for dirichlet-compat once in each of its two studies.
+RULE_CALLS = {
+    "convergence": {"_check_ladder": 1},
+    "conservation": {"_check_steps": 1},
+    "stability": {"_check_growth_step": 1, "_check_steps": 1},
+    "smoothness": {"_check_stencil": 1},
+    "dirichlet-compat": {"_check_ladder": 2},
+    "tangent-check": {"_check_ladder": 1},
+}
+
+
+@pytest.mark.parametrize("experiment", list(SMALL_CONFIGS))
+def test_each_input_rule_runs_once_per_library_call(tmp_path, capsys, monkeypatch, experiment):
+    calls = {name: 0 for name in ("_check_ladder", "_check_stencil", "_check_steps",
+                                  "_check_growth_step")}
+
+    def spy(name, rule):
+        def counting(*args):
+            calls[name] += 1
+            return rule(*args)
+        return counting
+
+    for module in (cli, harness, stepper):  # every binding, the CLI's imports included
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    cfg = write_config(tmp_path, {"experiment": experiment, **SMALL_CONFIGS[experiment]})
+    assert run_config(cfg, tmp_path / "out") in (0, 1)
+    assert calls == {name: RULE_CALLS[experiment].get(name, 0) for name in calls}
 
 
 NOT_DEBUG_CHECKED = ["convergence", "stability", "smoothness", "dirichlet-compat",

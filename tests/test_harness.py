@@ -167,8 +167,9 @@ class TestConvergenceStudy:
     def test_zero_time_rejected(self):
         p = get_problem("nls-cubic-periodic", 32)
         u0 = nls_two_mode_state(p.grid)
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="T must be finite and positive, got 0.0") as exc:
             convergence_study(p, MIDPOINT, u0, 0.0, [0.05, 0.025], fp_tol=1e-13)
+        assert exc.value.name == "T"
 
     def test_non_decreasing_ladder_rejected(self):
         p = get_problem("nls-cubic-periodic", 32)
@@ -230,7 +231,13 @@ BAD_INPUTS = {
         "h_values", "h must be finite and nonnegative"),
     "order-study time too large for a float": (
         lambda p, u0: convergence_study(p, MIDPOINT, u0, 10**400, [0.02, 0.01], fp_tol=1e-13),
-        "h_list", "T/h must be a positive integer"),
+        "T", "T must be finite and positive"),
+    "order-study tolerance too large for a float": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.1, [0.02, 0.01], fp_tol=10**400),
+        "fp_tol", "fp_tol must be finite and positive"),
+    "order-study tolerance not a number": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.1, [0.02, 0.01], fp_tol=math.nan),
+        "fp_tol", "fp_tol must be finite and positive, got nan"),
     "solver step too large for a float": (
         lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=10**400), 1),
         "h", "step size must be finite and positive"),

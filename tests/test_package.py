@@ -157,10 +157,9 @@ def test_public_class_attributes_are_pinned():
     assert attributes == PUBLIC_ATTRIBUTES
 
 
-# The private library names the CLI may use: the input rules it checks
-# before any run, and the CSV writer its runners share with the reports.
-CLI_PRIVATE_NAMES = ["_check_divides", "_check_growth_step", "_check_ladder", "_check_stencil",
-                     "_check_steps", "_write_csv"]
+# The private library names the CLI may use: the T/h rule of a ladder it
+# derives from h_max, and the CSV writer its runners share with the reports.
+CLI_PRIVATE_NAMES = ["_check_divides", "_write_csv"]
 
 
 def test_cli_private_library_names_are_pinned():

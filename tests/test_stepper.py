@@ -817,7 +817,7 @@ class TestSolverConfig:
         for h in (-0.1, 0.0, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="step size"):
                 SolverConfig(h=h)
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ValueError, match="fp_tol must be finite and positive, got 1000"):
             SolverConfig(h=0.1, fp_tol=10**400)
         with pytest.raises(ValueError):
             SolverConfig(h=0.1, fp_tol=0.0)
@@ -828,7 +828,7 @@ class TestSolverConfig:
     def test_non_finite_tolerance_rejected(self, fp_tol):
         # inf would end every stage solve after one iteration, and nan
         # would run _FP_MAX_ITERS iterations per step before failing.
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ValueError, match=f"fp_tol must be finite and positive, got {fp_tol}"):
             SolverConfig(h=0.1, fp_tol=fp_tol)
 
     def test_int_values_are_stored_as_floats(self):
