@@ -1,6 +1,6 @@
 """Batch experiment front end.
 
-Usage:  rkspectral run <config.json> [--out DIR] [--debug-checks]
+Usage:  rkspectral run <config.json> [--out DIR]
         rkspectral run --list-problems
 
 The config selects one experiment and its parameters, resolved once into
@@ -36,17 +36,14 @@ from .spectral import SpectralGrid, State, base_norm
 from .stepper import SolverConfig, step, tangent_step
 from .tableau import resolve_tableau
 
-# The experiments that read --debug-checks; elsewhere the flag is an error.
-_DEBUG_CHECKED = ("conservation",)
-
 _ORDER_WINDOW = 0.3
 
 # Config keys every experiment reads beside its defaults and extra keys.
-_COMMON_KEYS = ("experiment", "out", "debug_checks")
+_COMMON_KEYS = ("experiment", "out")
 
 # The JSON types of the config keys that have no default.
-_KEY_TYPES = {"experiment": str, "out": str, "debug_checks": bool, "h_list": list,
-              "nonlinearity": str, "dealias": bool}
+_KEY_TYPES = {"experiment": str, "out": str, "h_list": list, "nonlinearity": str,
+              "dealias": bool}
 
 
 def _fail(message: str) -> int:
@@ -84,17 +81,17 @@ def _resolve(experiment, cfg) -> dict:
     except (ValueError, OSError) as exc:
         raise ValueError(f"config key 'tableau': {exc}") from exc
     inputs = {"t": t}
-    if "h_max" in cfg:  # an order study, which fits to a ladder of step sizes
-        if "h_list" in cfg:
-            if not all(_is_number(h) for h in cfg["h_list"]):
-                raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
-            hs = cfg["h_list"]
-        else:  # a derived ladder's steps divide T when h_max does, unless they overflow it
-            hs = harness.dyadic_h_list(cfg["h_max"], cfg["levels"])
-            harness._check_divides(cfg["T"], hs[0], "h_max")
-        inputs["h_list"] = hs
+    # An order study fits to a ladder of step sizes, given or derived.
+    if "h_list" in cfg:
+        if not all(_is_number(h) for h in cfg["h_list"]):
+            raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
+        inputs["h_list"] = cfg["h_list"]
+    elif "h_max" in cfg:
+        # a derived ladder's steps divide T when h_max does, unless they overflow it
+        inputs["h_list"] = harness.dyadic_h_list(cfg["h_max"], cfg["levels"])
+        harness._check_divides(cfg["T"], inputs["h_list"][0], "h_max")
     if experiment in ("conservation", "tangent-check"):
-        inputs["solver"] = SolverConfig(cfg["h"], cfg["fp_tol"], cfg["debug_checks"])
+        inputs["solver"] = SolverConfig(cfg["h"], cfg["fp_tol"])
     if experiment == "stability" and cfg["grid"] not in ("schrodinger", "wave"):
         raise ValueError(f"config key 'grid' must be one of ['schrodinger', 'wave'], "
                          f"got {cfg['grid']!r}")
@@ -296,7 +293,7 @@ _EXPERIMENT_TABLE = {
 }
 
 
-def run_config(config_path, out_dir=None, debug_checks=False) -> int:
+def run_config(config_path, out_dir=None) -> int:
     path = Path(config_path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -330,12 +327,12 @@ def run_config(config_path, out_dir=None, debug_checks=False) -> int:
                          f"got {type(value).__name__} {value!r}")
 
     cfg = {**defaults, **raw}
-    cfg["debug_checks"] = bool(debug_checks or cfg.get("debug_checks", False))
-    if cfg["debug_checks"] and experiment not in _DEBUG_CHECKED:
-        return _fail(
-            f"--debug-checks (config key debug_checks) does not apply to the {experiment} "
-            f"experiment; only {', '.join(_DEBUG_CHECKED)} reads it"
-        )
+    if "h_list" in raw:  # the given ladder replaces the one h_max and levels derive
+        for key in ("h_max", "levels"):
+            if key in raw:
+                return _fail(f"config key {key!r} is not read when h_list gives the "
+                             f"step sizes; set one of the two")
+            del cfg[key]
     target = Path(out_dir) if out_dir else Path(cfg.get("out", "."))
     created = [d for d in (target, *target.parents) if not d.exists()]
     try:
@@ -378,10 +375,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("config", nargs="?", help="path to a JSON experiment config")
     run_parser.add_argument("--out", default=None, help="output directory for artifacts")
     run_parser.add_argument(
-        "--debug-checks", action="store_true",
-        help="enable per-step cross-validation of the update forms",
-    )
-    run_parser.add_argument(
         "--list-problems", action="store_true", help="print the problem catalogue and exit"
     )
     args = parser.parse_args(argv)
@@ -390,7 +383,7 @@ def main(argv=None) -> int:
         return 0
     if args.config is None:
         run_parser.error("the following arguments are required: config")
-    return run_config(args.config, args.out, args.debug_checks)
+    return run_config(args.config, args.out)
 
 
 if __name__ == "__main__":

@@ -621,14 +621,14 @@ def random_band_state(grid: SpectralGrid, rng) -> State:
     return State(grid, coeffs)
 
 
-def rough_decay_state(grid: SpectralGrid, exponent: float = 1.1) -> State:
-    """Data with |c_k| ~ |k|^-exponent: barely in the base space."""
+def rough_decay_state(grid: SpectralGrid) -> State:
+    """Data with |c_k| = |k|^-1.1: barely in the base space."""
     coeffs = np.zeros((grid.components, grid.n), dtype=complex)
     k = np.abs(grid.modes.astype(float))
     nonzero = k > 0
-    coeffs[0, nonzero] = k[nonzero] ** (-exponent)
+    coeffs[0, nonzero] = k[nonzero] ** -1.1
     if grid.components == 2:
-        coeffs[1, nonzero] = k[nonzero] ** (-exponent)
+        coeffs[1, nonzero] = k[nonzero] ** -1.1
     return State(grid, coeffs)
 
 

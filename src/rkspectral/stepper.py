@@ -79,7 +79,6 @@ from .spectral import (
     _apply_stage_inv,
     _apply_update,
     _base_norm_sq_rows,
-    _generator,
     _stage_rows,
     step_matrices,
 )
@@ -131,13 +130,10 @@ class SolverConfig:
     ``fp_tol`` is an absolute tolerance on the base-norm stage update;
     order studies must keep it well below the local error they resolve.
     A step that has not met it after ``_FP_MAX_ITERS`` iterations fails.
-    ``debug_checks`` additionally evaluates the direct update form each
-    step and verifies it against the resolvent form.
     """
 
     h: float
     fp_tol: float = 1e-12
-    debug_checks: bool = False
 
     def __post_init__(self):
         # an int too large for a float is not finite; the others become floats
@@ -304,10 +300,9 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
     Each step after the first starts from the predicted B (see the
     module docstring), with one extrapolation matrix built per run and
     point count.  Real data on a Dirichlet or Neumann wave grid run, and
-    come back, in float64.  With ``cfg.debug_checks`` each update is
-    checked against its direct form.  The observer, when given, is
-    called after each step with (step_index, coefficients, stats).  A
-    near-1 contraction warns at the caller of this function's caller.
+    come back, in float64.  The observer, when given, is called after
+    each step with (step_index, coefficients, stats).  A near-1
+    contraction warns at the caller of this function's caller.
     """
     stage_inv, update = step_matrices(t, cfg.h, p.grid)
     ha = cfg.h * t.a
@@ -335,13 +330,10 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
                         extrapolations[used],
                         np.concatenate(forcings, axis=-3),
                     )
-            w, forcing, stats = _solve_stages(
+            _, forcing, stats = _solve_stages(
                 stage_inv, ha, p.grid, x, lambda w: B(p, w), cfg, predicted, stacklevel=4
             )
-            x_new = _update(update, forcing_block, x, forcing)
-            if cfg.debug_checks:
-                _check_direct_form(p.grid, t, cfg, x, w, forcing, x_new)
-            x = x_new
+            x = _update(update, forcing_block, x, forcing)
             forcings.append(forcing)
             history.append(stats)
             if observer is not None:
@@ -349,18 +341,6 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
     if not np.isfinite(x).all():
         raise NumericalBlowupError(f"non-finite state after step {steps} (h={cfg.h:g})")
     return x, history
-
-
-def _check_direct_form(grid, t, cfg, x, stages, forcing, x_new):
-    """Cross-evaluate x + h b^T (A W + forcing) against the resolvent-form
-    update ``x_new``, for coefficients with any leading shape."""
-    aw = _apply_update(_generator(grid), stages)
-    direct = x + cfg.h * np.einsum("j,...jcn->...cn", t.b, aw + forcing)
-    gap = _stage_residual(grid, direct - x_new)
-    if gap > 10 * cfg.fp_tol:
-        raise RuntimeError(
-            f"update-form mismatch: resolvent vs direct evaluation differ by {gap:.3e}"
-        )
 
 
 def step(

@@ -9,7 +9,8 @@ Stage data are arrays of shape (s, components, n).  Two build the step
 matrices independently: by a complex LU of the (s c) x (s c) Kronecker
 block, and in 50-digit arithmetic; the propagator blocks come in
 50 digits too, and so do the stability function, in resolvent form, and
-the stability polynomials, as sums of principal minors.
+the stability polynomials, as sums of principal minors.  One checks
+every update of a run against the direct form x + h b^T (A W + B).
 """
 
 import itertools
@@ -18,16 +19,18 @@ import math
 import mpmath
 import numpy as np
 
+from rkspectral import stepper
 from rkspectral.harness import _physical_quadrature, conserved_quantities
 from rkspectral.problems import evaluate_B_array
 from rkspectral.spectral import (
     State,
     _apply_update,
+    _generator,
     base_norm,
     inverse_transform_array,
     step_matrices,
 )
-from rkspectral.stepper import SolverConfig, _solve_stages, integrate
+from rkspectral.stepper import SolverConfig, _solve_stages, _stage_residual, integrate
 
 
 def grid_nodes(grid):
@@ -140,6 +143,42 @@ def update_map(grid, coeffs, t, h):
 def apply_S_hA(u, t, h):
     """Apply the update map ``S(hA)`` of the method to a state."""
     return State(u.grid, update_map(u.grid, u.coeffs, t, h))
+
+
+def check_direct_form(grid, t, cfg, x, stages, forcing, x_new):
+    """Cross-evaluate x + h b^T (A W + forcing) against the resolvent-form
+    update ``x_new``, for coefficients with any leading shape."""
+    aw = _apply_update(_generator(grid), stages)
+    direct = x + cfg.h * np.einsum("j,...jcn->...cn", t.b, aw + forcing)
+    gap = _stage_residual(grid, direct - x_new)
+    if gap > 10 * cfg.fp_tol:
+        raise RuntimeError(
+            f"update-form mismatch: resolvent vs direct evaluation differ by {gap:.3e}"
+        )
+
+
+def check_every_update(monkeypatch, grid, t, cfg):
+    """Check each update of the runs that follow on ``grid`` with ``t``
+    and ``cfg`` against its direct form (``check_direct_form``), by
+    wrapping the stepper's stage solver and update.  Returns the list of
+    the dtype and shape of the coefficients each check saw."""
+    checked, stages = [], []
+    solve, update = stepper._solve_stages, stepper._update
+
+    def solving(*args, **kwargs):
+        w, forcing, stats = solve(*args, **kwargs)
+        stages.append(w)
+        return w, forcing, stats
+
+    def updating(blocks, forcing_blocks, x, forcing):
+        x_new = update(blocks, forcing_blocks, x, forcing)
+        check_direct_form(grid, t, cfg, x, stages.pop(), forcing, x_new)
+        checked.append((x.dtype, x.shape))
+        return x_new
+
+    monkeypatch.setattr(stepper, "_solve_stages", solving)
+    monkeypatch.setattr(stepper, "_update", updating)
+    return checked
 
 
 def complex_step_matrices(t, h, grid):

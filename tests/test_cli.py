@@ -101,8 +101,7 @@ def test_key_of_another_experiment_rejected(tmp_path, capsys):
 
 def test_keys_read_beside_the_defaults_accepted(tmp_path, capsys):
     payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
-               "nonlinearity": "cubic", "dealias": True, "debug_checks": False,
-               "out": str(tmp_path / "ignored")}
+               "nonlinearity": "cubic", "dealias": True, "out": str(tmp_path / "ignored")}
     cfg = write_config(tmp_path, payload)
     assert run_config(cfg, tmp_path / "out") == 0
 
@@ -353,8 +352,7 @@ def test_threads_flag_is_an_argparse_error(tmp_path, capsys):
       "nonlinearity"),
      ({"experiment": "conservation", "dealias": "false"}, "dealias"),
      ({"experiment": "conservation", "dealias": None}, "dealias"),
-     ({"experiment": "stability", "out": 3}, "out"),
-     ({"experiment": "stability", "debug_checks": "no"}, "debug_checks")],
+     ({"experiment": "stability", "out": 3}, "out")],
 )
 def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
@@ -468,6 +466,33 @@ def test_study_step_count_is_bounded(tmp_path, capsys, experiment, key, value):
     assert err.startswith("error: config key 'h_max': T/h must be at most 1048576; ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+ORDER_STUDIES = ["convergence", "tangent-check", "dirichlet-compat"]
+
+
+@pytest.mark.parametrize("experiment", ORDER_STUDIES)
+@pytest.mark.parametrize("key, value", [("h_max", 0.3), ("levels", 9)])
+def test_ladder_key_beside_h_list_rejected(tmp_path, capsys, experiment, key, value):
+    # the given ladder is the one the study runs: h_max and levels go unread
+    payload = {"experiment": experiment, "n": 16, "h_list": [0.02, 0.01], key: value}
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} is not read when h_list gives ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ORDER_STUDIES)
+def test_summary_of_a_given_ladder_echoes_no_ladder_default(tmp_path, capsys, experiment):
+    payload = {"experiment": experiment, "n": 16, "T": 0.1, "h_list": [0.025, 0.0125]}
+    out = tmp_path / "out"
+    assert run_config(write_config(tmp_path, payload), out) in (0, 1)
+    summary = json.loads(
+        (out / f"{experiment.replace('-', '_')}_summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["h_list"] == [0.025, 0.0125]
+    assert "h_max" not in summary["config"] and "levels" not in summary["config"]
 
 
 def test_dirichlet_compat_on_a_grid_too_small_for_its_data_exits_2(tmp_path, capsys):
@@ -639,36 +664,27 @@ def test_each_input_rule_runs_once_per_library_call(tmp_path, capsys, monkeypatc
     assert calls == {name: RULE_CALLS[experiment].get(name, 0) for name in calls}
 
 
-NOT_DEBUG_CHECKED = ["convergence", "stability", "smoothness", "dirichlet-compat",
-                     "tangent-check"]
-
-
-@pytest.mark.parametrize("experiment", NOT_DEBUG_CHECKED)
-def test_debug_checks_flag_on_other_experiment_rejected(tmp_path, capsys, experiment):
+@pytest.mark.parametrize("experiment", list(cli._EXPERIMENT_TABLE))
+def test_debug_checks_flag_is_an_argparse_error(tmp_path, capsys, experiment):
+    # the check of each update against its direct form is a test oracle, not a flag
     cfg = write_config(tmp_path, {"experiment": experiment})
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--debug-checks"]) == 2
-    err = capsys.readouterr().err
-    assert f"--debug-checks (config key debug_checks) does not apply to the {experiment}" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), "--out", str(out), "--debug-checks"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --debug-checks" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment", NOT_DEBUG_CHECKED)
-def test_debug_checks_key_on_other_experiment_rejected(tmp_path, capsys, experiment):
+@pytest.mark.parametrize("experiment", list(cli._EXPERIMENT_TABLE))
+def test_debug_checks_key_is_unknown(tmp_path, capsys, experiment):
     cfg = write_config(tmp_path, {"experiment": experiment, "debug_checks": True})
     out = tmp_path / "out"
     assert run_config(cfg, out) == 2
-    assert "does not apply" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key 'debug_checks' for the {experiment} ")
+    assert err.count("\n") == 1
     assert not out.exists()
-
-
-def test_debug_checks_run_on_conservation(tmp_path, capsys):
-    payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 20}
-    cfg = write_config(tmp_path, payload)
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--debug-checks"]) == 0
-    summary = json.loads((out / "conservation_summary.json").read_text(encoding="utf-8"))
-    assert summary["config"]["debug_checks"] is True
 
 
 def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeypatch):
@@ -849,7 +865,10 @@ def test_every_config_value_exits_with_a_verdict_or_a_keyed_error(experiment, da
     keys = sorted({*defaults, *extra_keys, *cli._COMMON_KEYS})
     key = data.draw(st.sampled_from([*keys, "unknown_key"]), label="key")
     value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
-    payload = {"experiment": experiment, **FUZZ_BASES[experiment], key: value}
+    base = FUZZ_BASES[experiment]
+    if key == "h_list":  # a given ladder is not read beside the keys of a derived one
+        base = {k: v for k, v in base.items() if k not in ("h_max", "levels")}
+    payload = {"experiment": experiment, **base, key: value}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -38,6 +38,7 @@ from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import (
     band_state,
+    check_every_update,
     checked_conserved_quantities,
     exact_largest_stability_modulus,
     exact_stability_polynomials,
@@ -597,6 +598,25 @@ class TestConservedRows:
             assert rows.tobytes() == expected.tobytes()
 
 
+# The trajectory workload's two conservation runs (gl:1, h = 0.005), cut
+# to 200 steps: the complex NLS flow and the float64 Dirichlet-wave flow.
+TRAJECTORY_RUNS = [
+    ("nls-cubic-periodic", 64, nls_two_mode_state, complex),
+    ("wave-dirichlet-compatible", 256, wave_band_state, float),
+]
+
+
+@pytest.mark.parametrize("name, n, initial, dtype", TRAJECTORY_RUNS)
+def test_every_trajectory_update_has_the_direct_form(monkeypatch, name, n, initial, dtype):
+    # every step after the first starts its iteration from the predicted B
+    p = get_problem(name, n)
+    cfg = SolverConfig(h=0.005, fp_tol=1e-13)
+    checked = check_every_update(monkeypatch, p.grid, MIDPOINT, cfg)
+    report = conservation_run(p, MIDPOINT, initial(p.grid), cfg, 200)
+    assert len(report.rows) == 200
+    assert checked == [(np.dtype(dtype), (p.grid.components, n))] * 200
+
+
 def growths(t, grid, h_values, n_steps):
     """The growths of a ``stability_growth`` sweep, without their modes."""
     return [growth for growth, _ in stability_growth(t, grid, h_values, n_steps)]
@@ -809,7 +829,7 @@ class TestSmoothnessProbe:
 
     def test_rough_data_diverges(self):
         p = get_problem("nls-linear-periodic", 256)
-        u0 = rough_decay_state(p.grid, exponent=1.1)
+        u0 = rough_decay_state(p.grid)
         results = smoothness_probe(p, gauss_legendre(2), u0, 0.05, 2, levels=5, fp_tol=1e-13)
         values = [v for _, v in results]
         assert all(b > 2 * a for a, b in zip(values, values[1:]))
@@ -942,7 +962,7 @@ class TestInitialData:
 
     def test_rough_state_decay(self):
         grid = SpectralGrid("schrodinger", "periodic", 64)
-        state = rough_decay_state(grid, 1.1)
+        state = rough_decay_state(grid)
         idx2 = np.where(grid.modes == 2)[0][0]
         assert abs(state.coeffs[0, idx2]) == pytest.approx(2 ** -1.1)
 

@@ -61,16 +61,13 @@ PUBLIC_NAMES = [
 # dataclasses, every ``SolverConfig`` field, and the CLI flags.  A name
 # added here is a new knob.
 SETTABLE_VALUES = [
-    "--debug-checks",
     "--list-problems",
     "--out",
     "ButcherTableau.label",
     "ProblemSpec.dealias",
     "ProblemSpec.name",
-    "SolverConfig.debug_checks",
     "SolverConfig.fp_tol",
     "SolverConfig.h",
-    "rough_decay_state(exponent)",
     "wave_band_state(u_amps)",
     "wave_band_state(v_amps)",
 ]
@@ -86,7 +83,7 @@ PUBLIC_ATTRIBUTES = {
                           "tableau", "write_csv"],
     "Nonlinearity": ["name", "potential", "tangent", "value"],
     "ProblemSpec": ["dealias", "grid", "name", "nonlinearity"],
-    "SolverConfig": ["debug_checks", "fp_tol", "h"],
+    "SolverConfig": ["fp_tol", "h"],
     "SpectralGrid": ["bc", "components", "equation", "modes", "n", "transform_array",
                      "weights"],
     "StabilityReport": ["a_eigenvalues", "a_invertible", "a_stable", "rk1_ok", "rk1_worst",
@@ -134,7 +131,7 @@ def test_settable_values_are_pinned(monkeypatch, capsys):
                 if not method.startswith("_") and inspect.isfunction(fn):
                     values += defaulted(f"{name}.{method}", fn)
     assert sorted(values) == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 12
+    assert len(SETTABLE_VALUES) == 9
 
 
 def test_public_surface_is_pinned():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,7 @@ from oracles import (
     apply_blocks,
     apply_S_hA,
     blocks_like,
+    check_every_update,
     fixed_point_stages,
     forcing_block,
     solve_stage_resolvent,
@@ -109,8 +108,8 @@ UPDATE_FORM_CASES = [
 ]
 
 
-# (problem, flow, dtype and shape of the coefficients the debug check sees)
-DEBUG_CHECK_CASES = [
+# (problem, flow, dtype and shape of the coefficients the direct-form check sees)
+DIRECT_FORM_CASES = [
     ("nls-cubic-periodic", "step", complex, (1, 32)),
     ("wave-dirichlet-compatible", "step", float, (2, 32)),
     ("wave-neumann", "step", float, (2, 32)),
@@ -119,25 +118,12 @@ DEBUG_CHECK_CASES = [
 ]
 
 
-def random_debug_state(p, rng):
+def random_check_state(p, rng):
     """Random complex fields on NLS grids, real low-band data on wave grids."""
     if p.grid.equation == "wave":
         return random_band_state(p.grid, rng)
     n = p.grid.n
     return to_state(p.grid, 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-
-
-def spy_on_direct_form(monkeypatch):
-    """Record the dtype and shape of the coefficients each debug check sees."""
-    checked = []
-    check = stepper._check_direct_form
-
-    def spy(grid, t, cfg, x, *rest):
-        checked.append((x.dtype, x.shape))
-        return check(grid, t, cfg, x, *rest)
-
-    monkeypatch.setattr(stepper, "_check_direct_form", spy)
-    return checked
 
 
 class TestAgainstReference:
@@ -442,22 +428,24 @@ class TestStep:
             normalized.append(base_norm(out - apply_exp_tA(u, h)) / h ** (2 * s + 1))
         assert max(normalized) / min(normalized) <= 2.2
 
-    @pytest.mark.parametrize("name, flow, dtype, shape", DEBUG_CHECK_CASES)
+    @pytest.mark.parametrize("name, flow, dtype, shape", DIRECT_FORM_CASES)
     def test_update_forms_agree_on_random_states(self, name, flow, dtype, shape, monkeypatch):
         p = get_problem(name, 32)
-        checked = spy_on_direct_form(monkeypatch)
+        cfg = SolverConfig(h=0.02, fp_tol=1e-13)
+        checked = check_every_update(monkeypatch, p.grid, MIDPOINT, cfg)
         rng = np.random.default_rng(3)
-        cfg = SolverConfig(h=0.02, fp_tol=1e-13, debug_checks=True)
         for _ in range(5):
-            u = random_debug_state(p, rng)
+            u = random_check_state(p, rng)
             if flow == "step":
                 step(p, MIDPOINT, u, cfg)  # raises if the two forms disagree
             else:
                 tangent_step(p, MIDPOINT, u, random_band_state(p.grid, rng), cfg)
         assert checked == [(np.dtype(dtype), shape)] * 5
 
-    @pytest.mark.parametrize("name, flow, dtype, shape", DEBUG_CHECK_CASES)
-    def test_perturbed_update_fails_the_debug_check(self, name, flow, dtype, shape, monkeypatch):
+    @pytest.mark.parametrize("name, flow, dtype, shape", DIRECT_FORM_CASES)
+    def test_perturbed_update_fails_the_direct_form_check(
+        self, name, flow, dtype, shape, monkeypatch
+    ):
         # a 1e-9 error in the last coefficient of the update (for the pair,
         # of the tangent) is far above the check's 10 fp_tol
         update = stepper._update
@@ -470,14 +458,17 @@ class TestStep:
         monkeypatch.setattr(stepper, "_update", perturbed)
         p = get_problem(name, 32)
         rng = np.random.default_rng(3)
-        u = random_debug_state(p, rng)
-        cfg = SolverConfig(h=0.02, fp_tol=1e-13, debug_checks=True)
+        u = random_check_state(p, rng)
+        v = random_band_state(p.grid, rng)
+        cfg = SolverConfig(h=0.02, fp_tol=1e-13)
+        step(p, MIDPOINT, u, cfg)  # unchecked: no error
+        checked = check_every_update(monkeypatch, p.grid, MIDPOINT, cfg)
         with pytest.raises(RuntimeError, match="update-form mismatch"):
             if flow == "step":
                 step(p, MIDPOINT, u, cfg)
             else:
-                tangent_step(p, MIDPOINT, u, random_band_state(p.grid, rng), cfg)
-        step(p, MIDPOINT, u, dataclasses.replace(cfg, debug_checks=False))  # unchecked: no error
+                tangent_step(p, MIDPOINT, u, v, cfg)
+        assert checked == []  # the first check raised
 
     @pytest.mark.parametrize("name, initial", UPDATE_FORM_CASES)
     @pytest.mark.parametrize("s", range(1, 9))
