@@ -28,7 +28,6 @@ from .problems import (
     ProblemSpec,
     get_problem,
     list_problems,
-    make_nonlinearity,
 )
 from .spectral import (
     SpectralGrid,

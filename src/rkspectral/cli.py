@@ -19,7 +19,6 @@ rejected value exits 2 with one line naming the config key that set it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import difflib
 import json
 import math
@@ -31,7 +30,7 @@ import numpy as np
 from . import harness
 from .errors import (ConvergenceFailureError, InputError, NumericalBlowupError,
                      UnreliableReferenceError)
-from .problems import get_problem, list_problems, make_nonlinearity
+from .problems import get_problem, list_problems
 from .spectral import SpectralGrid, State, base_norm
 from .stepper import SolverConfig, step, tangent_step
 from .tableau import resolve_tableau
@@ -42,8 +41,7 @@ _ORDER_WINDOW = 0.3
 _COMMON_KEYS = ("experiment", "out")
 
 # The JSON types of the config keys that have no default.
-_KEY_TYPES = {"experiment": str, "out": str, "h_list": list, "nonlinearity": str,
-              "dealias": bool}
+_KEY_TYPES = {"experiment": str, "out": str, "h_list": list}
 
 
 def _fail(message: str) -> int:
@@ -101,20 +99,10 @@ def _resolve(experiment, cfg) -> dict:
         else:
             problem = get_problem(cfg.get("problem", "wave-dirichlet-compatible"), cfg["n"])
             if "problem" in cfg:  # the data's modes must be on the grid
+                inputs["problem"] = problem
                 inputs["u0"] = _initial_state(problem, cfg)
     except ValueError as exc:
         raise ValueError(f"config key 'n': {exc}") from exc
-    if "problem" in cfg:
-        if "nonlinearity" in cfg:
-            try:
-                nonlinearity = make_nonlinearity(problem.grid.equation, cfg["nonlinearity"])
-            except ValueError as exc:
-                raise ValueError(f"config key 'nonlinearity': {exc}") from exc
-            problem = dataclasses.replace(problem, nonlinearity=nonlinearity,
-                                          name=f"{cfg['problem']}[{cfg['nonlinearity']}]")
-        if "dealias" in cfg:
-            problem = dataclasses.replace(problem, dealias=cfg["dealias"])
-        inputs["problem"] = problem
     return inputs
 
 
@@ -256,13 +244,13 @@ _EXPERIMENT_TABLE = {
         {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "T": 0.5,
          "h_max": 0.02, "levels": 5, "fp_tol": 1e-13, "seed": 0,
          "initial_data": "standard"},
-        ("h_list", "nonlinearity", "dealias"),
+        ("h_list",),
         _run_convergence,
     ),
     "conservation": (
         {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "h": 5e-3,
          "steps": 2000, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard"},
-        ("nonlinearity", "dealias"),
+        (),
         _run_conservation,
     ),
     "stability": (
@@ -274,7 +262,7 @@ _EXPERIMENT_TABLE = {
     "smoothness": (
         {"problem": "nls-linear-periodic", "tableau": "gl:2", "n": 64, "h": 0.05,
          "q": 2, "levels": 4, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard"},
-        ("nonlinearity", "dealias"),
+        (),
         _run_smoothness,
     ),
     "dirichlet-compat": (
@@ -287,7 +275,7 @@ _EXPERIMENT_TABLE = {
         {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 32, "T": 0.5,
          "h": 0.01, "eps": 1e-5, "h_max": 0.02, "levels": 5, "fp_tol": 1e-13,
          "seed": 0, "initial_data": "standard"},
-        ("h_list", "nonlinearity", "dealias"),
+        ("h_list",),
         _run_tangent_check,
     ),
 }

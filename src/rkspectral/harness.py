@@ -651,9 +651,7 @@ def dirichlet_compatibility_study(
     incompatible = get_problem("wave-dirichlet-incompatible", n)
     u0 = wave_band_state(compatible.grid, u_amps=(0.4, 0.2, 0.1), v_amps=(0.2, -0.1, 0.05))
     report_c = convergence_study(compatible, t, u0, T, h_list, fp_tol=fp_tol)
-    report_i = convergence_study(
-        incompatible, t, State(incompatible.grid, u0.coeffs.copy()), T, h_list, fp_tol=fp_tol
-    )
+    report_i = convergence_study(incompatible, t, u0, T, h_list, fp_tol=fp_tol)
     return report_c, report_i
 
 

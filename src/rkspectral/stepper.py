@@ -133,7 +133,7 @@ class SolverConfig:
     """
 
     h: float
-    fp_tol: float = 1e-12
+    fp_tol: float
 
     def __post_init__(self):
         # an int too large for a float is not finite; the others become floats

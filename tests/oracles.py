@@ -11,6 +11,8 @@ block, and in 50-digit arithmetic; the propagator blocks come in
 50 digits too, and so do the stability function, in resolvent form, and
 the stability polynomials, as sums of principal minors.  One checks
 every update of a run against the direct form x + h b^T (A W + B).
+One is the symplectic form of each equation, which a Gauss method's
+tangent flow keeps and the two non-symplectic controls here do not.
 """
 
 import itertools
@@ -31,6 +33,14 @@ from rkspectral.spectral import (
     step_matrices,
 )
 from rkspectral.stepper import SolverConfig, _solve_stages, _stage_residual, integrate
+from rkspectral.tableau import ButcherTableau
+
+# A-stable methods that are not symplectic and do not conserve quadratic
+# invariants: the negative controls of the mass and symplecticity checks.
+RADAU_IIA_2 = ButcherTableau(
+    2, [[5 / 12, -1 / 12], [3 / 4, 1 / 4]], [3 / 4, 1 / 4], [1 / 3, 1.0], 3, label="radau-iia-2"
+)
+IMPLICIT_EULER = ButcherTableau(1, [[1.0]], [1.0], [1.0], 1, label="implicit-euler")
 
 
 def grid_nodes(grid):
@@ -71,6 +81,16 @@ def band_state(grid, rng, max_mode):
     elif grid.equation == "wave":
         coeffs = coeffs.real.astype(complex)
     return State(grid, coeffs)
+
+
+def symplectic_form(grid, v, w):
+    """omega(v, w) of two directions (components, n): Im sum conj(v_k) w_k
+    for the Schrodinger equation; for the wave, with directions (q, p),
+    Re sum rho_k (conj(q_v,k) p_w,k - conj(p_v,k) q_w,k) with the grid's
+    weights rho_k."""
+    if grid.equation == "schrodinger":
+        return float(np.imag(np.sum(np.conj(v[0]) * w[0])))
+    return float(np.real(np.sum(grid.weights * (np.conj(v[0]) * w[1] - np.conj(v[1]) * w[0]))))
 
 
 def fixed_point_stages(p, t, u, cfg):

@@ -32,12 +32,13 @@ from rkspectral.spectral import (
 )
 from rkspectral.stepper import SolverConfig, step, tangent_step
 from rkspectral.tableau import (
-    ButcherTableau,
     check_a_stability,
     gauss_legendre,
     quadrature_order,
     stability_function,
 )
+
+from oracles import IMPLICIT_EULER, RADAU_IIA_2
 
 FP_TOL = 1e-13
 H_LADDER = dyadic_h_list(0.02, 5)
@@ -208,14 +209,6 @@ def test_criterion_07_wave_full_order(wave_studies):
         f"wave-cubic orders {rep1.fitted_order:.3f} (gl:1), {rep2.fitted_order:.3f} (gl:2) "
         f"({elapsed:.1f}s)",
     )
-
-
-# Negative controls for the mass bound: A-stable methods that do not
-# conserve quadratic invariants.
-RADAU_IIA_2 = ButcherTableau(
-    2, [[5 / 12, -1 / 12], [3 / 4, 1 / 4]], [3 / 4, 1 / 4], [1 / 3, 1.0], 3, label="radau-iia-2"
-)
-IMPLICIT_EULER = ButcherTableau(1, [[1.0]], [1.0], [1.0], 1, label="implicit-euler")
 
 
 def test_criterion_08_conservation():

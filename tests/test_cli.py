@@ -101,7 +101,7 @@ def test_key_of_another_experiment_rejected(tmp_path, capsys):
 
 def test_keys_read_beside_the_defaults_accepted(tmp_path, capsys):
     payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
-               "nonlinearity": "cubic", "dealias": True, "out": str(tmp_path / "ignored")}
+               "out": str(tmp_path / "ignored")}
     cfg = write_config(tmp_path, payload)
     assert run_config(cfg, tmp_path / "out") == 0
 
@@ -180,21 +180,6 @@ def test_negative_stability_step_error_is_unchanged(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_dealias_override_takes_a_json_bool(tmp_path, capsys, monkeypatch):
-    seen = []
-
-    def recording_flow(p, *args):
-        seen.append(p.dealias)
-        return _flow(p, *args)
-
-    monkeypatch.setattr(harness, "_flow", recording_flow)
-    for value in (False, True):
-        payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
-                   "dealias": value}
-        assert run_config(write_config(tmp_path, payload), tmp_path / f"out{value}") == 0
-    assert seen == [False, True]
-
-
 def write_singular_tableau(tmp_path):
     # a = [[0, -1], [1, 0]]: singular where h k^2 = 1 (Schrodinger), h k = 1 (wave)
     path = tmp_path / "t.json"
@@ -262,22 +247,6 @@ def test_custom_tableau_path(tmp_path, capsys):
     }
     cfg = write_config(tmp_path, payload)
     assert run_config(cfg, tmp_path / "out") == 0
-
-
-def test_nonlinearity_override(tmp_path, capsys):
-    payload = {
-        "experiment": "conservation",
-        "problem": "wave-cubic-periodic",
-        "nonlinearity": "cubic_plus_const:0.5",
-        "n": 16,
-        "h": 0.01,
-        "steps": 20,
-    }
-    cfg = write_config(tmp_path, payload)
-    out = tmp_path / "out"
-    assert run_config(cfg, out) in (0, 1)  # verdict may flag drift; run must complete
-    summary = json.loads((out / "conservation_summary.json").read_text(encoding="utf-8"))
-    assert summary["config"]["nonlinearity"] == "cubic_plus_const:0.5"
 
 
 def test_smoothness_run(tmp_path, capsys):
@@ -348,10 +317,6 @@ def test_threads_flag_is_an_argparse_error(tmp_path, capsys):
      ({"experiment": "stability", "h_values": 0.1}, "h_values"),
      ({"experiment": "stability", "n_steps": True}, "n_steps"),
      ({"experiment": "convergence", "h_list": 0.02}, "h_list"),
-     ({"experiment": "conservation", "problem": "wave-cubic-periodic", "nonlinearity": 5},
-      "nonlinearity"),
-     ({"experiment": "conservation", "dealias": "false"}, "dealias"),
-     ({"experiment": "conservation", "dealias": None}, "dealias"),
      ({"experiment": "stability", "out": 3}, "out")],
 )
 def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, key):
@@ -382,8 +347,6 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "stability", "h_values": [0.1, -1.0]}, "h_values"),
      ({"experiment": "stability", "grid": "heat"}, "grid"),
      ({"experiment": "convergence", "initial_data": "smooth"}, "initial_data"),
-     ({"experiment": "conservation", "problem": "wave-cubic-periodic",
-       "nonlinearity": "cubic_plus_const:abc"}, "nonlinearity"),
      # a derived ladder whose smallest step is subnormal, or underflows to 0
      ({"experiment": "convergence", "levels": 1025}, "levels"),
      ({"experiment": "convergence", "h_max": 1e-300, "levels": 100}, "levels"),
@@ -414,9 +377,7 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      # a grid too small for the standard data's modes
      ({"experiment": "conservation", "problem": "wave-cubic-periodic", "n": 4}, "n"),
      ({"experiment": "convergence", "problem": "wave-neumann", "n": 2}, "n"),
-     # a nonlinearity constant or a difference step that is not finite
-     ({"experiment": "conservation", "problem": "wave-cubic-periodic",
-       "nonlinearity": "cubic_plus_const:inf"}, "nonlinearity"),
+     # a difference step that is not a normal float
      ({"experiment": "tangent-check", "eps": 5e-324}, "eps"),
      # u0 +- eps*v0 overflows in B where the step from u0 converges
      ({"experiment": "tangent-check", "n": 16, "T": 0.1, "h_max": 0.025, "levels": 2,
@@ -687,6 +648,21 @@ def test_debug_checks_key_is_unknown(tmp_path, capsys, experiment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["convergence", "conservation", "smoothness",
+                                        "tangent-check"])
+@pytest.mark.parametrize("key, value", [("nonlinearity", "cubic_plus_const:0.5"),
+                                        ("dealias", False)])
+def test_problem_override_keys_are_unknown(tmp_path, capsys, experiment, key, value):
+    # a problem is its catalogue entry; ProblemSpec builds one outside it
+    cfg = write_config(tmp_path, {"experiment": experiment, key: value})
+    out = tmp_path / "out"
+    assert run_config(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key {key!r} for the {experiment} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeypatch):
     histories = []
 
@@ -839,7 +815,7 @@ def test_python_dash_m_runs_from_a_checkout(tmp_path):
 
 # Cheap valid configs, one per experiment, that the fuzz property below
 # breaks one key at a time; convergence draws random data, so its seed is read,
-# and conservation runs a wave, whose nonlinearity takes a constant.
+# and conservation runs a wave on the complex periodic path.
 FUZZ_BASES = {
     "convergence": {"n": 16, "T": 0.1, "h_max": 0.025, "levels": 2, "initial_data": "random"},
     "conservation": {"problem": "wave-cubic-periodic", "n": 16, "h": 0.01, "steps": 3},

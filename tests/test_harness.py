@@ -3,6 +3,7 @@ import functools
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from rkspectral.harness import (
     tangent_convergence_study,
     wave_band_state,
 )
-from rkspectral.problems import ProblemSpec, get_problem, list_problems, make_nonlinearity
+from rkspectral.problems import _NONLINEARITIES, ProblemSpec, get_problem, list_problems
 from rkspectral.stepper import SolverConfig, StepStats, integrate, step
 from rkspectral.spectral import (
     SpectralGrid,
@@ -248,7 +249,7 @@ BAD_INPUTS = {
         lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.1, [0.02, 0.01], fp_tol=math.nan),
         "fp_tol", "fp_tol must be finite and positive, got nan"),
     "solver step too large for a float": (
-        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=10**400), 1),
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=10**400, fp_tol=1e-12), 1),
         "h", "step size must be finite and positive"),
     "negative stability power": (
         lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [0.1], -1),
@@ -261,14 +262,15 @@ BAD_INPUTS = {
                                        int(sys.float_info.max) + 1),
         "n_steps", "n_steps must be at least 0 and at most"),
     "conservation steps too large for a float": (
-        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01), 10**400),
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12),
+                                       10**400),
         "steps", re.escape(f"steps must be at least 1 and at most {sys.float_info.max!r}")),
     "integrate steps one past the bound": (
-        lambda p, u0: integrate(p, MIDPOINT, u0, SolverConfig(h=0.01),
+        lambda p, u0: integrate(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12),
                                 int(sys.float_info.max) + 1),
         "steps", "steps must be at least 1 and at most"),
     "no conservation step": (
-        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01), 0),
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12), 0),
         "steps", "steps must be at least 1"),
 }
 
@@ -519,7 +521,7 @@ class TestConservedQuantities:
         assert q["mass"] == pytest.approx(2 * math.pi * 0.09, abs=1e-12)
 
     def test_linear_dirichlet_energy_of_sine(self):
-        p = ProblemSpec(SpectralGrid("wave", "dirichlet", 32), make_nonlinearity("wave", "zero"))
+        p = ProblemSpec(SpectralGrid("wave", "dirichlet", 32), _NONLINEARITIES["wave"]["zero"])
         u = to_state(p.grid, np.vstack([np.sin(grid_nodes(p.grid)), np.zeros(32)]))
         q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4, abs=1e-10)
@@ -879,6 +881,26 @@ class TestTangentStudy:
             tangent_convergence_study(p, MIDPOINT, u0, v0, 0.5, [0.01, 0.02], fp_tol=1e-13)
 
 
+def test_readme_problem_outside_the_catalogue_runs():
+    # the README's example as written there: a grid and a Nonlinearity
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A problem outside the catalogue.*?```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(block.group(1), namespace)
+    p = namespace["problem"]
+    assert p.grid == SpectralGrid("wave", "dirichlet", 32)
+    assert p.name == "wave-cubic_plus_const:0.5"
+    assert p.nonlinearity.value(0.0) == 0.5
+    u0 = wave_band_state(p.grid)
+    v0 = random_band_state(p.grid, np.random.default_rng(0))
+    study = tangent_convergence_study(p, MIDPOINT, u0, v0, 0.5, dyadic_h_list(0.05, 3),
+                                      fp_tol=1e-13)
+    assert study.fitted_order == pytest.approx(2.0, abs=0.1)
+    run = conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-13), 20)
+    assert len(run.rows) == 20
+    assert max(row[5] for row in run.rows) < 1e-7  # energy deviation: 6.5e-9
+
+
 @pytest.mark.parametrize("wrong", ["u0", "v0"])
 def test_state_on_another_grid_rejected_before_any_run(monkeypatch, wrong):
     runs = []
@@ -906,7 +928,7 @@ def test_conserved_quantities_rejects_a_state_on_another_grid():
     with pytest.raises(ValueError, match=message):
         conserved_quantities(p, u)
     with pytest.raises(ValueError, match=message):
-        conservation_run(p, MIDPOINT, u, SolverConfig(h=0.01), 1)
+        conservation_run(p, MIDPOINT, u, SolverConfig(h=0.01, fp_tol=1e-12), 1)
 
 
 @pytest.mark.parametrize("name", ["nls-cubic-periodic", "wave-dirichlet-compatible",

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "get_problem",
     "integrate",
     "list_problems",
-    "make_nonlinearity",
     "nls_two_mode_state",
     "quadrature_order",
     "random_band_state",
@@ -64,7 +63,6 @@ SETTABLE_VALUES = [
     "--list-problems",
     "--out",
     "ButcherTableau.label",
-    "ProblemSpec.dealias",
     "ProblemSpec.name",
     "SolverConfig.fp_tol",
     "SolverConfig.h",
@@ -82,7 +80,7 @@ PUBLIC_ATTRIBUTES = {
                           "problem", "reference", "stage_iterations", "stats", "summary_dict",
                           "tableau", "write_csv"],
     "Nonlinearity": ["name", "potential", "tangent", "value"],
-    "ProblemSpec": ["dealias", "grid", "name", "nonlinearity"],
+    "ProblemSpec": ["grid", "name", "nonlinearity"],
     "SolverConfig": ["fp_tol", "h"],
     "SpectralGrid": ["bc", "components", "equation", "modes", "n", "transform_array",
                      "weights"],
@@ -131,7 +129,7 @@ def test_settable_values_are_pinned(monkeypatch, capsys):
                 if not method.startswith("_") and inspect.isfunction(fn):
                     values += defaulted(f"{name}.{method}", fn)
     assert sorted(values) == SETTABLE_VALUES
-    assert len(SETTABLE_VALUES) == 9
+    assert len(SETTABLE_VALUES) == 8
 
 
 def test_public_surface_is_pinned():
@@ -141,7 +139,7 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert names == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
 
 
 def test_public_class_attributes_are_pinned():

@@ -10,13 +10,17 @@ from rkspectral.stepper import SolverConfig, _stage_residual, integrate, step, t
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import (
+    IMPLICIT_EULER,
+    RADAU_IIA_2,
     apply_blocks,
     apply_S_hA,
+    band_state,
     blocks_like,
     check_every_update,
     fixed_point_stages,
     forcing_block,
     solve_stage_resolvent,
+    symplectic_form,
     to_state,
     update_map,
 )
@@ -255,7 +259,7 @@ class TestFixedPointStages:
         # zero data are their stages' fixed point: one iteration, no update
         p = get_problem("nls-cubic-periodic", 16)
         u = State(p.grid, np.zeros((1, 16), dtype=complex))
-        stages, stats = fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.1))
+        stages, stats = fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.1, fp_tol=1e-12))
         assert stats.iterations == 1
         assert stats.final_residual == 0.0
         assert not stages.any()
@@ -263,7 +267,7 @@ class TestFixedPointStages:
     def test_linear_problem_converges_in_one_iteration(self):
         p = get_problem("nls-linear-periodic", 16)
         u = two_mode(p.grid)
-        stages, stats = fixed_point_stages(p, GL2, u, SolverConfig(h=0.1))
+        stages, stats = fixed_point_stages(p, GL2, u, SolverConfig(h=0.1, fp_tol=1e-12))
         assert stats.iterations == 1
         expected = solve_stage_resolvent(p.grid, np.broadcast_to(u.coeffs, stages.shape), GL2, 0.1)
         assert np.max(np.abs(stages - expected)) == 0.0
@@ -356,7 +360,7 @@ class TestFixedPointStages:
         p = get_problem("wave-cubic-periodic", 16)
         u = mode_state(p.grid, 0, {1: 1e160})
         with pytest.raises(NumericalBlowupError):
-            fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.1))
+            fixed_point_stages(p, MIDPOINT, u, SolverConfig(h=0.1, fp_tol=1e-12))
 
 
 def huge_state(grid):
@@ -368,13 +372,13 @@ class TestBlowupFailsLoudly:
     def test_step(self):
         p = get_problem("wave-cubic-periodic", 16)
         with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
-            step(p, MIDPOINT, huge_state(p.grid), SolverConfig(h=0.1))
+            step(p, MIDPOINT, huge_state(p.grid), SolverConfig(h=0.1, fp_tol=1e-12))
 
     def test_integrate(self):
         p = get_problem("nls-cubic-periodic", 16)
         seen = []
         with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
-            observed_flow(p, GL2, huge_state(p.grid), SolverConfig(h=0.1), 5,
+            observed_flow(p, GL2, huge_state(p.grid), SolverConfig(h=0.1, fp_tol=1e-12), 5,
                           lambda *args: seen.append(args))
         assert seen == []
 
@@ -382,7 +386,7 @@ class TestBlowupFailsLoudly:
         p = get_problem("wave-cubic-periodic", 16)
         v = mode_state(p.grid, 0, {1: 1e-3})
         with pytest.raises(NumericalBlowupError, match="non-finite stage residual"):
-            tangent_step(p, MIDPOINT, huge_state(p.grid), v, SolverConfig(h=0.1))
+            tangent_step(p, MIDPOINT, huge_state(p.grid), v, SolverConfig(h=0.1, fp_tol=1e-12))
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_non_finite_last_update(self, monkeypatch, steps):
@@ -396,20 +400,21 @@ class TestBlowupFailsLoudly:
         monkeypatch.setattr(stepper, "_update", last_overflows)
         p = get_problem("wave-cubic-periodic", 16)
         with pytest.raises(NumericalBlowupError, match=f"non-finite state after step {steps} "):
-            integrate(p, MIDPOINT, wave_band_state(p.grid), SolverConfig(h=0.1), steps)
+            integrate(p, MIDPOINT, wave_band_state(p.grid), SolverConfig(h=0.1, fp_tol=1e-12),
+                      steps)
 
 
 class TestStep:
     def test_linear_step_equals_update_map(self):
         p = get_problem("nls-linear-periodic", 32)
         u = two_mode(p.grid)
-        out, _ = step(p, MIDPOINT, u, SolverConfig(h=0.05))
+        out, _ = step(p, MIDPOINT, u, SolverConfig(h=0.05, fp_tol=1e-12))
         assert base_norm(out - apply_S_hA(u, MIDPOINT, 0.05)) == 0.0
 
     def test_zero_step_rejected(self):
         p = get_problem("nls-cubic-periodic", 16)
         with pytest.raises(ValueError):
-            step(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.0))
+            step(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.0, fp_tol=1e-12))
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_linear_local_error_order(self, s):
@@ -548,7 +553,7 @@ class TestIntegrate:
         u = two_mode(p.grid)
         seen = []
         observed_flow(
-            p, MIDPOINT, u, SolverConfig(h=0.01), 3,
+            p, MIDPOINT, u, SolverConfig(h=0.01, fp_tol=1e-12), 3,
             lambda i, state, stats: seen.append((i, stats.iterations)),
         )
         assert [i for i, _ in seen] == [0, 1, 2]
@@ -560,12 +565,13 @@ class TestIntegrate:
             raise RuntimeError("stop here")
 
         with pytest.raises(RuntimeError, match="stop here"):
-            observed_flow(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01), 3, boom)
+            observed_flow(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01, fp_tol=1e-12), 3,
+                          boom)
 
     def test_step_count_validation(self):
         p = get_problem("nls-cubic-periodic", 16)
         with pytest.raises(ValueError, match="steps must be at least 1") as exc:
-            integrate(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01), 0)
+            integrate(p, MIDPOINT, two_mode(p.grid), SolverConfig(h=0.01, fp_tol=1e-12), 0)
         assert exc.value.name == "steps"
 
     @pytest.mark.parametrize("run", ["integrate", "tangent", "step"])
@@ -818,20 +824,90 @@ class TestTangentStep:
         u = two_mode(p.grid)
         v = two_mode(get_problem("nls-cubic-periodic", 16).grid)
         with pytest.raises(ValueError):
-            tangent_step(p, MIDPOINT, u, v, SolverConfig(h=0.01))
+            tangent_step(p, MIDPOINT, u, v, SolverConfig(h=0.01, fp_tol=1e-12))
+
+
+SYMPLECTIC_PROBLEMS = ["nls-cubic-periodic", "wave-dirichlet-compatible", "wave-cubic-periodic",
+                       "wave-neumann"]
+# one tangent_step of h = 0.2, and a run of 20 steps of h = 0.05
+SYMPLECTIC_RUNS = [(1, 0.2), (20, 0.05)]
+
+
+def symplectic_defect(name, t, steps, h):
+    """|omega(D phi v, D phi w) - omega(v, w)| / |omega(v, w)| for the map
+    phi of ``steps`` steps of size ``h`` from the standard data on n = 64.
+
+    v and w lie in the 2/3 band, where the dealiased system is
+    Hamiltonian, and are of base norm 0.1; w leans on J v (i v, or
+    (q, p) -> (-p, q)) so that omega(v, w) is not a small cancellation.
+    One step goes through ``tangent_step``; a run through the tangent
+    order study's flow, both directions as one batch over one primal
+    trajectory.
+    """
+    p = get_problem(name, 64)
+    grid = p.grid
+    u = nls_two_mode_state(grid) if grid.equation == "schrodinger" else wave_band_state(grid)
+    rng = np.random.default_rng(0)
+    v, r = (band_state(grid, rng, grid.n // 3).coeffs for _ in range(2))
+    w = (1j * v if grid.equation == "schrodinger" else np.stack([-v[1], v[0]])) + r
+    v, w = ((0.1 / base_norm(State(grid, x))) * x for x in (v, w))
+    cfg = SolverConfig(h=h, fp_tol=1e-14)
+    if steps == 1:
+        v1, w1 = (tangent_step(p, t, u, State(grid, x), cfg)[1].coeffs for x in (v, w))
+    else:
+        pair = np.stack([np.stack([u.coeffs, u.coeffs]), np.stack([v, w])])
+        (_, (v1, w1)), _ = stepper._flow(p, t, pair, cfg, steps, evaluate_B_pair_array)
+    before = symplectic_form(grid, v, w)
+    return abs(symplectic_form(grid, v1, w1) - before) / abs(before)
+
+
+class TestSymplecticity:
+    # Gauss methods are symplectic (b_i a_ij + b_j a_ji = b_i b_j), so the
+    # discrete flow keeps omega(D phi v, D phi w) = omega(v, w).  The
+    # identity checks the whole flow at once: step matrices, update, B and
+    # DB, dealiasing and the float64 path of the sine and cosine grids.
+    @pytest.mark.parametrize("steps, h", SYMPLECTIC_RUNS)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", SYMPLECTIC_PROBLEMS)
+    def test_gauss_flow_keeps_the_symplectic_form(self, name, s, steps, h):
+        # at most 2.3e-14 (gl:4 NLS, 20 steps)
+        assert symplectic_defect(name, gauss_legendre(s), steps, h) <= 1e-13
+
+    @pytest.mark.parametrize("steps, h", SYMPLECTIC_RUNS)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_nls_tangent_maps_the_phase_direction_to_the_rotated_state(self, s, steps, h):
+        # The form cannot see a tangent that drops the u^2 conj(v) term of
+        # DB: what is left, v -> -2i |u|^2 v, is Hamiltonian too.  The
+        # phase rotation, the symmetry behind the mass, can: every RK step
+        # commutes with it, so D phi(u) (i u) = i phi(u).  At most 1.8e-16.
+        p = get_problem("nls-cubic-periodic", 64)
+        u = nls_two_mode_state(p.grid).coeffs
+        cfg = SolverConfig(h=h, fp_tol=1e-14)
+        (u1, v1), _ = stepper._flow(p, gauss_legendre(s), np.stack([u, 1j * u]), cfg, steps,
+                                    evaluate_B_pair_array)
+        assert base_norm(State(p.grid, v1 - 1j * u1)) <= 1e-13 * base_norm(State(p.grid, u1))
+
+    @pytest.mark.parametrize("steps, h", SYMPLECTIC_RUNS)
+    @pytest.mark.parametrize("t", [RADAU_IIA_2, IMPLICIT_EULER], ids=lambda t: t.label)
+    @pytest.mark.parametrize("name", SYMPLECTIC_PROBLEMS)
+    def test_non_symplectic_controls_change_the_form(self, name, t, steps, h):
+        # at least 8.6e-3 (Radau IIA on the Neumann wave, 20 steps)
+        assert symplectic_defect(name, t, steps, h) > 1e-3
 
 
 class TestSolverConfig:
     def test_validation(self):
         for h in (-0.1, 0.0, float("nan"), float("inf"), 10**400):
             with pytest.raises(ValueError, match="step size"):
-                SolverConfig(h=h)
+                SolverConfig(h=h, fp_tol=1e-12)
         with pytest.raises(ValueError, match="fp_tol must be finite and positive, got 1000"):
             SolverConfig(h=0.1, fp_tol=10**400)
         with pytest.raises(ValueError):
             SolverConfig(h=0.1, fp_tol=0.0)
         with pytest.raises(TypeError):  # the iteration cap is stepper._FP_MAX_ITERS
-            SolverConfig(h=0.1, fp_max_iters=0)
+            SolverConfig(h=0.1, fp_tol=1e-12, fp_max_iters=0)
+        with pytest.raises(TypeError):  # every caller names its tolerance
+            SolverConfig(h=0.1)
 
     @pytest.mark.parametrize("fp_tol", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tolerance_rejected(self, fp_tol):
