@@ -10,10 +10,14 @@ so an artifact directory alone reproduces the run.  The process exits 0
 when the experiment's verdict passes and nonzero on solver failure, bad
 configuration, or a missed target.
 
-The CLI checks the config's JSON shape and the values no library
-function reads; every other value reaches the library as JSON gave it,
-and the library function that takes it checks it before any step.  A
-rejected value exits 2 with one line naming the config key that set it.
+A config's keys are ``experiment`` and that experiment's defaults; the
+output directory is ``--out`` alone (default ``.``), and an order study's
+ladder is the dyadic one from ``h_max`` and ``levels`` (a ladder of other
+steps is a library call).  The CLI checks the config's JSON shape and the
+values no library function reads; every other value reaches the library
+as JSON gave it, and the library function that takes it checks it before
+any step.  A rejected value exits 2 with one line naming the config key
+that set it.
 """
 
 from __future__ import annotations
@@ -37,12 +41,6 @@ from .tableau import resolve_tableau
 
 _ORDER_WINDOW = 0.3
 
-# Config keys every experiment reads beside its defaults and extra keys.
-_COMMON_KEYS = ("experiment", "out")
-
-# The JSON types of the config keys that have no default.
-_KEY_TYPES = {"experiment": str, "out": str, "h_list": list}
-
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -55,12 +53,13 @@ def _is_number(value) -> bool:
 
 def _resolve(experiment, cfg) -> dict:
     """The one place where config values become objects: the runner's inputs
-    ``t``, ``h_list``, ``solver``, ``grid``, ``problem`` and ``u0``.  Only
-    the values no library function reads are checked here (``eps``,
-    ``seed``, ``initial_data``, ``grid`` and the element types of
-    ``h_values`` and ``h_list``); the library checks every other value
-    when the run calls it.  Raise ValueError (or KeyError, for an unknown
-    name) naming the config key at fault, or the library's InputError."""
+    ``t``, ``h_list`` (the dyadic ladder from ``h_max`` and ``levels``),
+    ``solver``, ``grid``, ``problem`` and ``u0``.  Only the values no
+    library function reads are checked here (``eps``, ``seed``,
+    ``initial_data``, ``grid`` and the element types of ``h_values``); the
+    library checks every other value when the run calls it.  Raise
+    ValueError (or KeyError, for an unknown name) naming the config key at
+    fault, or the library's InputError."""
     eps = cfg.get("eps", 1.0)
     if not 0 < eps <= sys.float_info.max:  # a huge int is not finite
         raise InputError("eps", f"eps must be finite and positive, got {eps!r}")
@@ -79,13 +78,8 @@ def _resolve(experiment, cfg) -> dict:
     except (ValueError, OSError) as exc:
         raise ValueError(f"config key 'tableau': {exc}") from exc
     inputs = {"t": t}
-    # An order study fits to a ladder of step sizes, given or derived.
-    if "h_list" in cfg:
-        if not all(_is_number(h) for h in cfg["h_list"]):
-            raise ValueError(f"config key 'h_list' must hold numbers, got {cfg['h_list']!r}")
-        inputs["h_list"] = cfg["h_list"]
-    elif "h_max" in cfg:
-        # a derived ladder's steps divide T when h_max does, unless they overflow it
+    if "h_max" in cfg:  # an order study fits to the dyadic ladder from h_max
+        # its steps divide T when h_max does, unless they overflow it
         inputs["h_list"] = harness.dyadic_h_list(cfg["h_max"], cfg["levels"])
         harness._check_divides(cfg["T"], inputs["h_list"][0], "h_max")
     if experiment in ("conservation", "tangent-check"):
@@ -236,46 +230,41 @@ def _run_tangent_check(cfg, out_dir, t, h_list, solver, problem, u0):
     return {"fd_rel_err": rel_err, "study": report.summary_dict()}, ok, verdict
 
 
-# Per experiment: its defaults, the config keys it reads beside them, and
-# its runner ``run(cfg, out_dir, **inputs) -> (result, ok, verdict)``, which
-# takes the inputs ``_resolve`` built and writes the experiment's CSVs.
+# Per experiment: its defaults, which are its config keys beside
+# ``experiment``, and its runner ``run(cfg, out_dir, **inputs) -> (result,
+# ok, verdict)``, which takes the inputs ``_resolve`` built and writes the
+# experiment's CSVs.
 _EXPERIMENT_TABLE = {
     "convergence": (
         {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "T": 0.5,
          "h_max": 0.02, "levels": 5, "fp_tol": 1e-13, "seed": 0,
          "initial_data": "standard"},
-        ("h_list",),
         _run_convergence,
     ),
     "conservation": (
         {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 64, "h": 5e-3,
          "steps": 2000, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard"},
-        (),
         _run_conservation,
     ),
     "stability": (
         {"tableau": "gl:1", "grid": "schrodinger", "n": 256,
          "h_values": [1e-3, 1e-2, 1e-1, 1.0], "n_steps": 10, "seed": 0},
-        (),
         _run_stability,
     ),
     "smoothness": (
         {"problem": "nls-linear-periodic", "tableau": "gl:2", "n": 64, "h": 0.05,
          "q": 2, "levels": 4, "fp_tol": 1e-13, "seed": 0, "initial_data": "standard"},
-        (),
         _run_smoothness,
     ),
     "dirichlet-compat": (
         {"tableau": "gl:1", "n": 256, "T": 0.4, "h_max": 0.08, "levels": 5,
          "fp_tol": 1e-13},
-        ("h_list",),
         _run_dirichlet_compat,
     ),
     "tangent-check": (
         {"problem": "nls-cubic-periodic", "tableau": "gl:1", "n": 32, "T": 0.5,
          "h": 0.01, "eps": 1e-5, "h_max": 0.02, "levels": 5, "fp_tol": 1e-13,
          "seed": 0, "initial_data": "standard"},
-        ("h_list",),
         _run_tangent_check,
     ),
 }
@@ -299,29 +288,24 @@ def run_config(config_path, out_dir=None) -> int:
         return _fail(
             f"unknown experiment {experiment!r}; choose one of {list(_EXPERIMENT_TABLE)}"
         )
-    defaults, extra_keys, runner = _EXPERIMENT_TABLE[experiment]
+    defaults, runner = _EXPERIMENT_TABLE[experiment]
 
-    valid = sorted({*defaults, *_COMMON_KEYS, *extra_keys})
+    valid = sorted({"experiment", *defaults})
     for key, value in raw.items():
-        if key not in valid:
+        if key == "experiment":
+            continue
+        if key not in defaults:
             close = difflib.get_close_matches(key, valid, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else f"; valid keys: {valid}"
             return _fail(f"unknown config key {key!r} for the {experiment} experiment{hint}")
-        # A value must have its default's JSON type (or the one _KEY_TYPES
-        # gives a key without a default), an int standing in for a float.
-        want = type(defaults[key]) if key in defaults else _KEY_TYPES[key]
+        # A value must have its default's JSON type, an int standing in for a float.
+        want = type(defaults[key])
         if type(value) not in ((float, int) if want is float else (want,)):
             return _fail(f"config key {key!r} must be {want.__name__}, "
                          f"got {type(value).__name__} {value!r}")
 
     cfg = {**defaults, **raw}
-    if "h_list" in raw:  # the given ladder replaces the one h_max and levels derive
-        for key in ("h_max", "levels"):
-            if key in raw:
-                return _fail(f"config key {key!r} is not read when h_list gives the "
-                             f"step sizes; set one of the two")
-            del cfg[key]
-    target = Path(out_dir) if out_dir else Path(cfg.get("out", "."))
+    target = Path(out_dir or ".")
     created = [d for d in (target, *target.parents) if not d.exists()]
     try:
         inputs = _resolve(experiment, cfg)
@@ -334,9 +318,8 @@ def run_config(config_path, out_dir=None) -> int:
     except KeyError as exc:
         message = f"{exc.args[0]}"
     except InputError as exc:  # a library parameter, named by the config key that set it
-        key = exc.name
-        if key == "h_list" and "h_list" not in cfg:  # too short, or T/h overflows
-            key = "levels"
+        # h_max's own rule ran in _resolve, so a fault of dyadic_h_list(h_max, levels) is levels'
+        key = "levels" if exc.name == "h_list" else exc.name
         message = f"config key {key!r}: {exc}"
     except (ValueError, OSError) as exc:
         message = str(exc)

@@ -6,11 +6,9 @@ collocation grid, transform back.  For the wave system the result lands
 in the velocity component as ``(0, -f(u))``; for the Schrodinger
 equation it is ``-i dV/d(conj u)``.  The top third of B's spectrum is
 then zeroed (2/3 rule).  The rule removes the aliasing of a quadratic
-product of data in the kept band (on a periodic grid whose n is a
-multiple of 3, all but that of the edge modes +-n/3), but not of the
-cubic products here: for random data filling |k| <= n/3 on n = 64, the
-dealiased NLS B is off the alias-free product's kept modes by about a
-fifth of their largest.
+product of data in the kept band, but not of the cubic products here:
+for random data filling the band on n = 64, the dealiased NLS B is off
+the alias-free product's kept modes by about a fifth of their largest.
 The dealiased semi-discrete system is still Hamiltonian on the band: B
 is the band projection of the gradient of the collocation energy, so
 the flow of data in the band is symplectic.
@@ -118,10 +116,12 @@ class ProblemSpec:
 
 
 def dealias_mask(grid: SpectralGrid) -> np.ndarray:
-    """Boolean mask of modes kept by the 2/3 rule (top third zeroed)."""
+    """Boolean mask of modes kept by the 2/3 rule (top third zeroed).  On a
+    periodic grid it keeps |k| < n/3: the sum of two kept modes is below
+    2n/3 in size, so it aliases only onto modes the rule drops."""
     k = np.abs(grid.modes)
     if grid.bc == "periodic":
-        return k <= grid.n // 3
+        return 3 * k < grid.n
     return k <= (2 * int(k.max())) // 3
 
 

@@ -61,7 +61,7 @@ def test_integer_of_too_many_digits_rejected(tmp_path, capsys):
 
 def test_config_that_is_not_utf8_rejected(tmp_path, capsys):
     path = tmp_path / "latin1.json"
-    path.write_bytes('{"experiment": "stability", "out": "\u00e9"}'.encode("latin-1"))
+    path.write_bytes('{"experiment": "stability", "tableau": "\u00e9"}'.encode("latin-1"))
     out = tmp_path / "out"
     assert run_config(path, out) == 2
     err = capsys.readouterr().err
@@ -97,13 +97,6 @@ def test_key_of_another_experiment_rejected(tmp_path, capsys):
     assert "unknown config key 'h_values' for the convergence experiment" in err
     assert "'h_max'" in err  # the valid keys are listed
     assert not out.exists()
-
-
-def test_keys_read_beside_the_defaults_accepted(tmp_path, capsys):
-    payload = {"experiment": "conservation", "n": 16, "h": 0.01, "steps": 2,
-               "out": str(tmp_path / "ignored")}
-    cfg = write_config(tmp_path, payload)
-    assert run_config(cfg, tmp_path / "out") == 0
 
 
 def test_missing_file_rejected(tmp_path, capsys):
@@ -315,9 +308,7 @@ def test_threads_flag_is_an_argparse_error(tmp_path, capsys):
     "payload, key",
     [({"experiment": "convergence", "n": "abc"}, "n"),
      ({"experiment": "stability", "h_values": 0.1}, "h_values"),
-     ({"experiment": "stability", "n_steps": True}, "n_steps"),
-     ({"experiment": "convergence", "h_list": 0.02}, "h_list"),
-     ({"experiment": "stability", "out": 3}, "out")],
+     ({"experiment": "stability", "n_steps": True}, "n_steps")],
 )
 def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
@@ -338,10 +329,6 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "stability", "n_steps": -1}, "n_steps"),
      ({"experiment": "convergence", "n": 5}, "n"),
      ({"experiment": "dirichlet-compat", "n": 0}, "n"),
-     ({"experiment": "tangent-check", "h_list": [0.02]}, "h_list"),
-     ({"experiment": "convergence", "h_list": [0.02, None]}, "h_list"),
-     ({"experiment": "convergence", "h_list": [0.02, "x"]}, "h_list"),
-     ({"experiment": "convergence", "h_list": [0.01, 0.02]}, "h_list"),
      ({"experiment": "smoothness", "q": 5}, "q"),
      ({"experiment": "smoothness", "levels": 0}, "levels"),
      ({"experiment": "stability", "h_values": [0.1, -1.0]}, "h_values"),
@@ -365,7 +352,6 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "convergence", "T": 10**400}, "T"),
      ({"experiment": "tangent-check", "eps": 10**400}, "eps"),
      ({"experiment": "convergence", "h_max": 10**400}, "h_max"),
-     ({"experiment": "convergence", "h_list": [10**400, 0.01]}, "h_list"),
      ({"experiment": "conservation", "h": 10**400}, "h"),
      ({"experiment": "smoothness", "h": 10**400}, "h"),
      # step counts and grid sizes above their rules' bounds (messages below)
@@ -429,31 +415,13 @@ def test_study_step_count_is_bounded(tmp_path, capsys, experiment, key, value):
     assert not out.exists()
 
 
-ORDER_STUDIES = ["convergence", "tangent-check", "dirichlet-compat"]
-
-
-@pytest.mark.parametrize("experiment", ORDER_STUDIES)
-@pytest.mark.parametrize("key, value", [("h_max", 0.3), ("levels", 9)])
-def test_ladder_key_beside_h_list_rejected(tmp_path, capsys, experiment, key, value):
-    # the given ladder is the one the study runs: h_max and levels go unread
-    payload = {"experiment": experiment, "n": 16, "h_list": [0.02, 0.01], key: value}
-    out = tmp_path / "out"
-    assert run_config(write_config(tmp_path, payload), out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: config key {key!r} is not read when h_list gives ")
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("experiment", ORDER_STUDIES)
-def test_summary_of_a_given_ladder_echoes_no_ladder_default(tmp_path, capsys, experiment):
-    payload = {"experiment": experiment, "n": 16, "T": 0.1, "h_list": [0.025, 0.0125]}
-    out = tmp_path / "out"
-    assert run_config(write_config(tmp_path, payload), out) in (0, 1)
-    summary = json.loads(
-        (out / f"{experiment.replace('-', '_')}_summary.json").read_text(encoding="utf-8"))
-    assert summary["config"]["h_list"] == [0.025, 0.0125]
-    assert "h_max" not in summary["config"] and "levels" not in summary["config"]
+def test_output_directory_without_the_flag_is_the_working_directory(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"experiment": "stability", "n": 16, "h_values": [0.1]})
+    assert main(["run", str(cfg)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "stability.csv", "stability_summary.json"]
 
 
 def test_dirichlet_compat_on_a_grid_too_small_for_its_data_exits_2(tmp_path, capsys):
@@ -478,8 +446,7 @@ def test_dirichlet_compat_rejects_a_seed(tmp_path, capsys):
 @pytest.mark.parametrize(
     "payload, message",
     [({"experiment": "convergence", "T": 0.5, "h_max": 0.03}, "T/h must be a positive integer"),
-     ({"experiment": "tangent-check", "h_list": [0.025, 0.0125, 0.0075]},
-      "T/h must be a positive integer"),
+     ({"experiment": "tangent-check", "T": 0.45}, "T/h must be a positive integer"),
      ({"experiment": "convergence", "tableau": "gl:2", "fp_tol": 1e-6}, "fp_tol=1e-06 too loose")],
 )
 def test_order_study_checks_run_before_any_work(tmp_path, capsys, payload, message):
@@ -637,30 +604,32 @@ def test_debug_checks_flag_is_an_argparse_error(tmp_path, capsys, experiment):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment", list(cli._EXPERIMENT_TABLE))
-def test_debug_checks_key_is_unknown(tmp_path, capsys, experiment):
-    cfg = write_config(tmp_path, {"experiment": experiment, "debug_checks": True})
-    out = tmp_path / "out"
-    assert run_config(cfg, out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: unknown config key 'debug_checks' for the {experiment} ")
-    assert err.count("\n") == 1
-    assert not out.exists()
+# Keys a config no longer takes, with the experiments that took them.  The
+# direct-form check of each update is a test oracle; a problem is its
+# catalogue entry (ProblemSpec builds one outside it); a ladder is dyadic,
+# from h_max and levels (another is a library call); and the output
+# directory is --out alone.
+RETIRED_KEYS = [
+    *((experiment, "debug_checks", True) for experiment in cli._EXPERIMENT_TABLE),
+    *((experiment, key, value)
+      for key, value in (("nonlinearity", "cubic_plus_const:0.5"), ("dealias", False))
+      for experiment in ("convergence", "conservation", "smoothness", "tangent-check")),
+    *((experiment, "h_list", [0.02, 0.01])
+      for experiment in ("convergence", "tangent-check", "dirichlet-compat")),
+    *((experiment, "out", "elsewhere") for experiment in cli._EXPERIMENT_TABLE),
+]
 
 
-@pytest.mark.parametrize("experiment", ["convergence", "conservation", "smoothness",
-                                        "tangent-check"])
-@pytest.mark.parametrize("key, value", [("nonlinearity", "cubic_plus_const:0.5"),
-                                        ("dealias", False)])
-def test_problem_override_keys_are_unknown(tmp_path, capsys, experiment, key, value):
-    # a problem is its catalogue entry; ProblemSpec builds one outside it
+@pytest.mark.parametrize("experiment, key, value", RETIRED_KEYS)
+def test_retired_config_keys_are_unknown(tmp_path, capsys, monkeypatch, experiment, key,
+                                         value):
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, {"experiment": experiment, key: value})
-    out = tmp_path / "out"
-    assert run_config(cfg, out) == 2
+    assert run_config(cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: unknown config key {key!r} for the {experiment} ")
     assert err.count("\n") == 1
-    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]  # no out dir, here or elsewhere
 
 
 def test_conservation_summary_reports_stage_iterations(tmp_path, capsys, monkeypatch):
@@ -837,14 +806,11 @@ FUZZ_VALUES = [10**400, -10**400, int(sys.float_info.max) + 1, 1e308, -1e308, 5e
 @given(data=st.data())
 def test_every_config_value_exits_with_a_verdict_or_a_keyed_error(experiment, data):
     # the draws are few enough that the search tries every (key, value) pair
-    defaults, extra_keys, _ = cli._EXPERIMENT_TABLE[experiment]
-    keys = sorted({*defaults, *extra_keys, *cli._COMMON_KEYS})
+    defaults, _ = cli._EXPERIMENT_TABLE[experiment]
+    keys = sorted({"experiment", *defaults})
     key = data.draw(st.sampled_from([*keys, "unknown_key"]), label="key")
     value = data.draw(st.sampled_from(FUZZ_VALUES), label="value")
-    base = FUZZ_BASES[experiment]
-    if key == "h_list":  # a given ladder is not read beside the keys of a derived one
-        base = {k: v for k, v in base.items() if k not in ("h_max", "levels")}
-    payload = {"experiment": experiment, **base, key: value}
+    payload = {"experiment": experiment, **FUZZ_BASES[experiment], key: value}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()

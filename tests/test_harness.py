@@ -38,6 +38,8 @@ from rkspectral.spectral import (
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
 from oracles import (
+    IMPLICIT_EULER,
+    RADAU_IIA_2,
     band_state,
     check_every_update,
     checked_conserved_quantities,
@@ -207,6 +209,9 @@ BAD_INPUTS = {
         lambda p, u0: tangent_convergence_study(p, MIDPOINT, u0, u0, 0.5, [0.02],
                                                 fp_tol=1e-13),
         "h_list", "two or more strictly decreasing steps"),
+    "ladder step too large for a float": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [10**400, 0.01], fp_tol=1e-13),
+        "h_list", "every step must be finite"),
     "no smoothness level": (
         lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2, levels=0, fp_tol=1e-13),
         "levels", "at least one level"),
@@ -761,6 +766,19 @@ class TestStabilityGrowth:
         [(growth, mode)] = stability_growth(MIDPOINT, grid, [0.1], 100)
         assert (growth, mode) == (matrix_stability_growth(MIDPOINT, grid, 0.1, 100), 0)
         assert stability_growth(MIDPOINT, dirichlet, [0.1], 0) == [(1.0, 1)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the wave sweep reads the k = 0 block alone (ROADMAP item 24)")
+    def test_wave_sweep_tells_a_gauss_method_from_dissipative_ones(self):
+        # the benchmark's stability sweep: a periodic wave grid of 1024, 10
+        # steps of each of 400 step sizes log-spaced on [1e-4, 1].  The k = 0
+        # block's secular growth depends on sum(b) alone and outgrows every
+        # other mode, so today all three methods give the same rows.
+        grid = SpectralGrid("wave", "periodic", 1024)
+        h_values = [10.0 ** (-4.0 + i * (4.0 / 399)) for i in range(400)]
+        gauss = stability_growth(gauss_legendre(3), grid, h_values, 10)
+        for control in (IMPLICIT_EULER, RADAU_IIA_2):
+            assert stability_growth(control, grid, h_values, 10) != gauss, control.label
 
     @pytest.mark.parametrize(
         "t, grid, h, n_steps",

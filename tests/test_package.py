@@ -132,6 +132,36 @@ def test_settable_values_are_pinned(monkeypatch, capsys):
     assert len(SETTABLE_VALUES) == 8
 
 
+# Each experiment's config keys: ``experiment`` and the experiment's
+# defaults.  A key added here is a new knob; the output directory is the
+# --out flag, and a ladder other than the dyadic one is a library call.
+CONFIG_KEYS = {
+    "conservation": ["experiment", "fp_tol", "h", "initial_data", "n", "problem", "seed",
+                     "steps", "tableau"],
+    "convergence": ["T", "experiment", "fp_tol", "h_max", "initial_data", "levels", "n",
+                    "problem", "seed", "tableau"],
+    "dirichlet-compat": ["T", "experiment", "fp_tol", "h_max", "levels", "n", "tableau"],
+    "smoothness": ["experiment", "fp_tol", "h", "initial_data", "levels", "n", "problem",
+                   "q", "seed", "tableau"],
+    "stability": ["experiment", "grid", "h_values", "n", "n_steps", "seed", "tableau"],
+    "tangent-check": ["T", "eps", "experiment", "fp_tol", "h", "h_max", "initial_data",
+                      "levels", "n", "problem", "seed", "tableau"],
+}
+
+
+def test_config_keys_are_pinned(tmp_path, capsys):
+    # the valid keys, as the error for a key that resembles none of them lists them
+    listed = {}
+    for experiment in CONFIG_KEYS:
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"experiment": "{experiment}", "zzzz": 0}}', encoding="utf-8")
+        assert cli.run_config(path, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        listed[experiment] = ast.literal_eval(err[err.index("valid keys: ") + 12:].strip())
+    assert listed == CONFIG_KEYS
+    assert sum(map(len, CONFIG_KEYS.values())) == 55
+
+
 def test_public_surface_is_pinned():
     # submodules become attributes when imported, so they are left out
     names = sorted(

@@ -65,7 +65,8 @@ class TestEvaluateB:
         out = evaluate_B(p, u)
         mask = dealias_mask(p.grid)
         assert np.max(np.abs(out.coeffs[0, ~mask])) == 0.0
-        assert np.abs(p.grid.modes[~mask]).min() > p.grid.n // 3
+        # |k| < n/3 is kept, so on n = 12 the edge modes +-4 are dropped
+        assert np.array_equal(np.sort(np.abs(p.grid.modes[~mask])), [4, 4, 5, 5, 6])
 
     def test_grid_mismatch_rejected(self):
         p = get_problem("nls-cubic-periodic", 16)
@@ -118,28 +119,32 @@ class TestDealiasSlice:
 
 
 class TestTwoThirdsRule:
-    # Random data filling the kept band |k| <= n/3 on n = 64, against the
-    # product of the same data on a grid 4x finer, where nothing aliases.
-    N = 64
+    # Random data filling the kept band |k| < n/3, against the product of
+    # the same data on a grid 4x finer, where nothing aliases.
 
-    def band_data(self):
-        grid = SpectralGrid("schrodinger", "periodic", self.N)
+    @staticmethod
+    def band_data(n):
+        grid = SpectralGrid("schrodinger", "periodic", n)
         band = dealias_mask(grid)
-        coeffs = np.zeros((1, self.N), dtype=complex)
+        coeffs = np.zeros((1, n), dtype=complex)
         draws = np.random.default_rng(0).standard_normal((2, band.sum()))
         coeffs[0, band] = draws[0] + 1j * draws[1]
         return grid, band, coeffs
 
-    def alias_free(self, grid, band, coeffs, product):
+    @staticmethod
+    def alias_free(grid, band, coeffs, product):
         # the kept modes of ``product`` of the physical values, zero-padded 4x
-        m = 4 * self.N
+        m = 4 * grid.n
         fine = np.zeros(m, dtype=complex)
         fine[grid.modes[band] % m] = coeffs[0, band]
         values = np.fft.ifft(fine, norm="forward")
         return np.fft.fft(product(values), norm="forward")[grid.modes[band] % m]
 
-    def test_a_quadratic_product_does_not_alias(self):
-        grid, band, coeffs = self.band_data()
+    # 48 and 96 are multiples of 3, where |k| <= n/3 would keep the edge
+    # modes +-n/3 that p + q = 2n/3 folds onto
+    @pytest.mark.parametrize("n", [48, 64, 96])
+    def test_a_quadratic_product_does_not_alias(self, n):
+        grid, band, coeffs = self.band_data(n)
         u = inverse_transform_array(grid, coeffs[0])
         dealiased = grid.transform_array(u * u)[band]
         exact = self.alias_free(grid, band, coeffs, lambda u: u * u)
@@ -148,8 +153,8 @@ class TestTwoThirdsRule:
     def test_the_cubic_nls_product_still_aliases(self):
         # the rule zeroes the top third of B, but the kept modes of |u|^2 u
         # are off by about a fifth of their largest
-        grid, band, coeffs = self.band_data()
-        p = get_problem("nls-cubic-periodic", self.N)
+        grid, band, coeffs = self.band_data(64)
+        p = get_problem("nls-cubic-periodic", 64)
         B = evaluate_B_array(p, coeffs)[0]
         exact = -1j * self.alias_free(grid, band, coeffs, lambda u: np.abs(u) ** 2 * u)
         assert np.abs(B[~band]).max() == 0.0
