@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -135,8 +136,11 @@ class ConvergenceReport:
 
 def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
     """The order-study input rule: two or more strictly decreasing steps,
-    each dividing T, and an ``fp_tol`` finite, positive and tight enough
-    for the finest one."""
+    each a real number (not a bool) dividing T, and an ``fp_tol`` finite,
+    positive and tight enough for the finest one."""
+    h_list = list(h_list)
+    if not all(isinstance(h, numbers.Real) and not isinstance(h, bool) for h in h_list):
+        raise InputError("h_list", f"every step must be a real number, got {h_list!r}")
     try:
         h_list = [float(h) for h in h_list]
     except OverflowError:  # an int too large for a float

@@ -212,6 +212,19 @@ BAD_INPUTS = {
     "ladder step too large for a float": (
         lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [10**400, 0.01], fp_tol=1e-13),
         "h_list", "every step must be finite"),
+    "ladder step not a number": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [0.02, "x"], fp_tol=1e-13),
+        "h_list", "every step must be a real number"),
+    "ladder step None": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [0.02, None], fp_tol=1e-13),
+        "h_list", "every step must be a real number"),
+    "ladder of numeric strings": (
+        lambda p, u0: tangent_convergence_study(p, MIDPOINT, u0, u0, 0.5, ["0.02", "0.01"],
+                                                fp_tol=1e-13),
+        "h_list", "every step must be a real number"),
+    "ladder step a bool": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [True, 0.5], fp_tol=1e-13),
+        "h_list", "every step must be a real number"),
     "no smoothness level": (
         lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2, levels=0, fp_tol=1e-13),
         "levels", "at least one level"),
