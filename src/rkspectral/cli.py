@@ -16,7 +16,9 @@ ladder is the dyadic one from ``h_max`` and ``levels`` (a ladder of other
 steps is a library call).  The CLI checks the config's JSON shape and the
 values no library function reads; every other value reaches the library
 as JSON gave it, and the library function that takes it checks it before
-any step.  A rejected value exits 2 with one line naming the config key
+any step.  Every number, the CLI's own included, goes through the
+library's number rules, so no bool reads as a number and no fraction as a
+count.  A rejected value exits 2 with one line naming the config key
 that set it.
 """
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import harness
 from .errors import (ConvergenceFailureError, InputError, NumericalBlowupError,
-                     UnreliableReferenceError)
+                     UnreliableReferenceError, _count, _real)
 from .problems import get_problem, list_problems
 from .spectral import SpectralGrid, State, base_norm
 from .stepper import SolverConfig, step, tangent_step
@@ -47,29 +49,21 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _resolve(experiment, cfg) -> dict:
     """The one place where config values become objects: the runner's inputs
     ``t``, ``h_list`` (the dyadic ladder from ``h_max`` and ``levels``),
     ``solver``, ``grid``, ``problem`` and ``u0``.  Only the values no
     library function reads are checked here (``eps``, ``seed``,
-    ``initial_data``, ``grid`` and the element types of ``h_values``); the
-    library checks every other value when the run calls it.  Raise
-    ValueError (or KeyError, for an unknown name) naming the config key at
-    fault, or the library's InputError."""
-    eps = cfg.get("eps", 1.0)
-    if not 0 < eps <= sys.float_info.max:  # a huge int is not finite
-        raise InputError("eps", f"eps must be finite and positive, got {eps!r}")
-    if eps < sys.float_info.min:  # the tangent check divides by 2 eps
-        raise InputError("eps", f"eps must be a positive normal float, got {eps!r}")
-    if cfg.get("seed", 0) < 0:
+    ``initial_data`` and ``grid``; ``eps`` and ``seed`` through the
+    library's number rules); the library checks every other value, the
+    grid size ``n`` and the elements of ``h_values`` included, when the
+    run calls it.  Raise ValueError (or KeyError, for an unknown name)
+    naming the config key at fault, or the library's InputError."""
+    # the tangent check divides by 2 eps
+    if "eps" in cfg and not sys.float_info.min <= _real("eps", cfg["eps"]) < math.inf:
+        raise InputError("eps", f"eps must be a positive normal float, got {cfg['eps']!r}")
+    if "seed" in cfg and _count("seed", cfg["seed"]) < 0:
         raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']!r}")
-    for h in cfg.get("h_values", ()):
-        if not _is_number(h):
-            raise ValueError(f"config key 'h_values' must hold numbers, got {h!r}")
     if cfg.get("initial_data", "standard") not in ("standard", "random", "rough"):
         raise ValueError(f"config key 'initial_data' must be standard, random or rough, "
                          f"got {cfg['initial_data']!r}")
@@ -81,22 +75,17 @@ def _resolve(experiment, cfg) -> dict:
     if "h_max" in cfg:  # an order study fits to the dyadic ladder from h_max
         # its steps divide T when h_max does, unless they overflow it
         inputs["h_list"] = harness.dyadic_h_list(cfg["h_max"], cfg["levels"])
-        harness._check_divides(cfg["T"], inputs["h_list"][0], "h_max")
+        harness._check_divides(cfg["T"], inputs["h_list"][:1], "h_max")
     if experiment in ("conservation", "tangent-check"):
         inputs["solver"] = SolverConfig(cfg["h"], cfg["fp_tol"])
-    if experiment == "stability" and cfg["grid"] not in ("schrodinger", "wave"):
-        raise ValueError(f"config key 'grid' must be one of ['schrodinger', 'wave'], "
-                         f"got {cfg['grid']!r}")
-    try:
-        if experiment == "stability":
-            inputs["grid"] = SpectralGrid(cfg["grid"], "periodic", cfg["n"])
-        else:
-            problem = get_problem(cfg.get("problem", "wave-dirichlet-compatible"), cfg["n"])
-            if "problem" in cfg:  # the data's modes must be on the grid
-                inputs["problem"] = problem
-                inputs["u0"] = _initial_state(problem, cfg)
-    except ValueError as exc:
-        raise ValueError(f"config key 'n': {exc}") from exc
+    if experiment == "stability":
+        if cfg["grid"] not in ("schrodinger", "wave"):
+            raise ValueError(f"config key 'grid' must be one of ['schrodinger', 'wave'], "
+                             f"got {cfg['grid']!r}")
+        inputs["grid"] = SpectralGrid(cfg["grid"], "periodic", cfg["n"])
+    elif "problem" in cfg:
+        inputs["problem"] = get_problem(cfg["problem"], cfg["n"])
+        inputs["u0"] = _initial_state(inputs["problem"], cfg)
     return inputs
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number rules every
+numeric run input goes through, ``_real`` and ``_count``: a bool is no
+number, and a fraction is no count.  Each input's range is its own rule's."""
+
+import math
+import numbers
 
 
 class InputError(ValueError):
@@ -7,6 +12,25 @@ class InputError(ValueError):
     def __init__(self, name, message):
         self.name = name
         super().__init__(message)
+
+
+def _real(name, value, what=None):
+    """``value`` read with ``float()``: a real number that is not a bool; an
+    int too large for a float reads as infinite.  The message calls the
+    value ``what`` (an element of a list parameter, say), else ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(name, f"{what or name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _count(name, value, what=None):
+    """``value`` itself: an integer that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(name, f"{what or name} must be an integer, got {value!r}")
+    return value
 
 
 class SingularResolventError(ValueError):

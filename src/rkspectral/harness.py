@@ -22,13 +22,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SingularResolventError, UnreliableReferenceError
+from .errors import InputError, SingularResolventError, UnreliableReferenceError, _count, _real
 from .problems import ProblemSpec, evaluate_B_array, evaluate_B_pair_array, get_problem
 from .spectral import (
     SpectralGrid,
@@ -39,7 +38,7 @@ from .spectral import (
     base_norm,
     inverse_transform_array,
 )
-from .stepper import SolverConfig, _check_grid, _check_steps, _flow, _real_data, step
+from .stepper import SolverConfig, _check_grid, _flow, _real_data, step
 from .tableau import ButcherTableau, _stability_values, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
@@ -138,17 +137,10 @@ def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
     """The order-study input rule: two or more strictly decreasing steps,
     each a real number (not a bool) dividing T, and an ``fp_tol`` finite,
     positive and tight enough for the finest one."""
-    h_list = list(h_list)
-    if not all(isinstance(h, numbers.Real) and not isinstance(h, bool) for h in h_list):
-        raise InputError("h_list", f"every step must be a real number, got {h_list!r}")
-    try:
-        h_list = [float(h) for h in h_list]
-    except OverflowError:  # an int too large for a float
-        raise InputError("h_list", "every step must be finite") from None
+    h_list = [_real("h_list", h, "every step") for h in h_list]
     if len(h_list) < 2 or any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise InputError("h_list", f"need two or more strictly decreasing steps, got {h_list!r}")
-    for h in h_list:
-        _check_divides(T, h, "h_list")
+    _check_divides(T, h_list, "h_list")
     SolverConfig(h_list[-1], fp_tol)  # its fp_tol rule, before fp_tol is formatted
     bound = max(1e-2 * h_list[-1] ** (p_order + 1), FP_TOL_FLOOR)
     if fp_tol > bound:
@@ -157,17 +149,18 @@ def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
     return h_list
 
 
-def _check_divides(T, h, name):
-    """A study step's rule: T finite and positive, and T / h a positive
-    integer of at most ``_MAX_STUDY_STEPS``.  ``name`` is the parameter
-    that set h."""
-    if not 0 < T <= sys.float_info.max:  # an int too large for a float is not finite
+def _check_divides(T, h_list, name):
+    """The study steps' rule: T finite and positive, and T / h a positive
+    integer of at most ``_MAX_STUDY_STEPS`` for each step h of ``h_list``
+    (floats).  ``name`` is the parameter that set the steps."""
+    if not 0 < _real("T", T) < math.inf:
         raise InputError("T", f"T must be finite and positive, got {T!r}")
-    m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
-    if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, T):
-        raise InputError(name, f"T/h must be a positive integer; T={T}, h={h}")
-    if m > _MAX_STUDY_STEPS:
-        raise InputError(name, f"T/h must be at most {_MAX_STUDY_STEPS}; T={T}, h={h}")
+    for h in h_list:
+        m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
+        if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, T):
+            raise InputError(name, f"T/h must be a positive integer; T={T}, h={h}")
+        if m > _MAX_STUDY_STEPS:
+            raise InputError(name, f"T/h must be at most {_MAX_STUDY_STEPS}; T={T}, h={h}")
 
 
 def _summarize(stats) -> dict:
@@ -357,7 +350,9 @@ def conservation_run(
     """Mass and energy after each of ``steps`` steps of the flow from
     ``u0``: each row is bit for bit the ``conserved_quantities`` of its
     state, taken in the flow's own arithmetic (float64 for real wave data)."""
-    _check_steps("steps", steps)
+    if not 1 <= _count("steps", steps) <= sys.float_info.max:
+        raise InputError("steps", f"steps must be at least 1 and at most "
+                                  f"{sys.float_info.max!r}, got {steps!r}")
     q0 = conserved_quantities(p, u0)
     rows, pending = [], []
 
@@ -406,13 +401,6 @@ def _conserved_rows(p: ProblemSpec, coeffs: np.ndarray):
 # -- linear stability growth ---------------------------------------------------
 
 
-def _check_growth_step(h):
-    """The stability sweep's step rule: each h of ``h_values`` finite and
-    nonnegative (an int too large for a float is not finite)."""
-    if not 0 <= h <= sys.float_info.max:
-        raise InputError("h_values", f"h must be finite and nonnegative, got {h!r}")
-
-
 def stability_growth(
     t: ButcherTableau, grid: SpectralGrid, h_values, n_steps: int
 ) -> list[tuple[float, int]]:
@@ -458,11 +446,14 @@ def stability_growth(
     ``step_matrices``' k = 0 update, the block that sets the maximum of a
     periodic or Neumann wave grid.
     """
-    h_values = list(h_values)
+    steps = []
     for h in h_values:
-        _check_growth_step(h)
-    _check_steps("n_steps", n_steps)
-    steps = [float(h) for h in h_values]
+        steps.append(_real("h_values", h, "h"))
+        if not 0 <= steps[-1] < math.inf:
+            raise InputError("h_values", f"h must be finite and nonnegative, got {h!r}")
+    if not 0 <= _count("n_steps", n_steps) <= sys.float_info.max:
+        raise InputError("n_steps", f"n_steps must be at least 0 and at most "
+                                    f"{sys.float_info.max!r}, got {n_steps!r}")
     if n_steps == 0:
         return [(1.0, int(grid.modes[grid._distinct_symbols[0][0]]))] * len(steps)
     results = []
@@ -522,15 +513,13 @@ def _growth_rows(t, grid, h, n_steps):
 def _check_stencil(h, q, levels):
     """The probe's input rule: 0 <= q <= 4, levels >= 1, and each stencil
     spacing h / 2**j / (q + 1) and its q-th power a positive normal float."""
-    if not 0 <= q <= 4:
+    if not 0 <= _count("q", q) <= 4:
         raise InputError("q", f"difference order q must be in [0, 4], got {q!r}")
-    if levels < 1:
+    if _count("levels", levels) < 1:
         raise InputError("levels", f"need at least one level, got {levels!r}")
+    h = _real("h", h)
     for name, level in (("h", 0), ("levels", levels - 1)):
-        try:
-            spacing = math.ldexp(h, -level) / (q + 1)
-        except OverflowError:  # an int h too large for a float
-            spacing = math.inf
+        spacing = math.ldexp(h, -level) / (q + 1)
         try:
             scale = spacing**q
         except OverflowError:
@@ -580,10 +569,11 @@ def smoothness_probe(
 
 
 def _mode_index(grid: SpectralGrid, k: int) -> int:
-    """Storage index of mode k; ValueError, naming n, where the grid lacks it."""
+    """Storage index of mode k; InputError naming n where the grid lacks it."""
     hits = np.flatnonzero(grid.modes == k)
     if not hits.size:
-        raise ValueError(f"the {grid.bc} grid of n={grid.n} lacks mode {k} of the initial data")
+        raise InputError("n", f"the {grid.bc} grid of n={grid.n} lacks mode {k} "
+                              f"of the initial data")
     return int(hits[0])
 
 
@@ -684,9 +674,9 @@ def tangent_convergence_study(
 
 def dyadic_h_list(h_max: float, levels: int) -> list[float]:
     """h_max, h_max/2, ..., h_max/2^(levels-1): positive normal floats."""
-    if not sys.float_info.min <= h_max <= sys.float_info.max:
+    if not sys.float_info.min <= _real("h_max", h_max) < math.inf:
         raise InputError("h_max", f"h_max must be a positive normal float, got {h_max!r}")
-    if levels < 1 or math.ldexp(h_max, 1 - levels) < sys.float_info.min:
+    if _count("levels", levels) < 1 or math.ldexp(h_max, 1 - levels) < sys.float_info.min:
         raise InputError("levels", f"need 1 <= levels={levels!r} and normal steps h_max / 2**j")
     return [math.ldexp(h_max, -j) for j in range(levels)]
 

@@ -40,13 +40,12 @@ take one real call, and complex data one real call on the stacked
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularResolventError
+from .errors import InputError, SingularResolventError, _count
 from .tableau import ButcherTableau, _resolvent
 
 DEFAULT_SCALE_CAP = 8
@@ -85,17 +84,13 @@ class SpectralGrid:
             raise ValueError(f"unknown equation kind {self.equation!r}")
         if self.bc not in ("periodic", "dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        try:
-            operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"grid size n must be an integer, got {self.n!r}") from None
-        if self.n > _MAX_MODES:
-            raise ValueError(f"grid size n must be at most {_MAX_MODES}, got {self.n!r}")
+        if _count("n", self.n, "grid size n") > _MAX_MODES:
+            raise InputError("n", f"grid size n must be at most {_MAX_MODES}, got {self.n!r}")
         if self.bc == "periodic":
             if self.n < 4 or self.n % 2:
-                raise ValueError("periodic grids require even n >= 4")
+                raise InputError("n", "periodic grids require even n >= 4")
         elif self.n < 2:
-            raise ValueError("need at least two modes")
+            raise InputError("n", "need at least two modes")
 
     @property
     def components(self) -> int:

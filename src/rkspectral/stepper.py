@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, InputError, NumericalBlowupError
+from .errors import ConvergenceFailureError, InputError, NumericalBlowupError, _count, _real
 from .problems import ProblemSpec, evaluate_B_array, evaluate_B_pair_array
 from .spectral import (
     State,
@@ -136,13 +136,14 @@ class SolverConfig:
     fp_tol: float
 
     def __post_init__(self):
-        # an int too large for a float is not finite; the others become floats
-        if not 0 < self.h <= sys.float_info.max:
+        h = _real("h", self.h)
+        if not 0 < h < math.inf:
             raise InputError("h", f"step size must be finite and positive, got {self.h!r}")
-        if not 0 < self.fp_tol <= sys.float_info.max:
+        fp_tol = _real("fp_tol", self.fp_tol)
+        if not 0 < fp_tol < math.inf:
             raise InputError("fp_tol", f"fp_tol must be finite and positive, got {self.fp_tol!r}")
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "fp_tol", float(self.fp_tol))
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "fp_tol", fp_tol)
 
 
 @dataclass(frozen=True)
@@ -239,14 +240,6 @@ def _forcing_block(stage_inv, hb):
     ``hb[j]`` = h b_j, added in order of j."""
     rows = stage_inv.reshape((len(hb), -1) + stage_inv.shape[1:])
     return (hb[:, None, None, None] * rows).sum(axis=0)
-
-
-def _check_steps(name, count):
-    """At least one step (``steps``) or none (``n_steps``); no more than the largest float."""
-    low = {"steps": 1, "n_steps": 0}[name]
-    if not low <= count <= sys.float_info.max:
-        raise InputError(name, f"{name} must be at least {low} and at most "
-                               f"{sys.float_info.max!r}, got {count!r}")
 
 
 def _check_grid(p, *states):
@@ -365,7 +358,9 @@ def integrate(
     The first step is ``step``; each later step starts its stage
     iteration from the B of the last steps extrapolated to its nodes.
     """
-    _check_steps("steps", steps)
+    if not 1 <= _count("steps", steps) <= sys.float_info.max:
+        raise InputError("steps", f"steps must be at least 1 and at most "
+                                  f"{sys.float_info.max!r}, got {steps!r}")
     _check_grid(p, u0)
     coeffs, history = _flow(p, t, u0.coeffs, cfg, steps, evaluate_B_array)
     return State(p.grid, coeffs), history

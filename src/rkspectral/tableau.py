@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularResolventError
+from .errors import SingularResolventError, _count
 
 _ROW_SUM_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-12
@@ -64,11 +64,11 @@ class ButcherTableau:
         a, b, c = (np.asarray(x, dtype=float) for x in (self.a, self.b, self.c))
         for name, x in zip("abc", (a, b, c)):
             object.__setattr__(self, name, x)
-        if self.s < 1:
+        if _count("s", self.s) < 1:
             raise ValueError("stage count must be positive")
         if a.shape != (self.s, self.s) or b.shape != (self.s,) or c.shape != (self.s,):
             raise ValueError("inconsistent tableau shapes")
-        if self.p < 1:
+        if _count("p", self.p) < 1:
             raise ValueError("classical order must be positive")
         if not all(np.isfinite(x).all() for x in (a, b, c)):
             raise ValueError("tableau coefficients must be finite")
@@ -125,11 +125,10 @@ class ButcherTableau:
         missing = [k for k in ("s", "a", "b", "c", "p") if k not in doc]
         if missing:
             raise ValueError(f"tableau JSON missing keys: {missing}")
-        fields = {}
-        for key in ("s", "a", "b", "c", "p"):
-            convert = int if key in ("s", "p") else lambda v: np.asarray(v, dtype=float)
+        fields = {"s": doc["s"], "p": doc["p"]}  # counts, which the tableau checks
+        for key in "abc":
             try:
-                fields[key] = convert(doc[key])
+                fields[key] = np.asarray(doc[key], dtype=float)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"tableau JSON key {key!r}: {exc}") from exc
         return ButcherTableau(**fields, label=label)

@@ -1,4 +1,5 @@
 import builtins
+import collections
 import contextlib
 import csv
 import io
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkspectral import cli, harness, stepper
+from rkspectral import cli, errors, harness, spectral, stepper, tableau
 from rkspectral.cli import main, run_config
 from rkspectral.spectral import State
 from rkspectral.stepper import _flow
@@ -429,7 +430,7 @@ def test_dirichlet_compat_on_a_grid_too_small_for_its_data_exits_2(tmp_path, cap
     out = tmp_path / "out"
     assert run_config(write_config(tmp_path, payload), out) == 2
     assert capsys.readouterr().err == (
-        "error: the dirichlet grid of n=2 lacks mode 3 of the initial data\n")
+        "error: config key 'n': the dirichlet grid of n=2 lacks mode 3 of the initial data\n")
     assert not out.exists()
 
 
@@ -457,17 +458,24 @@ def test_order_study_checks_run_before_any_work(tmp_path, capsys, payload, messa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("s", None), ("a", {"x": 1})])
-def test_malformed_tableau_file_rejected_before_any_work(tmp_path, capsys, key, value):
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("s", None, "s must be an integer, got None"), ("a", {"x": 1}, "tableau JSON key 'a'"),
+     # a declared count that is not an integer, which int() would have read
+     ("s", "1", "s must be an integer, got '1'"), ("p", 2.9, "p must be an integer, got 2.9"),
+     ("p", True, "p must be an integer, got True")],
+)
+def test_malformed_tableau_file_rejected_before_any_work(tmp_path, capsys, key, value,
+                                                         message):
     doc = {"s": 1, "a": [[0.5]], "b": [1], "c": [0.5], "p": 2, key: value}
     tableau_path = tmp_path / "t.json"
     tableau_path.write_text(json.dumps(doc), encoding="utf-8")
-    cfg = write_config(tmp_path, {"experiment": "stability", "tableau": str(tableau_path)})
+    cfg = write_config(tmp_path, {"experiment": "stability", "n": 16, "h_values": [0.1],
+                                  "tableau": str(tableau_path)})
     out = tmp_path / "out"
     assert run_config(cfg, out) == 2
     err = capsys.readouterr().err
-    assert "config key 'tableau'" in err
-    assert f"tableau JSON key {key!r}" in err
+    assert err.startswith(f"error: config key 'tableau': {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -560,36 +568,42 @@ def test_each_run_reads_a_tableau_file_once(tmp_path, capsys, monkeypatch, exper
     assert len(opens) == 1
 
 
-# The input rules each run calls: once per library call that takes the
-# value, for dirichlet-compat once in each of its two studies.
+# The number-rule calls of each run, by parameter: once per library call
+# that takes the value (per element of a list value), so dirichlet-compat
+# checks its ladder, T and n in each of its two studies, and an order
+# study's reference tableau checks its own s and p.  The T/h rule of the
+# ladder the CLI derives from h_max checks T too.  h and fp_tol are not
+# counted: every SolverConfig a study builds for its runs checks them.
 RULE_CALLS = {
-    "convergence": {"_check_ladder": 1},
-    "conservation": {"_check_steps": 1},
-    "stability": {"_check_growth_step": 1, "_check_steps": 1},
-    "smoothness": {"_check_stencil": 1},
-    "dirichlet-compat": {"_check_ladder": 2},
-    "tangent-check": {"_check_ladder": 1},
+    "convergence": {"seed": 1, "s": 2, "p": 2, "h_max": 1, "levels": 1, "T": 2, "n": 1,
+                    "h_list": 3},
+    "conservation": {"seed": 1, "s": 1, "p": 1, "n": 1, "steps": 1},
+    "stability": {"seed": 1, "s": 1, "p": 1, "n": 1, "h_values": 1, "n_steps": 1},
+    "smoothness": {"seed": 1, "s": 1, "p": 1, "n": 1, "q": 1, "levels": 1},
+    "dirichlet-compat": {"s": 3, "p": 3, "h_max": 1, "levels": 1, "T": 3, "n": 2, "h_list": 6},
+    "tangent-check": {"eps": 1, "seed": 1, "s": 2, "p": 2, "h_max": 1, "levels": 1, "T": 2,
+                      "n": 1, "h_list": 3},
 }
 
 
 @pytest.mark.parametrize("experiment", list(SMALL_CONFIGS))
 def test_each_input_rule_runs_once_per_library_call(tmp_path, capsys, monkeypatch, experiment):
-    calls = {name: 0 for name in ("_check_ladder", "_check_stencil", "_check_steps",
-                                  "_check_growth_step")}
+    calls = collections.Counter()
 
-    def spy(name, rule):
-        def counting(*args):
+    def spy(rule):
+        def counting(name, *args):
             calls[name] += 1
-            return rule(*args)
+            return rule(name, *args)
         return counting
 
-    for module in (cli, harness, stepper):  # every binding, the CLI's imports included
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for rule in ("_real", "_count"):  # every binding, the CLI's imports included
+        for module in (cli, harness, spectral, stepper, tableau):
+            if hasattr(module, rule):
+                monkeypatch.setattr(module, rule, spy(getattr(errors, rule)))
     cfg = write_config(tmp_path, {"experiment": experiment, **SMALL_CONFIGS[experiment]})
     assert run_config(cfg, tmp_path / "out") in (0, 1)
-    assert calls == {name: RULE_CALLS[experiment].get(name, 0) for name in calls}
+    del calls["h"], calls["fp_tol"]
+    assert calls == RULE_CALLS[experiment]
 
 
 @pytest.mark.parametrize("experiment", list(cli._EXPERIMENT_TABLE))

@@ -5,6 +5,7 @@ import re
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -211,7 +212,7 @@ BAD_INPUTS = {
         "h_list", "two or more strictly decreasing steps"),
     "ladder step too large for a float": (
         lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [10**400, 0.01], fp_tol=1e-13),
-        "h_list", "every step must be finite"),
+        "h_list", re.escape("T/h must be a positive integer; T=0.5, h=inf")),
     "ladder step not a number": (
         lambda p, u0: convergence_study(p, MIDPOINT, u0, 0.5, [0.02, "x"], fp_tol=1e-13),
         "h_list", "every step must be a real number"),
@@ -290,13 +291,57 @@ BAD_INPUTS = {
     "no conservation step": (
         lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12), 0),
         "steps", "steps must be at least 1"),
+    # a bool is no number, a string no real number and a fraction no count
+    "solver step a bool": (
+        lambda p, u0: SolverConfig(h=True, fp_tol=1e-12), "h", "h must be a real number, got True"),
+    "solver step a string": (
+        lambda p, u0: SolverConfig(h="0.1", fp_tol=1e-12),
+        "h", "h must be a real number, got '0.1'"),
+    "stability step a bool": (
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [True], 10),
+        "h_values", "h must be a real number, got True"),
+    "stability step None": (
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [None], 10),
+        "h_values", "h must be a real number, got None"),
+    "stability step a string": (
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, ["0.1"], 10),
+        "h_values", "h must be a real number, got '0.1'"),
+    "stability power a bool": (
+        lambda p, u0: stability_growth(gauss_legendre(2), WAVE16, [0.1], True),
+        "n_steps", "n_steps must be an integer, got True"),
+    "stability power a fraction": (
+        lambda p, u0: stability_growth(gauss_legendre(1), SCHRODINGER16, [0.1], 2.5),
+        "n_steps", "n_steps must be an integer, got 2.5"),
+    "integrate steps a fraction": (
+        lambda p, u0: integrate(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12), 2.5),
+        "steps", "steps must be an integer, got 2.5"),
+    "conservation steps a bool": (
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12),
+                                       True),
+        "steps", "steps must be an integer, got True"),
+    "difference order a bool": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, True, levels=2, fp_tol=1e-13),
+        "q", "q must be an integer, got True"),
+    "difference order a fraction": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2.5, levels=2, fp_tol=1e-13),
+        "q", "q must be an integer, got 2.5"),
+    "smoothness levels a fraction": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2, levels=2.5, fp_tol=1e-13),
+        "levels", "levels must be an integer, got 2.5"),
+    "dyadic top step a bool": (
+        lambda p, u0: dyadic_h_list(True, 2), "h_max", "h_max must be a real number, got True"),
+    "dyadic levels a fraction": (
+        lambda p, u0: dyadic_h_list(0.02, 2.5), "levels", "levels must be an integer, got 2.5"),
+    "order-study time a bool": (
+        lambda p, u0: convergence_study(p, MIDPOINT, u0, True, [0.02, 0.01], fp_tol=1e-13),
+        "T", "T must be a real number, got True"),
 }
 
 
 def test_study_step_bound_is_inclusive():
-    harness._check_divides(1.0, 2.0**-20, "h_list")  # 2**20 steps: allowed
+    harness._check_divides(1.0, [2.0**-20], "h_list")  # 2**20 steps: allowed
     with pytest.raises(ValueError, match="T/h must be at most 1048576") as exc:
-        harness._check_divides(2.0, 2.0**-20, "h_max")
+        harness._check_divides(2.0, [2.0**-20], "h_max")
     assert exc.value.name == "h_max"
 
 
@@ -859,6 +904,43 @@ class TestSmoothnessProbe:
         limit = base_norm(apply_A(apply_A(u0)))
         assert values[-1] == pytest.approx(limit, rel=1e-4)
         assert max(values) / min(values) < 1.01
+
+    # For each (s, q): the constant C of the truncation bound C 4**-j on
+    # level j's relative deviation from the limit, 1.1 times the largest
+    # dev_j 4**j measured above the roundoff floor (rate 2 in h: the
+    # stencil's central difference, and the h-derivative's odd term, which
+    # is 90 degrees out of phase with the limit on a Schrodinger grid).
+    EXACT_LIMIT_RATES = {
+        (1, 1): 9.5e-3, (1, 2): 1.75e-2, (1, 3): 2.4e-2, (1, 4): 3.0e-2,
+        (2, 1): 3.9e-4, (2, 2): 4.3e-4, (2, 3): 3.4e-3, (2, 4): 1.55e-2,
+        (3, 1): 3.75e-4, (3, 2): 4.05e-4, (3, 3): 3.45e-4, (3, 4): 2.95e-4,
+    }
+
+    @pytest.mark.parametrize("s, q", list(EXACT_LIMIT_RATES))
+    def test_linear_probe_tends_to_its_exact_limit(self, s, q):
+        # one linear step is S(hA) u0, so a level tends to q! c_q |A^q u0|,
+        # c_q the q-th Taylor coefficient of S (1/q! for q <= 2s)
+        p = get_problem("nls-linear-periodic", 64)
+        u0 = nls_two_mode_state(p.grid)
+        num, den = exact_gl_polynomials(s)
+        with mpmath.workdps(50):  # the series of S = N / D, D(0) = 1
+            c = []
+            for j in range(q + 1):
+                c.append((num[j] if j < len(num) else 0)
+                         - mpmath.fsum(den[i] * c[j - i] for i in range(1, min(j, s) + 1)))
+            factor = float(math.factorial(q) * c[q])
+        # the binary tableau's, within rounding of the exact 1 (or 1.5 and 3 for gl:1)
+        assert factor == pytest.approx({(1, 3): 1.5, (1, 4): 3.0}.get((s, q), 1.0), rel=1e-14)
+        power = u0
+        for _ in range(q):
+            power = apply_A(power)
+        limit = factor * base_norm(power)
+        rows = smoothness_probe(p, gauss_legendre(s), u0, 0.05, q, levels=7, fp_tol=1e-13)
+        for j, (h_base, value) in enumerate(rows):
+            # the rounding of 2**q weighted steps of norm |u0|, over spacing**q
+            floor = 2**q * sys.float_info.epsilon * base_norm(u0) / (h_base / (q + 1)) ** q
+            bound = self.EXACT_LIMIT_RATES[s, q] * 4.0**-j + floor / limit
+            assert abs(value - limit) / limit <= bound, (j, value, limit)
 
     def test_rough_data_diverges(self):
         p = get_problem("nls-linear-periodic", 256)

@@ -256,10 +256,11 @@ class TestTransforms:
             SpectralGrid("wave", "absorbing", 8)
 
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
-    @pytest.mark.parametrize("n", [8.5, 8.0, "8", None])
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8", None, True])
     def test_non_integer_size_rejected(self, bc, n):
-        with pytest.raises(ValueError, match="grid size n must be an integer"):
+        with pytest.raises(ValueError, match="grid size n must be an integer") as exc:
             SpectralGrid("wave", bc, n)
+        assert exc.value.name == "n"
 
     @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
     @pytest.mark.parametrize("n", [2**20 + 2, 10**400])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -353,13 +354,29 @@ class TestJsonInterface:
         with pytest.raises(ValueError, match="must be an object"):
             ButcherTableau.from_json(json.dumps(doc), "t.json")
 
-    @pytest.mark.parametrize(
-        "key, value", [("s", None), ("a", {"x": 1}), ("c", "abc"), ("p", [2])]
-    )
+    @pytest.mark.parametrize("key, value", [("a", {"x": 1}), ("c", "abc")])
     def test_unconvertible_value_names_its_key(self, key, value):
         doc = {"s": 1, "a": [[0.5]], "b": [1], "c": [0.5], "p": 2, key: value}
         with pytest.raises(ValueError, match=f"tableau JSON key '{key}'"):
             ButcherTableau.from_json(json.dumps(doc), "t.json")
+
+    # s and p reach the tableau as JSON gave them: a count is an integer
+    @pytest.mark.parametrize(
+        "key, value", [("s", None), ("p", [2]), ("s", "1"), ("p", 2.9), ("p", True), ("s", 1.0)]
+    )
+    def test_count_that_is_not_an_integer_names_its_key(self, key, value):
+        doc = {"s": 1, "a": [[0.5]], "b": [1], "c": [0.5], "p": 2, key: value}
+        message = re.escape(f"{key} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=message) as exc:
+            ButcherTableau.from_json(json.dumps(doc), "t.json")
+        assert exc.value.name == key
+
+    @pytest.mark.parametrize("s, p, name", [(True, 2, "s"), (1, True, "p"), (1.0, 2, "s"),
+                                            (1, 2.0, "p")])
+    def test_constructor_takes_integer_counts(self, s, p, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer") as exc:
+            ButcherTableau(s, [[0.5]], [1.0], [0.5], p)
+        assert exc.value.name == name
 
     def test_null_coefficient_rejected(self):
         doc = {"s": 1, "a": [[0.5]], "b": [None], "c": [0.5], "p": 2}
