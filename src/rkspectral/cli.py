@@ -149,7 +149,7 @@ def _run_stability(cfg, out_dir, t, grid):
         if argmax is None or deviation > worst:
             argmax = {"h": h, "mode": mode}
         worst = max(worst, deviation)
-        rows.append([repr(h), repr(amp)])
+        rows.append([h, amp])
     harness._write_csv(out_dir / "stability.csv", ["h", "amplification"], rows)
     if cfg["grid"] == "schrodinger":
         ok = worst <= 1e-13
@@ -167,7 +167,7 @@ def _run_smoothness(cfg, out_dir, t, problem, u0):
     harness._write_csv(
         out_dir / "smoothness.csv",
         ["h_base", "normalized_difference"],
-        [[repr(h), repr(v)] for h, v in results],
+        results,
     )
     growth = results[-1][1] / results[0][1] if results[0][1] > 0 else math.inf
     verdict = (
@@ -344,7 +344,3 @@ def main(argv=None) -> int:
     if args.config is None:
         run_parser.error("the following arguments are required: config")
     return run_config(args.config, args.out)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

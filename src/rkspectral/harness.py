@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .spectral import (
     inverse_transform_array,
 )
 from .stepper import SolverConfig, _check_grid, _flow, _real_data, step
-from .tableau import ButcherTableau, _stability_values, gauss_legendre
+from .tableau import _MAX_STAGES, ButcherTableau, _stability_values, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
 # O(1) states cannot be driven meaningfully below this.
@@ -55,7 +55,6 @@ _REFERENCE_FLOOR_FACTOR = 50.0
 # dyadic ladder the rung (h_min/16, h_min/32).  T / h_list[0] is an
 # integer, so every rung's steps divide T.
 _LAST_RUNG_DIVISOR = 16
-_MAX_STAGES = 8
 # Most steps T / h of one study level: far above the 400 of the finest
 # level any study or benchmark workload runs, and low enough that a
 # T or h far out of range fails at once instead of running for ever.
@@ -113,24 +112,16 @@ class ConvergenceReport:
         _write_csv(
             path,
             ["h", "steps", "error_Y0", "mean_iters", "max_residual", "contraction_est"],
-            [[repr(h), st["steps"], repr(err), repr(st["mean_iterations"]),
-              repr(st["max_residual"]), repr(st["mean_contraction"])]
+            [[h, st["steps"], err, st["mean_iterations"], st["max_residual"],
+              st["mean_contraction"]]
              for h, err, st in zip(self.h_list, self.errors, self.stats)],
         )
 
     def summary_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "tableau": self.tableau,
-            "T": self.T,
-            "h_list": list(self.h_list),
-            "errors": list(self.errors),
-            "fitted_order": self.fitted_order,
-            "flagged": list(self.flagged),
-            "fp_tol": self.fp_tol,
-            "reference": self.reference,
-            "stage_iterations": dict(self.stage_iterations),
-        }
+        """Every field but the per-level ``stats``, which the CSV holds."""
+        summary = asdict(self)
+        del summary["stats"]
+        return summary
 
 
 def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
@@ -141,12 +132,23 @@ def _check_ladder(T, h_list, fp_tol, p_order) -> list[float]:
     if len(h_list) < 2 or any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise InputError("h_list", f"need two or more strictly decreasing steps, got {h_list!r}")
     _check_divides(T, h_list, "h_list")
-    SolverConfig(h_list[-1], fp_tol)  # its fp_tol rule, before fp_tol is formatted
-    bound = max(1e-2 * h_list[-1] ** (p_order + 1), FP_TOL_FLOOR)
-    if fp_tol > bound:
-        raise InputError("fp_tol", f"fp_tol={fp_tol:g} too loose for an order-{p_order} study "
-                                   f"with min step {h_list[-1]:g}; need <= {bound:g}")
+    _check_fp_tol(fp_tol, h_list[-1], p_order)
     return h_list
+
+
+def _check_fp_tol(fp_tol, h, p_order):
+    """The stage-tolerance rule of a run whose finest step is ``h`` (a
+    positive float) with a method of order ``p_order``: fp_tol finite,
+    positive and at most max(1e-2 h^(p+1), FP_TOL_FLOOR), so the stage
+    solves resolve the local error."""
+    SolverConfig(h, fp_tol)  # its fp_tol rule, before fp_tol is formatted
+    try:
+        bound = max(1e-2 * h ** (p_order + 1), FP_TOL_FLOOR)
+    except OverflowError:  # h^(p+1) past the float range: no tolerance is too loose
+        bound = math.inf
+    if fp_tol > bound:
+        raise InputError("fp_tol", f"fp_tol={fp_tol:g} too loose for an order-{p_order} method "
+                                   f"with min step {h:g}; need <= {bound:g}")
 
 
 def _check_divides(T, h_list, name):
@@ -156,11 +158,12 @@ def _check_divides(T, h_list, name):
     if not 0 < _real("T", T) < math.inf:
         raise InputError("T", f"T must be finite and positive, got {T!r}")
     for h in h_list:
-        m = round(T / h) if h > 0 and math.isfinite(T / h) else 0
+        ratio = T / h if h > 0 else 0.0  # inf where it overflows
+        if ratio > _MAX_STUDY_STEPS:
+            raise InputError(name, f"T/h must be at most {_MAX_STUDY_STEPS}; T={T}, h={h}")
+        m = round(ratio)
         if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, T):
             raise InputError(name, f"T/h must be a positive integer; T={T}, h={h}")
-        if m > _MAX_STUDY_STEPS:
-            raise InputError(name, f"T/h must be at most {_MAX_STUDY_STEPS}; T={T}, h={h}")
 
 
 def _summarize(stats) -> dict:
@@ -264,7 +267,7 @@ def convergence_study(
     """Measure final-time errors against a fine reference and fit the order.
 
     The ladder levels run first.  The reference has two more stages than
-    the study's method (at most 8) and walks rungs: the
+    the study's method (at most ``_MAX_STAGES``) and walks rungs: the
     first pairs a coarse run at the ladder's first, coarsest step
     ``h_list[0]`` with a fine run at half of it, and each failing rung's
     fine run becomes the next rung's coarse run.  A rung passes when its
@@ -353,6 +356,7 @@ def conservation_run(
     if not 1 <= _count("steps", steps) <= sys.float_info.max:
         raise InputError("steps", f"steps must be at least 1 and at most "
                                   f"{sys.float_info.max!r}, got {steps!r}")
+    _check_fp_tol(cfg.fp_tol, cfg.h, t.p)
     q0 = conserved_quantities(p, u0)
     rows, pending = [], []
 
@@ -365,7 +369,6 @@ def conservation_run(
         for mass, energy in zip(masses.tolist(), energies.tolist()):
             step_no = len(rows) + 1
             mass_drift = abs(mass - q0["mass"]) / max(abs(q0["mass"]), 1e-300)
-            # csv writes a float as str(), which is its shortest round-trip repr.
             rows.append([step_no, step_no * cfg.h, mass, energy, mass_drift,
                          abs(energy - q0["energy"])])
 
@@ -551,6 +554,7 @@ def smoothness_probe(
     norm of one step of its base step.
     """
     _check_stencil(h, q, levels)
+    _check_fp_tol(fp_tol, math.ldexp(h, 1 - levels), t.p)
     coeffs = [(-1.0) ** i * math.comb(q, i) for i in range(q + 1)]
     results = []
     for level in range(levels):
@@ -682,6 +686,9 @@ def dyadic_h_list(h_max: float, levels: int) -> list[float]:
 
 
 def _write_csv(path, header, rows):
+    """Write a header and rows of Python numbers (and strings): csv writes a
+    float as str(), its shortest round-trip form, so every value reads back
+    exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -51,35 +51,21 @@ class Nonlinearity:
     potential: callable
 
 
-_NONLINEARITIES = {
-    "wave": {
-        "zero": Nonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * u * v, lambda u: 0 * u),
-        "cubic": Nonlinearity(
-            "cubic",
-            lambda u: u * (u * u),
-            lambda u, v: 3 * u**2 * v,
-            lambda u: (u * u) * (u * u) / 4,
-        ),
-        # the incompatible Dirichlet problem's: f(0) = 1, so B is not zero
-        # on the boundary, where u is
-        "cubic_plus_const:1.0": Nonlinearity(
-            "cubic_plus_const:1.0",
-            lambda u: u * (u * u) + 1.0,
-            lambda u, v: 3 * u**2 * v,
-            lambda u: (u * u) * (u * u) / 4 + 1.0 * u,
-        ),
-    },
-    "schrodinger": {
-        "zero": Nonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * v, lambda u: 0 * abs(u)),
-        # V = |u|^4 / 2, the standard cubic case
-        "cubic": Nonlinearity(
-            "cubic",
-            value=lambda u: np.abs(u) ** 2 * u,
-            tangent=lambda u, v: 2 * np.abs(u) ** 2 * v + u**2 * np.conj(v),
-            potential=lambda u: (np.abs(u) ** 2) ** 2 / 2,
-        ),
-    },
-}
+_WAVE_ZERO = Nonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * u * v, lambda u: 0 * u)
+_WAVE_CUBIC = Nonlinearity(
+    "cubic",
+    lambda u: u * (u * u),
+    lambda u, v: 3 * u**2 * v,
+    lambda u: (u * u) * (u * u) / 4,
+)
+_NLS_ZERO = Nonlinearity("zero", lambda u: 0 * u, lambda u, v: 0 * v, lambda u: 0 * abs(u))
+# V = |u|^4 / 2, the standard cubic case
+_NLS_CUBIC = Nonlinearity(
+    "cubic",
+    value=lambda u: np.abs(u) ** 2 * u,
+    tangent=lambda u, v: 2 * np.abs(u) ** 2 * v + u**2 * np.conj(v),
+    potential=lambda u: (np.abs(u) ** 2) ** 2 / 2,
+)
 
 
 # -- problem definition --------------------------------------------------------
@@ -169,13 +155,19 @@ def evaluate_B_pair_array(p: ProblemSpec, pair: np.ndarray) -> np.ndarray:
 
 # name -> (equation, boundary condition, nonlinearity)
 _CATALOGUE = {
-    "nls-cubic-periodic": ("schrodinger", "periodic", "cubic"),
-    "nls-linear-periodic": ("schrodinger", "periodic", "zero"),
-    "wave-cubic-periodic": ("wave", "periodic", "cubic"),
-    "wave-linear-periodic": ("wave", "periodic", "zero"),
-    "wave-dirichlet-compatible": ("wave", "dirichlet", "cubic"),
-    "wave-dirichlet-incompatible": ("wave", "dirichlet", "cubic_plus_const:1.0"),
-    "wave-neumann": ("wave", "neumann", "cubic"),
+    "nls-cubic-periodic": ("schrodinger", "periodic", _NLS_CUBIC),
+    "nls-linear-periodic": ("schrodinger", "periodic", _NLS_ZERO),
+    "wave-cubic-periodic": ("wave", "periodic", _WAVE_CUBIC),
+    "wave-linear-periodic": ("wave", "periodic", _WAVE_ZERO),
+    "wave-dirichlet-compatible": ("wave", "dirichlet", _WAVE_CUBIC),
+    # f(0) = 1, so B is not zero on the boundary, where u is
+    "wave-dirichlet-incompatible": ("wave", "dirichlet", Nonlinearity(
+        "cubic_plus_one",
+        lambda u: u * (u * u) + 1.0,
+        lambda u, v: 3 * u**2 * v,
+        lambda u: (u * u) * (u * u) / 4 + 1.0 * u,
+    )),
+    "wave-neumann": ("wave", "neumann", _WAVE_CUBIC),
 }
 
 
@@ -188,5 +180,4 @@ def get_problem(name: str, n: int) -> ProblemSpec:
     if name not in _CATALOGUE:
         raise KeyError(f"unknown problem {name!r}; available: {list_problems()}")
     equation, bc, nonlinearity = _CATALOGUE[name]
-    grid = SpectralGrid(equation, bc, n)
-    return ProblemSpec(grid, _NONLINEARITIES[equation][nonlinearity], name=name)
+    return ProblemSpec(SpectralGrid(equation, bc, n), nonlinearity, name=name)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularResolventError, _count
+from .errors import InputError, SingularResolventError, _count
 
 _ROW_SUM_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-12
@@ -29,6 +29,8 @@ _RK1_TOL = 1e-12
 # Sample counts of the sampled A-stability check.
 _BOUNDARY_SAMPLES = 200
 _INTERIOR_SAMPLES = 64
+# Most stages of a Gauss-Legendre tableau, and so of an order study's reference.
+_MAX_STAGES = 8
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,11 @@ class ButcherTableau:
         for name, x in zip("abc", (a, b, c)):
             object.__setattr__(self, name, x)
         if _count("s", self.s) < 1:
-            raise ValueError("stage count must be positive")
+            raise InputError("s", "stage count must be positive")
         if a.shape != (self.s, self.s) or b.shape != (self.s,) or c.shape != (self.s,):
             raise ValueError("inconsistent tableau shapes")
         if _count("p", self.p) < 1:
-            raise ValueError("classical order must be positive")
+            raise InputError("p", "classical order must be positive")
         if not all(np.isfinite(x).all() for x in (a, b, c)):
             raise ValueError("tableau coefficients must be finite")
         row_defect = np.max(np.abs(a.sum(axis=1) - c))
@@ -196,7 +198,7 @@ def _legendre_roots(s, tol=1e-14, max_iter=100):
     """Roots of the degree-s Legendre polynomial on (-1, 1).
 
     Newton iteration from Chebyshev initial guesses; converges in a
-    handful of iterations for s <= 8.
+    handful of iterations for s <= _MAX_STAGES.
     """
     i = np.arange(1, s + 1)
     x = np.cos(np.pi * (4 * i - 1) / (4 * s + 2))
@@ -212,7 +214,7 @@ def _legendre_roots(s, tol=1e-14, max_iter=100):
 
 
 def gauss_legendre(s: int) -> ButcherTableau:
-    """Construct the s-stage Gauss-Legendre collocation tableau, 1 <= s <= 8.
+    """Construct the s-stage Gauss-Legendre collocation tableau, 1 <= s <= _MAX_STAGES.
 
     The nodes are the roots of the shifted Legendre polynomial of degree
     s on [0, 1]; the coefficients are the exact integrals of the
@@ -222,8 +224,8 @@ def gauss_legendre(s: int) -> ButcherTableau:
 
     giving classical order p = 2s.
     """
-    if not 1 <= s <= 8:
-        raise ValueError(f"stage count must be in [1, 8], got {s}")
+    if not 1 <= s <= _MAX_STAGES:
+        raise ValueError(f"stage count must be in [1, {_MAX_STAGES}], got {s}")
     c = 0.5 * (_legendre_roots(s) + 1.0)
     a = np.empty((s, s))
     b = np.empty(s)

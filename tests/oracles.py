@@ -67,6 +67,19 @@ def two_mode_state(grid, amplitudes):
     return State(grid, coeffs)
 
 
+def nls_plane_wave(grid, k, a, b, t):
+    """The exact cubic NLS flow at time t of the plane wave ``a`` in mode
+    k, and its derivative along ``b`` in the same mode: with phi = (k^2 +
+    |a|^2) t, u = a e^{-i phi} and v = e^{-i phi} (b - i t a 2 Re(conj(a) b)).
+    Dealiased collocation is exact for data in one mode inside the 2/3 band."""
+    phase = np.exp(-1j * (k**2 + abs(a) ** 2) * t)
+    u, v = (np.zeros((1, grid.n), dtype=complex) for _ in range(2))
+    index = np.flatnonzero(grid.modes == k)[0]
+    u[0, index] = a * phase
+    v[0, index] = phase * (b - 1j * t * a * 2 * (np.conj(a) * b).real)
+    return State(grid, u), State(grid, v)
+
+
 def band_state(grid, rng, max_mode):
     """The package's ``random_band_state`` drawn in the modes 0 < |k| <=
     ``max_mode``: the same draws, taken in the same order, at max_mode = 4."""

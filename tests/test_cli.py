@@ -366,6 +366,11 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      ({"experiment": "convergence", "problem": "wave-neumann", "n": 2}, "n"),
      # a difference step that is not a normal float
      ({"experiment": "tangent-check", "eps": 5e-324}, "eps"),
+     # a stage tolerance too loose for the run's finest step
+     ({"experiment": "conservation", "problem": "wave-cubic-periodic", "n": 16, "h": 0.01,
+       "steps": 3, "fp_tol": 1e308}, "fp_tol"),
+     ({"experiment": "conservation", "fp_tol": 1e-8}, "fp_tol"),
+     ({"experiment": "smoothness", "fp_tol": 1e308}, "fp_tol"),
      # u0 +- eps*v0 overflows in B where the step from u0 converges
      ({"experiment": "tangent-check", "n": 16, "T": 0.1, "h_max": 0.025, "levels": 2,
        "eps": 1e308}, "eps")],
@@ -402,7 +407,8 @@ def test_size_errors_state_their_bound(tmp_path, capsys, payload, message):
 
 
 @pytest.mark.parametrize("experiment", ["convergence", "tangent-check", "dirichlet-compat"])
-@pytest.mark.parametrize("key, value", [("T", 1e100), ("h_max", 1e-300)])
+# T = 1e308 overflows T / h: that is past the step bound, not a step fault
+@pytest.mark.parametrize("key, value", [("T", 1e100), ("h_max", 1e-300), ("T", 1e308)])
 def test_study_step_count_is_bounded(tmp_path, capsys, experiment, key, value):
     # T / h has no other upper bound: without this one the study runs for ever
     payload = {"experiment": experiment, key: value}

@@ -25,8 +25,8 @@ from rkspectral.harness import (
     tangent_convergence_study,
     wave_band_state,
 )
-from rkspectral.problems import _NONLINEARITIES, ProblemSpec, get_problem, list_problems
-from rkspectral.stepper import SolverConfig, StepStats, integrate, step
+from rkspectral.problems import ProblemSpec, get_problem, list_problems
+from rkspectral.stepper import SolverConfig, StepStats, integrate, step, tangent_step
 from rkspectral.spectral import (
     SpectralGrid,
     State,
@@ -48,6 +48,7 @@ from oracles import (
     exact_stability_polynomials,
     grid_nodes,
     hermitian_symmetry_defect,
+    nls_plane_wave,
     reference_rung,
     to_state,
     two_mode_state,
@@ -332,6 +333,23 @@ BAD_INPUTS = {
         lambda p, u0: dyadic_h_list(True, 2), "h_max", "h_max must be a real number, got True"),
     "dyadic levels a fraction": (
         lambda p, u0: dyadic_h_list(0.02, 2.5), "levels", "levels must be an integer, got 2.5"),
+    # the stage tolerance of every run is held to its finest step, as in an order study
+    "conservation tolerance too loose": (
+        lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-7), 3),
+        "fp_tol", re.escape("fp_tol=1e-07 too loose for an order-2 method with min step 0.01; "
+                            "need <= 1e-08")),
+    "conservation tolerance far too loose": (
+        lambda p, u0: conservation_run(p, gauss_legendre(3), u0,
+                                       SolverConfig(h=0.01, fp_tol=1e308), 3),
+        "fp_tol", re.escape("fp_tol=1e+308 too loose for an order-6 method with min step 0.01; "
+                            "need <= 1e-13")),
+    "smoothness tolerance too loose for the finest level": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2, levels=4, fp_tol=1e-8),
+        "fp_tol", re.escape("fp_tol=1e-08 too loose for an order-2 method with min step "
+                            "0.00625; need <= 2.44141e-09")),
+    "smoothness tolerance far too loose": (
+        lambda p, u0: smoothness_probe(p, MIDPOINT, u0, 0.05, 2, levels=4, fp_tol=1e308),
+        "fp_tol", "fp_tol=1e\\+308 too loose"),
     "order-study time a bool": (
         lambda p, u0: convergence_study(p, MIDPOINT, u0, True, [0.02, 0.01], fp_tol=1e-13),
         "T", "T must be a real number, got True"),
@@ -343,6 +361,15 @@ def test_study_step_bound_is_inclusive():
     with pytest.raises(ValueError, match="T/h must be at most 1048576") as exc:
         harness._check_divides(2.0, [2.0**-20], "h_max")
     assert exc.value.name == "h_max"
+
+
+@pytest.mark.parametrize("h, order", [(1e300, 2), (2.0, 10**6)])
+def test_stage_tolerance_bound_past_the_float_range_admits_any_tolerance(h, order):
+    # h^(p+1) overflows: the bound is infinite, not an OverflowError
+    p = get_problem("nls-linear-periodic", 16)
+    t = ButcherTableau(1, [[0.5]], [1.0], [0.5], order)
+    cfg = SolverConfig(h=h, fp_tol=1e308)
+    assert len(conservation_run(p, t, nls_two_mode_state(p.grid), cfg, 1).rows) == 1
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -584,7 +611,8 @@ class TestConservedQuantities:
         assert q["mass"] == pytest.approx(2 * math.pi * 0.09, abs=1e-12)
 
     def test_linear_dirichlet_energy_of_sine(self):
-        p = ProblemSpec(SpectralGrid("wave", "dirichlet", 32), _NONLINEARITIES["wave"]["zero"])
+        zero = get_problem("wave-linear-periodic", 32).nonlinearity
+        p = ProblemSpec(SpectralGrid("wave", "dirichlet", 32), zero)
         u = to_state(p.grid, np.vstack([np.sin(grid_nodes(p.grid)), np.zeros(32)]))
         q = checked_conserved_quantities(p, u)
         assert q["energy"] == pytest.approx(math.pi / 4, abs=1e-10)
@@ -994,6 +1022,58 @@ class TestTangentStudy:
             tangent_convergence_study(p, MIDPOINT, u0, v0, 0.5, [0.01, 0.02], fp_tol=1e-13)
 
 
+class TestNlsPlaneWave:
+    """Order studies checked against the exact cubic NLS plane wave (n = 64,
+    a = 0.9 in mode 3), independently of the reference walk.  Every level
+    whose exact error clears 1e3 times the walk's floor (50 fp_tol) agrees
+    with its study error within the walk's 1e-3 margin."""
+
+    K, A, B, FP_TOL = 3, 0.9, 0.3 - 0.2j, 1e-13
+    # (stages, T, h_max): five dyadic levels each
+    CASES = [(1, 0.5, 0.02), (2, 0.5, 0.02), (3, 1.0, 0.1), (4, 1.0, 0.1)]
+
+    def setup(self, T):
+        p = get_problem("nls-cubic-periodic", 64)
+        initial = nls_plane_wave(p.grid, self.K, self.A, self.B, 0.0)
+        return p, initial, nls_plane_wave(p.grid, self.K, self.A, self.B, T)
+
+    def check(self, report, exact_errors, s):
+        floor = 50 * self.FP_TOL
+        checked = [(e, x) for e, x in zip(report.errors, exact_errors) if x >= 1e3 * floor]
+        assert len(checked) >= 2
+        for error, exact in checked:
+            assert abs(error - exact) <= 1e-3 * exact
+        assert abs(report.fitted_order - 2 * s) <= 0.3
+        # The walk validates itself, so a same-order reference meets the same
+        # agreement after more rungs; its two extra stages are pinned here.
+        assert report.reference["tableau"] == f"gl:{s + 2}"
+
+    @pytest.mark.parametrize("s, T, h_max", CASES)
+    def test_study_errors_are_the_exact_errors(self, s, T, h_max):
+        p, (u0, _), (u_T, _) = self.setup(T)
+        t, h_list = gauss_legendre(s), dyadic_h_list(h_max, 5)
+        report = convergence_study(p, t, u0, T, h_list, fp_tol=self.FP_TOL)
+        exact_errors = [
+            base_norm(integrate(p, t, u0, SolverConfig(h=h, fp_tol=self.FP_TOL),
+                                round(T / h))[0] - u_T)
+            for h in h_list
+        ]
+        self.check(report, exact_errors, s)
+
+    @pytest.mark.parametrize("s, T, h_max", CASES)
+    def test_tangent_study_errors_are_the_exact_errors(self, s, T, h_max):
+        p, (u0, v0), (u_T, v_T) = self.setup(T)
+        t, h_list = gauss_legendre(s), dyadic_h_list(h_max, 5)
+        report = tangent_convergence_study(p, t, u0, v0, T, h_list, fp_tol=self.FP_TOL)
+        exact_errors = []
+        for h in h_list:
+            u, v, cfg = u0, v0, SolverConfig(h=h, fp_tol=self.FP_TOL)
+            for _ in range(round(T / h)):
+                u, v, _ = tangent_step(p, t, u, v, cfg)
+            exact_errors.append(math.hypot(base_norm(u - u_T), base_norm(v - v_T)))
+        self.check(report, exact_errors, s)
+
+
 def test_readme_problem_outside_the_catalogue_runs():
     # the README's example as written there: a grid and a Nonlinearity
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1100,6 +1180,14 @@ class TestInitialData:
         state = rough_decay_state(grid)
         idx2 = np.where(grid.modes == 2)[0][0]
         assert abs(state.coeffs[0, idx2]) == pytest.approx(2 ** -1.1)
+
+    @pytest.mark.parametrize("bc, n", [("periodic", 16), ("dirichlet", 15), ("neumann", 15)])
+    def test_rough_wave_state_decays_in_both_components(self, bc, n):
+        grid = SpectralGrid("wave", bc, n)
+        coeffs = rough_decay_state(grid).coeffs
+        k = np.abs(grid.modes.astype(float))
+        expected = np.where(k > 0, np.maximum(k, 1.0) ** -1.1, 0.0)
+        assert np.array_equal(coeffs, np.stack([expected, expected]).astype(complex))
 
     def test_dyadic_h_list(self):
         assert dyadic_h_list(0.02, 3) == [0.02, 0.01, 0.005]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rkspectral.problems import (
-    _NONLINEARITIES,
     ProblemSpec,
     dealias_mask,
     evaluate_B_array,
@@ -16,6 +15,13 @@ from rkspectral.problems import (
 from rkspectral.spectral import SpectralGrid, State, inverse_transform_array
 
 from oracles import evaluate_B, grid_nodes, to_state
+
+# Every distinct map of the catalogue, by equation and map name.
+MAPS = {
+    (p.grid.equation, p.nonlinearity.name): p.nonlinearity
+    for p in (get_problem(name, 16) for name in list_problems())
+}
+CUBIC = {equation: MAPS[(equation, "cubic")] for equation in ("schrodinger", "wave")}
 
 
 def mode_state(grid, component, assignments):
@@ -91,7 +97,7 @@ class TestDealiasSlice:
     @pytest.mark.parametrize("equation, bc, n", DEALIAS_GRIDS)
     def test_slice_selects_the_complement_of_the_mask(self, equation, bc, n):
         grid = SpectralGrid(equation, bc, n)
-        p = ProblemSpec(grid, _NONLINEARITIES[equation]["cubic"])
+        p = ProblemSpec(grid, CUBIC[equation])
         selected = np.zeros(n, dtype=bool)
         selected[p._aliased_modes] = True
         assert np.array_equal(selected, ~dealias_mask(grid))
@@ -99,7 +105,7 @@ class TestDealiasSlice:
     @pytest.mark.parametrize("equation, bc, n", DEALIAS_GRIDS)
     def test_B_is_the_transform_with_the_top_third_zeroed(self, equation, bc, n):
         grid = SpectralGrid(equation, bc, n)
-        f = _NONLINEARITIES[equation]["cubic"]
+        f = CUBIC[equation]
         rng = np.random.default_rng(n)
         shape = (3, grid.components, n)
         real = rng.standard_normal(shape)
@@ -208,7 +214,7 @@ class TestPairEvaluation:
     @pytest.mark.parametrize("s", [1, 3])
     def test_equals_separate_evaluations_bitwise(self, equation, bc, s):
         grid = SpectralGrid(equation, bc, 32)
-        p = ProblemSpec(grid, _NONLINEARITIES[equation]["cubic"])
+        p = ProblemSpec(grid, CUBIC[equation])
         rng = np.random.default_rng(s)
         shape = (2, s, grid.components, grid.n)
         pair = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -242,6 +248,11 @@ class TestCatalogue:
         assert p.nonlinearity.value(0.0) == pytest.approx(1.0)
         assert get_problem("wave-dirichlet-compatible", 64).nonlinearity.value(0.0) == 0.0
 
+    def test_each_map_has_its_own_name(self):
+        # MAPS keys the catalogue's maps by equation and name: none is lost
+        maps = {id(get_problem(name, 16).nonlinearity) for name in list_problems()}
+        assert len(maps) == len(MAPS) == 5
+
     def test_unknown_name_lists_catalogue(self):
         with pytest.raises(KeyError, match="nls-cubic-periodic"):
             get_problem("foo", 64)
@@ -257,10 +268,7 @@ class TestCatalogue:
             get_problem("nls-cubic-periodic")
 
 
-# Every tabled nonlinearity.
-ALL_NONLINEARITIES = [
-    (equation, name) for equation, table in _NONLINEARITIES.items() for name in table
-]
+ALL_NONLINEARITIES = list(MAPS)
 
 
 class TestNonlinearities:
@@ -268,7 +276,7 @@ class TestNonlinearities:
     def test_tangent_and_potential_match_the_value(self, equation, name):
         # tangent(u, v) is the derivative of value along v; the potential's
         # derivative along v is f(u) v (wave) or 2 Re(conj(v) f(u)) (Schrodinger).
-        f = _NONLINEARITIES[equation][name]
+        f = MAPS[(equation, name)]
         rng = np.random.default_rng(6)
         u, v = rng.uniform(-1, 1, (2, 64))
         if equation == "schrodinger":
@@ -285,7 +293,7 @@ class TestNonlinearities:
 
 
 def exact_map(equation, name, which, u, v):
-    """The map ``which`` of a tabled nonlinearity at one point, in 50-digit
+    """The map ``which`` of a catalogue nonlinearity at one point, in 50-digit
     mpmath, and the sum of the magnitudes of its terms."""
     if name == "zero":
         return mpmath.mpf(0), mpmath.mpf(0)
@@ -297,7 +305,7 @@ def exact_map(equation, name, which, u, v):
             "potential": [sq**2 / 2],
         }[which]
     else:
-        c = mpmath.mpf(name.split(":")[1]) if ":" in name else 0
+        c = 1 if name == "cubic_plus_one" else 0
         terms = {
             "value": [u**3, c],
             "tangent": [3 * u**2 * v],
@@ -318,7 +326,7 @@ def exact_map(equation, name, which, u, v):
 ROUNDING_BUDGET = {
     ("wave", "zero"): {"value": (0, 0), "tangent": (0, 0), "potential": (0, 0)},
     ("wave", "cubic"): {"value": (2, 0), "tangent": (2, 1), "potential": (3, 0)},
-    ("wave", "cubic_plus_const:1.0"): {
+    ("wave", "cubic_plus_one"): {
         "value": (2, 1), "tangent": (2, 1), "potential": (3, 1),
     },
     ("schrodinger", "zero"): {"value": (0, 0), "tangent": (0, 0), "potential": (0, 0)},
@@ -339,7 +347,7 @@ class TestPointwiseAccuracy:
     )
     def test_maps_round_within_their_budget(self, equation, name, which, dtype):
         # normwise error against a 50-digit evaluation of the exact map
-        f = _NONLINEARITIES[equation][name]
+        f = MAPS[(equation, name)]
         rng = np.random.default_rng(7)
         u, v = rng.uniform(-2, 2, (2, 200))
         if dtype == np.complex128:
@@ -360,7 +368,7 @@ class TestPointwiseAccuracy:
     def test_wave_maps_of_real_data_are_the_real_part_of_complex_ones(self, equation, name):
         # real u**3 goes to libm pow and rounds unlike the complex product;
         # the product chains round alike, so float64 and complex flows agree
-        f = _NONLINEARITIES[equation][name]
+        f = MAPS[(equation, name)]
         u, v = np.random.default_rng(8).uniform(-2, 2, (2, 4096))
         for which, args in (("value", (u,)), ("tangent", (u, v)), ("potential", (u,))):
             real = getattr(f, which)(*args)

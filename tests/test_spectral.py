@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -335,6 +336,12 @@ class TestPropagator:
         lhs = apply_exp_tA(apply_exp_tA(u, 0.3), 0.45)
         rhs = apply_exp_tA(u, 0.75)
         assert base_norm(lhs - rhs) < 1e-12 * base_norm(u)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        u = mode_state(SpectralGrid("schrodinger", "periodic", 8), {1: 1.0})
+        with pytest.raises(ValueError, match="propagation time must be finite"):
+            apply_exp_tA(u, t)
 
 
 def unit_blocks(grid, apply):
@@ -673,6 +680,14 @@ class TestStateHygiene:
         # symmetry survives the linear flow and the update map
         assert hermitian_symmetry_defect(apply_exp_tA(state, 0.37)) < 1e-12
         assert hermitian_symmetry_defect(apply_S_hA(state, gauss_legendre(2), 0.1)) < 1e-12
+
+    @pytest.mark.parametrize("equation, shape", [("schrodinger", (2, 16)), ("wave", (1, 16)),
+                                                 ("wave", (2, 8)), ("schrodinger", (16,))])
+    def test_coefficients_of_another_shape_rejected(self, equation, shape):
+        grid = SpectralGrid(equation, "periodic", 16)
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficients must have shape ({grid.components}, 16)")):
+            State(grid, np.zeros(shape))
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(12)

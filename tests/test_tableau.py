@@ -212,6 +212,17 @@ class TestAStabilityCheck:
         assert not report.rk1_ok
         assert report.rk1_worst == (-0.001, math.inf)
 
+    def test_a_stable_reads_both_criteria(self):
+        # the second stage has no weight, so S is the midpoint rule's and
+        # |S| <= 1 on every sample; its eigenvalue -1 of a puts a singular
+        # (I - z a) at z = -1 in the left half-plane
+        decoupled = ButcherTableau(2, [[0.5, 0.0], [0.0, -1.0]], [1.0, 0.0], [0.5, -1.0], 2)
+        for t, rk1, rk2 in ((gauss_legendre(2), True, True), (explicit_euler(), False, True),
+                            (decoupled, True, False)):
+            report = check_a_stability(t)
+            assert (report.rk1_ok, report.rk2_ok) == (rk1, rk2)
+            assert report.a_stable == (rk1 and rk2)
+
     def test_midpoint_eigenvalues(self):
         report = check_a_stability(gauss_legendre(1))
         assert report.a_eigenvalues == pytest.approx([0.5])
@@ -295,6 +306,16 @@ class TestTableauValidation:
             ButcherTableau(
                 s=1, a=np.array([[0.5]]), b=np.array([0.9]), c=np.array([0.5]), p=2
             )
+
+    @pytest.mark.parametrize("s, p, name, message", [
+        (0, 2, "s", "stage count must be positive"), (-1, 2, "s", "stage count must be positive"),
+        (1, 0, "p", "classical order must be positive"),
+        (1, -2, "p", "classical order must be positive")])
+    def test_count_below_one_names_its_key(self, s, p, name, message):
+        a = np.full((max(s, 0), max(s, 0)), 0.5)
+        with pytest.raises(ValueError, match=message) as exc:
+            ButcherTableau(s, a, [1.0] * max(s, 0), [0.5] * max(s, 0), p)
+        assert exc.value.name == name
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
