@@ -38,7 +38,7 @@ from .spectral import (
     base_norm,
     inverse_transform_array,
 )
-from .stepper import SolverConfig, _check_grid, _flow, _real_data, step
+from .stepper import _MAX_STEPS, SolverConfig, _check_grid, _check_steps, _flow, _real_data, step
 from .tableau import _MAX_STAGES, ButcherTableau, _stability_values, gauss_legendre
 
 # fp_tol floor accepted by studies: double-precision stage residuals on
@@ -55,10 +55,6 @@ _REFERENCE_FLOOR_FACTOR = 50.0
 # dyadic ladder the rung (h_min/16, h_min/32).  T / h_list[0] is an
 # integer, so every rung's steps divide T.
 _LAST_RUNG_DIVISOR = 16
-# Most steps T / h of one study level: far above the 400 of the finest
-# level any study or benchmark workload runs, and low enough that a
-# T or h far out of range fails at once instead of running for ever.
-_MAX_STUDY_STEPS = 2**20
 # conservation_run evaluates the states of this many steps in one batch
 # (``_conserved_rows``), whose rows are the values of single states bit
 # for bit.  On the Dirichlet wave run (n = 256, 2,000 steps, in a process
@@ -153,14 +149,14 @@ def _check_fp_tol(fp_tol, h, p_order):
 
 def _check_divides(T, h_list, name):
     """The study steps' rule: T finite and positive, and T / h a positive
-    integer of at most ``_MAX_STUDY_STEPS`` for each step h of ``h_list``
+    integer of at most ``stepper._MAX_STEPS`` for each step h of ``h_list``
     (floats).  ``name`` is the parameter that set the steps."""
     if not 0 < _real("T", T) < math.inf:
         raise InputError("T", f"T must be finite and positive, got {T!r}")
     for h in h_list:
         ratio = T / h if h > 0 else 0.0  # inf where it overflows
-        if ratio > _MAX_STUDY_STEPS:
-            raise InputError(name, f"T/h must be at most {_MAX_STUDY_STEPS}; T={T}, h={h}")
+        if ratio > _MAX_STEPS:
+            raise InputError(name, f"T/h must be at most {_MAX_STEPS}; T={T}, h={h}")
         m = round(ratio)
         if m < 1 or abs(m * h - T) > 1e-9 * max(1.0, T):
             raise InputError(name, f"T/h must be a positive integer; T={T}, h={h}")
@@ -353,9 +349,7 @@ def conservation_run(
     """Mass and energy after each of ``steps`` steps of the flow from
     ``u0``: each row is bit for bit the ``conserved_quantities`` of its
     state, taken in the flow's own arithmetic (float64 for real wave data)."""
-    if not 1 <= _count("steps", steps) <= sys.float_info.max:
-        raise InputError("steps", f"steps must be at least 1 and at most "
-                                  f"{sys.float_info.max!r}, got {steps!r}")
+    _check_steps(steps)
     _check_fp_tol(cfg.fp_tol, cfg.h, t.p)
     q0 = conserved_quantities(p, u0)
     rows, pending = [], []

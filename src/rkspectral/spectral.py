@@ -30,8 +30,7 @@ call, the inverse is unscaled.
 Neumann grids take DCT-I as the real FFT of the length-2(n-1) even
 extension.  Dirichlet grids with n <= 256 apply DST-I as a product with
 the grid's cached ``2 sin(pi j k / (n+1))`` matrix; larger ones take the
-real FFT of the length-2(n+1) odd extension, which is slow when 2(n+1)
-has a large prime factor (n = 256: 2 x 257).  Either way real data --
+real FFT of the length-2(n+1) odd extension.  Either way real data --
 the coefficients and fields of a wave state on a sine or cosine grid --
 take one real call, and complex data one real call on the stacked
 (real, imaginary) rows.
@@ -53,7 +52,7 @@ DEFAULT_SCALE_CAP = 8
 # Largest Dirichlet grid whose DST-I runs as a dense matrix product: the
 # benchmark's Dirichlet run (n = 256) is the only size measured end to
 # end.  There numpy's length-514 real FFT takes the slow Bluestein path
-# (two rows: 86 us against 22 us for the product), and the O(n^2)
+# (two rows, 2-core x86_64: 86 us against 22 us for the product), and the O(n^2)
 # product loses to the FFT at n = 511 and 512.
 _DENSE_DST1_MAX_N = 256
 
@@ -197,10 +196,8 @@ def _complex_dst1(vals, sine=None):
     the odd extension ``[0, x, 0, -x reversed]`` of length 2(n+1), whose
     negated imaginary parts 1..n are the transform (FFTW's RODFT00).
     The dense path's last bits come from the installed BLAS kernel, so
-    they can differ between CPUs, BLAS builds and thread settings.  It
-    is faster than the FFT where 2(n+1) has a large prime factor (two
-    rows, 2-core x86_64: n = 256 22 us against 86 us) and slower at some
-    smooth n.
+    they can differ between CPUs, BLAS builds and thread settings.  The
+    costs of the two paths are measured at ``_DENSE_DST1_MAX_N``.
     """
     if sine is None:
         return _on_parts(_dst1, vals)

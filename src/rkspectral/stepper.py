@@ -65,7 +65,6 @@ Schrodinger equation keep complex arithmetic.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -89,6 +88,11 @@ _CONTRACTION_WARN = 0.9
 
 # A stage iteration that has not converged after this many iterations fails.
 _FP_MAX_ITERS = 200
+
+# Most steps of one run, an order-study level too: far above the 2,000 of
+# the longest any study or workload runs, and low enough that a count far
+# out of range fails at once instead of running for ever.
+_MAX_STEPS = 2**20
 
 
 # The predictor's point count.  Extrapolating B through P history node
@@ -284,6 +288,13 @@ def _real_data(grid, x):
     return grid.equation == "wave" and grid.bc != "periodic" and not x.imag.any()
 
 
+def _check_steps(steps):
+    """The step-count rule of a run: an integer from 1 to ``_MAX_STEPS``."""
+    if not 1 <= _count("steps", steps) <= _MAX_STEPS:
+        raise InputError("steps", f"steps must be at least 1 and at most {_MAX_STEPS}, "
+                                  f"got {steps!r}")
+
+
 def _flow(p, t, x, cfg, steps, B, observer=None):
     """Take ``steps`` steps of size ``cfg.h`` from the coefficients ``x``
     (..., c, n), whose stage arrays the evaluator ``B(p, w)`` maps to
@@ -358,9 +369,7 @@ def integrate(
     The first step is ``step``; each later step starts its stage
     iteration from the B of the last steps extrapolated to its nodes.
     """
-    if not 1 <= _count("steps", steps) <= sys.float_info.max:
-        raise InputError("steps", f"steps must be at least 1 and at most "
-                                  f"{sys.float_info.max!r}, got {steps!r}")
+    _check_steps(steps)
     _check_grid(p, u0)
     coeffs, history = _flow(p, t, u0.coeffs, cfg, steps, evaluate_B_array)
     return State(p.grid, coeffs), history

@@ -80,6 +80,28 @@ def nls_plane_wave(grid, k, a, b, t):
     return State(grid, u), State(grid, v)
 
 
+def wave_constant_mode(grid, a, t):
+    """The exact cubic wave flow at time t of the constant displacement
+    ``a`` at rest (mode 0 alone, on a periodic or Neumann grid): u'' = -u^3
+    gives u = a cn(a t | 1/2) and u' = -a^2 sn dn (a t | 1/2), in 50 digits.
+    Every other mode stays zero, since a constant's cube is a constant."""
+    with mpmath.workdps(50):
+        sn, cn, dn = (mpmath.ellipfun(kind, a * t, m=0.5) for kind in ("sn", "cn", "dn"))
+        u, v = float(a * cn), float(-(a**2) * sn * dn)
+    coeffs = np.zeros((2, grid.n), dtype=complex)
+    coeffs[:, np.flatnonzero(grid.modes == 0)[0]] = u, v
+    return State(grid, coeffs)
+
+
+def power_decay_state(grid, alpha):
+    """Data with |c_k| = |k|^-alpha in every mode k != 0 of each component:
+    the package's ``rough_decay_state`` at alpha = 1.1."""
+    coeffs = np.zeros((grid.components, grid.n), dtype=complex)
+    k = np.abs(grid.modes.astype(float))
+    coeffs[:, k > 0] = k[k > 0] ** -alpha
+    return State(grid, coeffs)
+
+
 def band_state(grid, rng, max_mode):
     """The package's ``random_band_state`` drawn in the modes 0 < |k| <=
     ``max_mode``: the same draws, taken in the same order, at max_mode = 4."""

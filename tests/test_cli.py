@@ -392,7 +392,7 @@ def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, 
     [({"experiment": "stability", "n_steps": 10**400},
       f"config key 'n_steps': n_steps must be at least 0 and at most {sys.float_info.max!r}, "),
      ({"experiment": "conservation", "steps": int(sys.float_info.max) + 1},
-      f"config key 'steps': steps must be at least 1 and at most {sys.float_info.max!r}, "),
+      "config key 'steps': steps must be at least 1 and at most 1048576, got 1797693"),
      ({"experiment": "stability", "n": 10**400},
       "config key 'n': grid size n must be at most 1048576, got 1000"),
      ({"experiment": "convergence", "n": 2**20 + 2},
@@ -419,6 +419,19 @@ def test_study_step_count_is_bounded(tmp_path, capsys, experiment, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: config key 'h_max': T/h must be at most 1048576; ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_step_count_is_bounded(tmp_path, capsys, monkeypatch):
+    # the bound an order study's T/h has: without it 10**20 steps run for ever
+    monkeypatch.setattr(harness, "_flow", lambda *args: pytest.fail("the run was not rejected"))
+    payload = {"experiment": "conservation", "n": 16, "steps": 10**20}
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run_config(write_config(tmp_path, payload), out) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ("error: config key 'steps': steps must be at least 1 and "
+                                       f"at most 1048576, got {10**20}\n")
     assert not out.exists()
 
 

@@ -9,13 +9,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from rkspectral import harness
-from rkspectral.errors import SingularResolventError, UnreliableReferenceError
+from rkspectral import harness, stepper
+from rkspectral.errors import InputError, SingularResolventError, UnreliableReferenceError
 from rkspectral.harness import (
     _summarize,
     conservation_run,
     conserved_quantities,
     convergence_study,
+    dirichlet_compatibility_study,
     dyadic_h_list,
     nls_two_mode_state,
     random_band_state,
@@ -49,9 +50,11 @@ from oracles import (
     grid_nodes,
     hermitian_symmetry_defect,
     nls_plane_wave,
+    power_decay_state,
     reference_rung,
     to_state,
     two_mode_state,
+    wave_constant_mode,
 )
 from oracles import stability_growth as matrix_stability_growth
 
@@ -284,11 +287,11 @@ BAD_INPUTS = {
     "conservation steps too large for a float": (
         lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12),
                                        10**400),
-        "steps", re.escape(f"steps must be at least 1 and at most {sys.float_info.max!r}")),
+        "steps", "steps must be at least 1 and at most 1048576, got 1000"),
     "integrate steps one past the bound": (
         lambda p, u0: integrate(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12),
-                                int(sys.float_info.max) + 1),
-        "steps", "steps must be at least 1 and at most"),
+                                2**20 + 1),
+        "steps", "steps must be at least 1 and at most 1048576, got 1048577"),
     "no conservation step": (
         lambda p, u0: conservation_run(p, MIDPOINT, u0, SolverConfig(h=0.01, fp_tol=1e-12), 0),
         "steps", "steps must be at least 1"),
@@ -363,6 +366,31 @@ def test_study_step_bound_is_inclusive():
     assert exc.value.name == "h_max"
 
 
+@pytest.mark.parametrize("module, run", [(stepper, integrate), (harness, conservation_run)],
+                         ids=["integrate", "conservation_run"])
+def test_run_step_bound_is_inclusive(monkeypatch, module, run):
+    # as an order study's T/h: 2**20 steps reach the flow, one more fails before any step
+    reached = []
+
+    class Reached(Exception):
+        pass
+
+    def flow(p, t, x, cfg, steps, *args):
+        reached.append(steps)
+        raise Reached
+
+    monkeypatch.setattr(module, "_flow", flow)
+    p = get_problem("nls-cubic-periodic", 16)
+    u0, cfg = nls_two_mode_state(p.grid), SolverConfig(h=0.01, fp_tol=1e-12)
+    with pytest.raises(Reached):
+        run(p, MIDPOINT, u0, cfg, 2**20)
+    with pytest.raises(InputError, match="steps must be at least 1 and at most 1048576, "
+                                         "got 1048577$") as exc:
+        run(p, MIDPOINT, u0, cfg, 2**20 + 1)
+    assert exc.value.name == "steps"
+    assert reached == [2**20]
+
+
 @pytest.mark.parametrize("h, order", [(1e300, 2), (2.0, 10**6)])
 def test_stage_tolerance_bound_past_the_float_range_admits_any_tolerance(h, order):
     # h^(p+1) overflows: the bound is infinite, not an OverflowError
@@ -375,8 +403,9 @@ def test_stage_tolerance_bound_past_the_float_range_admits_any_tolerance(h, orde
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_rejected_before_any_run(monkeypatch, case):
     runs = []
-    for target in ("_flow", "step", "_stability_values"):
-        monkeypatch.setattr(harness, target, lambda *args, **kwargs: runs.append(args))
+    for module, target in ((harness, "_flow"), (harness, "step"),
+                           (harness, "_stability_values"), (stepper, "_flow")):
+        monkeypatch.setattr(module, target, lambda *args, **kwargs: runs.append(args))
     call, name, message = BAD_INPUTS[case]
     p = get_problem("nls-cubic-periodic", 16)
     with pytest.raises(ValueError, match=message) as exc:
@@ -977,6 +1006,19 @@ class TestSmoothnessProbe:
         values = [v for _, v in results]
         assert all(b > 2 * a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rough_data_grow_at_their_rate(self, q):
+        # |c_k| = |k|^-alpha: a level sees the modes with k^2 h below about 1,
+        # so halving h multiplies |A^q u0| over them by 2**(q - alpha/2 + 1/4),
+        # 2**(q - 0.3) for alpha = 1.1 (|k|^-1.6 data read q - 0.55).  n = 1024
+        # resolves all 7 levels; at n = 64 the ratios fall to 0.03 and 0.07.
+        p = get_problem("nls-linear-periodic", 1024)
+        u0 = rough_decay_state(p.grid)
+        rows = smoothness_probe(p, gauss_legendre(2), u0, 0.05, q, levels=7, fp_tol=1e-13)
+        values = [value for _, value in rows]
+        for a, b in zip(values, values[1:]):
+            assert math.log2(b / a) == pytest.approx(q - 0.3, abs=1e-3)
+
     def test_zeroth_order_is_step_norm(self):
         # one row per level: the base norm of one step of its base step
         p = get_problem("nls-cubic-periodic", 32)
@@ -1074,6 +1116,78 @@ class TestNlsPlaneWave:
         self.check(report, exact_errors, s)
 
 
+class TestWaveConstantMode:
+    """Order studies checked against the exact cubic wave of a constant
+    displacement at rest (n = 16, a = 0.8 in mode 0), which runs through
+    the nilpotent k = 0 block and B alone, independently of the reference
+    walk.  Every level whose exact error clears 1e3 times the walk's floor
+    (50 fp_tol) agrees with its study error within the walk's 1e-3 margin."""
+
+    A, FP_TOL = 0.8, 1e-13
+    # (stages, T, h_max, levels); from h = 1, gl:4 reads a pre-asymptotic 7.65
+    CASES = [(1, 0.5, 0.02, 5), (2, 1.0, 0.1, 4), (3, 1.0, 0.5, 4), (4, 1.0, 0.5, 3)]
+
+    @pytest.mark.parametrize("s, T, h_max, levels", CASES)
+    def test_study_errors_are_the_exact_errors(self, s, T, h_max, levels):
+        p = get_problem("wave-cubic-periodic", 16)
+        u0, u_T = (wave_constant_mode(p.grid, self.A, time) for time in (0.0, T))
+        t, h_list = gauss_legendre(s), dyadic_h_list(h_max, levels)
+        report = convergence_study(p, t, u0, T, h_list, fp_tol=self.FP_TOL)
+        checked = 0
+        for h, error in zip(h_list, report.errors):
+            final, _ = integrate(p, t, u0, SolverConfig(h=h, fp_tol=self.FP_TOL), round(T / h))
+            assert not final.coeffs[:, p.grid.modes != 0].any()
+            exact = base_norm(final - u_T)
+            if exact >= 1e3 * 50 * self.FP_TOL:
+                assert abs(error - exact) <= 1e-3 * exact
+                checked += 1
+        assert checked >= 1
+        assert abs(report.fitted_order - 2 * s) <= 0.3
+        assert report.reference["tableau"] == f"gl:{s + 2}"
+
+
+class TestGridIndependence:
+    """The studies measure the time error of the PDE, not of its n-mode
+    Galerkin truncation: once n resolves the data, A-stable Runge-Kutta
+    bounds hold uniformly in n (Oliver & Wulff, Proc. Roy. Soc. Edinburgh A
+    144, 2014), so a study's errors stop depending on n."""
+
+    # (problem, initial data, T, h_max): gl:2 on five dyadic levels
+    SMOOTH = {
+        "nls-cubic-periodic": (nls_two_mode_state, 0.5, 0.02),
+        "wave-cubic-periodic": (wave_band_state, 0.5, 0.02),
+        # the dirichlet-compat data and ladder
+        "wave-dirichlet-compatible": (
+            lambda grid: wave_band_state(grid, (0.4, 0.2, 0.1), (0.2, -0.1, 0.05)), 0.4, 0.08),
+    }
+
+    @pytest.mark.parametrize("name", list(SMOOTH))
+    def test_smooth_data_study_does_not_depend_on_n(self, name):
+        data, T, h_max = self.SMOOTH[name]
+        reports = []
+        for n in (64, 128, 256):
+            p = get_problem(name, n)
+            reports.append(convergence_study(p, gauss_legendre(2), data(p.grid), T,
+                                             dyadic_h_list(h_max, 5), fp_tol=1e-13))
+        first = reports[0]
+        for report in reports[1:]:  # largest gaps: 2.2e-7 and 9.7e-8
+            assert report.flagged == first.flagged
+            for error, base, flagged in zip(report.errors, first.errors, first.flagged):
+                assert flagged or abs(error - base) <= 1e-5 * base
+            assert report.fitted_order == pytest.approx(first.fitted_order, abs=1e-4)
+
+    def test_incompatible_order_settles_near_one_as_n_grows(self):
+        # the velocity forcing f(0) = 1 lies in D(A^theta) for theta < 1/2 only
+        orders = []
+        for n in (255, 1023, 2047):
+            compatible, incompatible = dirichlet_compatibility_study(
+                dyadic_h_list(0.08, 5), 0.4, n, MIDPOINT, 1e-13)
+            assert compatible.fitted_order == pytest.approx(1.9973, abs=1e-4)
+            orders.append(incompatible.fitted_order)  # 1.0730, 0.9845, 0.9799
+        assert orders[0] > orders[1] > orders[2]
+        assert abs(orders[2] - 1.0) <= 0.05
+
+
 def test_readme_problem_outside_the_catalogue_runs():
     # the README's example as written there: a grid and a Nonlinearity
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1161,6 +1275,8 @@ class TestInitialData:
         assert np.array_equal(band.coeffs, random_band_state(grid, np.random.default_rng(3)).coeffs)
         wider = band_state(grid, np.random.default_rng(3), 5)
         assert np.any(wider.coeffs[:, np.abs(grid.modes) == 5])
+        rough = power_decay_state(grid, 1.1)
+        assert np.array_equal(rough.coeffs, rough_decay_state(grid).coeffs)
         if grid.equation == "schrodinger":
             pair = two_mode_state(grid, (0.9, 0.45))
             assert np.array_equal(pair.coeffs, nls_two_mode_state(grid).coeffs)
