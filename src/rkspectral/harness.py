@@ -497,6 +497,8 @@ def _growth_rows(t, grid, h, n_steps):
                 block = np.zeros((len(h), 2, 2))
                 block[:, 0, 0] = block[:, 1, 1] = 1.0
                 block[:, 0, 1] = hs[:, 0] * t.b.sum()
+                # a complex SVD, as the recorded stability CSVs took; a real one
+                # matched their h-scan bits on one LAPACK build, the only one checked
                 power = np.linalg.matrix_power(block, n_steps).astype(complex)
                 growth[:, ~nonzero] = np.linalg.norm(power, ord=2, axis=(1, 2))[:, None]
     j = np.argmax(growth, axis=1)

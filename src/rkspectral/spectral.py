@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, SingularResolventError, _count
+from .errors import InputError, SingularResolventError, _count, _real
 from .tableau import ButcherTableau, _resolvent
 
 DEFAULT_SCALE_CAP = 8
@@ -300,8 +300,8 @@ def apply_A(u: State) -> State:
 
 def apply_exp_tA(u: State, t: float) -> State:
     """Apply the exact propagator of the linear part for time t."""
-    if not np.isfinite(t):
-        raise ValueError("propagation time must be finite")
+    if not math.isfinite(_real("t", t)):
+        raise InputError("t", "propagation time must be finite")
     propagator = np.exp(t * _eigenvalues(u.grid)[1])[:, None, None]
     return State(u.grid, _apply_update(_symbol_function(u.grid, propagator, t), u.coeffs))
 
@@ -335,8 +335,8 @@ def sobolev_norm(u: State, k: int) -> float:
     ``|u|_{k}^2 = |Au|_{k-1}^2 + |u|_{k-1}^2``, i.e.
     ``sum_j C(k, j) |A^j u|_0^2``.
     """
-    if not 0 <= k <= DEFAULT_SCALE_CAP:
-        raise ValueError(f"scale index must satisfy 0 <= k <= {DEFAULT_SCALE_CAP}, got {k}")
+    if not 0 <= _count("k", k) <= DEFAULT_SCALE_CAP:
+        raise InputError("k", f"scale index must satisfy 0 <= k <= {DEFAULT_SCALE_CAP}, got {k}")
     total = 0.0
     v = u
     for j in range(k + 1):
@@ -352,8 +352,9 @@ def sobolev_norm(u: State, k: int) -> float:
 def step_matrices(t: ButcherTableau, h: float, grid: SpectralGrid):
     """Per-mode stage resolvent and update matrices for step size h.
 
-    Returns (stage_inv, update), shapes (s*c, s*c, n) and (c, c, n), both
-    complex, mode-last in storage order (the last axis is the mode):
+    Returns (stage_inv, update), shapes (s*c, s*c, n) and (c, c, n),
+    complex for the Schrodinger equation and float64 for the wave system,
+    mode-last in storage order (the last axis is the mode):
     stage_inv realizes ``(I - h a (x) A_k)^{-1}`` and update realizes
     ``S(h A_k) = I + h sum_j b_j A_k (stage_inv 1)_j``.
     They are ``_symbol_function`` of X = (I - h a lambda)^{-1} (slope h a)
@@ -398,14 +399,15 @@ def _generator(grid: SpectralGrid) -> np.ndarray:
 
 
 def _symbol_function(grid: SpectralGrid, f: np.ndarray, slope) -> np.ndarray:
-    """Per-mode blocks of f(A), complex (r c, r c, n), mode-last in storage
-    order, from the values f (m, r, r) of a real function f at each
-    distinct symbol's eigenvalue (``_eigenvalues``) and ``slope`` = f'(0).
+    """Per-mode blocks of f(A), (r c, r c, n), mode-last in storage order,
+    from the values f (m, r, r) of a real function f at each distinct
+    symbol's eigenvalue (``_eigenvalues``) and ``slope`` = f'(0).
 
     Schrodinger: A acts on a mode by the scalar -i k^2, so f(A) is f
-    itself.  Wave: M = [[0, 1], [-k^2, 0]] has M^2 = -k^2 I, so f(M) =
-    Re f(ik) (x) I + (Im f(ik) / k) (x) M.  At k = 0, M is nilpotent,
-    Im f(ik) / k tends to f'(0) = ``slope``, and Re f is already f(0).
+    itself, complex.  Wave: M = [[0, 1], [-k^2, 0]] has M^2 = -k^2 I, so
+    f(M) = Re f(ik) (x) I + (Im f(ik) / k) (x) M, float64 (numpy applies it
+    to complex data as b + 0j).  At k = 0, M is nilpotent, Im f(ik) / k
+    tends to f'(0) = ``slope``, and Re f is already f(0).
     """
     inverse = grid._distinct_symbols[1]
     if grid.components == 1:
@@ -418,7 +420,7 @@ def _symbol_function(grid: SpectralGrid, f: np.ndarray, slope) -> np.ndarray:
     im = np.where(zero, slope, f.imag / np.where(zero, 1.0, k[:, None, None]))
     kron = f.real[:, :, None, :, None] * np.eye(2)[:, None, :]
     kron = kron + im[:, :, None, :, None] * blocks[:, None, :, None, :]
-    kron = kron.reshape(len(k), 2 * f.shape[1], -1).astype(complex)[inverse]
+    kron = kron.reshape(len(k), 2 * f.shape[1], -1)[inverse]
     return np.ascontiguousarray(np.moveaxis(kron, 0, -1))
 
 

@@ -49,15 +49,15 @@ stage-matrix norm) is below one; the recorded contraction estimate is
 the empirical face of that product and scales linearly in h.
 
 On a wave grid with a sine or cosine basis (Dirichlet or Neumann), real
-data stay real: the step matrices are real there, and B maps a real
-displacement to a real velocity forcing.  So when a run's starting
-coefficients have no nonzero imaginary part, ``_flow`` runs the stage
-iteration, the predictor and the update on float64 arrays -- the same
-functions, half the arithmetic -- and returns float64 coefficients;
-the public functions wrap them in complex states.  Every operation of
-that run rounds like the real part of its complex counterpart -- the
-pointwise maps of B too, whose powers are products -- so the float64
-flow equals the complex flow bit for bit.  Complex data on such a grid,
+data stay real: the step matrices are float64 (as on every wave grid),
+and B maps a real displacement to a real velocity forcing.  So when a
+run's starting coefficients have no nonzero imaginary part, ``_flow``
+runs the stage iteration, the predictor and the update on float64
+arrays -- the same functions, half the arithmetic -- and returns
+float64 coefficients; the public functions wrap them in complex
+states.  Every operation of that run rounds like the real part of its
+complex counterpart -- the pointwise maps of B too, whose powers are
+products -- so the float64 flow equals the complex flow bit for bit.  Complex data on such a grid,
 periodic grids (whose real fields have complex coefficients) and the
 Schrodinger equation keep complex arithmetic.
 """
@@ -313,9 +313,6 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
     forcing_block = _forcing_block(stage_inv, cfg.h * t.b)
     if _real_data(p.grid, x):
         x = x.real.copy()
-        stage_inv, update, forcing_block = (
-            m.real.copy() for m in (stage_inv, update, forcing_block)
-        )
     points = _predictor_points(t.s)
     forcings = deque(maxlen=-(-points // t.s))
     extrapolations = {}

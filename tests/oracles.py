@@ -141,14 +141,6 @@ def fixed_point_stages(p, t, u, cfg):
     return w, stats
 
 
-def blocks_like(blocks, data):
-    """``blocks`` as float64 for real ``data`` when every block is real
-    (the wave system); as they are otherwise."""
-    if np.iscomplexobj(data) or blocks.imag.any():
-        return blocks
-    return blocks.real.copy()
-
-
 def apply_blocks(blocks, rows):
     """Apply per-mode (p, q) blocks, stored mode-last as (p, q, n), to rows
     (..., q, n) with the modes moved in front: swap to (..., n, q), add
@@ -185,14 +177,14 @@ def solve_stage_resolvent(grid, data, t, h):
     """Solve ``(I - h a (x) A) W = data`` mode by mode; real data on real
     (wave) blocks are solved in real arithmetic."""
     stage_inv, _ = step_matrices(t, h, grid)
-    return apply_stage_blocks(blocks_like(stage_inv, data), data)
+    return apply_stage_blocks(stage_inv, data)
 
 
 def update_map(grid, coeffs, t, h):
     """Apply the update map ``S(hA)`` of the method to states (..., c, n);
     real states on real (wave) blocks are mapped in real arithmetic."""
     _, update = step_matrices(t, h, grid)
-    return _apply_update(blocks_like(update, coeffs), coeffs)
+    return _apply_update(update, coeffs)
 
 
 def apply_S_hA(u, t, h):
@@ -349,6 +341,34 @@ def exact_stability_polynomials(t, digits=50):
                 coeffs.append((-1) ** j * mpmath.fsum(minors))
             polys.append(coeffs)
         return polys
+
+
+def linear_study_error(polys, u0, T, h, digits=30):
+    """The final-time error, in the base norm, of T/h steps from ``u0`` of
+    the linear flow u' = A u by a method whose stability function is
+    S = N / D (``exact_stability_polynomials``' ``polys``), at ``digits``
+    significant digits: e^2 = sum_k w_k |g(A_k) c_k|^2 with g(z) =
+    S(hz)^(T/h) - e^{Tz}, g(A_k) = g(-i k^2) for the Schrodinger equation
+    and, on the wave system, the block g(M) = Re g(ik) I + (Im g(ik) / k) M
+    in the H1 x L2 weighting.  Modes whose data are zero are skipped; a
+    wave's k = 0 data must be zero."""
+    grid, num, den = u0.grid, polys[0][::-1], polys[1][::-1]
+    steps = round(T / h)
+    with mpmath.workdps(digits):
+        h, T, total = mpmath.mpf(h), mpmath.mpf(T), mpmath.mpf(0)
+        for j in np.flatnonzero(u0.coeffs.any(axis=0)):
+            k = int(grid.modes[j])
+            lam = mpmath.mpc(0, -(k**2)) if grid.components == 1 else mpmath.mpc(0, k)
+            g = (mpmath.polyval(num, h * lam) / mpmath.polyval(den, h * lam)) ** steps
+            g -= mpmath.exp(T * lam)
+            c = [mpmath.mpc(complex(x)) for x in u0.coeffs[:, j]]
+            if grid.components == 1:
+                total += grid.weights[j] * abs(g * c[0]) ** 2
+            else:
+                e0 = g.real * c[0] + (g.imag / k) * c[1]
+                e1 = g.real * c[1] - k * g.imag * c[0]
+                total += grid.weights[j] * ((k**2 + 1) * abs(e0) ** 2 + abs(e1) ** 2)
+        return float(mpmath.sqrt(total))
 
 
 def exact_stability_function(t, z, digits=50):

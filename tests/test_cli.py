@@ -351,7 +351,6 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      # JSON integers too large for a float: not finite
      ({"experiment": "stability", "h_values": [10**400]}, "h_values"),
      ({"experiment": "convergence", "T": 10**400}, "T"),
-     ({"experiment": "tangent-check", "eps": 10**400}, "eps"),
      ({"experiment": "convergence", "h_max": 10**400}, "h_max"),
      ({"experiment": "conservation", "h": 10**400}, "h"),
      ({"experiment": "smoothness", "h": 10**400}, "h"),
@@ -364,16 +363,11 @@ def test_wrong_typed_value_rejected_before_any_work(tmp_path, capsys, payload, k
      # a grid too small for the standard data's modes
      ({"experiment": "conservation", "problem": "wave-cubic-periodic", "n": 4}, "n"),
      ({"experiment": "convergence", "problem": "wave-neumann", "n": 2}, "n"),
-     # a difference step that is not a normal float
-     ({"experiment": "tangent-check", "eps": 5e-324}, "eps"),
      # a stage tolerance too loose for the run's finest step
      ({"experiment": "conservation", "problem": "wave-cubic-periodic", "n": 16, "h": 0.01,
        "steps": 3, "fp_tol": 1e308}, "fp_tol"),
      ({"experiment": "conservation", "fp_tol": 1e-8}, "fp_tol"),
-     ({"experiment": "smoothness", "fp_tol": 1e308}, "fp_tol"),
-     # u0 +- eps*v0 overflows in B where the step from u0 converges
-     ({"experiment": "tangent-check", "n": 16, "T": 0.1, "h_max": 0.025, "levels": 2,
-       "eps": 1e308}, "eps")],
+     ({"experiment": "smoothness", "fp_tol": 1e308}, "fp_tol")],
 )
 def test_out_of_range_value_rejected_before_any_work(tmp_path, capsys, payload, key):
     cfg = write_config(tmp_path, payload)
@@ -600,8 +594,8 @@ RULE_CALLS = {
     "stability": {"seed": 1, "s": 1, "p": 1, "n": 1, "h_values": 1, "n_steps": 1},
     "smoothness": {"seed": 1, "s": 1, "p": 1, "n": 1, "q": 1, "levels": 1},
     "dirichlet-compat": {"s": 3, "p": 3, "h_max": 1, "levels": 1, "T": 3, "n": 2, "h_list": 6},
-    "tangent-check": {"eps": 1, "seed": 1, "s": 2, "p": 2, "h_max": 1, "levels": 1, "T": 2,
-                      "n": 1, "h_list": 3},
+    "tangent-check": {"seed": 1, "s": 2, "p": 2, "h_max": 1, "levels": 1, "T": 2, "n": 1,
+                      "h_list": 3},
 }
 
 
@@ -640,8 +634,11 @@ def test_debug_checks_flag_is_an_argparse_error(tmp_path, capsys, experiment):
 # Keys a config no longer takes, with the experiments that took them.  The
 # direct-form check of each update is a test oracle; a problem is its
 # catalogue entry (ProblemSpec builds one outside it); a ladder is dyadic,
-# from h_max and levels (another is a library call); and the output
-# directory is --out alone.
+# from h_max and levels (another is a library call); the output directory
+# is --out alone; and the tangent check's difference steps run at h_max,
+# by the fixed perturbation cli._FD_EPS.  The eps values are the ones
+# its rule once rejected: not finite, subnormal, and so large that a
+# perturbed step blew up.
 RETIRED_KEYS = [
     *((experiment, "debug_checks", True) for experiment in cli._EXPERIMENT_TABLE),
     *((experiment, key, value)
@@ -650,6 +647,9 @@ RETIRED_KEYS = [
     *((experiment, "h_list", [0.02, 0.01])
       for experiment in ("convergence", "tangent-check", "dirichlet-compat")),
     *((experiment, "out", "elsewhere") for experiment in cli._EXPERIMENT_TABLE),
+    pytest.param("tangent-check", "eps", 10**400, id="tangent-check-eps-10**400"),
+    *(("tangent-check", "eps", value) for value in (5e-324, 1e308, 1e-5)),
+    ("tangent-check", "h", 0.01),
 ]
 
 

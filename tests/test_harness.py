@@ -49,6 +49,7 @@ from oracles import (
     exact_stability_polynomials,
     grid_nodes,
     hermitian_symmetry_defect,
+    linear_study_error,
     nls_plane_wave,
     power_decay_state,
     reference_rung,
@@ -1144,6 +1145,43 @@ class TestWaveConstantMode:
         assert checked >= 1
         assert abs(report.fitted_order - 2 * s) <= 0.3
         assert report.reference["tableau"] == f"gl:{s + 2}"
+
+
+class TestLinearClosedForm:
+    """Order studies of the linear problems checked against their closed-form
+    errors (``oracles.linear_study_error``), independently of the reference
+    walk, on data |c_k| = |k|^-alpha below the top rung.  Such data lie in
+    D(A^theta), theta = (alpha - 1/2) / 2 for the Schrodinger equation and
+    alpha - 3/2 in the wave's H1 x L2, where an A-stable method of order p
+    converges at the rate p theta / (p + 1) (Brenner & Thomee, SIAM J.
+    Numer. Anal. 16, 1979)."""
+
+    # (problem, n, stages, alpha) on the ladder 0.1 .. 0.00625 to T = 1.  gl:3,
+    # and the wave under gl:2 (still pre-asymptotic on this ladder), are not run.
+    CASES = [
+        ("nls-linear-periodic", 64, 1, 1.1),
+        ("nls-linear-periodic", 64, 1, 1.6),
+        ("nls-linear-periodic", 64, 1, 2.0),
+        ("nls-linear-periodic", 64, 2, 3.0),
+        ("wave-linear-periodic", 256, 1, 2.5),
+        ("wave-linear-periodic", 256, 1, 3.5),
+    ]
+
+    @pytest.mark.parametrize("name, n, s, alpha", CASES)
+    def test_study_errors_and_order_are_the_closed_form(self, name, n, s, alpha):
+        p = get_problem(name, n)
+        t, h_list = gauss_legendre(s), dyadic_h_list(0.1, 5)
+        u0 = power_decay_state(p.grid, alpha)
+        report = convergence_study(p, t, u0, 1.0, h_list, fp_tol=1e-13)
+        checked = 0
+        for h, error, flagged in zip(h_list, report.errors, report.flagged):
+            if not flagged:
+                exact = linear_study_error(exact_gl_polynomials(s), u0, 1.0, h)
+                assert abs(error - exact) <= 1e-3 * exact, h
+                checked += 1
+        assert checked >= 2
+        theta = (alpha - 0.5) / 2 if p.grid.equation == "schrodinger" else alpha - 1.5
+        assert abs(report.fitted_order - t.p * theta / (t.p + 1)) <= 0.05
 
 
 class TestGridIndependence:

@@ -144,8 +144,8 @@ CONFIG_KEYS = {
     "smoothness": ["experiment", "fp_tol", "h", "initial_data", "levels", "n", "problem",
                    "q", "seed", "tableau"],
     "stability": ["experiment", "grid", "h_values", "n", "n_steps", "seed", "tableau"],
-    "tangent-check": ["T", "eps", "experiment", "fp_tol", "h", "h_max", "initial_data",
-                      "levels", "n", "problem", "seed", "tableau"],
+    "tangent-check": ["T", "experiment", "fp_tol", "h_max", "initial_data", "levels", "n",
+                      "problem", "seed", "tableau"],
 }
 
 
@@ -159,7 +159,7 @@ def test_config_keys_are_pinned(tmp_path, capsys):
         err = capsys.readouterr().err
         listed[experiment] = ast.literal_eval(err[err.index("valid keys: ") + 12:].strip())
     assert listed == CONFIG_KEYS
-    assert sum(map(len, CONFIG_KEYS.values())) == 55
+    assert sum(map(len, CONFIG_KEYS.values())) == 53
 
 
 def test_public_surface_is_pinned():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import dct, dst
 
 from rkspectral import spectral
-from rkspectral.errors import SingularResolventError
+from rkspectral.errors import InputError, SingularResolventError
 from rkspectral.spectral import (
     SpectralGrid,
     State,
@@ -26,7 +26,6 @@ from oracles import (
     apply_S_hA,
     apply_stage_blocks,
     block_relative_error,
-    blocks_like,
     complex_step_matrices,
     exact_propagator_block,
     exact_wave_blocks,
@@ -337,11 +336,19 @@ class TestPropagator:
         rhs = apply_exp_tA(u, 0.75)
         assert base_norm(lhs - rhs) < 1e-12 * base_norm(u)
 
-    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "t", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400"), True, "1"]
+    )
     def test_non_finite_time_rejected(self, t):
+        # an int too large for a float reads as infinite; a bool or a string is no number
         u = mode_state(SpectralGrid("schrodinger", "periodic", 8), {1: 1.0})
-        with pytest.raises(ValueError, match="propagation time must be finite"):
+        if isinstance(t, (int, float)) and not isinstance(t, bool):
+            message = "propagation time must be finite"
+        else:
+            message = f"t must be a real number, got {t!r}"
+        with pytest.raises(InputError, match=re.escape(message)) as exc:
             apply_exp_tA(u, t)
+        assert exc.value.name == "t"
 
 
 def unit_blocks(grid, apply):
@@ -483,9 +490,8 @@ class TestStageBlockKernel:
             shape = lead + (s, grid.components, grid.n)
             real = rng.standard_normal(shape)
             for data in (real, real + 1j * rng.standard_normal(shape)):
-                blocks = blocks_like(stage_inv, data)
-                got = spectral._apply_stage_inv(blocks, data)
-                expected = apply_stage_blocks(blocks, data)
+                got = spectral._apply_stage_inv(stage_inv, data)
+                expected = apply_stage_blocks(stage_inv, data)
                 assert got.shape == expected.shape and got.dtype == expected.dtype
                 assert got.flags.c_contiguous
                 assert got.tobytes() == expected.tobytes(), (lead, data.dtype)
@@ -553,12 +559,13 @@ class TestDistinctSymbolBuild:
                     built = step_matrices(t, h, grid)
                     oracle = complex_step_matrices(t, h, grid)
                     for got, want, bound in zip(built, oracle, (1e-13, 5e-13)):
-                        assert got.dtype == want.dtype == complex
-                        assert got.shape == want.shape
+                        assert got.shape == want.shape and want.dtype == complex
                         if equation == "schrodinger":
                             # bytes compare the signs of zero parts too
                             assert got.tobytes() == want.tobytes(), (n, s, h)
                         else:
+                            # the LU of real blocks is real: the wave's are float64
+                            assert got.dtype == float and not want.imag.any()
                             error = np.max(np.abs(got - want), axis=(0, 1))
                             scale = np.max(np.abs(want), axis=(0, 1))
                             assert np.all(error <= bound * scale), (n, s, h)
@@ -576,7 +583,7 @@ class TestDistinctSymbolBuild:
                 stage_inv, update = step_matrices(t, h, grid)
                 exact_stage = np.eye(2 * s) + h * np.kron(t.a, nilpotent)
                 exact_update = np.array([[1.0, h * t.b.sum()], [0.0, 1.0]])
-                exact_stage, exact_update = exact_stage.astype(complex), exact_update.astype(complex)
+                assert stage_inv.dtype == update.dtype == float
                 assert stage_inv[..., zero].tobytes() == exact_stage.tobytes(), (s, h)
                 assert update[..., zero].tobytes() == exact_update.tobytes(), (s, h)
 
@@ -667,8 +674,13 @@ class TestScaleNorms:
 
     def test_scale_cap_enforced(self):
         u = mode_state(SpectralGrid("schrodinger", "periodic", 8), {1: 1.0})
-        with pytest.raises(ValueError):
-            sobolev_norm(u, 9)
+        for k, message in [(9, "scale index must satisfy 0 <= k <= 8, got 9"),
+                           (-1, "scale index must satisfy 0 <= k <= 8, got -1"),
+                           (True, "k must be an integer, got True"),
+                           (2.5, "k must be an integer, got 2.5")]:
+            with pytest.raises(InputError, match=re.escape(message)) as exc:
+                sobolev_norm(u, k)
+            assert exc.value.name == "k"
 
 
 class TestStateHygiene:
