@@ -56,13 +56,15 @@ def _fail(message: str) -> int:
 def _resolve(experiment, cfg) -> dict:
     """The one place where config values become objects: the runner's inputs
     ``t``, ``h_list`` (the dyadic ladder from ``h_max`` and ``levels``),
-    ``solver`` (``conservation``'s), ``grid``, ``problem`` and ``u0``.
+    ``solver`` (``conservation``'s), ``grid``, ``problem``, ``u0`` and
+    ``v0``, the tangent check's direction.  The run's one generator,
+    ``default_rng(seed)``, draws ``random`` data first and ``v0`` next.
     Only the values no library function reads are checked here (``seed``,
     through the library's count rule, ``initial_data`` and ``grid``); the
-    library checks every other value, the grid size ``n`` and the
-    elements of ``h_values`` included, when the run calls it.  Raise
-    ValueError (or KeyError, for an unknown name) naming the config key at
-    fault, or the library's InputError."""
+    library checks every other value, the grid size ``n`` and the elements
+    of ``h_values`` included, when the run calls it.  Raise ValueError (or
+    KeyError, for an unknown name) naming the config key at fault, or the
+    library's InputError."""
     if "seed" in cfg and _count("seed", cfg["seed"]) < 0:
         raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']!r}")
     if cfg.get("initial_data", "standard") not in ("standard", "random", "rough"):
@@ -85,15 +87,16 @@ def _resolve(experiment, cfg) -> dict:
                              f"got {cfg['grid']!r}")
         inputs["grid"] = SpectralGrid(cfg["grid"], "periodic", cfg["n"])
     elif "problem" in cfg:
-        inputs["problem"] = get_problem(cfg["problem"], cfg["n"])
-        inputs["u0"] = _initial_state(inputs["problem"], cfg)
+        problem = inputs["problem"] = get_problem(cfg["problem"], cfg["n"])
+        rng = np.random.default_rng(cfg["seed"])
+        inputs["u0"] = _initial_state(problem, cfg["initial_data"], rng)
+        if experiment == "tangent-check":
+            inputs["v0"] = harness.random_band_state(problem.grid, rng)
     return inputs
 
 
-def _initial_state(problem, cfg) -> State:
-    kind = cfg["initial_data"]
+def _initial_state(problem, kind, rng) -> State:
     if kind == "random":
-        rng = np.random.default_rng(cfg["seed"])
         return harness.random_band_state(problem.grid, rng)
     if kind == "rough":
         return harness.rough_decay_state(problem.grid)
@@ -193,9 +196,7 @@ def _run_dirichlet_compat(cfg, out_dir, t, h_list):
     return result, ok, verdict
 
 
-def _run_tangent_check(cfg, out_dir, t, h_list, problem, u0):
-    rng = np.random.default_rng(cfg["seed"])
-    v0 = harness.random_band_state(problem.grid, rng)
+def _run_tangent_check(cfg, out_dir, t, h_list, problem, u0, v0):
     report = harness.tangent_convergence_study(
         problem, t, u0, v0, cfg["T"], h_list, fp_tol=cfg["fp_tol"]
     )

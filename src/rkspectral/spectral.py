@@ -149,6 +149,22 @@ class SpectralGrid:
         angles %= period
         return _read_only(table[angles])
 
+    @cached_property
+    def _row_transform(self):
+        """The real-row kernel of both transform directions (``_on_parts``)
+        on a sine or cosine grid, picked once: ``_dct1`` on a Neumann grid;
+        on a Dirichlet grid the product with ``_sine_matrix`` where there is
+        one, else ``_dst1``.  The product takes each row as an (n, 1) column,
+        so that numpy computes every row on its own with a BLAS matrix-vector
+        call (a product with the rows as one matrix rounds a row differently
+        depending on how many come with it); its last bits come from the
+        installed BLAS kernel, so they can differ between CPUs, BLAS builds
+        and thread settings."""
+        if self.bc == "neumann":
+            return _dct1
+        sine = self._sine_matrix
+        return _dst1 if sine is None else lambda rows: np.matmul(sine, rows[..., None])[..., 0]
+
     # -- transforms -------------------------------------------------------
 
     def transform_array(self, values: np.ndarray) -> np.ndarray:
@@ -172,8 +188,8 @@ class SpectralGrid:
         # scalar that way, so real values come out bit for bit as the real
         # part of the same values taken as complex.
         if self.bc == "dirichlet":
-            return _complex_dst1(vals, self._sine_matrix) * (1 / (self.n + 1))
-        coeffs = _complex_dct1(vals) * (1 / (self.n - 1))
+            return _on_parts(self._row_transform, vals) * (1 / (self.n + 1))
+        coeffs = _on_parts(self._row_transform, vals) * (1 / (self.n - 1))
         coeffs[..., 0] /= 2
         coeffs[..., -1] /= 2
         return coeffs
@@ -184,34 +200,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _complex_dst1(vals, sine=None):
-    """DST-I of real or complex data as one real call (``_on_parts``); each
-    row comes out bit for bit as its own transform would.
-
-    ``sine`` is a grid's ``_sine_matrix``: when given, the transform is a
-    product with it, taken with each row as an (n, 1) column so that
-    numpy computes every row on its own with a BLAS matrix-vector call (a
-    product with the rows as one matrix rounds a row differently
-    depending on how many rows come with it); when None, the real FFT of
-    the odd extension ``[0, x, 0, -x reversed]`` of length 2(n+1), whose
-    negated imaginary parts 1..n are the transform (FFTW's RODFT00).
-    The dense path's last bits come from the installed BLAS kernel, so
-    they can differ between CPUs, BLAS builds and thread settings.  The
-    costs of the two paths are measured at ``_DENSE_DST1_MAX_N``.
-    """
-    if sine is None:
-        return _on_parts(_dst1, vals)
-    return _on_parts(lambda rows: np.matmul(sine, rows[..., None])[..., 0], vals)
-
-
-def _complex_dct1(vals):
-    return _on_parts(_dct1, vals)
-
-
 def _on_parts(real_transform, vals):
     """Apply ``real_transform`` in one call: to real ``vals`` as they are
     (float64 out), to complex ``vals`` on their stacked (real, imag) rows,
-    rejoining the two halves as complex data."""
+    rejoining the two halves as complex data: each row bit for bit as
+    ``real_transform`` gives it on its own."""
     if not np.iscomplexobj(vals):
         return real_transform(vals)
     parts = real_transform(np.stack([vals.real, vals.imag]))
@@ -222,8 +215,9 @@ def _on_parts(real_transform, vals):
 
 
 def _dst1(rows):
-    """Unnormalized DST-I, ``2 sum_j x_j sin(pi (j+1)(k+1) / (n+1))``,
-    along the last axis of real rows."""
+    """Unnormalized DST-I, ``2 sum_j x_j sin(pi (j+1)(k+1) / (n+1))``, along
+    the last axis of real rows: minus the imaginary parts 1..n of the real FFT
+    of the odd extension ``[0, x, 0, -x reversed]`` (FFTW's RODFT00)."""
     n = rows.shape[-1]
     ext = np.zeros(rows.shape[:-1] + (2 * (n + 1),))
     ext[..., 1 : n + 1] = rows
@@ -284,10 +278,10 @@ def inverse_transform_array(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarra
     if grid.bc == "periodic":
         return np.fft.ifft(coeffs, axis=-1, norm="forward")
     if grid.bc == "dirichlet":
-        return _complex_dst1(coeffs, grid._sine_matrix) / 2
+        return _on_parts(grid._row_transform, coeffs) / 2
     half = coeffs.copy()
     half[..., 1:-1] /= 2
-    return _complex_dct1(half)
+    return _on_parts(grid._row_transform, half)
 
 
 # -- linear operator actions ------------------------------------------------

@@ -65,6 +65,7 @@ Schrodinger equation keep complex arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -162,7 +163,7 @@ def _stage_residual(grid, delta):
     return math.sqrt(_base_norm_sq_rows(grid, delta).max())
 
 
-def _solve_stages(stage_inv, ha, grid, base, B, cfg, predicted, stacklevel):
+def _solve_stages(stage_inv, ha, grid, base, B, cfg, predicted):
     """Plain iteration ``W = stage_inv (1 base + ha B(W))`` on stage arrays,
     where ``ha`` is the tableau's a scaled by the step ``cfg.h``.
 
@@ -177,8 +178,8 @@ def _solve_stages(stage_inv, ha, grid, base, B, cfg, predicted, stacklevel):
     over all stages.  Returns the stages, the B evaluated by the final
     iteration (at the iterate before the returned stages) and the
     statistics; a contraction estimate above ``_CONTRACTION_WARN`` warns
-    ``stacklevel`` frames up, which the caller sets to the frame of its
-    own caller that the warning should name.
+    at the first frame outside this module and ``harness``: the code that
+    asked for the step, the run, the study or the probe.
     """
     h = cfg.h
     base = base[..., None, :, :]
@@ -202,10 +203,13 @@ def _solve_stages(stage_inv, ha, grid, base, B, cfg, predicted, stacklevel):
         if residual <= cfg.fp_tol:
             stats = StepStats(iteration, residual, _contraction(residuals))
             if stats.contraction_estimate > _CONTRACTION_WARN:
+                frame, level = sys._getframe(), 1
+                while frame.f_globals.get("__name__") in (__name__, f"{__package__}.harness"):
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
                     f"fixed-point contraction {stats.contraction_estimate:.3f} near 1; "
                     f"step size {h:g} is close to the convergence limit",
-                    stacklevel=stacklevel,
+                    stacklevel=level,
                 )
             return w, forcing, stats
     raise ConvergenceFailureError(
@@ -260,11 +264,9 @@ def _extrapolation_matrix(c, points):
     the start of the last step, and E has one column per node.  A node
     older than the last ``points``, or coinciding with a newer one (as
     the step boundary does for a tableau with nodes 0 and 1), gets a zero
-    column.  Returns None when two nodes of one step coincide.
+    column.  The nodes ``c`` of one step are distinct (``_extrapolations``).
     """
     s = len(c)
-    if len(set(c.tolist())) < s:
-        return None
     steps = -(-points // s)
     tau = np.concatenate([c - k for k in range(steps - 1, -1, -1)])
     nodes = []
@@ -280,6 +282,18 @@ def _extrapolation_matrix(c, points):
             if m != j:
                 e[:, j] *= (x - tau[m]) / (tau[j] - tau[m])
     return e
+
+
+def _extrapolations(c, steps):
+    """The predictor's matrices of a run of ``steps`` steps: entry j - 1
+    extrapolates from the min(P, j s) node times of the last j steps, for
+    j = 1..min(K, steps - 1); none when two nodes of one step coincide."""
+    s = len(c)
+    if len(set(c.tolist())) < s:
+        return []
+    points = _predictor_points(s)
+    return [_extrapolation_matrix(c, min(points, j * s))
+            for j in range(1, min(-(-points // s), steps - 1) + 1)]
 
 
 def _real_data(grid, x):
@@ -302,38 +316,28 @@ def _flow(p, t, x, cfg, steps, B, observer=None):
     statistics.
 
     Each step after the first starts from the predicted B (see the
-    module docstring), with one extrapolation matrix built per run and
-    point count.  Real data on a Dirichlet or Neumann wave grid run, and
-    come back, in float64.  The observer, when given, is called after
-    each step with (step_index, coefficients, stats).  A near-1
-    contraction warns at the caller of this function's caller.
+    module docstring), through as many past steps as the run's
+    ``_extrapolations`` take.  Real data on a Dirichlet or Neumann wave
+    grid run, and come back, in float64.  The observer, when given, is
+    called after each step with (step_index, coefficients, stats).
     """
     stage_inv, update = step_matrices(t, cfg.h, p.grid)
     ha = cfg.h * t.a
     forcing_block = _forcing_block(stage_inv, cfg.h * t.b)
     if _real_data(p.grid, x):
         x = x.real.copy()
-    points = _predictor_points(t.s)
-    forcings = deque(maxlen=-(-points // t.s))
-    extrapolations = {}
+    extrapolations = _extrapolations(t.c, steps)
+    forcings = deque(maxlen=len(extrapolations))
     history = []
     # a blow-up shows as a non-finite residual or final state: numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for index in range(steps):
             predicted = None
             if forcings:
-                used = min(points, len(forcings) * t.s)
-                if used not in extrapolations:
-                    extrapolations[used] = _extrapolation_matrix(t.c, used)
-                if extrapolations[used] is not None:
-                    predicted = np.einsum(
-                        "ij,...jcn->...icn",
-                        extrapolations[used],
-                        np.concatenate(forcings, axis=-3),
-                    )
-            _, forcing, stats = _solve_stages(
-                stage_inv, ha, p.grid, x, lambda w: B(p, w), cfg, predicted, stacklevel=4
-            )
+                predicted = np.einsum("ij,...jcn->...icn", extrapolations[len(forcings) - 1],
+                                      np.concatenate(forcings, axis=-3))
+            _, forcing, stats = _solve_stages(stage_inv, ha, p.grid, x, lambda w: B(p, w),
+                                              cfg, predicted)
             x = _update(update, forcing_block, x, forcing)
             forcings.append(forcing)
             history.append(stats)

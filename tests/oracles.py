@@ -11,6 +11,9 @@ block, and in 50-digit arithmetic; the propagator blocks come in
 50 digits too, and so do the stability function, in resolvent form, and
 the stability polynomials, as sums of principal minors.  One checks
 every update of a run against the direct form x + h b^T (A W + B).
+One gives the Taylor coefficients of the semi-discrete solution, which
+a recurrence yields with no time step since every catalogue map is a
+polynomial.
 One is the symplectic form of each equation, which a Gauss method's
 tangent flow keeps and the two non-symplectic controls here do not.
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from rkspectral import stepper
 from rkspectral.harness import _physical_quadrature, conserved_quantities
-from rkspectral.problems import evaluate_B_array
+from rkspectral.problems import _modal_B, evaluate_B_array
 from rkspectral.spectral import (
     State,
     _apply_update,
@@ -131,14 +134,43 @@ def symplectic_form(grid, v, w):
 def fixed_point_stages(p, t, u, cfg):
     """The stages of one step and their statistics, iterated from the
     B = 0 solution until the base-norm update falls below ``cfg.fp_tol``.
-    A near-1 contraction warns at the caller of this function.
+    A near-1 contraction warns at this function's call of the solver, the
+    first frame outside the stepper.
     """
     stage_inv, _ = step_matrices(t, cfg.h, p.grid)
     w, _, stats = _solve_stages(
         stage_inv, cfg.h * t.a, p.grid, u.coeffs, lambda w: evaluate_B_array(p, w), cfg,
-        predicted=None, stacklevel=3,
+        predicted=None,
     )
     return w, stats
+
+
+def taylor_coefficients(p, u0, Q):
+    """The Taylor coefficients u_0, ..., u_Q at t = 0 of the semi-discrete
+    solution from the state ``u0``, as (components, n) arrays, so that its
+    q-th time derivative there is q! u_q.  Every catalogue map is a
+    polynomial, so they follow from (k + 1) u_{k+1} = A u_k + P T([f(phi)]_k)
+    with no time step: phi_k is the inverse transform of u_k's first
+    component, [f(phi)]_k the k-th coefficient of f(phi(t)), a Cauchy
+    product (sum phi_a phi_b conj(phi_c) over a + b + c = k for the NLS,
+    sum phi_a phi_b phi_c for the cubic wave, plus 1 at k = 0 for
+    ``cubic_plus_one``), and P T the package's transform and dealias
+    (``problems._modal_B``)."""
+    grid, name = p.grid, p.nonlinearity.name
+    generator = _generator(grid)
+    third = np.conj if grid.equation == "schrodinger" else (lambda x: x)
+    u, phi = [u0.coeffs.astype(complex)], []
+    for k in range(Q):
+        phi.append(inverse_transform_array(grid, u[k][0]))
+        f = np.zeros(grid.n, dtype=complex)
+        if name != "zero":
+            for a in range(k + 1):
+                for b in range(k + 1 - a):
+                    f = f + phi[a] * phi[b] * third(phi[k - a - b])
+        if name == "cubic_plus_one" and k == 0:
+            f = f + 1.0
+        u.append((_apply_update(generator, u[k]) + _modal_B(p, f, u[k])) / (k + 1))
+    return u
 
 
 def apply_blocks(blocks, rows):

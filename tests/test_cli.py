@@ -548,6 +548,65 @@ def test_tangent_check_reference_costs_under_half_the_ladder(tmp_path, capsys):
     assert counts["reference"] <= 0.5 * counts["ladder"]
 
 
+def spy_on_tangent_study(monkeypatch):
+    """Record the (u0, v0) each tangent study of the runs that follow gets."""
+    seen, study = [], harness.tangent_convergence_study
+
+    def spying(p, t, u0, v0, *args, **kwargs):
+        seen.append((u0, v0))
+        return study(p, t, u0, v0, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "tangent_convergence_study", spying)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_data_and_tangent_direction_are_two_draws_of_one_generator(
+    tmp_path, capsys, monkeypatch, seed
+):
+    # u0 is the generator's first draw and v0 its second, so the check
+    # probes the step in a direction other than the radial one
+    seen = spy_on_tangent_study(monkeypatch)
+    payload = {"experiment": "tangent-check", "initial_data": "random", "seed": seed}
+    assert run_config(write_config(tmp_path, payload), tmp_path / "out") == 0
+    [(u0, v0)] = seen
+    rng = np.random.default_rng(seed)
+    first = harness.random_band_state(u0.grid, rng)
+    second = harness.random_band_state(u0.grid, rng)
+    assert np.array_equal(u0.coeffs, first.coeffs)
+    assert np.array_equal(v0.coeffs, second.coeffs)
+    assert not np.array_equal(v0.coeffs, u0.coeffs)
+
+
+@pytest.mark.parametrize("kind", ["standard", "rough"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_tangent_direction_of_drawless_data_is_the_first_draw(
+    tmp_path, capsys, monkeypatch, kind, seed
+):
+    seen = spy_on_tangent_study(monkeypatch)
+    payload = {"experiment": "tangent-check", "initial_data": kind, "seed": seed,
+               **SMALL_CONFIGS["tangent-check"]}
+    assert run_config(write_config(tmp_path, payload), tmp_path / "out") in (0, 1)
+    [(u0, v0)] = seen
+    first = harness.random_band_state(u0.grid, np.random.default_rng(seed))
+    assert np.array_equal(v0.coeffs, first.coeffs)
+
+
+@pytest.mark.parametrize("experiment", ["convergence", "smoothness", "dirichlet-compat",
+                                        "tangent-check"])
+def test_near_one_contraction_warns_at_the_runner(tmp_path, capsys, monkeypatch, experiment):
+    # a study's or the probe's warning names a line of the CLI, not of the
+    # harness; the probe runs a nonlinear problem, whose steps iterate
+    monkeypatch.setattr(stepper, "_CONTRACTION_WARN", 0.0)
+    payload = {"experiment": experiment, **SMALL_CONFIGS[experiment]}
+    if experiment == "smoothness":
+        payload["problem"] = "nls-cubic-periodic"
+    cfg = write_config(tmp_path, payload)
+    with pytest.warns(UserWarning, match="near 1") as record:
+        assert run_config(cfg, tmp_path / "out") in (0, 1)
+    assert {warning.filename for warning in record} == {cli.__file__}
+
+
 @pytest.mark.parametrize("experiment", list(SMALL_CONFIGS))
 def test_each_run_resolves_the_tableau_once(tmp_path, capsys, monkeypatch, experiment):
     calls = []
@@ -786,7 +845,7 @@ def test_conservation_summary_explains_the_verdict(tmp_path, capsys, problem, st
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_blowup_in_a_run_exits_2_and_leaves_nothing(tmp_path, capsys, monkeypatch):
-    def huge(problem, cfg):
+    def huge(problem, kind, rng):
         coeffs = np.zeros((problem.grid.components, problem.grid.n), dtype=complex)
         coeffs[0, 1] = 1e160
         return State(problem.grid, coeffs)

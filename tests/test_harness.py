@@ -45,6 +45,7 @@ from oracles import (
     band_state,
     check_every_update,
     checked_conserved_quantities,
+    evaluate_B,
     exact_largest_stability_modulus,
     exact_stability_polynomials,
     grid_nodes,
@@ -53,6 +54,7 @@ from oracles import (
     nls_plane_wave,
     power_decay_state,
     reference_rung,
+    taylor_coefficients,
     to_state,
     two_mode_state,
     wave_constant_mode,
@@ -998,6 +1000,62 @@ class TestSmoothnessProbe:
             # the rounding of 2**q weighted steps of norm |u0|, over spacing**q
             floor = 2**q * sys.float_info.epsilon * base_norm(u0) / (h_base / (q + 1)) ** q
             bound = self.EXACT_LIMIT_RATES[s, q] * 4.0**-j + floor / limit
+            assert abs(value - limit) / limit <= bound, (j, value, limit)
+
+    @pytest.mark.parametrize("name", ["nls-linear-periodic", "wave-linear-periodic"])
+    def test_taylor_coefficients_of_a_linear_flow_are_operator_powers(self, name):
+        # u' = A u: u_q = A^q u0 / q!
+        p = get_problem(name, 64)
+        u0 = random_band_state(p.grid, np.random.default_rng(5))
+        power = u0
+        for q, u_q in enumerate(taylor_coefficients(p, u0, 6)):
+            expected = power.coeffs / math.factorial(q)
+            assert np.max(np.abs(u_q - expected)) <= 1e-14 * np.max(np.abs(expected)), q
+            power = apply_A(power)
+
+    @pytest.mark.parametrize("name", list_problems())
+    def test_first_taylor_coefficient_is_the_right_hand_side(self, name):
+        # u_1 = A u0 + B(u0), the oracle's Cauchy product against the package's map
+        p = get_problem(name, 64)
+        u0 = random_band_state(p.grid, np.random.default_rng(6))
+        expected = (apply_A(u0) + evaluate_B(p, u0)).coeffs
+        u_1 = taylor_coefficients(p, u0, 1)[1]
+        assert np.max(np.abs(u_1 - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    # For each (problem, s, q): the constant C of the bound C r**-j on level
+    # j's relative deviation from q! |u_q|, the q-th time derivative of the
+    # semi-discrete solution (``oracles.taylor_coefficients``), above the
+    # roundoff floor; C is 1.1 times the largest (dev_j - floor_j) r**j
+    # measured, rounded up.  The NLS deviation falls by r = 4 per level; the
+    # wave's by r = 2, since the probe reads the derivative at h_base, not
+    # at 0, and its first-order term in h_base survives in the wave's norm.
+    TAYLOR_LIMIT_RATES = {
+        ("nls-cubic-periodic", 1, 1): 0.029, ("nls-cubic-periodic", 1, 2): 0.046,
+        ("nls-cubic-periodic", 2, 1): 8.8e-4, ("nls-cubic-periodic", 2, 2): 7.9e-4,
+        ("nls-cubic-periodic", 2, 3): 0.018, ("nls-cubic-periodic", 2, 4): 0.11,
+        ("nls-cubic-periodic", 3, 1): 7.9e-4, ("nls-cubic-periodic", 3, 2): 4.6e-4,
+        ("nls-cubic-periodic", 3, 3): 6.5e-4, ("nls-cubic-periodic", 3, 4): 2.6e-3,
+        ("wave-cubic-periodic", 1, 1): 1.7e-3, ("wave-cubic-periodic", 1, 2): 8.5e-3,
+        ("wave-cubic-periodic", 2, 1): 2.0e-3, ("wave-cubic-periodic", 2, 2): 2.3e-3,
+        ("wave-cubic-periodic", 2, 3): 0.011, ("wave-cubic-periodic", 2, 4): 8.6e-3,
+        ("wave-cubic-periodic", 3, 1): 2.0e-3, ("wave-cubic-periodic", 3, 2): 2.3e-3,
+        ("wave-cubic-periodic", 3, 3): 0.011, ("wave-cubic-periodic", 3, 4): 1.3e-3,
+    }
+
+    @pytest.mark.parametrize("name, s, q", list(TAYLOR_LIMIT_RATES))
+    def test_nonlinear_probe_tends_to_the_time_derivative(self, name, s, q):
+        # a method of order p >= q agrees with the flow through h^p, so the
+        # probe's h -> 0 limit is |u^(q)(0)| = q! |u_q|
+        p = get_problem(name, 64)
+        nls = p.grid.equation == "schrodinger"
+        u0 = nls_two_mode_state(p.grid) if nls else wave_band_state(p.grid)
+        limit = math.factorial(q) * base_norm(State(p.grid, taylor_coefficients(p, u0, q)[q]))
+        rate = 4.0 if nls else 2.0
+        rows = smoothness_probe(p, gauss_legendre(s), u0, 0.05, q, levels=7, fp_tol=1e-13)
+        for j, (h_base, value) in enumerate(rows):
+            # the rounding of 2**q weighted steps of norm |u0|, over spacing**q
+            floor = 2**q * sys.float_info.epsilon * base_norm(u0) / (h_base / (q + 1)) ** q
+            bound = self.TAYLOR_LIMIT_RATES[name, s, q] * rate**-j + floor / limit
             assert abs(value - limit) / limit <= bound, (j, value, limit)
 
     def test_rough_data_diverges(self):

@@ -55,6 +55,12 @@ def mode_state(grid, assignments):
     return State(grid, coeffs)
 
 
+def row_transform(grid, vals):
+    """The unnormalized DST-I or DCT-I of real or complex rows on a sine or
+    cosine grid: its real-row kernel, taken through ``_on_parts``."""
+    return spectral._on_parts(grid._row_transform, vals)
+
+
 def random_state(grid, rng, scale=1.0):
     shape = (grid.components, grid.n)
     return State(grid, scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
@@ -119,21 +125,17 @@ class TestTransforms:
         assert set(SpectralGrid("wave", "neumann", 5).modes) == {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize("n", [255, 256, 257])
-    @pytest.mark.parametrize(
-        "bc, stacked, transform",
-        [("dirichlet", spectral._complex_dst1, dst), ("neumann", spectral._complex_dct1, dct)],
-    )
-    def test_stacked_real_transform_matches_two_calls(self, n, bc, stacked, transform):
+    @pytest.mark.parametrize("bc, transform", [("dirichlet", dst), ("neumann", dct)])
+    def test_stacked_real_transform_matches_two_calls(self, n, bc, transform):
         # one call on the stacked (real, imag) rows gives each row's own transform
         rng = np.random.default_rng(n)
         grid = SpectralGrid("wave", bc, n)
+        stacked = functools.partial(row_transform, grid)
         vals = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         vals[1].imag = 0.0  # a real field among complex ones
         sine = grid._sine_matrix
         if sine is not None:
             # a dense-DST-I grid (n <= 256): its reference is two dense products
-            stacked = functools.partial(stacked, sine=sine)
-
             def transform(x, type, axis):
                 return np.array([sine @ row for row in x])
 
@@ -152,10 +154,7 @@ class TestTransforms:
         # real data take the real transform alone, in float64, bit for bit
         # the real part of the stacked complex transform
         grid = SpectralGrid("wave", bc, n)
-        if bc == "dirichlet":
-            transform = functools.partial(spectral._complex_dst1, sine=grid._sine_matrix)
-        else:
-            transform = spectral._complex_dct1
+        transform = functools.partial(row_transform, grid)
         coeffs = np.random.default_rng(n).standard_normal((3, 2, n))
         strided = coeffs[:, 0, :]  # the displacement rows of a batch of states
         for rows in (strided, np.ascontiguousarray(strided), strided[1]):
@@ -176,7 +175,7 @@ class TestTransforms:
         grid = SpectralGrid("wave", "dirichlet", n)
         vals = np.random.default_rng(n).standard_normal((3, n))
         expected = dst(vals, type=1, axis=-1)
-        dense = spectral._complex_dst1(vals, grid._sine_matrix)
+        dense = row_transform(grid, vals)
         assert np.max(np.abs(dense - expected)) <= 1e-14 * np.max(np.abs(expected))
         coeffs = grid.transform_array(vals)
         back = inverse_transform_array(grid, coeffs)
@@ -187,17 +186,15 @@ class TestTransforms:
         # each row is its own matrix-vector product: batching never moves a
         # bit (a BLAS product of r rows as one matrix rounds differently as
         # r changes)
-        sine = SpectralGrid("wave", "dirichlet", n)._sine_matrix
+        grid = SpectralGrid("wave", "dirichlet", n)
         rng = np.random.default_rng(n)
         vals = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
-        stacked = spectral._complex_dst1(vals, sine)
+        stacked = row_transform(grid, vals)
         for rows in range(1, 9):
-            assert spectral._complex_dst1(vals[:rows], sine).tobytes() == (
-                stacked[:rows].tobytes()
-            )
+            assert row_transform(grid, vals[:rows]).tobytes() == stacked[:rows].tobytes()
         for row in range(9):
-            assert spectral._complex_dst1(vals[row], sine).tobytes() == stacked[row].tobytes()
-        batched = spectral._complex_dst1(vals.reshape(3, 3, n), sine)
+            assert row_transform(grid, vals[row]).tobytes() == stacked[row].tobytes()
+        batched = row_transform(grid, vals.reshape(3, 3, n))
         assert batched.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("n, dense", [(2, True), (255, True), (256, True), (257, False)])
@@ -205,6 +202,10 @@ class TestTransforms:
         grid = SpectralGrid("wave", "dirichlet", n)
         assert (grid._sine_matrix is not None) is dense
         assert SpectralGrid("schrodinger", "neumann", n)._sine_matrix is None
+        # each grid picks its real-row kernel once
+        assert grid._row_transform is grid._row_transform
+        assert (grid._row_transform is spectral._dst1) is not dense
+        assert SpectralGrid("schrodinger", "neumann", n)._row_transform is spectral._dct1
         if dense:
             assert grid._sine_matrix is grid._sine_matrix
             assert grid._sine_matrix.shape == (n, n)
@@ -222,10 +223,9 @@ class TestTransforms:
         cosines = 2 * np.cos(np.pi * (np.outer(j, j) % (2 * n - 2)) / (n - 1))
         cosines[:, 0] /= 2
         cosines[:, -1] /= 2
-        grid = SpectralGrid("wave", "dirichlet", n)
         for got, expected in [
-            (spectral._complex_dst1(vals, grid._sine_matrix), vals @ sines.T),
-            (spectral._complex_dct1(vals), vals @ cosines.T),
+            (row_transform(SpectralGrid("wave", "dirichlet", n), vals), vals @ sines.T),
+            (row_transform(SpectralGrid("wave", "neumann", n), vals), vals @ cosines.T),
         ]:
             assert got.shape == vals.shape and got.dtype == complex
             assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -1,14 +1,25 @@
+import linecache
+
 import numpy as np
 import pytest
 
 from rkspectral import stepper
 from rkspectral.errors import ConvergenceFailureError, NumericalBlowupError
-from rkspectral.harness import nls_two_mode_state, random_band_state, wave_band_state
+from rkspectral.harness import (
+    convergence_study,
+    dirichlet_compatibility_study,
+    nls_two_mode_state,
+    random_band_state,
+    smoothness_probe,
+    tangent_convergence_study,
+    wave_band_state,
+)
 from rkspectral.problems import evaluate_B_array, evaluate_B_pair_array, get_problem
 from rkspectral.spectral import SpectralGrid, State, apply_exp_tA, base_norm, step_matrices
 from rkspectral.stepper import SolverConfig, _stage_residual, integrate, step, tangent_step
 from rkspectral.tableau import ButcherTableau, gauss_legendre
 
+import oracles
 from oracles import (
     IMPLICIT_EULER,
     RADAU_IIA_2,
@@ -323,7 +334,9 @@ class TestFixedPointStages:
             _, stats = fixed_point_stages(p, MIDPOINT, u, cfg)
         assert stats.contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
-        assert record[0].filename == __file__
+        # the oracle's call of the solver is the first frame outside the stepper
+        assert record[0].filename == oracles.__file__
+        assert "_solve_stages(" in linecache.getline(oracles.__file__, record[0].lineno)
 
     def test_step_near_one_contraction_warns_once_at_caller(self, monkeypatch):
         monkeypatch.setattr(stepper, "_FP_MAX_ITERS", 1000)
@@ -358,6 +371,50 @@ class TestFixedPointStages:
         assert stats.contraction_estimate > stepper._CONTRACTION_WARN
         assert len(record) == 1
         assert record[0].filename == __file__
+
+    @staticmethod
+    def check_warned_at(record, call):
+        # every warning names this file's line that calls ``call``
+        assert record
+        for warning in record:
+            assert warning.filename == __file__
+            assert f"= {call}(" in linecache.getline(__file__, warning.lineno)
+
+    # A study or the probe warns at its caller's line, never at a line of
+    # the harness; every step of two or more iterations warns at a bound of 0.
+    def test_convergence_study_warns_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_CONTRACTION_WARN", 0.0)
+        p = get_problem("nls-cubic-periodic", 16)
+        u = two_mode(p.grid)
+        with pytest.warns(UserWarning, match="near 1") as record:
+            report = convergence_study(p, MIDPOINT, u, 0.04, [0.02, 0.01], fp_tol=1e-13)
+        assert report.errors
+        self.check_warned_at(record, "convergence_study")
+
+    def test_tangent_convergence_study_warns_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_CONTRACTION_WARN", 0.0)
+        p = get_problem("nls-cubic-periodic", 16)
+        u, v = two_mode(p.grid), mode_state(p.grid, 0, {1: 0.3, 3: -0.2})
+        with pytest.warns(UserWarning, match="near 1") as record:
+            report = tangent_convergence_study(p, MIDPOINT, u, v, 0.04, [0.02, 0.01], 1e-13)
+        assert report.errors
+        self.check_warned_at(record, "tangent_convergence_study")
+
+    def test_dirichlet_compatibility_study_warns_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_CONTRACTION_WARN", 0.0)
+        with pytest.warns(UserWarning, match="near 1") as record:
+            reports = dirichlet_compatibility_study([0.02, 0.01], 0.04, 16, MIDPOINT, 1e-13)
+        assert len(reports) == 2
+        self.check_warned_at(record, "dirichlet_compatibility_study")
+
+    def test_smoothness_probe_warns_at_caller(self, monkeypatch):
+        monkeypatch.setattr(stepper, "_CONTRACTION_WARN", 0.0)
+        p = get_problem("nls-cubic-periodic", 16)
+        u = two_mode(p.grid)
+        with pytest.warns(UserWarning, match="near 1") as record:
+            rows = smoothness_probe(p, MIDPOINT, u, 0.05, 2, levels=2, fp_tol=1e-13)
+        assert len(rows) == 2
+        self.check_warned_at(record, "smoothness_probe")
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_blowup_detected(self):
@@ -628,8 +685,22 @@ class TestPredictedStart:
             exact = (1 + c) ** degree
             assert np.max(np.abs(e @ tau**degree - exact)) <= 1e-10 * np.max(exact)
 
-    def test_extrapolation_matrix_needs_distinct_nodes(self):
-        assert stepper._extrapolation_matrix(np.array([0.5, 0.5]), 2) is None
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    def test_coinciding_nodes_build_no_predictor(self, steps):
+        assert stepper._extrapolations(np.array([0.5, 0.5]), steps) == []
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 8])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 9, 100])
+    def test_extrapolations_cover_the_history_a_run_holds(self, s, steps):
+        # entry j - 1 extrapolates through the last j steps; a run of
+        # ``steps`` steps holds at most steps - 1 of them
+        c = gauss_legendre(s).c
+        points = stepper._predictor_points(s)
+        table = stepper._extrapolations(c, steps)
+        assert len(table) == min(-(-points // s), steps - 1)
+        for j, e in enumerate(table, start=1):
+            used = min(points, j * s)
+            assert e.tolist() == stepper._extrapolation_matrix(c, used).tolist()
 
     def test_extrapolation_matrix_drops_repeated_history_nodes(self):
         # with nodes 0 and 1 the last five node times (-1, -1, 0, 0, 1)
